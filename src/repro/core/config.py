@@ -27,9 +27,13 @@ Environment resolution lives in exactly one documented place,
 
 Every variable is validated eagerly — a typo fails loudly, naming the
 variable, instead of silently running the wrong configuration.  A config
-built by plain ``EngineConfig(...)`` is hermetic (no environment reads);
-the engine only consults the environment when no config is given, via
-``from_env()``.
+built by plain ``EngineConfig(...)`` is hermetic: nothing downstream of it
+(`repro.runtime.executor.resolve_executor` takes the config and nothing
+else) reads these variables, so ``executor.kind=None`` is the serial
+executor whatever ``REPRO_EXECUTOR`` says.  The environment is consulted
+only when no config is given (``config=None`` → ``from_env()``).
+``REPRO_GRAPH_STORE`` is the storage layer's own knob
+(`repro.graph.compact.resolve_graph_store`) and not part of this table.
 
 Observability settings (``observability``) never influence the computation
 and are deliberately excluded from the checkpoint config fingerprint
@@ -104,12 +108,10 @@ class ExecutorConfig:
     """Execution backend selection.
 
     ``kind`` is ``"serial"``, ``"parallel"``, an executor instance, or
-    ``None`` (the engine then reads ``REPRO_EXECUTOR`` at run time for
-    backwards compatibility; :meth:`EngineConfig.from_env` resolves it
-    eagerly instead).  ``fault_plan`` is a spec string (``kill:W@S`` /
-    ``seed:N``) or a :class:`~repro.runtime.faults.FaultPlan`; spec
-    strings are parsed into a fresh plan per run so one config can arm
-    many runs.
+    ``None``, which means serial.  ``fault_plan`` is a spec string
+    (``kill:W@S`` / ``seed:N``) or a
+    :class:`~repro.runtime.faults.FaultPlan`; spec strings are parsed into
+    a fresh plan per run so one config can arm many runs.
     """
 
     kind: Any = None

@@ -22,10 +22,11 @@ message traffic, and varint message encoding (in the simulated transport).
 The per-vertex pipeline lives in :class:`VertexProcessor`, a pure function
 of (context, inbox, superstep): every engine-global service it needs comes
 in through the context's host object or the ``send`` sink.  The driver loop
-in :meth:`IntervalCentricEngine.run` dispatches vertices to an *executor*
-(`repro.runtime.executor`): the serial executor calls the processor
-in-process, the parallel executor replicates it inside shared-nothing
-worker processes and exchanges messages at the barrier.
+in :meth:`IntervalCentricEngine.run` hands each superstep to an *executor*
+(`repro.runtime.executor`), which hosts the one worker runtime that owns
+processors and contexts — a single runtime in-process (serial), or one per
+shared-nothing worker process exchanging messages at the barrier
+(parallel).  The engine itself builds no processor and hosts no context.
 """
 
 from __future__ import annotations
@@ -153,10 +154,11 @@ class VertexProcessor:
     time-join — happens here, with no reference back to the driver loop:
     outbound messages go through the ``send(src, dst, msg)`` sink passed per
     call, and engine services (aggregators, direct sends) reach user code
-    through the context's host object.  The serial executor binds one
-    processor to the engine; each parallel worker process builds its own
-    from the same construction arguments, which is what makes the two
-    executors bit-compatible.
+    through the context's host object.  Every worker runtime
+    (`repro.runtime.executor`) — the serial executor's single in-process
+    one, or one per parallel worker process — builds its own processor from
+    the same construction arguments
+    (:meth:`IntervalCentricEngine.processor_args`).
 
     ``superstep`` is set by the driving executor before each superstep.
     """
@@ -565,8 +567,6 @@ class IntervalCentricEngine:
         self.max_supersteps = config.max_supersteps
         #: Optional ExecutionTracer recording compute/scatter/send events.
         self.tracer = config.observability.tracer
-        self.executor = config.executor.kind
-        self.executor_processes = config.executor.processes
         self.checkpoint_every = config.checkpoint.every or None  # 0 disables
         self.checkpoint_dir = config.checkpoint.dir
         self.max_restarts = config.checkpoint.max_restarts
@@ -575,27 +575,19 @@ class IntervalCentricEngine:
         self._aggregates: dict[str, Any] = {}
         self._next_aggregates: dict[str, Any] = {}
         self._aggregator_fns = program.aggregators()
-        self._metrics: Optional[RunMetrics] = None
         #: Structured-event consumers; the stream itself is built per run().
         self._observers = list(config.observability.observers)
         if config.observability.trace_path is not None:
             self._observers.append(JsonlTraceWriter(config.observability.trace_path))
         self._events: Optional[EventStream] = None
         #: vid → canonical global vertex order (graph enumeration order);
-        #: both executors process actives and merge messages in this order.
+        #: worker runtimes process actives and merge messages in this order.
         self._seq: dict[Any, int] = {}
-        self._processor = VertexProcessor(
-            graph,
-            program,
-            self.cluster.compute_model,
-            tracer=self.tracer,
-            **self.processor_args(),
-        )
 
     def processor_args(self) -> dict[str, Any]:
-        """Construction kwargs for a :class:`VertexProcessor` equivalent to
-        this engine's — what a parallel worker process builds its own from
-        (minus the tracer, which cannot cross process boundaries)."""
+        """Construction kwargs of this run's :class:`VertexProcessor`s —
+        what every worker runtime builds its own from (the tracer is
+        passed separately: it cannot cross process boundaries)."""
         return dict(
             enable_warp_combiner=self.enable_warp_combiner,
             enable_receiver_combiner=self.enable_receiver_combiner,
@@ -605,28 +597,15 @@ class IntervalCentricEngine:
             suppression_expansion_cap=self.suppression_expansion_cap,
         )
 
-    def send_direct(self, src_vid: Any, dst_vid: Any, interval: Interval, value: Any) -> None:
-        """Direct (non-edge) messaging service backing ``ctx.send``."""
-        assert self._metrics is not None, "send_direct outside run()"
-        if self.tracer is not None:
-            self.tracer.on_send(self.superstep, src_vid, dst_vid, interval, value)
-        self.cluster.send(src_vid, dst_vid, IntervalMessage(interval, value), self._metrics)
-
-    # -- aggregator services (called via VertexContext) ------------------------
+    # -- aggregators (contributions replayed by the barrier fold) --------------
 
     def contribute_aggregate(self, name: str, value: Any) -> None:
         """Fold ``value`` into the named aggregator (next-superstep scope)."""
-        fn = self._aggregator_fns.get(name)
-        if fn is None:
-            raise KeyError(f"no aggregator registered under {name!r}")
+        fn = self._aggregator_fns[name]  # names are checked by the runtime
         if name in self._next_aggregates:
             self._next_aggregates[name] = fn(self._next_aggregates[name], value)
         else:
             self._next_aggregates[name] = value
-
-    def read_aggregate(self, name: str, default: Any = None) -> Any:
-        """The value the aggregator reduced to in the previous superstep."""
-        return self._aggregates.get(name, default)
 
     # -- main loop ----------------------------------------------------------
 
@@ -679,14 +658,7 @@ class IntervalCentricEngine:
         from repro.runtime.faults import UnrecoverableRunError, WorkerDiedError
         from repro.runtime.metrics import RecoveryMetrics
 
-        executor = resolve_executor(
-            self.executor,
-            self.executor_processes,
-            tracer=self.tracer,
-            fault_plan=self.config.executor.fault_plan,
-            from_env=self.config.executor.kind_from_env,
-            exchange=self.config.exchange,
-        )
+        executor = resolve_executor(self.config)
         rescatter = rescatter or {}
         if resume_from is not None and warm_states is not None:
             raise ValueError("resume_from and warm_states are mutually exclusive")
@@ -873,7 +845,6 @@ class IntervalCentricEngine:
             metrics.platform = metrics.platform or self.platform
             metrics.algorithm = metrics.algorithm or self.program.name
             metrics.graph = metrics.graph or self.graph_name
-        self._metrics = metrics
         stats = getattr(self, "_partition_stats", None)
         if stats is not None:
             metrics.partition_edge_cut = stats["edge_cut"]
@@ -1077,11 +1048,6 @@ class IntervalCentricEngine:
         )
 
     # -- internals ---------------------------------------------------------
-
-    def _should_suppress_warp(
-        self, messages: list[IntervalMessage], lifespan: Interval
-    ) -> bool:
-        return self._processor.should_suppress_warp(messages, lifespan)
 
     def _reduce_aggregates(self) -> dict[str, Any]:
         reduced = dict(self._next_aggregates)

@@ -77,7 +77,6 @@ class SimulatedCluster:
         self.model_network = model_network
         self._inboxes: dict[Any, list[IntervalMessage]] = {}
         self._pending: dict[Any, list[IntervalMessage]] = {}
-        self._seeded_extra: dict[Any, int] = {}
         self._worker_compute: list[float] = [0.0] * num_workers
         self._step: Optional[SuperstepMetrics] = None
 
@@ -190,7 +189,7 @@ class SimulatedCluster:
     def add_shard_compute(self, shard: int, seconds: float) -> None:
         """Attribute modeled compute cost directly to worker ``shard``.
 
-        The parallel barrier path already knows each vertex's shard, so it
+        The GRAPHITE barrier fold already knows each vertex's shard, so it
         folds per-shard sums in one call instead of re-hashing every vertex.
         """
         if self._step is None:
@@ -212,8 +211,8 @@ class SimulatedCluster:
     ) -> None:
         """Fold a batch of already-classified message traffic into the metrics.
 
-        The parallel executor's workers classify and size their own traffic
-        (messages never pass through :meth:`send` on the master), then report
+        GRAPHITE's worker runtimes classify and size their own traffic
+        (their messages never pass through :meth:`send`), then report
         per-superstep totals that this folds in at the barrier — mirroring
         exactly what per-message ``send`` calls would have recorded.
         """
@@ -260,65 +259,10 @@ class SimulatedCluster:
     def has_pending_messages(self) -> bool:
         return bool(self._pending)
 
-    def pending_count(self) -> int:
-        return sum(len(v) for v in self._pending.values())
-
-    # -- checkpoint support ----------------------------------------------------
-
-    def pending_entries(self) -> list[tuple[int, Any, IntervalMessage]]:
-        """The undelivered messages as ``(seq, dst, message)`` triples.
-
-        The serial transport does not track sender sequences (delivery
-        order *is* queue order), so a monotonically increasing counter
-        stands in: it preserves each destination's queue order, which is
-        the only order a resume — under either executor — depends on.
-        """
-        entries: list[tuple[int, Any, IntervalMessage]] = []
-        i = 0
-        for dst, msgs in self._pending.items():
-            for msg in msgs:
-                entries.append((i, dst, msg))
-                i += 1
-        return entries
-
-    def seed_pending(self, entries) -> None:
-        """Rebuild the pending queues from checkpoint routed entries
-        (sorted by seq by the loader — serial delivery order).
-
-        Entries are ``(seq, dst, message)`` triples or, when the
-        checkpoint was written by a run with sender-side combining,
-        ``(seq, dst, message, count, charge)`` 5-tuples standing in for
-        ``count`` raw messages.  The folded-away counts are recorded per
-        destination so the serial executor can charge the receiver pass
-        for them on the first resumed superstep (see
-        :meth:`take_seeded_extra`)."""
-        if self._step is not None:
-            raise ClusterLifecycleError("seed_pending inside an open superstep")
-        self._pending = {}
-        self._seeded_extra = {}
-        for entry in entries:
-            dst, msg = entry[1], entry[2]
-            self._pending.setdefault(dst, []).append(msg)
-            if len(entry) > 3:
-                extra = entry[3] - 1
-                if extra:
-                    self._seeded_extra[dst] = (
-                        self._seeded_extra.get(dst, 0) + extra
-                    )
-
-    def take_seeded_extra(self) -> dict:
-        """Per-destination raw-message counts folded out of the seeded
-        pending entries — consumed exactly once, by the first superstep
-        after a resume (empty on every later call)."""
-        extra = getattr(self, "_seeded_extra", None) or {}
-        self._seeded_extra = {}
-        return extra
-
     def reset(self) -> None:
         """Clear all queues (between independent runs on one cluster)."""
         self._inboxes = {}
         self._pending = {}
-        self._seeded_extra = {}
         self._worker_compute = [0.0] * self.num_workers
         self._step = None
 

@@ -1,18 +1,22 @@
-"""Superstep executors: serial and shared-nothing parallel execution.
+"""Superstep executors: one worker runtime, hosted in-process or in workers.
 
 The engine's driver loop (`IntervalCentricEngine.run`) delegates each
-superstep to an executor:
+superstep to an executor.  There is exactly one superstep loop,
+:meth:`_WorkerRuntime.step` — activation, warm-start rescatter, inbox
+construction, the per-vertex walk, message routing and the measured phase
+spans — and one barrier fold, :func:`_fold_reports`.  The executors differ
+only in where runtimes live (as on Giraph, where a single-machine run is a
+cluster of one):
 
-* :class:`SerialExecutor` — the historical behaviour: one process walks the
-  active vertices in canonical order and messages move through
-  ``SimulatedCluster.send``.
-* :class:`ParallelExecutor` — a Giraph-shaped runtime on one machine: each
-  worker process owns a fixed subset of the simulated workers' vertex
-  partitions (shared-nothing — no state is shared after fork), runs its
-  actives concurrently with the other processes, and exchanges cross-process
-  messages at the BSP barrier as varint-encoded routed batches
-  (`repro.runtime.encoding`).  Worker-local messages never leave the
-  process.
+* :class:`SerialExecutor` hosts a single runtime in the calling process.
+  Every simulated worker ("shard") maps to process 0, so no message is
+  ever encoded or exchanged and the wire phases of its one
+  ``worker_span`` are exactly 0.
+* :class:`ParallelExecutor` forks one runtime per worker process, each
+  owning a fixed subset of the shards (shared-nothing — no state is shared
+  after fork), and exchanges cross-process messages at the BSP barrier as
+  varint-encoded routed batches (`repro.runtime.encoding`).  Messages
+  between shards of the same process never leave it.
 
 Two exchange topologies move the batches (``ExchangeConfig.topology``):
 
@@ -28,25 +32,27 @@ combiner is selective (min/max/or — order-insensitive folds): messages to
 the same (destination, interval) pre-fold into one wire entry that carries
 the raw message count and the modeled scan charge it replaced.  The
 receiver reconstructs the raw inbox size from those counts and charges the
-receiver pass with one integer-times-float multiply — exactly the serial
-expression — so modeled compute, ``combiner_reductions`` and every state
-stay bit-identical to serial under any partitioner, while the wire carries
-fewer bytes.  Aggregating combiners (sum — float addition is not
+receiver pass with one integer-times-float multiply — exactly the
+uncombined expression — so modeled compute, ``combiner_reductions`` and
+every state stay bit-identical under any partitioner, while the wire
+carries fewer bytes.  Aggregating combiners (sum — float addition is not
 associative bitwise) are never pre-folded.
 
-Determinism: both executors process active vertices in the canonical global
-vertex order (graph enumeration order, ``engine._seq``), every message
-carries its sender's sequence number so receivers restore the serial
-delivery order with one stable sort, aggregate contributions are folded at
-the master in (sender, call) order, and modeled per-worker compute is summed
-in the same per-shard order serial would use — so parallel runs return
-results identical to serial runs, which the equivalence tests assert
-algorithm by algorithm.
+Determinism.  Within one runtime the canonical order holds by
+construction: actives run in graph enumeration order (``engine._seq``) and
+messages are delivered in send order.  Across processes it is restored at
+the barrier: every message carries its sender's sequence number so
+receivers recover the single-process delivery order with one stable sort,
+aggregate contributions are folded at the master in (sender, call) order,
+and modeled compute is summed per shard in vertex order — so a run returns
+the same bits however many processes host it.
+``tests/runtime/golden_serial.json``, recorded from the per-vertex loop
+this runtime replaced, is the oracle both executors are held to.
 
-Simulated workers ("shards", ``cluster.num_workers``) are decoupled from
-worker *processes*: shards are assigned round-robin to however many
-processes are available, so an 8-worker simulation keeps its metrics
-identical whether it runs on 1, 2 or 8 cores.
+Shards (``cluster.num_workers``) are decoupled from worker *processes*:
+shards are assigned round-robin to however many processes are available,
+so an 8-worker simulation keeps its metrics identical whether it runs on
+1, 2 or 8 cores.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Optional
 
-from repro.core.config import ExchangeConfig, _env_exchange_topology, _env_int
+from repro.core.config import EngineConfig, ExchangeConfig
 from repro.core.context import VertexContext
 from repro.core.engine import VertexProcessor
 from repro.core.interval import Interval
@@ -81,88 +87,45 @@ from .encoding import (
 from .faults import FaultPlan, WorkerDiedError, kill_process
 from .metrics import RunMetrics
 
-#: Counters each worker process accumulates locally and the master folds at
-#: the barrier — the registry's ``worker_field`` slice, in declaration
-#: order (`repro.obs.registry.RUN_METRICS`).
+#: Counters each worker runtime accumulates locally and the barrier folds —
+#: the registry's ``worker_field`` slice, in declaration order
+#: (`repro.obs.registry.RUN_METRICS`).
 _COUNT_FIELDS = RUN_METRICS.names(worker_field=True)
 
 
-def _env_fault_plan() -> Optional[FaultPlan]:
-    """Parse ``REPRO_FAULT_PLAN`` (chaos CI knob) with a clear failure mode."""
-    env = os.environ.get("REPRO_FAULT_PLAN")
-    if not env:
-        return None
-    try:
-        return FaultPlan.parse(env)
-    except ValueError as exc:
-        raise ValueError(f"invalid REPRO_FAULT_PLAN: {exc}") from None
+def resolve_executor(config: EngineConfig):
+    """The executor an :class:`~repro.core.config.EngineConfig` asks for.
 
+    ``config.executor.kind`` is ``"serial"`` (or ``None``, which means the
+    same), ``"parallel"``, or an executor instance, which passes through
+    untouched (the serving tier keeps one warm per lane this way).  The
+    parallel executor takes its process count, fault plan — a spec string
+    is parsed into a fresh :class:`~repro.runtime.faults.FaultPlan` per
+    call, so one frozen config can arm many runs — and exchange data plane
+    from the same config.  Nothing here reads the environment:
+    :meth:`EngineConfig.from_env` is the only reader.
 
-def resolve_executor(
-    spec: Any = None,
-    processes: Optional[int] = None,
-    *,
-    tracer=None,
-    fault_plan: Any = None,
-    from_env: bool = False,
-    exchange: Optional[ExchangeConfig] = None,
-):
-    """Turn an executor spec into an executor instance.
-
-    ``spec`` may be ``"serial"``, ``"parallel"``, an executor instance, or
-    ``None`` (read the ``REPRO_EXECUTOR`` environment variable, default
-    serial).  ``processes=None`` reads ``REPRO_EXECUTOR_PROCESSES``.
-    ``fault_plan`` arms the parallel executor: a
-    :class:`~repro.runtime.faults.FaultPlan` is used as-is, a spec string
-    (``EngineConfig`` stores the validated string so one frozen config can
-    arm many runs) is parsed into a fresh plan, and ``None`` falls back to
-    ``REPRO_FAULT_PLAN`` (chaos CI knob).  ``from_env=True`` marks a
-    ``spec`` string that itself came from ``REPRO_EXECUTOR``
-    (``EngineConfig.from_env`` resolves the variable eagerly and carries
-    the provenance here).  ``exchange`` configures the parallel barrier
-    data plane (:class:`~repro.core.config.ExchangeConfig`); ``None``
-    falls back to ``REPRO_EXCHANGE``.  All environment variables are
-    validated eagerly — a typo fails loudly, naming the variable, instead
-    of silently running the wrong configuration.
+    Tracing is in-process only.  A parallel kind that came from
+    ``REPRO_EXECUTOR`` (``kind_from_env``) yields to a configured
+    ``ExecutionTracer`` so traced runs keep working under sweep-wide
+    defaults; one asked for explicitly raises.
     """
-    if spec is not None and not isinstance(spec, str):
-        executor = spec
+    spec = config.executor
+    tracer = config.observability.tracer
+    kind = spec.kind
+    if tracer is not None and spec.kind_from_env:
+        kind = "serial"
+    if kind is None or kind == "serial":
+        executor = SerialExecutor()
+    elif kind == "parallel":
+        plan = spec.fault_plan
+        if isinstance(plan, str):
+            plan = FaultPlan.parse(plan)
+        executor = ParallelExecutor(
+            processes=spec.processes, fault_plan=plan, exchange=config.exchange
+        )
     else:
-        env_sourced = spec is None or from_env
-        name = spec or os.environ.get("REPRO_EXECUTOR", "serial")
-        if tracer is not None and env_sourced:
-            # Tracing is in-process only.  An *environment*-forced parallel
-            # executor falls back to serial so traced runs keep working
-            # under REPRO_EXECUTOR=parallel test sweeps; explicitly asking
-            # for parallel with a tracer still errors below.
-            name = "serial"
-        if name not in ("serial", "parallel"):
-            source = (
-                f"REPRO_EXECUTOR={name!r}" if env_sourced else f"executor {name!r}"
-            )
-            raise ValueError(
-                f"unknown executor in {source} (expected 'serial' or 'parallel')"
-            )
-        if processes is None:
-            processes = _env_int(
-                os.environ, "REPRO_EXECUTOR_PROCESSES", minimum=1
-            )
-        if name == "serial":
-            executor = SerialExecutor()
-        else:
-            if fault_plan is None:
-                plan = _env_fault_plan()
-            elif isinstance(fault_plan, str):
-                plan = FaultPlan.parse(fault_plan)
-            else:
-                plan = fault_plan
-            if exchange is None:
-                exchange = ExchangeConfig(
-                    topology=_env_exchange_topology(os.environ) or "star"
-                )
-            executor = ParallelExecutor(
-                processes=processes, fault_plan=plan, exchange=exchange
-            )
+        executor = kind
     if tracer is not None and executor.name != "serial":
         raise ValueError(
             "the parallel executor cannot host an ExecutionTracer "
@@ -178,129 +141,133 @@ def _default_process_count() -> int:
         return os.cpu_count() or 1
 
 
+def _fold_reports(engine, metrics: RunMetrics, reports, compute_wall: float):
+    """The barrier: fold every runtime's step report into the cluster's
+    accounting and the run metrics, and close the superstep.
+
+    ``reports`` are in worker order.  Returns ``(active, in_flight)`` —
+    the vertices that ran and the messages now awaiting the next
+    superstep.
+    """
+    cluster = engine.cluster
+    active = in_flight = exchange_bytes = exchange_raw = 0
+    compute_calls = scatter_calls = 0
+    contribs: list[tuple[int, int, str, Any]] = []
+    for rep in reports:
+        active += rep["active"]
+        in_flight += rep["traffic"]["app"]
+        exchange_bytes += rep["exchange_bytes"]
+        exchange_raw += rep["raw_wire"]
+        cluster.record_traffic(metrics, **rep["traffic"])
+        for shard, seconds in rep["shard_compute"].items():
+            cluster.add_shard_compute(shard, seconds)
+        counts = rep["counts"]
+        compute_calls += counts["compute_calls"]
+        scatter_calls += counts["scatter_calls"]
+        for name in _COUNT_FIELDS:
+            setattr(metrics, name, getattr(metrics, name) + counts[name])
+        contribs.extend(rep["contributions"])
+
+    # Replay aggregate contributions in canonical fold order: by
+    # contributing vertex, then call order within the vertex.
+    contribs.sort(key=lambda c: (c[0], c[1]))
+    for _seq, _idx, name, value in contribs:
+        engine.contribute_aggregate(name, value)
+
+    wall_max = max(rep["wall"] for rep in reports)
+    wire_max = max(rep["wire_s"] for rep in reports)
+    metrics.compute_plus_time += compute_wall
+    metrics.worker_wall_time += wall_max
+    metrics.exchange_time += wire_max
+    metrics.exchange_bytes += exchange_bytes
+    metrics.exchange_raw_bytes += exchange_raw
+    metrics.peak_inflight_messages = max(metrics.peak_inflight_messages, in_flight)
+
+    step = cluster.end_superstep(metrics)
+    step.compute_time = compute_wall
+    step.worker_wall_times = [rep["wall"] for rep in reports]
+    step.worker_spans = [rep["spans"] for rep in reports]
+    step.exchange_time = wire_max
+    step.exchange_bytes = exchange_bytes
+    step.exchange_raw_bytes = exchange_raw
+    step.compute_calls = compute_calls
+    step.scatter_calls = scatter_calls
+    return active, in_flight
+
+
 class SerialExecutor:
-    """Single-process execution — the reference the parallel path must match."""
+    """A cluster of one: a single worker runtime in the calling process.
+
+    Every shard maps to process 0, so the runtime's exchange has nothing
+    to do.  The only executor that can host an ``ExecutionTracer``.
+    """
 
     name = "serial"
+    _runtime = None
 
     def start(self, engine, states, fresh, rescatter, warm: bool) -> None:
         self._engine = engine
-        self._fresh = fresh
-        self._rescatter = rescatter
-        self._warm = warm
-        graph = engine.graph
-        self._contexts = {
-            vid: VertexContext(graph.vertex(vid), state, engine)
-            for vid, state in states.items()
-        }
+        self._runtime = _WorkerRuntime(
+            _ShardPayload.of(
+                engine, [0] * engine.cluster.num_workers, 0,
+                states, fresh, rescatter, warm,
+            ),
+            tracer=engine.tracer,
+        )
+        self._pending_total = 0
 
     def has_pending(self) -> bool:
-        return self._engine.cluster.has_pending_messages()
+        return self._pending_total > 0
 
     def run_superstep(self, superstep: int, metrics: RunMetrics) -> int:
         engine = self._engine
-        cluster = engine.cluster
-        processor = engine._processor
-        processor.superstep = superstep
-        contexts = self._contexts
-
-        inboxes = cluster.begin_superstep(superstep)
-        # Non-empty only on the first superstep after resuming a checkpoint
-        # whose pending entries were sender-side combined: per-destination
-        # counts of the raw messages folded into them, charged below so the
-        # resumed run's modeled compute matches the uninterrupted one.
-        extra_raw = cluster.take_seeded_extra()
-        if superstep == 1:
-            if not self._warm:
-                active = list(contexts)
-            else:
-                active = [
-                    vid for vid in contexts
-                    if vid in self._fresh or vid in self._rescatter
-                ]
-        elif engine.program.fixed_supersteps is not None:
-            active = list(contexts)
-        else:
-            seq = engine._seq
-            active = sorted(
-                (vid for vid in inboxes if vid in contexts), key=seq.__getitem__
-            )
-
-        tracer = engine.tracer
-
-        def send(src: Any, dst: Any, msg: IntervalMessage) -> None:
-            if tracer is not None:
-                tracer.on_send(superstep, src, dst, msg.interval, msg.value)
-            cluster.send(src, dst, msg, metrics)
-
-        calls_before = metrics.compute_calls
-        scatter_before = metrics.scatter_calls
-        processor.scatter_wall = 0.0
-        t0 = time.perf_counter()
-        for vid in active:
-            ctx = contexts[vid]
-            if superstep == 1 and self._warm and vid not in self._fresh:
-                cost = processor.rescatter(ctx, self._rescatter[vid], metrics, send)
-            else:
-                cost = processor.process(
-                    ctx, inboxes.get(vid, []), metrics, send,
-                    extra_raw.get(vid, 0),
-                )
-            cluster.add_compute_time(vid, cost)
-        compute_wall = time.perf_counter() - t0
-        metrics.compute_plus_time += compute_wall
-        metrics.worker_wall_time += compute_wall
-
-        step = cluster.end_superstep(metrics)
-        step.compute_time = compute_wall
-        step.worker_wall_times = [compute_wall]
-        # One span for the single in-process "worker": compute and the
-        # scatter time-join are measured; the wire/barrier phases do not
-        # exist serially and report 0.
-        step.worker_spans = [{
-            "compute": max(0.0, compute_wall - processor.scatter_wall),
-            "scatter": processor.scatter_wall,
-            "encode": 0.0,
-            "exchange_wait": 0.0,
-            "barrier_wait": 0.0,
-        }]
-        step.compute_calls = metrics.compute_calls - calls_before
-        step.scatter_calls = metrics.scatter_calls - scatter_before
-        return len(active)
+        engine.cluster.begin_superstep(superstep)
+        report = self._runtime.step(superstep, engine._aggregates, ())
+        # In-process, the superstep *is* the worker's vertex walk.
+        active, self._pending_total = _fold_reports(
+            engine, metrics, [report], report["wall"]
+        )
+        return active
 
     def collect_states(self) -> dict[Any, Any]:
-        return {vid: ctx._state for vid, ctx in self._contexts.items()}
+        return self._runtime.collect()
 
     def snapshot(self) -> ExecutorSnapshot:
         """Barrier-time snapshot: all states plus the undelivered messages."""
         return ExecutorSnapshot(
-            states=self.collect_states(),
-            pending=self._engine.cluster.pending_entries(),
-            carried_reductions=0,
+            states=self._runtime.collect(),
+            pending=self._runtime.pending_entries(),
         )
 
     def restore_pending(self, entries) -> None:
-        """Seed the cluster inbox from a checkpoint's pending entries."""
-        self._engine.cluster.seed_pending(entries)
+        """Hand a checkpoint's pending entries (already in delivery order)
+        to the runtime as the messages awaiting its next superstep."""
+        self._runtime._pending = list(entries)
+        self._pending_total = len(entries)
 
     def close(self) -> None:
-        """No-op (and therefore idempotent): ``start`` rebuilds all
-        per-run state, so one serial executor instance can be reused for
-        any number of runs — the serving tier relies on this."""
+        """Drop the run's runtime (idempotent; ``start`` builds a new one,
+        so one instance can host any number of runs — the serving tier
+        relies on this).  The contexts point back at the runtime: cutting
+        the cycle frees the run's edge indexes and inboxes now rather than
+        at some later garbage collection."""
+        runtime, self._runtime = self._runtime, None
+        if runtime is not None:
+            runtime.contexts.clear()
 
-    def abort(self) -> None:
-        pass
+    abort = close
 
 
-# -- parallel execution -------------------------------------------------------
+# -- the worker runtime -------------------------------------------------------
 
 
 @dataclass
 class _ShardPayload:
-    """Everything one worker process needs to run its vertex partitions.
+    """Everything one worker runtime needs to run its vertex partitions.
 
-    Shipped at fork time (copy-on-write under the fork start method, pickled
-    under spawn); nothing here is shared with the master afterwards.
+    Handed over in-process by the serial executor; shipped at fork time by
+    the parallel one (copy-on-write under the fork start method, pickled
+    under spawn), after which nothing here is shared with the master.
     """
 
     graph: Any
@@ -327,6 +294,31 @@ class _ShardPayload:
     #: fork — closed at worker startup so peer death surfaces as EOF.
     close_conns: Any = None
 
+    @classmethod
+    def of(
+        cls, engine, shard_to_proc, proc_index, states, fresh, rescatter, warm,
+        **exchange: Any,
+    ) -> "_ShardPayload":
+        """The payload for process ``proc_index`` of ``engine``'s run."""
+        cluster = engine.cluster
+        return cls(
+            graph=engine.graph,
+            program=engine.program,
+            compute_model=cluster.compute_model,
+            partitioner=cluster.partitioner,
+            seq=engine._seq,
+            shard_to_proc=shard_to_proc,
+            proc_index=proc_index,
+            states=states,
+            fresh=fresh,
+            rescatter=rescatter,
+            warm=warm,
+            model_network=cluster.model_network,
+            varint=cluster.varint_encoding,
+            processor_args=engine.processor_args(),
+            **exchange,
+        )
+
 
 class _PeerDied(Exception):
     """A peer pipe hit EOF mid-exchange: that worker process is gone."""
@@ -337,13 +329,16 @@ class _PeerDied(Exception):
 
 
 class _WorkerRuntime:
-    """One worker process's world: its contexts, inbox, and send routing.
+    """One worker's world: its contexts, inbox, send routing, and the
+    superstep loop (:meth:`step`) every GRAPHITE run executes.
 
     Doubles as the engine-protocol host for its :class:`VertexContext`s
     (``superstep`` / ``graph`` / ``send_direct`` / aggregator services).
+    ``tracer`` is an in-process ``ExecutionTracer`` (worker processes pass
+    none — trace events cannot cross a process boundary).
     """
 
-    def __init__(self, payload: _ShardPayload):
+    def __init__(self, payload: _ShardPayload, tracer=None):
         self.graph = payload.graph
         self.program = payload.program
         self.partitioner = payload.partitioner
@@ -360,8 +355,10 @@ class _WorkerRuntime:
             payload.graph,
             payload.program,
             payload.compute_model,
+            tracer=tracer,
             **payload.processor_args,
         )
+        self.tracer = tracer
         self._aggregator_names = set(payload.program.aggregators())
         self.superstep = 0
         self._aggregates: dict[str, Any] = {}
@@ -379,7 +376,7 @@ class _WorkerRuntime:
         # folds that *choose* an operand) fold exactly under regrouping;
         # sum must see every raw message, so it is never pre-folded.  The
         # gate mirrors the receiver pass (enable_receiver_combiner): with
-        # the receiver pass off, the serial inbox stays raw and so must
+        # the receiver pass off, the local inbox stays raw and so must
         # the wire.
         combiner = payload.program.combiner
         self._fold = (
@@ -398,9 +395,6 @@ class _WorkerRuntime:
         #: the process-boot wait, which is exactly the straggler signal a
         #: slow-forking worker should show.
         self.barrier_wait = 0.0
-        # Per-superstep phase timers (reset at the top of ``step``).
-        self._encode_s = 0.0
-        self._exchange_wait_s = 0.0
         # Peer exchange plumbing (empty/no-op under the star topology).
         self.peer_conns = payload.peer_conns or {}
         self._peer_ids = sorted(self.peer_conns)
@@ -427,7 +421,8 @@ class _WorkerRuntime:
     # -- message routing ------------------------------------------------------
 
     def _send(self, src: Any, dst: Any, msg: IntervalMessage) -> None:
-        self._app += 1
+        if self.tracer is not None:
+            self.tracer.on_send(self.superstep, src, dst, msg.interval, msg.value)
         src_shard = self.partitioner.worker_of(src)
         dst_shard = self.partitioner.worker_of(dst)
         local = src_shard == dst_shard
@@ -465,7 +460,7 @@ class _WorkerRuntime:
             return
         # Fold in place.  The entry keeps the FIRST folded message's seq
         # and list position, so the receiver's stable sort sees each
-        # (destination, interval) group exactly where serial delivery
+        # (destination, interval) group exactly where uncombined delivery
         # would first meet it; the count metadata preserves the raw
         # message count and the modeled scan charge (count x scan, one
         # multiply) the fold replaced.
@@ -498,36 +493,34 @@ class _WorkerRuntime:
         self.processor.superstep = superstep
         self._aggregates = aggregates
 
-        wire_s = 0.0
-        t_wire = time.perf_counter()
         # Gather the delivery sources: worker-local pending, master-routed
         # batches (star topology and checkpoint restores), and the entry
         # lists already decoded off the peer pipes at the last exchange.
         # Every source is nondecreasing in sender seq (actives run in seq
         # order at their sender; batches preserve send order), so a single
-        # non-empty source is *provably* already in serial delivery order
-        # and the per-superstep sort can be skipped outright.
-        parts: list[list[tuple]] = []
-        if self._pending:
-            parts.append(self._pending)
+        # non-empty source is *provably* already in delivery order and the
+        # per-superstep sort can be skipped outright.  In-process only the
+        # first source exists, and ``wire_s`` stays exactly 0.
+        parts: list[list[tuple]] = [self._pending] if self._pending else []
         self._pending = []
-        for buf in batches:
-            decoded = decode_routed_batch(buf)
-            if decoded:
-                parts.append(decoded)
-        parts.extend(self._peer_parts)
-        self._peer_parts = []
-        if not parts:
-            entries: list[tuple] = []
-        elif len(parts) == 1:
-            entries = parts[0]
-        else:
-            entries = [e for part in parts for e in part]
-            # Restore the serial delivery order: stable sort by sender
-            # sequence (per-sender order is already correct within each
-            # source list).
-            entries.sort(key=lambda e: e[0])
-        wire_s += time.perf_counter() - t_wire
+        wire_s = 0.0
+        if batches or self._peer_parts:
+            t_wire = time.perf_counter()
+            for buf in batches:
+                decoded = decode_routed_batch(buf)
+                if decoded:
+                    parts.append(decoded)
+            parts.extend(self._peer_parts)
+            self._peer_parts = []
+            if len(parts) > 1:
+                # Restore the canonical delivery order: stable sort by
+                # sender sequence (per-sender order is already correct
+                # within each source list).
+                merged = [e for part in parts for e in part]
+                merged.sort(key=lambda e: e[0])
+                parts = [merged]
+            wire_s = time.perf_counter() - t_wire
+        entries: list[tuple] = parts[0] if parts else []
 
         inboxes: dict[Any, list[IntervalMessage]] = {}
         # Raw messages folded away by sender-side combining, per receiving
@@ -550,10 +543,14 @@ class _WorkerRuntime:
         elif self.fixed is not None:
             active = self.vids
         else:
-            active = [vid for vid in self.vids if vid in inboxes]
+            # O(frontier), not O(vertices): sparse frontiers are the common
+            # case; a message to a vertex that does not exist is dropped.
+            active = sorted(
+                (vid for vid in inboxes if vid in self.contexts),
+                key=self.seq.__getitem__,
+            )
 
         counts = RunMetrics()  # counter bag for this superstep's deltas
-        self._app = 0
         self._local = 0
         self._remote = 0
         self._bytes_total = 0
@@ -587,29 +584,30 @@ class _WorkerRuntime:
             shard_compute[shard] = shard_compute.get(shard, 0.0) + cost
         wall = time.perf_counter() - t0
 
-        t_wire = time.perf_counter()
         out: dict[int, bytes] = {}
         exchange_bytes = 0
-        if self.peer_conns:
-            exchange_bytes = self._exchange_peer(die_in_exchange)
-        else:
-            t_enc = time.perf_counter()
-            for dest, out_entries in self._out.items():
-                out[dest] = encode_routed_batch(out_entries)
-            self._encode_s += time.perf_counter() - t_enc
-            if die_in_exchange:
-                # Star analog of the mid-exchange kill: die with the
-                # outbound batches encoded but the report never sent.
-                os.kill(os.getpid(), signal.SIGKILL)
-        wire_s += time.perf_counter() - t_wire
+        if self._out or self.peer_conns or die_in_exchange:
+            t_wire = time.perf_counter()
+            if self.peer_conns:
+                exchange_bytes = self._exchange_peer(die_in_exchange)
+            else:
+                for dest, out_entries in self._out.items():
+                    out[dest] = encode_routed_batch(out_entries)
+                    exchange_bytes += len(out[dest])
+                self._encode_s = time.perf_counter() - t_wire
+                if die_in_exchange:
+                    # Star analog of the mid-exchange kill: die with the
+                    # outbound batches encoded but the report never sent.
+                    os.kill(os.getpid(), signal.SIGKILL)
+            wire_s += time.perf_counter() - t_wire
 
         return {
             "active": len(active),
             "wall": wall,
             "wire_s": wire_s,
             # Measured phase spans for this worker's superstep
-            # (`repro.obs.events.WORKER_SPAN_PHASES`); the master folds
-            # them into ``SuperstepMetrics.worker_spans`` in worker order.
+            # (`repro.obs.events.WORKER_SPAN_PHASES`), folded into
+            # ``SuperstepMetrics.worker_spans`` in worker order.
             "spans": {
                 "compute": max(0.0, wall - processor.scatter_wall),
                 "scatter": processor.scatter_wall,
@@ -617,16 +615,16 @@ class _WorkerRuntime:
                 "exchange_wait": self._exchange_wait_s,
                 "barrier_wait": self.barrier_wait,
             },
-            "sent": self._app,
             "exchange_bytes": exchange_bytes,
             "raw_wire": self._raw_wire,
             "counts": {f: getattr(counts, f) for f in _COUNT_FIELDS},
+            # ``SimulatedCluster.record_traffic``'s keyword arguments.
             "traffic": {
-                "app": self._app,
+                "app": self._local + self._remote,
                 "local": self._local,
                 "remote": self._remote,
-                "bytes_total": self._bytes_total if self.model_network else 0,
-                "bytes_remote": self._bytes_remote if self.model_network else 0,
+                "bytes_total": self._bytes_total,
+                "bytes_remote": self._bytes_remote,
             },
             "shard_compute": shard_compute,
             "contributions": self._contribs,
@@ -710,19 +708,19 @@ class _WorkerRuntime:
     def collect(self) -> dict[Any, Any]:
         return {vid: ctx._state for vid, ctx in self.contexts.items()}
 
-    def snapshot(self) -> dict[str, Any]:
-        """Read-only barrier snapshot: this process's states plus every
-        message awaiting the next superstep here — the worker-local pending
-        list and, under the peer topology, the in-flight batches already
-        received off the peer pipes (cross-process batches under the star
-        topology sit at the master and are snapshotted there)."""
+    def pending_entries(self) -> list[tuple]:
+        """Every message awaiting the next superstep here (read-only): the
+        worker-local pending list and, under the peer topology, the
+        in-flight batches already received off the peer pipes
+        (cross-process batches under the star topology sit at the master
+        and are snapshotted there)."""
         pending = list(self._pending)
         for part in self._peer_parts:
             pending.extend(part)
-        return {
-            "states": self.collect(),
-            "pending": encode_routed_batch(pending),
-        }
+        return pending
+
+
+# -- worker processes ---------------------------------------------------------
 
 
 def _worker_main(payload: _ShardPayload, conn) -> None:
@@ -750,13 +748,15 @@ def _worker_main(payload: _ShardPayload, conn) -> None:
             break
         try:
             if op == "step":
-                die = cmd[4] if len(cmd) > 4 else False
                 runtime.barrier_wait = wait
-                result = runtime.step(cmd[1], cmd[2], cmd[3], die)
+                result = runtime.step(*cmd[1:])
             elif op == "collect":
                 result = runtime.collect()
             elif op == "snapshot":
-                result = runtime.snapshot()
+                result = {
+                    "states": runtime.collect(),
+                    "pending": encode_routed_batch(runtime.pending_entries()),
+                }
             else:
                 raise RuntimeError(f"unknown worker command {op!r}")
         except _PeerDied as exc:
@@ -784,8 +784,9 @@ class ParallelExecutor:
     batches ride the report and the master routes them; under ``peer`` the
     workers ship batches directly over pairwise pipes and the report
     carries only accounting.  Either way the master folds reports into the
-    cluster's accounting at the barrier so the modeled metrics are
-    identical to a serial run's.
+    cluster's accounting at the barrier (:func:`_fold_reports`, the same
+    fold the serial executor calls) so the modeled metrics do not depend
+    on the process count.
     """
 
     name = "parallel"
@@ -829,16 +830,11 @@ class ParallelExecutor:
         self._partitioner = partitioner
         self._last_superstep = 0
 
+        # ``fresh`` and ``rescatter`` go to every worker whole: a runtime
+        # only ever looks its own vertices up in them.
         per_states: list[dict] = [{} for _ in range(procs)]
-        per_fresh: list[set] = [set() for _ in range(procs)]
-        per_rescatter: list[dict] = [{} for _ in range(procs)]
         for vid, state in states.items():
-            p = shard_to_proc[partitioner.worker_of(vid)]
-            per_states[p][vid] = state
-            if vid in fresh:
-                per_fresh[p].add(vid)
-            if vid in rescatter:
-                per_rescatter[p][vid] = rescatter[vid]
+            per_states[shard_to_proc[partitioner.worker_of(vid)]][vid] = state
 
         # fork inherits the graph/program/states copy-on-write — no pickling
         # of the (potentially large) payload; spawn platforms pickle it.
@@ -856,7 +852,6 @@ class ParallelExecutor:
                 share()
         self._procs = []
         self._conns = []
-        processor_args = engine.processor_args()
 
         # Peer topology: one duplex pipe per worker pair, all created
         # *before* the first fork so every child inherits every end.  Each
@@ -875,21 +870,9 @@ class ParallelExecutor:
 
         for p in range(procs):
             own = set(peer_conns[p].values())
-            payload = _ShardPayload(
-                graph=engine.graph,
-                program=engine.program,
-                compute_model=cluster.compute_model,
-                partitioner=partitioner,
-                seq=engine._seq,
-                shard_to_proc=shard_to_proc,
-                proc_index=p,
-                states=per_states[p],
-                fresh=per_fresh[p],
-                rescatter=per_rescatter[p],
-                warm=warm,
-                model_network=cluster.model_network,
-                varint=cluster.varint_encoding,
-                processor_args=processor_args,
+            payload = _ShardPayload.of(
+                engine, shard_to_proc, p,
+                per_states[p], fresh, rescatter, warm,
                 combine=self.exchange.combine,
                 peer_conns=peer_conns[p] if peer else None,
                 close_conns=[c for c in all_ends if c not in own],
@@ -983,71 +966,14 @@ class ParallelExecutor:
         reports = self._recv_all()
         compute_wall = time.perf_counter() - t0
 
-        total_active = 0
-        pending = 0
-        exchange_bytes = 0
-        exchange_raw = 0
-        step_compute_calls = 0
-        step_scatter_calls = 0
-        walls: list[float] = []
-        wires: list[float] = []
-        contribs: list[tuple[int, int, str, Any]] = []
+        # Star topology: the batches rode the reports; route them on.
         for rep in reports:
-            total_active += rep["active"]
-            pending += rep["sent"]
-            walls.append(rep["wall"])
-            wires.append(rep["wire_s"])
-            exchange_bytes += rep["exchange_bytes"]
-            exchange_raw += rep["raw_wire"]
             for dest, buf in rep["out"].items():
                 self._inbound[dest].append(buf)
-                exchange_bytes += len(buf)
-            traffic = rep["traffic"]
-            cluster.record_traffic(
-                metrics,
-                app=traffic["app"],
-                local=traffic["local"],
-                remote=traffic["remote"],
-                bytes_total=traffic["bytes_total"],
-                bytes_remote=traffic["bytes_remote"],
-            )
-            for shard, seconds in rep["shard_compute"].items():
-                cluster.add_shard_compute(shard, seconds)
-            counts = rep["counts"]
-            step_compute_calls += counts["compute_calls"]
-            step_scatter_calls += counts["scatter_calls"]
-            for name in _COUNT_FIELDS:
-                setattr(metrics, name, getattr(metrics, name) + counts[name])
-            contribs.extend(rep["contributions"])
-
-        # Replay aggregate contributions in the serial fold order: by
-        # contributing vertex, then call order within the vertex.
-        contribs.sort(key=lambda c: (c[0], c[1]))
-        for _seq, _idx, name, value in contribs:
-            engine.contribute_aggregate(name, value)
-
-        self._pending_total = pending
-        wall_max = max(walls, default=0.0)
-        wire_max = max(wires, default=0.0)
-        metrics.compute_plus_time += compute_wall
-        metrics.worker_wall_time += wall_max
-        metrics.exchange_time += wire_max
-        metrics.exchange_bytes += exchange_bytes
-        metrics.exchange_raw_bytes += exchange_raw
-        metrics.peak_inflight_messages = max(metrics.peak_inflight_messages, pending)
-
-        step = cluster.end_superstep(metrics)
-        step.compute_time = compute_wall
-        step.worker_wall_times = walls
-        # Reports come back in worker order (``_recv_all`` walks the conns
-        # in index order), so list position is the worker id.
-        step.worker_spans = [rep["spans"] for rep in reports]
-        step.exchange_time = wire_max
-        step.exchange_bytes = exchange_bytes
-        step.exchange_raw_bytes = exchange_raw
-        step.compute_calls = step_compute_calls
-        step.scatter_calls = step_scatter_calls
-        return total_active
+        active, self._pending_total = _fold_reports(
+            engine, metrics, reports, compute_wall
+        )
+        return active
 
     def collect_states(self) -> dict[Any, Any]:
         for i in range(len(self._conns)):
@@ -1055,8 +981,7 @@ class ParallelExecutor:
         merged: dict[Any, Any] = {}
         for states in self._recv_all():
             merged.update(states)
-        seq = self._engine._seq
-        return {vid: merged[vid] for vid in sorted(merged, key=seq.__getitem__)}
+        return {vid: merged[vid] for vid in self._engine._seq}
 
     def snapshot(self) -> ExecutorSnapshot:
         """Barrier-time snapshot across all worker processes.
@@ -1082,8 +1007,7 @@ class ParallelExecutor:
             for buf in batches:
                 pending.extend(decode_routed_batch(buf))
         pending.sort(key=lambda e: e[0])  # stable: per-sender order kept
-        seq = self._engine._seq
-        states = {vid: states[vid] for vid in sorted(states, key=seq.__getitem__)}
+        states = {vid: states[vid] for vid in self._engine._seq}
         return ExecutorSnapshot(states=states, pending=pending)
 
     def restore_pending(self, entries) -> None:

@@ -10,9 +10,10 @@ backpressure) do the limiting.
 The protocol is the frame vocabulary of `repro.serve.wire`.  Every
 :class:`~repro.serve.errors.ServeError` raised while answering a request
 becomes an ``("err", code, message)`` frame — a failed query never tears
-down the connection.  A ``("shutdown",)`` frame answers ``("bye",)`` and
-then stops the daemon cleanly (drain threads, close the service, unlink
-the socket).
+down the connection; only a frame that cannot be read (torn, oversized,
+undecodable) does, after a ``bad_query`` error frame saying why.  A
+``("shutdown",)`` frame answers ``("bye",)`` and then stops the daemon
+cleanly (drain threads, close the service, unlink the socket).
 """
 
 from __future__ import annotations
@@ -113,8 +114,19 @@ class ServeDaemon:
             while True:
                 try:
                     value = wire.read_frame(conn.recv)
-                except (ValueError, OSError):
-                    return  # torn or garbage frame: drop the connection
+                except OSError:
+                    return
+                except ValueError as exc:
+                    # Torn, oversized or garbage frame: the stream is no
+                    # longer at a frame boundary, so say why (if the peer
+                    # is still there) and drop the connection.
+                    try:
+                        wire.write_frame(
+                            conn, ("err", BadQueryError.code, str(exc))
+                        )
+                    except OSError:
+                        pass
+                    return
                 if value is wire.EOF:
                     return  # clean EOF
                 response = self._dispatch(value)

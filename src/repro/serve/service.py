@@ -242,14 +242,7 @@ class GraphService:
                     capacity_slack=cfg.partitioning.capacity_slack,
                 )
                 cluster.partitioner_explicit = True
-            executor = resolve_executor(
-                cfg.executor.kind,
-                cfg.executor.processes,
-                tracer=cfg.observability.tracer,
-                fault_plan=cfg.executor.fault_plan,
-                from_env=cfg.executor.kind_from_env,
-                exchange=cfg.exchange,
-            )
+            executor = resolve_executor(cfg)
             lane_config = dataclasses.replace(
                 cfg,
                 # The resolved instance rides the config so every run in

@@ -40,6 +40,7 @@ from repro.runtime.encoding import (
 
 __all__ = [
     "EOF",
+    "MAX_FRAME_BYTES",
     "SERVE_WIRE_FORMAT",
     "decode_frame",
     "decode_frame_body",
@@ -54,6 +55,15 @@ __all__ = [
 #: Current serve-frame format version.  Bumped on incompatible layout
 #: changes; both sides reject a mismatched version by name.
 SERVE_WIRE_FORMAT = 1
+
+#: Largest frame body :func:`read_frame` accepts.  The length prefix is
+#: the one number a peer can state without sending the bytes to back it,
+#: so it is checked before any body byte is read.  The largest answers
+#: in use are tens of kilobytes.
+MAX_FRAME_BYTES = 64 << 20
+
+#: A varint of at most this many bytes already spans ``MAX_FRAME_BYTES``.
+_MAX_PREFIX_BYTES = 5
 
 #: Clean end-of-stream marker returned by :func:`read_frame`.  A distinct
 #: sentinel (not ``None``) because ``None`` is a perfectly valid frame
@@ -109,24 +119,33 @@ def read_frame(recv: Callable[[int], bytes]) -> Any:
     """Read one frame from a byte stream (``recv(n)`` → up to ``n`` bytes).
 
     Returns :data:`EOF` on a clean end-of-stream at a frame boundary;
-    raises on EOF mid-frame (a torn write) and on any decode failure.
+    raises ``ValueError`` on EOF mid-frame (a torn write), on a length
+    prefix longer than 5 bytes or promising more than
+    :data:`MAX_FRAME_BYTES` (before reading any of the body), and on any
+    decode failure.
     """
-    # varint length prefix, one byte at a time (it is 1-2 bytes in practice)
+    # varint length prefix, one byte at a time (it is 1-3 bytes in practice)
     length = 0
-    shift = 0
-    first = True
-    while True:
+    for index in range(_MAX_PREFIX_BYTES):
         chunk = recv(1)
         if not chunk:
-            if first:
+            if index == 0:
                 return EOF
             raise ValueError("connection closed mid-frame (in length prefix)")
-        first = False
         byte = chunk[0]
-        length |= (byte & 0x7F) << shift
+        length |= (byte & 0x7F) << (7 * index)
         if not byte & 0x80:
             break
-        shift += 7
+    else:
+        raise ValueError(
+            f"serve frame length prefix exceeds {_MAX_PREFIX_BYTES} bytes "
+            f"(a frame body is at most {MAX_FRAME_BYTES} bytes)"
+        )
+    if length > MAX_FRAME_BYTES:
+        raise ValueError(
+            f"serve frame header promises {length} bytes; the limit is "
+            f"{MAX_FRAME_BYTES}"
+        )
     body = bytearray()
     while len(body) < length:
         chunk = recv(length - len(body))

@@ -11,7 +11,10 @@ import os
 
 import pytest
 
+from repro import api
 from repro.algorithms import ALL_ALGORITHMS, run_algorithm
+from repro.algorithms.ti.bfs import TemporalBFS
+from repro.core.config import EngineConfig, ExchangeConfig
 from repro.core.engine import IcmProgramError, IntervalCentricEngine
 from repro.obs.observers import InMemoryEvents
 from repro.core.interval import Interval
@@ -112,6 +115,10 @@ def test_parallel_matches_serial_under_every_partitioner(
     assert serial.metrics.partition_edge_cut == parallel.metrics.partition_edge_cut
 
 
+def _config(**options):
+    return EngineConfig().with_options(**options)
+
+
 def test_executor_recorded_in_metrics():
     assert _run("BFS").metrics.executor == "serial"
     assert _run("BFS", **PARALLEL).metrics.executor == "parallel"
@@ -123,37 +130,88 @@ def test_parallel_worker_wall_times_per_process():
         assert len(step.worker_wall_times) == 2
 
 
-def test_resolve_executor(monkeypatch):
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    monkeypatch.delenv("REPRO_EXECUTOR_PROCESSES", raising=False)
-    assert resolve_executor(None).name == "serial"
-    assert resolve_executor("serial").name == "serial"
-    parallel = resolve_executor("parallel", 3)
+def test_resolve_executor():
+    assert resolve_executor(EngineConfig()).name == "serial"
+    assert resolve_executor(_config(executor="serial")).name == "serial"
+    parallel = resolve_executor(_config(executor="parallel", executor_processes=3))
     assert parallel.name == "parallel" and parallel.processes == 3
     inst = SerialExecutor()
-    assert resolve_executor(inst) is inst
-    with pytest.raises(ValueError, match="unknown executor"):
-        resolve_executor("threads")
+    assert resolve_executor(_config(executor=inst)) is inst
+    with pytest.raises(ValueError, match="unknown"):
+        _config(executor="threads")
+
+
+def test_resolve_executor_takes_everything_from_the_config():
+    executor = resolve_executor(
+        _config(
+            executor="parallel", executor_processes=2,
+            fault_plan="kill:1@3", exchange="peer", exchange_combine=False,
+        )
+    )
+    assert isinstance(executor, ParallelExecutor)
+    assert executor.processes == 2
+    assert executor.fault_plan.pending() == 1
+    assert executor.exchange == ExchangeConfig(topology="peer", combine=False)
+
+
+_EXECUTOR_ENV = {
+    "REPRO_EXECUTOR": "parallel",
+    "REPRO_EXECUTOR_PROCESSES": "2",
+    "REPRO_FAULT_PLAN": "kill:0@2",
+    "REPRO_EXCHANGE": "peer",
+}
 
 
 def test_resolve_executor_env(monkeypatch):
-    monkeypatch.setenv("REPRO_EXECUTOR", "parallel")
-    monkeypatch.setenv("REPRO_EXECUTOR_PROCESSES", "2")
-    executor = resolve_executor(None)
+    """The four variables reach the executor through ``from_env`` alone."""
+    for name, value in _EXECUTOR_ENV.items():
+        monkeypatch.setenv(name, value)
+    executor = resolve_executor(EngineConfig.from_env())
     assert isinstance(executor, ParallelExecutor)
     assert executor.processes == 2
+    assert executor.fault_plan.pending() == 1
+    assert executor.exchange.topology == "peer"
+
+
+def test_env_typo_names_the_variable():
+    with pytest.raises(ValueError, match="REPRO_EXECUTOR='threads'"):
+        EngineConfig.from_env({"REPRO_EXECUTOR": "threads"})
+
+
+def test_plain_config_is_hermetic(monkeypatch):
+    """Regression: with ``executor.kind=None`` the executor used to be
+    resolved from the environment at run time, whatever config was given."""
+    for name, value in _EXECUTOR_ENV.items():
+        monkeypatch.setenv(name, value)
+    graph, program = transit_graph(), TemporalBFS("A")
+    executor = resolve_executor(EngineConfig())
+    assert executor.name == "serial"
+
+    hermetic = api.run(graph, program, config=EngineConfig())
+    assert hermetic.metrics.executor == "serial"
+    assert hermetic.metrics.exchange_bytes == 0
+    assert hermetic.metrics.recovery.restarts == 0
+
+    # No config at all means from_env(): the variables are honoured, the
+    # scheduled kill fires and is recovered from.
+    from_env = api.run(graph, program)
+    assert from_env.metrics.executor == "parallel"
+    assert from_env.metrics.recovery.restarts == 1
+    assert _partitions(from_env) == _partitions(hermetic)
 
 
 def test_tracer_rejects_parallel_executor():
     with pytest.raises(ValueError, match="serial"):
-        resolve_executor("parallel", tracer=ExecutionTracer())
+        resolve_executor(_config(executor="parallel", tracer=ExecutionTracer()))
 
 
-def test_tracer_overrides_env_forced_parallel(monkeypatch):
+def test_tracer_overrides_env_forced_parallel():
     # REPRO_EXECUTOR=parallel is a sweep-wide default, not an explicit ask:
     # traced runs fall back to serial instead of failing.
-    monkeypatch.setenv("REPRO_EXECUTOR", "parallel")
-    assert resolve_executor(None, tracer=ExecutionTracer()).name == "serial"
+    config = EngineConfig.from_env({"REPRO_EXECUTOR": "parallel"}).with_options(
+        tracer=ExecutionTracer()
+    )
+    assert resolve_executor(config).name == "serial"
 
 
 class _Exploding(IntervalProgram):

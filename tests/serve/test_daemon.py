@@ -16,11 +16,11 @@ import threading
 import pytest
 
 from repro import api
-from repro.datasets import transit_graph
+from repro.datasets import load_surrogate, transit_graph
 from repro.serve import BadQueryError, QueueFullError, ServeError
 from repro.serve.client import QueryClient
 from repro.serve.daemon import ServeDaemon
-from repro.serve.wire import encode_varint
+from repro.serve.wire import EOF, MAX_FRAME_BYTES, encode_varint, read_frame
 
 
 @pytest.fixture
@@ -139,6 +139,46 @@ class TestMalformedInput:
         raw.close()
         with QueryClient.connect(daemon.socket_path) as client:
             assert client.ping()  # daemon survived
+
+    @pytest.mark.parametrize(
+        "header", [b"\xff" * 11, encode_varint(1 << 60)],
+        ids=["runaway-prefix", "one-EiB-length"],
+    )
+    def test_unbounded_frame_header_fails_fast(self, daemon, header):
+        """The length prefix is refused before any body byte is awaited:
+        a typed error names the limit, then the connection closes."""
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.settimeout(10)
+        try:
+            raw.connect(daemon.socket_path)
+            raw.sendall(header)
+            response = read_frame(raw.recv)
+            assert response[:2] == ("err", "bad_query")
+            assert str(MAX_FRAME_BYTES) in response[2]
+            try:
+                closed = read_frame(raw.recv) is EOF
+            except ConnectionResetError:  # header bytes were left unread
+                closed = True
+            assert closed
+        finally:
+            raw.close()
+        with QueryClient.connect(daemon.socket_path) as client:
+            assert client.ping()  # daemon survived
+
+    def test_large_answer_still_roundtrips(self, tmp_path):
+        """Tens of kilobytes — a 3-byte length prefix — pass the bound."""
+        service = api.serve(load_surrogate("twitter", scale=2.0),
+                            graph_name="twitter")
+        with ServeDaemon(service, str(tmp_path / "big.sock")) as d:
+            thread = threading.Thread(target=d.serve_forever, daemon=True)
+            thread.start()
+            with QueryClient.connect(d.socket_path) as client:
+                remote = client.query("SSSP")
+            local = service.query("SSSP")
+            d.request_shutdown()
+            thread.join(timeout=15)
+        assert len(remote.payload) > 20_000
+        assert remote.payload == local.payload
 
     def test_non_tuple_request_is_a_typed_error(self, daemon):
         raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)

@@ -16,6 +16,7 @@ from repro.core.interval import FOREVER
 from repro.runtime.encoding import encode_payload, encode_varint
 from repro.serve.wire import (
     EOF,
+    MAX_FRAME_BYTES,
     SERVE_WIRE_FORMAT,
     decode_frame,
     decode_frame_body,
@@ -124,6 +125,22 @@ class TestMalformedFrames:
         # A length varint with its continuation bit set, then EOF.
         stream = io.BytesIO(encode_varint(2**20)[:1])
         with pytest.raises(ValueError, match="mid-frame"):
+            read_frame(stream.read)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"\xff" * 11, encode_varint(1 << 60), encode_varint(MAX_FRAME_BYTES + 1)],
+        ids=["runaway-prefix", "one-EiB-length", "one-past-the-limit"],
+    )
+    def test_read_frame_bounds_the_header_before_reading_a_body(self, header):
+        stream = io.BytesIO(header + b"\x00" * 64)
+        with pytest.raises(ValueError, match=str(MAX_FRAME_BYTES)):
+            read_frame(stream.read)
+        assert stream.tell() <= 5  # nothing past the prefix was consumed
+
+    def test_read_frame_accepts_a_header_at_the_limit(self):
+        stream = io.BytesIO(encode_varint(MAX_FRAME_BYTES))
+        with pytest.raises(ValueError, match=f"0/{MAX_FRAME_BYTES} body"):
             read_frame(stream.read)
 
     def test_read_frame_eof_sentinel_on_empty_stream(self):
