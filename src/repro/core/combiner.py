@@ -86,17 +86,23 @@ class MessageCombiner:
         This is safe for any payloads because it never changes the temporal
         extent of a message, only collapses duplicates of one extent.
         """
-        by_interval: dict[Interval, Any] = {}
-        order: list[Interval] = []
+        # Keyed by the (start, end) ints: tuple hashing and equality stay in
+        # C, where Interval's are Python-level calls per probe.
+        fn = self._fn
+        folded: dict[tuple[int, int], Any] = {}
+        first: list[IntervalMessage] = []
         for msg in messages:
-            if msg.interval in by_interval:
-                by_interval[msg.interval] = self._fn(by_interval[msg.interval], msg.value)
+            interval = msg.interval
+            key = (interval.start, interval.end)
+            if key in folded:
+                folded[key] = fn(folded[key], msg.value)
             else:
-                by_interval[msg.interval] = msg.value
-                order.append(msg.interval)
-        if len(order) == len(messages):
+                folded[key] = msg.value
+                first.append(msg)
+        if len(first) == len(messages):
             return messages
-        return [IntervalMessage(iv, by_interval[iv]) for iv in order]
+        return [IntervalMessage(msg.interval, value)
+                for msg, value in zip(first, folded.values())]
 
     def __repr__(self) -> str:
         return f"MessageCombiner({self.name})"

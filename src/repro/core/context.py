@@ -9,6 +9,7 @@ dynamic partitioned state, and engine services (aggregators, superstep).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Optional, TYPE_CHECKING
 
 from .interval import Interval, coalesce
@@ -62,6 +63,7 @@ class VertexContext:
         "_updated",
         "_current_interval",
         "_phase",
+        "_degree_timeline",
     )
 
     def __init__(self, vertex: "TemporalVertex", state: PartitionedState, engine):
@@ -71,6 +73,9 @@ class VertexContext:
         self._updated: list[Interval] = []
         self._current_interval: Optional[Interval] = None
         self._phase = "idle"
+        #: ``(bounds, degrees)`` of the out-degree timeline, built on the
+        #: first :meth:`out_degree_segments` call; dies with the context.
+        self._degree_timeline: Optional[tuple[list[int], list[int]]] = None
 
     # -- static attributes ---------------------------------------------------
 
@@ -111,20 +116,48 @@ class VertexContext:
         Splits ``interval`` at every out-edge lifespan boundary and reports
         the number of live out-edges per segment — what PageRank needs to
         divide its rank share correctly as the topology evolves.  Segments
-        with zero live edges are included (degree 0).
+        with zero live edges are included (degree 0), and neighbouring
+        segments of equal degree stay split at the boundary between them.
+
+        Answered from the vertex's degree timeline — its sorted out-edge
+        lifespan boundaries with the running degree between them — built
+        on first use and sliced by bisection.  The list is the caller's.
         """
-        edges = self.out_edges()
-        bounds = {interval.start, interval.end}
-        for e in edges:
-            if e.lifespan.overlaps(interval):
-                bounds.add(max(e.lifespan.start, interval.start))
-                bounds.add(min(e.lifespan.end, interval.end))
-        cuts = sorted(bounds)
-        segments: list[tuple[Interval, int]] = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            degree = sum(1 for e in edges if e.lifespan.contains_point(lo))
-            segments.append((Interval(lo, hi), degree))
+        timeline = self._degree_timeline
+        if timeline is None:
+            timeline = self._degree_timeline = self._build_degree_timeline()
+        bounds, degrees = timeline
+        start, end = interval.start, interval.end
+        # The cuts are the bounds strictly inside the interval;
+        # ``degrees[i]`` is the degree just before ``bounds[i]``, so the
+        # segment ending at ``bounds[i]`` — or at ``end``, for ``i == last``
+        # — has degree ``degrees[i]``.
+        first = bisect_right(bounds, start)
+        last = bisect_left(bounds, end)
+        make = Interval._unchecked  # start < cuts < end, ascending
+        segments = []
+        lo = start
+        for idx in range(first, last):
+            hi = bounds[idx]
+            segments.append((make(lo, hi), degrees[idx]))
+            lo = hi
+        segments.append((make(lo, end), degrees[last]))
         return segments
+
+    def _build_degree_timeline(self) -> tuple[list[int], list[int]]:
+        """``(bounds, degrees)``: the distinct out-edge lifespan boundaries
+        in order, and the live out-degree just before each one, plus a final
+        entry (always 0) for the stretch after the last."""
+        deltas: dict[int, int] = {}
+        for e in self.out_edges():
+            span = e.lifespan
+            deltas[span.start] = deltas.get(span.start, 0) + 1
+            deltas[span.end] = deltas.get(span.end, 0) - 1
+        bounds = sorted(deltas)
+        degrees = [0]
+        for b in bounds:
+            degrees.append(degrees[-1] + deltas[b])
+        return bounds, degrees
 
     # -- dynamic state ---------------------------------------------------------
 

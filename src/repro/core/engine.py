@@ -21,8 +21,8 @@ message traffic, and varint message encoding (in the simulated transport).
 
 The per-vertex pipeline lives in :class:`VertexProcessor`, a pure function
 of (context, inbox, superstep): every engine-global service it needs comes
-in through the context's host object or the ``send`` sink.  The driver loop
-in :meth:`IntervalCentricEngine.run` hands each superstep to an *executor*
+in through the context's host object or the ``send_batch`` sink.  The driver
+loop in :meth:`IntervalCentricEngine.run` hands each superstep to an *executor*
 (`repro.runtime.executor`), which hosts the one worker runtime that owns
 processors and contexts — a single runtime in-process (serial), or one per
 shared-nothing worker process exchanging messages at the barrier
@@ -50,7 +50,7 @@ from .combiner import coalesce_messages
 from .config import EngineConfig
 from .context import EdgeContext, MasterContext, VertexContext
 from .interval import Interval, coalesce
-from .messages import IntervalMessage, unit_message_fraction
+from .messages import IntervalMessage
 from .program import IntervalProgram
 from .state import PartitionedState
 from .warp import merge_join_partitioned, time_warp
@@ -152,12 +152,13 @@ class VertexProcessor:
     Everything a superstep does to a single vertex — init, time-warp,
     warp-suppressed time-point execution, compute dispatch, the scatter
     time-join — happens here, with no reference back to the driver loop:
-    outbound messages go through the ``send(src, dst, msg)`` sink passed per
-    call, and engine services (aggregators, direct sends) reach user code
-    through the context's host object.  Every worker runtime
-    (`repro.runtime.executor`) — the serial executor's single in-process
-    one, or one per parallel worker process — builds its own processor from
-    the same construction arguments
+    outbound messages go through the ``send_batch(src, dst, msgs)`` sink
+    passed per call — one call per (vertex, destination) with that pair's
+    messages in send order — and engine services (aggregators, direct
+    sends) reach user code through the context's host object.  Every worker
+    runtime (`repro.runtime.executor`) — the serial executor's single
+    in-process one, or one per parallel worker process — builds its own
+    processor from the same construction arguments
     (:meth:`IntervalCentricEngine.processor_args`).
 
     ``superstep`` is set by the driving executor before each superstep.
@@ -224,7 +225,7 @@ class VertexProcessor:
         ctx: VertexContext,
         messages: list[IntervalMessage],
         metrics: RunMetrics,
-        send,
+        send_batch,
         extra_raw: int = 0,
     ) -> float:
         """Run one vertex's computation phase; returns its modeled cost.
@@ -254,7 +255,7 @@ class VertexProcessor:
                 self._invoke_compute(ctx, interval, value, [], metrics)
                 cost += model.per_compute_call_s
             ctx._end()
-        cost += self.scatter_updates(ctx, metrics, send)
+        cost += self.scatter_updates(ctx, metrics, send_batch)
         return cost
 
     def rescatter(
@@ -262,13 +263,13 @@ class VertexProcessor:
         ctx: VertexContext,
         windows: list[Interval],
         metrics: RunMetrics,
-        send,
+        send_batch,
     ) -> float:
         """Warm-start path: re-scatter existing state over ``windows``
         without recomputing (monotone programs absorb the resulting
         re-deliveries harmlessly)."""
         ctx._updated.extend(windows)
-        return self.scatter_updates(ctx, metrics, send)
+        return self.scatter_updates(ctx, metrics, send_batch)
 
     def _compute_on_messages(
         self, ctx: VertexContext, messages: list[IntervalMessage],
@@ -403,7 +404,7 @@ class VertexProcessor:
             self._edge_index[vid] = indexed
         return indexed
 
-    def scatter_updates(self, ctx: VertexContext, metrics: RunMetrics, send) -> float:
+    def scatter_updates(self, ctx: VertexContext, metrics: RunMetrics, send_batch) -> float:
         updated = ctx._take_updates()
         if not updated:
             return 0.0
@@ -412,11 +413,11 @@ class VertexProcessor:
             return 0.0
         t_scatter = time.perf_counter()
         try:
-            return self._scatter_windows(ctx, updated, out_edges, metrics, send)
+            return self._scatter_windows(ctx, updated, out_edges, metrics, send_batch)
         finally:
             self.scatter_wall += time.perf_counter() - t_scatter
 
-    def _scatter_windows(self, ctx, updated, out_edges, metrics, send) -> float:
+    def _scatter_windows(self, ctx, updated, out_edges, metrics, send_batch) -> float:
         program = self.program
         model = self.model
         cost = 0.0
@@ -470,8 +471,7 @@ class VertexProcessor:
                 # overlapping ones when the combiner allows): one interval
                 # message instead of one per edge-property piece.
                 msgs = coalesce_messages(msgs, allow_overlap=selective)
-            for msg in msgs:
-                send(vid, dst, msg)
+            send_batch(vid, dst, msgs)
         return cost
 
 

@@ -47,6 +47,11 @@ def format_time(t: int) -> str:
     return "inf" if t >= FOREVER else str(t)
 
 
+# Bound once: the constructors below run on the per-message path.
+_new = object.__new__
+_set = object.__setattr__
+
+
 class Interval:
     """A half-open, immutable time-interval ``[start, end)`` over ints.
 
@@ -97,9 +102,9 @@ class Interval:
         the scatter merge-join) whose loop invariants already guarantee
         ``0 <= start < end`` over ints; everything else must use the
         validating constructor."""
-        iv = object.__new__(cls)
-        object.__setattr__(iv, "start", start)
-        object.__setattr__(iv, "end", end)
+        iv = _new(cls)
+        _set(iv, "start", start)
+        _set(iv, "end", end)
         return iv
 
     # -- basic queries -----------------------------------------------------
@@ -161,11 +166,11 @@ class Interval:
 
     def intersect(self, other: "Interval") -> Optional["Interval"]:
         """Intersecting interval (``∩``), or ``None`` when disjoint."""
-        start = max(self.start, other.start)
-        end = min(self.end, other.end)
+        start = self.start if self.start > other.start else other.start
+        end = self.end if self.end < other.end else other.end
         if start >= end:
             return None
-        return Interval(start, end)
+        return Interval._unchecked(start, end)  # operands are valid; start < end
 
     def hull(self, other: "Interval") -> "Interval":
         """Smallest interval containing both operands."""
@@ -223,7 +228,7 @@ def coalesce(intervals: Iterable[Interval]) -> list[Interval]:
     for iv in ordered:
         if merged and iv.start <= merged[-1].end:
             if iv.end > merged[-1].end:
-                merged[-1] = Interval(merged[-1].start, iv.end)
+                merged[-1] = Interval._unchecked(merged[-1].start, iv.end)
         else:
             merged.append(iv)
     return merged

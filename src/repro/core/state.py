@@ -83,7 +83,8 @@ class PartitionedState:
         while idx < len(self._starts) and self._starts[idx] < hi:
             s = max(self._starts[idx], lo)
             e = min(self._ends[idx], hi)
-            out.append((Interval(s, e), self._values[idx]))
+            # The partitions tile [lo, hi), so every clip has s < e.
+            out.append((Interval._unchecked(s, e), self._values[idx]))
             idx += 1
         return out
 

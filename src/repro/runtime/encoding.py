@@ -22,7 +22,7 @@ network charges bytes using the latter, and tests assert the two agree.
 from __future__ import annotations
 
 import struct
-from typing import Any
+from typing import Any, Optional
 
 from repro.core.interval import FOREVER, Interval
 from repro.core.messages import IntervalMessage
@@ -262,14 +262,31 @@ def encoded_message_size(msg: IntervalMessage, *, varint: bool = True) -> int:
 def encoded_batch_size(messages, *, varint: bool = True) -> int:
     """Aggregate wire size of a message batch, sized in one pass.
 
-    Exactly ``sum(encoded_message_size(m) for m in messages)`` but without
-    a Python call per message — the barrier exchange sizes whole
-    per-destination batches with one call, off the per-send hot path.
+    Exactly ``sum(encoded_message_size(m) for m in messages)``.  The worker
+    runtime sizes each per-destination batch with one call, and the common
+    shapes — time-points below 128, a float or small non-negative int
+    payload — are sized inline, without a Python call per message; anything
+    else falls back to the per-field sizers.
     """
-    isize, psize = interval_size, payload_size
     total = 0
+    if not varint:
+        for msg in messages:
+            total += 16 + payload_size(msg.value, varint=False)
+        return total
     for msg in messages:
-        total += isize(msg.interval, varint=varint) + psize(msg.value, varint=varint)
+        interval = msg.interval
+        start, end = interval.start, interval.end
+        total += 2 if start < 0x80 else 1 + varint_size(start)
+        if end - start != 1 and end < FOREVER:  # neither unit nor open-ended
+            total += 1 if end < 0x80 else varint_size(end)
+        value = msg.value
+        kind = type(value)
+        if kind is float:
+            total += 9
+        elif kind is int and 0 <= value < 0x80:
+            total += 2
+        else:
+            total += payload_size(value)
     return total
 
 
@@ -374,18 +391,17 @@ def decode_routed_batch(buf: bytes) -> list[tuple]:
     return entries
 
 
-def routed_entry_size(seq: int, dst: Any, msg: IntervalMessage,
-                      *, varint: bool = True) -> int:
-    """Wire bytes one *raw* (count-1) routed entry occupies in format 2.
+def routed_entries_size(seq: int, dst: Any, messages, body: Optional[int] = None) -> int:
+    """Wire bytes the *raw* (count-1) routed entries of one sender's batch
+    to one destination occupy in format 2.
 
-    The executor accumulates this per remote send to report what the
-    exchange would have shipped without sender-side combining
-    (``exchange_raw_bytes``).
+    The executor accumulates this per cross-process batch to report what
+    the exchange would have shipped without sender-side combining
+    (``exchange_raw_bytes``).  ``body`` is ``encoded_batch_size(messages)``
+    when the caller has already sized the batch.
     """
-    return (
-        varint_size(seq)
-        + payload_size(dst, varint=varint)
-        + interval_size(msg.interval, varint=varint)
-        + payload_size(msg.value, varint=varint)
-        + 1  # the count varint (always 1 for a raw entry)
-    )
+    if body is None:
+        body = encoded_batch_size(messages)
+    # Per entry: the seq varint, the destination, and the count varint
+    # (always 1 for a raw entry) around the message itself.
+    return len(messages) * (varint_size(seq) + payload_size(dst) + 1) + body

@@ -81,8 +81,8 @@ from .encoding import (
     decode_routed_batch,
     encode_routed_batch,
     encode_routed_batch_into,
-    encoded_message_size,
-    routed_entry_size,
+    encoded_batch_size,
+    routed_entries_size,
 )
 from .faults import FaultPlan, WorkerDiedError, kill_process
 from .metrics import RunMetrics
@@ -407,7 +407,7 @@ class _WorkerRuntime:
     # -- engine protocol for VertexContext -----------------------------------
 
     def send_direct(self, src_vid: Any, dst_vid: Any, interval: Interval, value: Any) -> None:
-        self._send(src_vid, dst_vid, IntervalMessage(interval, value))
+        self.send_batch(src_vid, dst_vid, (IntervalMessage(interval, value),))
 
     def contribute_aggregate(self, name: str, value: Any) -> None:
         if name not in self._aggregator_names:
@@ -420,65 +420,75 @@ class _WorkerRuntime:
 
     # -- message routing ------------------------------------------------------
 
-    def _send(self, src: Any, dst: Any, msg: IntervalMessage) -> None:
-        if self.tracer is not None:
-            self.tracer.on_send(self.superstep, src, dst, msg.interval, msg.value)
-        src_shard = self.partitioner.worker_of(src)
-        dst_shard = self.partitioner.worker_of(dst)
-        local = src_shard == dst_shard
+    def send_batch(self, src: Any, dst: Any, msgs) -> None:
+        """The processor's send sink: ``msgs`` from vertex ``src`` to vertex
+        ``dst``, in send order.
+
+        Routing (both shards, local or remote, destination process) and
+        wire sizing happen once per batch; the counters are the same
+        integer sums one call per message produced.  The tracer and the
+        sender-side fold still see every message, in order.
+        """
+        tracer = self.tracer
+        if tracer is not None:
+            superstep = self.superstep
+            for msg in msgs:
+                tracer.on_send(superstep, src, dst, msg.interval, msg.value)
+        worker_of = self.partitioner.worker_of
+        dst_shard = worker_of(dst)
+        local = worker_of(src) == dst_shard
         if local:
-            self._local += 1
+            self._local += len(msgs)
         else:
-            self._remote += 1
+            self._remote += len(msgs)
+        size = None
         if self.model_network:
-            # Modeled wire size accumulated per send — the same integer sum
-            # the old end-of-superstep batch re-encode produced, without
-            # keeping every sent message alive for a second pass.
-            size = encoded_message_size(msg, varint=self.varint)
+            size = encoded_batch_size(msgs, varint=self.varint)
             self._bytes_total += size
             if not local:
                 self._bytes_remote += size
         seq = self._cur_seq
         dest_proc = self.shard_to_proc[dst_shard]
         if dest_proc == self.proc_index:
-            self._pending.append((seq, dst, msg))
+            self._pending.extend([(seq, dst, msg) for msg in msgs])
             return
-        # Crossing a process boundary: account the raw wire footprint, then
-        # pre-fold into an open combined entry when the combiner allows it.
-        self._raw_wire += routed_entry_size(seq, dst, msg)
+        # Crossing a process boundary: account the raw wire footprint (the
+        # wire is always varint), then pre-fold into open combined entries
+        # when the combiner allows it.
+        self._raw_wire += routed_entries_size(
+            seq, dst, msgs, size if self.varint else None
+        )
+        out = self._out.get(dest_proc)
+        if out is None:
+            out = self._out[dest_proc] = []
         fold = self._fold
         if fold is None:
-            self._out.setdefault(dest_proc, []).append((seq, dst, msg))
+            out.extend([(seq, dst, msg) for msg in msgs])
             return
-        key = (dst, msg.interval)
         index = self._out_index.setdefault(dest_proc, {})
-        pos = index.get(key)
-        if pos is None:
-            lst = self._out.setdefault(dest_proc, [])
-            index[key] = len(lst)
-            lst.append((seq, dst, msg))
-            return
-        # Fold in place.  The entry keeps the FIRST folded message's seq
-        # and list position, so the receiver's stable sort sees each
-        # (destination, interval) group exactly where uncombined delivery
-        # would first meet it; the count metadata preserves the raw
-        # message count and the modeled scan charge (count x scan, one
-        # multiply) the fold replaced.
-        lst = self._out[dest_proc]
-        prev = lst[pos]
-        if len(prev) == 3:
-            seq0, _dst0, msg0 = prev
-            count = 2
-        else:
-            seq0, _dst0, msg0 = prev[0], prev[1], prev[2]
-            count = prev[3] + 1
-        lst[pos] = (
-            seq0,
-            dst,
-            IntervalMessage(msg0.interval, fold(msg0.value, msg.value)),
-            count,
-            count * self._scan_s,
-        )
+        for msg in msgs:
+            key = (dst, msg.interval)
+            pos = index.get(key)
+            if pos is None:
+                index[key] = len(out)
+                out.append((seq, dst, msg))
+                continue
+            # Fold in place.  The entry keeps the FIRST folded message's
+            # seq and list position, so the receiver's stable sort sees
+            # each (destination, interval) group exactly where uncombined
+            # delivery would first meet it; the count metadata preserves
+            # the raw message count and the modeled scan charge (count x
+            # scan, one multiply) the fold replaced.
+            prev = out[pos]
+            count = prev[3] + 1 if len(prev) > 3 else 2
+            msg0 = prev[2]
+            out[pos] = (
+                prev[0],
+                dst,
+                IntervalMessage(msg0.interval, fold(msg0.value, msg.value)),
+                count,
+                count * self._scan_s,
+            )
 
     # -- superstep ------------------------------------------------------------
 
@@ -573,11 +583,11 @@ class _WorkerRuntime:
             self._contrib_idx = 0
             if superstep == 1 and self.warm and vid not in self.fresh:
                 cost = processor.rescatter(
-                    ctx, self.rescatter_windows[vid], counts, self._send
+                    ctx, self.rescatter_windows[vid], counts, self.send_batch
                 )
             else:
                 cost = processor.process(
-                    ctx, inboxes.get(vid, []), counts, self._send,
+                    ctx, inboxes.get(vid, []), counts, self.send_batch,
                     extra_raw.get(vid, 0),
                 )
             shard = worker_of(vid)

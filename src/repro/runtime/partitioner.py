@@ -111,6 +111,11 @@ class HashPartitioner(Partitioner):
     (it seeds the CRC register) so tests and ablations can exercise
     different vertex→worker layouts without changing the partitioning
     scheme; ``seed=0`` reproduces the historical assignment exactly.
+
+    Each id is hashed once: the answer is memoized on the instance (the
+    engine asks per vertex and per message batch, every superstep).  The
+    memo holds one int per id seen and is left out of the pickled state,
+    so a payload shipped to a worker process carries only the scheme.
     """
 
     kind = "hash"
@@ -121,9 +126,19 @@ class HashPartitioner(Partitioner):
         self.num_workers = num_workers
         self.seed = seed
         self._crc_init = seed & 0xFFFFFFFF
+        self._memo: Dict[Any, int] = {}
 
     def worker_of(self, vid: Any) -> int:
-        return zlib.crc32(repr(vid).encode("utf-8"), self._crc_init) % self.num_workers
+        shard = self._memo.get(vid)
+        if shard is None:
+            shard = self._memo[vid] = (
+                zlib.crc32(repr(vid).encode("utf-8"), self._crc_init)
+                % self.num_workers
+            )
+        return shard
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_memo": {}}
 
     def fingerprint(self) -> str:
         return f"hash:w={self.num_workers}:seed={self.seed}"

@@ -10,6 +10,8 @@ These are the straightforward implementations the optimised kernels in
   intersect loop the engine's scatter phase used.
 * ``reference_set_sequence`` — repeated ``PartitionedState.set`` calls,
   the semantics ``set_many`` must reproduce.
+* ``reference_out_degree_segments`` — the O(E·k) rescan of every out-edge
+  per cut that ``VertexContext.out_degree_segments`` ran on every call.
 
 They are deliberately simple and obviously correct; Hypothesis tests in
 ``test_kernel_oracles.py`` assert the production kernels agree with them
@@ -171,13 +173,20 @@ def reference_join_partitioned(
     slices: Sequence[IntervalValue], pieces: Sequence[IntervalValue]
 ) -> list[tuple[Interval, Any, Any]]:
     """The engine's old scatter pairing: intersect every slice against
-    every piece (both inputs are partitioned covers)."""
+    every piece (both inputs are partitioned covers).
+
+    The intersection is spelled out with the validating constructor rather
+    than calling ``Interval.intersect``: the oracle (and the fixed cost
+    ``bench_kernels.py`` measures the merge-join against) must not move
+    when that production method is tuned.
+    """
     out: list[tuple[Interval, Any, Any]] = []
     for p_iv, p_val in pieces:
         for s_iv, s_val in slices:
-            common = s_iv.intersect(p_iv)
-            if common is not None:
-                out.append((common, s_val, p_val))
+            start = max(s_iv.start, p_iv.start)
+            end = min(s_iv.end, p_iv.end)
+            if start < end:
+                out.append((Interval(start, end), s_val, p_val))
     return out
 
 
@@ -187,3 +196,21 @@ def reference_set_sequence(
     """Apply updates one `.set()` at a time — the semantics of `set_many`."""
     for iv, value in items:
         state.set(iv, value)
+
+
+def reference_out_degree_segments(
+    edges: Sequence[Any], interval: Interval
+) -> list[tuple[Interval, int]]:
+    """``VertexContext.out_degree_segments`` as it was: collect the cuts
+    from every overlapping out-edge, then count live edges per cut."""
+    bounds = {interval.start, interval.end}
+    for e in edges:
+        if e.lifespan.overlaps(interval):
+            bounds.add(max(e.lifespan.start, interval.start))
+            bounds.add(min(e.lifespan.end, interval.end))
+    cuts = sorted(bounds)
+    segments: list[tuple[Interval, int]] = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        degree = sum(1 for e in edges if e.lifespan.contains_point(lo))
+        segments.append((Interval(lo, hi), degree))
+    return segments

@@ -69,6 +69,19 @@ class TestVertexContext:
         assert segments[0] == (Interval(5, 6), 2)
         assert segments[-1] == (Interval(8, 9), 2)
 
+    def test_out_degree_segments_result_is_not_shared(self, ctx):
+        """Regression: the answer comes from a per-vertex table; mutating
+        a returned list must not reach the table or any later answer."""
+        first = ctx.out_degree_segments(Interval(0, 12))
+        expected = list(first)
+        first.reverse()
+        first.pop()
+        first.append((Interval(0, 1), 99))
+        assert ctx.out_degree_segments(Interval(0, 12)) == expected
+        assert ctx.out_degree_segments(Interval(5, 9)) == [
+            (Interval(5, 6), 2), (Interval(6, 8), 3), (Interval(8, 9), 2),
+        ]
+
     def test_state_access(self, ctx):
         assert ctx.state_at(3) is None  # probe never sets state
 

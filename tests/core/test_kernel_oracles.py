@@ -2,15 +2,18 @@
 
 The optimised kernels (``time_warp``/``time_join`` global sweep, the
 engine's ``merge_join_partitioned`` scatter pairing, ``PartitionedState``'s
-bulk update path) must agree with the retained straightforward
+bulk update path, the context's out-degree timeline) must agree with the retained straightforward
 implementations in ``tests/core/_reference_impls.py`` — exactly, not just
 pointwise, wherever the output is canonical.
 """
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.interval import Interval
+from repro.core.context import VertexContext
+from repro.core.interval import FOREVER, Interval
 from repro.core.state import PartitionedState, states_equal_pointwise
 from repro.core.warp import (
     _groups_equal,
@@ -18,10 +21,13 @@ from repro.core.warp import (
     time_join,
     time_warp,
 )
+from repro.graph.builder import TemporalGraphBuilder
+from repro.graph.compact import CompactGraph
 
 from ._reference_impls import (
     _reference_groups_equal,
     reference_join_partitioned,
+    reference_out_degree_segments,
     reference_set_sequence,
     reference_time_join,
     reference_time_warp,
@@ -241,3 +247,71 @@ class TestGroupsEqual:
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_reference_property(self, a, b):
         assert _groups_equal(a, b) == _reference_groups_equal(a, b)
+
+
+# A narrow time domain, so that lifespans meet, nest and coincide often;
+# ``None`` ends are open-ended (FOREVER).
+_SPAN_START = st.integers(min_value=0, max_value=12)
+_SPAN_LENGTH = st.one_of(st.none(), st.integers(min_value=1, max_value=8))
+_spans = st.tuples(_SPAN_START, _SPAN_LENGTH).map(
+    lambda sl: (sl[0], FOREVER if sl[1] is None else sl[0] + sl[1])
+)
+
+
+def _context_on(graph, vid):
+    """A context over ``graph`` with just the host services the static
+    attribute queries need."""
+    vertex = graph.vertex(vid)
+    host = SimpleNamespace(graph=graph, superstep=0)
+    return VertexContext(vertex, PartitionedState(vertex.lifespan, None), host)
+
+
+class TestOutDegreeSegmentsOracle:
+    """The degree timeline answers exactly what the per-call rescan did,
+    on the heap store and on its compact image."""
+
+    @given(st.lists(_spans, max_size=8), st.lists(_spans, min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, edge_spans, windows):
+        b = TemporalGraphBuilder()
+        b.add_vertex("a")
+        b.add_vertex("b")
+        b.add_vertex("c")
+        for i, (start, end) in enumerate(edge_spans):
+            b.add_edge("a", "bc"[i % 2], start, end)
+        heap = b.build()
+        for graph in (heap, CompactGraph.from_temporal(heap)):
+            for vid in ("a", "b"):  # "b" has no out-edges at all
+                ctx = _context_on(graph, vid)
+                edges = graph.out_edges(vid)
+                for start, end in windows:
+                    window = Interval(start, end)
+                    assert ctx.out_degree_segments(window) == \
+                        reference_out_degree_segments(edges, window)
+
+    def test_named_shapes(self):
+        """The shapes the issue calls out, pinned by hand: an open-ended
+        lifespan, edges meeting at a boundary (equal-degree neighbours stay
+        split there), a zero-degree gap, and windows outside every edge."""
+        b = TemporalGraphBuilder()
+        b.add_vertex("a")
+        b.add_vertex("b")
+        b.add_edge("a", "b", 2, 5)
+        b.add_edge("a", "b", 5, 8)    # meets the first at 5
+        b.add_edge("a", "b", 10)      # open-ended, after a gap
+        heap = b.build()
+        for graph in (heap, CompactGraph.from_temporal(heap)):
+            ctx = _context_on(graph, "a")
+            assert ctx.out_degree_segments(Interval(0, 12)) == [
+                (Interval(0, 2), 0),
+                (Interval(2, 5), 1),
+                (Interval(5, 8), 1),
+                (Interval(8, 10), 0),
+                (Interval(10, 12), 1),
+            ]
+            assert ctx.out_degree_segments(Interval(0, 2)) == [(Interval(0, 2), 0)]
+            assert ctx.out_degree_segments(Interval(8, 9)) == [(Interval(8, 9), 0)]
+            assert ctx.out_degree_segments(Interval(11)) == [(Interval(11), 1)]
+            assert ctx.out_degree_segments(Interval(4, 6)) == [
+                (Interval(4, 5), 1), (Interval(5, 6), 1),
+            ]

@@ -9,9 +9,17 @@ import pytest
 
 from repro.algorithms.td.sssp import TemporalSSSP
 from repro.algorithms.runners import default_source
+from repro.core.combiner import min_combiner
 from repro.core.engine import IntervalCentricEngine
+from repro.core.messages import message
+from repro.core.program import IntervalProgram
+from repro.core.state import PartitionedState
+from repro.core.tracing import ExecutionTracer
 from repro.datasets import transit_graph
+from repro.graph.builder import TemporalGraphBuilder
 from repro.runtime.cluster import SimulatedCluster
+from repro.runtime.encoding import encode_routed_batch, encoded_message_size
+from repro.runtime.executor import _ShardPayload, _WorkerRuntime
 from repro.runtime.partitioner import HashPartitioner
 
 WORKERS = 3
@@ -101,3 +109,132 @@ def test_parallel_reports_real_exchange(runs):
     assert metrics.worker_wall_time > 0
     # Serial runs never touch the wire.
     assert runs["serial"].metrics.exchange_bytes == 0
+
+
+# -- the batched send sink ---------------------------------------------------
+#
+# The processor hands the worker runtime one ``send_batch(src, dst, msgs)``
+# per (vertex, destination).  Routing, classification and sizing happen once
+# per batch; everything observable must equal what one call per message
+# (``ctx.send`` — a batch of one) leaves behind.
+
+
+def _placed_vertices():
+    """``(src, same, near, far)``: two vertices on shard 0, one on shard 1
+    (hosted by the same process below) and one on shard 2 (another one)."""
+    part = HashPartitioner(WORKERS, seed=SEED)
+    by_shard = {}
+    for i in range(40):
+        by_shard.setdefault(part.worker_of(f"v{i}"), []).append(f"v{i}")
+    return (*by_shard[0][:2], by_shard[1][0], by_shard[2][0])
+
+
+_SRC, _SAME, _NEAR, _FAR = _placed_vertices()
+_SHARD_TO_PROC = [0, 0, 1]
+#: Repeated intervals, so the sender-side fold has entries to fold into —
+#: and a second batch to the far vertex, so it folds across batches too.
+_BURST_A = [message(0, 4, 5), message(0, 4, 3), message(2, 6, 9),
+            message(0, 4, 7), message(2, 6, 1)]
+_BURST_B = [message(2, 6, 0), message(7, 8, 2), message(0, 4, 4)]
+_PLAN = [(_SAME, _BURST_A), (_NEAR, _BURST_A), (_FAR, _BURST_A), (_FAR, _BURST_B)]
+
+
+class _Burst(IntervalProgram):
+    """Superstep 1: the source vertex sends ``_PLAN`` from inside compute —
+    one batch per plan row through the runtime's sink, or one direct
+    ``ctx.send`` per message."""
+
+    name = "burst"
+    combiner = min_combiner()
+
+    def __init__(self, batched: bool):
+        self.batched = batched
+
+    def compute(self, ctx, interval, state, messages):
+        if ctx.superstep != 1 or ctx.vertex_id != _SRC:
+            return
+        for dst, msgs in _PLAN:
+            if self.batched:
+                ctx._engine.send_batch(_SRC, dst, msgs)
+            else:
+                for m in msgs:
+                    ctx.send(dst, m.interval, m.value)
+
+    def scatter(self, ctx, edge, interval, state):
+        return None
+
+
+def _burst_step(batched: bool, fold: bool, traced: bool):
+    """Run superstep 1 of ``_Burst`` on process 0's runtime; returns
+    ``(runtime, report, tracer)``."""
+    b = TemporalGraphBuilder()
+    for vid in (_SRC, _SAME, _NEAR, _FAR):
+        b.add_vertex(vid, 0, 10)
+    graph = b.build()
+    engine = IntervalCentricEngine(graph, _Burst(batched), cluster=_cluster())
+    engine._seq = {v.vid: i for i, v in enumerate(graph.vertices())}
+    states = {
+        v.vid: PartitionedState(v.lifespan, None)
+        for v in graph.vertices() if v.vid != _FAR
+    }
+    tracer = ExecutionTracer() if traced else None
+    runtime = _WorkerRuntime(
+        _ShardPayload.of(engine, _SHARD_TO_PROC, 0, states, set(states), {},
+                         False, combine=fold),
+        tracer=tracer,
+    )
+    return runtime, runtime.step(1, {}, ()), tracer
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("fold", [False, True], ids=["raw", "fold"])
+def test_send_batch_equals_batches_of_one(fold, traced):
+    batched, rep_b, tracer_b = _burst_step(True, fold, traced)
+    single, rep_s, tracer_s = _burst_step(False, fold, traced)
+
+    # Same shard and other-shard-same-process stay in ``_pending``, the
+    # other process's go to ``_out`` — in send order, entry for entry.
+    assert batched._pending == single._pending
+    assert [e[1] for e in batched._pending] == [_SAME] * 5 + [_NEAR] * 5
+    assert [e[2] for e in batched._pending] == _BURST_A + _BURST_A
+    assert batched._out == single._out
+    assert list(batched._out) == [1]
+    for key in ("traffic", "raw_wire", "out", "exchange_bytes"):
+        assert rep_b[key] == rep_s[key], key
+
+    n = sum(len(msgs) for _, msgs in _PLAN)
+    assert rep_b["traffic"]["app"] == n
+    assert rep_b["traffic"]["local"] == len(_BURST_A)          # same shard only
+    assert rep_b["traffic"]["remote"] == n - len(_BURST_A)
+    sent = [m for _, msgs in _PLAN for m in msgs]
+    assert rep_b["traffic"]["bytes_total"] == sum(map(encoded_message_size, sent))
+    assert rep_b["traffic"]["bytes_remote"] == sum(
+        map(encoded_message_size, sent[len(_BURST_A):])
+    )
+    # The raw wire footprint is what the uncombined entries would encode to.
+    seq = batched.seq[_SRC]
+    raw_entries = [(seq, _FAR, m) for m in _BURST_A + _BURST_B]
+    assert rep_b["raw_wire"] == (
+        len(encode_routed_batch(raw_entries)) - len(encode_routed_batch([]))
+    )
+
+    scan_s = batched._scan_s
+    if fold:
+        # One entry per distinct interval, at its first message's position;
+        # (count, charge) carry what the fold replaced.
+        assert batched._out[1] == [
+            (seq, _FAR, message(0, 4, 3), 4, 4 * scan_s),
+            (seq, _FAR, message(2, 6, 0), 3, 3 * scan_s),
+            (seq, _FAR, message(7, 8, 2)),
+        ]
+    else:
+        assert batched._out[1] == raw_entries
+
+    if traced:
+        # One ``on_send`` per message, in send order, whatever the batching.
+        assert tracer_b.sends == tracer_s.sends
+        assert [(e.dst, e.interval, e.value) for e in tracer_b.sends] == [
+            (dst, m.interval, m.value) for dst, msgs in _PLAN for m in msgs
+        ]
+        assert {e.superstep for e in tracer_b.sends} == {1}
+        assert {e.src for e in tracer_b.sends} == {_SRC}

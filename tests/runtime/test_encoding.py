@@ -19,10 +19,11 @@ from repro.runtime.encoding import (
     encode_payload,
     encode_routed_batch,
     encode_varint,
+    encoded_batch_size,
     encoded_message_size,
     interval_size,
     payload_size,
-    routed_entry_size,
+    routed_entries_size,
     varint_size,
 )
 
@@ -181,6 +182,33 @@ def test_message_roundtrip_property(start, length, value):
     assert len(encode_message(msg)) == encoded_message_size(msg)
 
 
+@given(
+    st.lists(
+        st.tuples(
+            # Both sides of the inline sizer's 1-byte / 2-byte varint edges.
+            st.one_of(st.integers(0, 300), st.integers(2**14 - 3, 2**40)),
+            st.one_of(st.none(), st.integers(1, 300), st.integers(2**14 - 3, 2**20)),
+            st.one_of(payloads, st.integers(-3, 300), st.booleans()),
+        ),
+        max_size=12,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_batch_size_is_the_sum_of_message_sizes(items):
+    """``encoded_batch_size`` sizes the common shapes inline; it must stay
+    exactly the per-message sum in both encoding modes."""
+    msgs = [
+        IntervalMessage(
+            Interval(start, FOREVER if length is None else start + length), value
+        )
+        for start, length, value in items
+    ]
+    for varint in (True, False):
+        assert encoded_batch_size(msgs, varint=varint) == sum(
+            encoded_message_size(m, varint=varint) for m in msgs
+        )
+
+
 # -- routed batches (wire format 2) -------------------------------------------
 
 _SCAN_S = 5e-7  # ComputeModel.per_message_scan_s default
@@ -264,15 +292,18 @@ def test_routed_batch_rejects_trailing_bytes():
         decode_routed_batch(buf)
 
 
-def test_routed_entry_size_matches_uncombined_encoding():
-    """``routed_entry_size`` is the per-entry byte accounting behind
-    ``exchange_raw_bytes``: it must equal exactly what one uncombined
-    3-tuple entry contributes to an encoded batch."""
-    entries = [
-        (7, "stop:42", message(3, 9, 14)),
-        (123456, ("line", 8), IntervalMessage(Interval(0, 2**20), -5.5)),
+def test_routed_entries_size_matches_uncombined_encoding():
+    """``routed_entries_size`` is the byte accounting behind
+    ``exchange_raw_bytes``: it must equal exactly what one sender's
+    uncombined 3-tuple entries to one destination contribute to an encoded
+    batch, with or without a pre-computed body size."""
+    empty = len(encode_routed_batch([]))
+    cases = [
+        (7, "stop:42", [message(3, 9, 14)]),
+        (123456, ("line", 8), [IntervalMessage(Interval(0, 2**20), -5.5),
+                               message(0, 1, 0.25), message(4, 5, (1, "x"))]),
     ]
-    for entry in entries:
-        alone = len(encode_routed_batch([entry]))
-        empty = len(encode_routed_batch([]))
-        assert routed_entry_size(*entry) == alone - empty
+    for seq, dst, msgs in cases:
+        wire = len(encode_routed_batch([(seq, dst, m) for m in msgs])) - empty
+        assert routed_entries_size(seq, dst, msgs) == wire
+        assert routed_entries_size(seq, dst, msgs, encoded_batch_size(msgs)) == wire
