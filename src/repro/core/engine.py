@@ -35,7 +35,6 @@ import os
 import shutil
 import tempfile
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
@@ -100,52 +99,6 @@ class IcmResult:
         return self.states[vid].value_at(t)
 
 
-class _EdgePieceIndex:
-    """Per-edge scatter index: the property-constant pieces of one out-edge,
-    computed once over the full lifespan and sliced per window by bisection.
-
-    ``TemporalEdge.pieces(window)`` re-derives the property boundaries and
-    rebuilds :class:`~repro.graph.model.EdgePiece` objects on every call;
-    across supersteps the same edges are re-sliced constantly, so the engine
-    indexes each vertex's out-edges the first time it scatters and reuses
-    the piece tables (including their shared, read-only values dicts) for
-    the rest of the run.
-    """
-
-    __slots__ = ("edge", "dst", "lifespan", "_starts", "_pieces")
-
-    def __init__(self, edge):
-        self.edge = edge
-        self.dst = edge.dst
-        self.lifespan = edge.lifespan
-        full = edge.pieces(edge.lifespan)
-        self._starts = [iv.start for iv, _ in full]
-        self._pieces = full
-
-    def pieces(self, window: Interval) -> list[tuple[Interval, Any]]:
-        """``(clipped_interval, EdgePiece)`` pairs overlapping ``window``."""
-        clipped = self.lifespan.intersect(window)
-        if clipped is None:
-            return []
-        if clipped == self.lifespan and len(self._pieces) == 1:
-            return self._pieces
-        idx = bisect_right(self._starts, clipped.start) - 1
-        if idx < 0:
-            idx = 0
-        out = []
-        pieces = self._pieces
-        hi = clipped.end
-        while idx < len(pieces):
-            iv, piece = pieces[idx]
-            if iv.start >= hi:
-                break
-            common = iv.intersect(clipped)
-            if common is not None:
-                out.append((common, piece))
-            idx += 1
-        return out
-
-
 class VertexProcessor:
     """One vertex's computation phase as a pure function of its inputs.
 
@@ -193,14 +146,6 @@ class VertexProcessor:
         #: :meth:`scatter_updates`; the driving executor resets it per
         #: superstep and folds it into that step's ``worker_span``.
         self.scatter_wall = 0.0
-        #: vid → scatter indexes of its out-edges, built on first scatter
-        #: and reused across supersteps (the graph is immutable per run).
-        self._edge_index: dict[Any, list[_EdgePieceIndex]] = {}
-        #: Storage-layer fast path: a compact graph builds the per-vertex
-        #: scatter indexes straight from its columnar piece tables
-        #: (``CompactGraph.edge_piece_indexes``); heap graphs fall back to
-        #: deriving them from ``out_edges()`` here.
-        self._piece_index_source = getattr(graph, "edge_piece_indexes", None)
 
     # -- program invocation (error-context wrapping) ---------------------------
 
@@ -393,22 +338,13 @@ class VertexProcessor:
 
     # -- scatter ---------------------------------------------------------------
 
-    def _edge_pieces_of(self, vid: Any) -> list[_EdgePieceIndex]:
-        """The vertex's out-edge scatter indexes, built once per run."""
-        indexed = self._edge_index.get(vid)
-        if indexed is None:
-            if self._piece_index_source is not None:
-                indexed = self._piece_index_source(vid)
-            else:
-                indexed = [_EdgePieceIndex(e) for e in self.graph.out_edges(vid)]
-            self._edge_index[vid] = indexed
-        return indexed
-
     def scatter_updates(self, ctx: VertexContext, metrics: RunMetrics, send_batch) -> float:
         updated = ctx._take_updates()
         if not updated:
             return 0.0
-        out_edges = self._edge_pieces_of(ctx.vertex_id)
+        # Built on the vertex's first scatter, then kept by the graph — so
+        # a first touch is timed in the compute phase, not in scatter_wall.
+        out_edges = self.graph.piece_indexes(ctx.vertex_id)
         if not out_edges:
             return 0.0
         t_scatter = time.perf_counter()
@@ -431,15 +367,17 @@ class VertexProcessor:
             slices = ctx.state.slices(window)
             if not slices:
                 continue
-            for indexed in out_edges:
-                if not indexed.lifespan.overlaps(window):
+            w_start = window.start
+            w_end = window.end
+            for edge, index in out_edges:
+                span = edge.lifespan
+                start = span.start if span.start > w_start else w_start
+                end = span.end if span.end < w_end else w_end
+                if start >= end:
                     continue
-                pieces = indexed.pieces(window)
-                if not pieces:
-                    continue
-                edge = indexed.edge
-                for common, s_val, piece in merge_join_partitioned(slices, pieces):
-                    edge_ctx = EdgeContext(edge, common, piece.values)
+                pieces = index.pieces(start, end)
+                for common, s_val, values in merge_join_partitioned(slices, pieces):
+                    edge_ctx = EdgeContext(edge, common, values)
                     ctx._begin("scatter", common)
                     if self.tracer is not None:
                         self.tracer.on_scatter(

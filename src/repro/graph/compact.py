@@ -11,8 +11,8 @@ buffer instead of an object per vertex/edge/property entry —
 * property change-points as per-entity entry runs
   (``vp_*``/``ep_*`` label/start/end/value-offset arrays), and
 * precomputed per-edge **piece cut tables** (``cut_off``/``cut_start``),
-  the property-constant sub-intervals ``TemporalEdge.pieces`` re-derives
-  on every call.
+  the property-constant sub-intervals both stores' resident
+  :class:`~repro.graph.properties.PieceIndex` is cut at.
 
 The layout follows the time-indexed array stores of Kairos
 (arXiv:2401.02563) and Raphtory's frozen columnar graph
@@ -50,8 +50,8 @@ from typing import Any, Iterator, Optional, Union
 from repro.core.interval import FOREVER, Interval
 from repro.errors import GraphFormatError
 from repro.runtime.encoding import decode_payload, decode_varint, encode_payload
-from .model import EdgePiece, TemporalEdge, TemporalGraph, TemporalVertex
-from .properties import PropertySet
+from .model import TemporalEdge, TemporalGraph, TemporalVertex, _PiecewiseEdge
+from .properties import PieceIndex, PropertySet, intern_values
 
 __all__ = [
     "COMPACT_VERSION",
@@ -273,13 +273,13 @@ class CompactVertex:
         return f"Vertex({self.vid!r}, {self.lifespan})"
 
 
-class CompactEdge:
+class CompactEdge(_PiecewiseEdge):
     """Read-only edge view over the compact arrays.
 
-    ``pieces()`` reads the precomputed cut table instead of re-deriving
-    property boundaries, but returns the same ``(interval, EdgePiece)``
-    pairs — same cuts, same ``values`` dicts in the same label order — as
-    :meth:`~repro.graph.model.TemporalEdge.pieces`.
+    ``pieces()`` is the heap edge's own body over the same
+    :class:`~repro.graph.properties.PieceIndex` shape, built here from the
+    precomputed cut table — same cuts, same ``values`` dicts in the same
+    label order as :class:`~repro.graph.model.TemporalEdge`.
     """
 
     __slots__ = ("_graph", "_idx", "eid", "src", "dst", "lifespan")
@@ -296,73 +296,11 @@ class CompactEdge:
     def properties(self) -> PropertySet:
         return self._graph._edge_props(self._idx)
 
-    def pieces(self, window: Interval) -> list[tuple[Interval, EdgePiece]]:
-        clipped = self.lifespan.intersect(window)
-        if clipped is None:
-            return []
-        full = self._graph._edge_pieces(self._idx)
-        if clipped == self.lifespan:
-            return [
-                (iv, EdgePiece(self, iv, values)) for iv, values in full
-            ]
-        out: list[tuple[Interval, EdgePiece]] = []
-        for iv, values in full:
-            common = iv.intersect(clipped)
-            if common is not None:
-                out.append((common, EdgePiece(self, common, values)))
-        return out
+    def piece_index(self) -> PieceIndex:
+        return self._graph._piece_index(self._idx)
 
     def __repr__(self) -> str:
         return f"Edge({self.eid!r}: {self.src!r}->{self.dst!r}, {self.lifespan})"
-
-
-class _CompactPieceIndex:
-    """Scatter index over one out-edge's precomputed piece table.
-
-    Mirrors the engine's ``_EdgePieceIndex`` protocol (``edge``/``dst``/
-    ``lifespan`` attributes + ``pieces(window)`` returning clipped
-    ``(interval, EdgePiece)`` pairs) but is built straight from the
-    ``cut_off``/``cut_start`` arrays — no property-boundary re-derivation,
-    no per-call ``values_at`` dict rebuilds.  The window-slicing bisection
-    is kept line-compatible with the engine's so the two stores stay
-    bit-identical.
-    """
-
-    __slots__ = ("edge", "dst", "lifespan", "_starts", "_pieces")
-
-    def __init__(self, graph: "CompactGraph", eidx: int):
-        edge = graph._edge_view(eidx)
-        self.edge = edge
-        self.dst = edge.dst
-        self.lifespan = edge.lifespan
-        full = [
-            (iv, EdgePiece(edge, iv, values))
-            for iv, values in graph._edge_pieces(eidx)
-        ]
-        self._starts = [iv.start for iv, _ in full]
-        self._pieces = full
-
-    def pieces(self, window: Interval) -> list[tuple[Interval, Any]]:
-        clipped = self.lifespan.intersect(window)
-        if clipped is None:
-            return []
-        if clipped == self.lifespan and len(self._pieces) == 1:
-            return self._pieces
-        idx = bisect_right(self._starts, clipped.start) - 1
-        if idx < 0:
-            idx = 0
-        out = []
-        pieces = self._pieces
-        hi = clipped.end
-        while idx < len(pieces):
-            iv, piece = pieces[idx]
-            if iv.start >= hi:
-                break
-            common = iv.intersect(clipped)
-            if common is not None:
-                out.append((common, piece))
-            idx += 1
-        return out
 
 
 # -- the graph -----------------------------------------------------------------
@@ -510,7 +448,12 @@ class CompactGraph:
         self._edge_cache: dict[int, CompactEdge] = {}
         self._vprops: dict[int, PropertySet] = {}
         self._eprops: dict[int, PropertySet] = {}
-        self._piece_cache: dict[int, list] = {}
+        #: Graph-lifetime derived tables, as on the heap store (DESIGN.md
+        #: §7): edge index → piece index, the pool interning their values
+        #: dicts, and the raw ``time_horizon()`` memo.
+        self._piece_cache: dict[int, PieceIndex] = {}
+        self._values: dict = {}
+        self._horizon: Optional[int] = None
 
     # -- internal view/property materialisation ----------------------------
 
@@ -564,46 +507,45 @@ class CompactGraph:
             self._ep_label, self._ep_start, self._ep_end, self._ep_val,
         )
 
-    def _edge_pieces(self, i: int) -> list[tuple[Interval, dict]]:
-        """Full-lifespan ``(interval, values)`` pieces of edge ``i``.
+    def _piece_index(self, i: int) -> PieceIndex:
+        """The resident piece index of edge ``i`` (built on first use).
 
-        Cut points come from the precomputed table; each piece's values
-        dict is assembled in one pass over the edge's property entries,
-        in label-insertion order — exactly ``properties.values_at(lo)``
-        for the piece's start, without building a PropertySet.
+        Cut points are copied out of the precomputed ``cut_start`` run;
+        each piece's values dict is assembled in one pass over the edge's
+        property entries, in label-insertion order — exactly
+        ``properties.values_at(lo)`` for the piece's start, without
+        building a PropertySet.
         """
-        pieces = self._piece_cache.get(i)
-        if pieces is None:
+        index = self._piece_cache.get(i)
+        if index is None:
             lo, hi = self._cut_off[i], self._cut_off[i + 1]
-            end = self._e_end[i]
             starts = self._cut_start[lo:hi].tolist()
-            bounds = starts[1:] + [end]
+            bounds = starts[1:] + [self._e_end[i]]
             values: list[dict] = [{} for _ in starts]
             blob = self._val_blob
             labels = self._labels
-            elo, ehi = self._ep_off[i], self._ep_off[i + 1]
-            if ehi > elo:
-                for j in range(elo, ehi):
-                    value, _ = decode_payload(blob, self._ep_val[j])
-                    if value is None:
-                        continue  # values_at() skips absent/None values
-                    label = labels[self._ep_label[j]]
-                    s, e = self._ep_start[j], self._ep_end[j]
-                    # Pieces never straddle a property boundary, so the
-                    # entry covers a contiguous run of whole pieces.
-                    k = bisect_right(starts, s) - 1
-                    if k < 0:
-                        k = 0
-                    while k < len(starts) and starts[k] < e:
-                        if bounds[k] > s:
-                            values[k][label] = value
-                        k += 1
-            pieces = [
-                (Interval(s, b), vals)
-                for s, b, vals in zip(starts, bounds, values)
-            ]
-            self._piece_cache[i] = pieces
-        return pieces
+            for j in range(self._ep_off[i], self._ep_off[i + 1]):
+                value, _ = decode_payload(blob, self._ep_val[j])
+                if value is None:
+                    continue  # values_at() skips absent/None values
+                label = labels[self._ep_label[j]]
+                s, e = self._ep_start[j], self._ep_end[j]
+                # Pieces never straddle a property boundary, so the
+                # entry covers a contiguous run of whole pieces.
+                k = bisect_right(starts, s) - 1
+                if k < 0:
+                    k = 0
+                while k < len(starts) and starts[k] < e:
+                    if bounds[k] > s:
+                        values[k][label] = value
+                    k += 1
+            pool = self._values
+            empty = intern_values(pool, {})
+            index = self._piece_cache[i] = PieceIndex(
+                (starts[0], *bounds),
+                (empty, *[intern_values(pool, v) for v in values], empty),
+            )
+        return index
 
     # -- TemporalGraph query surface ---------------------------------------
 
@@ -660,26 +602,29 @@ class CompactGraph:
         lifespans plus *edge* property spans, exactly as the heap store
         counts them.
         """
-        horizon = 0
-        for end in self._v_end:
-            if end < FOREVER and end > horizon:
-                horizon = end
-        for end in self._e_end:
-            if end < FOREVER and end > horizon:
-                horizon = end
-        ep_off, ep_end = self._ep_off, self._ep_end
-        ep_label = self._ep_label
-        for i in range(self._ne):
-            lo, hi = ep_off[i], ep_off[i + 1]
-            span_end: dict[int, int] = {}
-            for j in range(lo, hi):
-                ref = ep_label[j]
-                end = ep_end[j]
-                if end > span_end.get(ref, -1):
-                    span_end[ref] = end
-            for end in span_end.values():
+        horizon = self._horizon
+        if horizon is None:
+            horizon = 0
+            for end in self._v_end:
                 if end < FOREVER and end > horizon:
                     horizon = end
+            for end in self._e_end:
+                if end < FOREVER and end > horizon:
+                    horizon = end
+            ep_off, ep_end = self._ep_off, self._ep_end
+            ep_label = self._ep_label
+            for i in range(self._ne):
+                lo, hi = ep_off[i], ep_off[i + 1]
+                span_end: dict[int, int] = {}
+                for j in range(lo, hi):
+                    ref = ep_label[j]
+                    end = ep_end[j]
+                    if end > span_end.get(ref, -1):
+                        span_end[ref] = end
+                for end in span_end.values():
+                    if end < FOREVER and end > horizon:
+                        horizon = end
+            self._horizon = horizon
         return horizon if horizon > 0 else default
 
     def validate(self) -> None:
@@ -730,20 +675,16 @@ class CompactGraph:
 
     # -- fast paths for the engine and partitioners ------------------------
 
-    def edge_piece_indexes(self, vid: Any) -> list[_CompactPieceIndex]:
-        """Scatter piece indexes for one vertex's out-edges.
-
-        The engine's ``VertexProcessor`` prefers this over building
-        ``_EdgePieceIndex`` objects from ``out_edges()`` — the piece cuts
-        and values come straight from the compact arrays.
-        """
+    def piece_indexes(self, vid: Any) -> list[tuple[CompactEdge, PieceIndex]]:
+        """``(edge, piece index)`` per out-edge of ``vid`` — what scatter
+        walks; the cuts and values come straight from the compact arrays."""
         i = self._vid_index.get(vid)
         if i is None:
             return []
         off = self._out_off
         return [
-            _CompactPieceIndex(self, self._out_idx[j])
-            for j in range(off[i], off[i + 1])
+            (self._edge_view(k), self._piece_index(k))
+            for k in self._out_idx[off[i]:off[i + 1]]
         ]
 
     def edge_records(self) -> Iterator[tuple[Any, Any, int, int]]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Optional
 
 from repro.core.interval import FOREVER, Interval
-from .properties import PropertySet
+from .properties import PieceIndex, PropertySet
 
 VertexId = Any
 EdgeId = Any
@@ -38,7 +38,33 @@ class TemporalVertex:
         return f"Vertex({self.vid!r}, {self.lifespan})"
 
 
-class TemporalEdge:
+class _PiecewiseEdge:
+    """``pieces(window)`` for both stores' edge types: one body, slicing the
+    edge's resident :class:`~repro.graph.properties.PieceIndex`."""
+
+    __slots__ = ()
+
+    def pieces(self, window: Interval) -> list[tuple[Interval, "EdgePiece"]]:
+        """Partition ``lifespan ∩ window`` by property change points.
+
+        Each piece carries the property values constant over its interval.
+        Scatter is invoked once per piece per overlapping updated state
+        (paper: "scatter is called once for each overlapping interval of its
+        out-edges having a distinct property").  Property-free edges yield a
+        single piece.
+        """
+        span = self.lifespan
+        start = span.start if span.start > window.start else window.start
+        end = span.end if span.end < window.end else window.end
+        if start >= end:
+            return []
+        return [
+            (iv, EdgePiece(self, iv, values))
+            for iv, values in self.piece_index().pieces(start, end)
+        ]
+
+
+class TemporalEdge(_PiecewiseEdge):
     """A directed edge ``⟨eid, src, dst, τ⟩`` with interval properties."""
 
     __slots__ = ("eid", "src", "dst", "lifespan", "properties")
@@ -50,25 +76,8 @@ class TemporalEdge:
         self.lifespan = lifespan
         self.properties = PropertySet()
 
-    def pieces(self, window: Interval) -> list[tuple[Interval, "EdgePiece"]]:
-        """Partition ``lifespan ∩ window`` by property change points.
-
-        Each piece carries the property values constant over its interval.
-        Scatter is invoked once per piece per overlapping updated state
-        (paper: "scatter is called once for each overlapping interval of its
-        out-edges having a distinct property").  Property-free edges yield a
-        single piece.
-        """
-        clipped = self.lifespan.intersect(window)
-        if clipped is None:
-            return []
-        bounds = [b for b in self.properties.boundaries() if clipped.start < b < clipped.end]
-        cuts = [clipped.start, *bounds, clipped.end]
-        out: list[tuple[Interval, EdgePiece]] = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            iv = Interval(lo, hi)
-            out.append((iv, EdgePiece(self, iv, self.properties.values_at(lo))))
-        return out
+    def piece_index(self) -> PieceIndex:
+        return self.properties.piece_index()
 
     def __repr__(self) -> str:
         return f"Edge({self.eid!r}: {self.src!r}->{self.dst!r}, {self.lifespan})"
@@ -104,6 +113,11 @@ class TemporalGraph:
         self._edges: dict[EdgeId, TemporalEdge] = {}
         self._out: dict[VertexId, list[TemporalEdge]] = {}
         self._in: dict[VertexId, list[TemporalEdge]] = {}
+        #: Graph-lifetime derived tables (DESIGN.md §7): the pool that
+        #: interns piece ``values`` dicts (the piece tables themselves hang
+        #: off the property sets) and the raw ``time_horizon()`` memo.
+        self._values: dict = {}
+        self._horizon: Optional[int] = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -153,27 +167,40 @@ class TemporalGraph:
         Graphs whose entities all extend to :data:`FOREVER` report
         ``default`` — they are effectively non-temporal.
         """
-        horizon = 0
-        for v in self._vertices.values():
-            if not v.lifespan.is_unbounded:
-                horizon = max(horizon, v.lifespan.end)
-        for e in self._edges.values():
-            if not e.lifespan.is_unbounded:
-                horizon = max(horizon, e.lifespan.end)
-            for label in e.properties:
-                span = e.properties.timeline(label).span()
-                if span is not None and not span.is_unbounded:
-                    horizon = max(horizon, span.end)
+        horizon = self._horizon
+        if horizon is None:
+            horizon = 0
+            for v in self._vertices.values():
+                if not v.lifespan.is_unbounded:
+                    horizon = max(horizon, v.lifespan.end)
+            for e in self._edges.values():
+                if not e.lifespan.is_unbounded:
+                    horizon = max(horizon, e.lifespan.end)
+                for label in e.properties:
+                    span = e.properties.timeline(label).span()
+                    if span is not None and not span.is_unbounded:
+                        horizon = max(horizon, span.end)
+            self._horizon = horizon
         return horizon if horizon > 0 else default
+
+    def piece_indexes(self, vid: VertexId) -> list[tuple[TemporalEdge, PieceIndex]]:
+        """``(edge, piece index)`` per out-edge of ``vid`` — what scatter
+        walks.  Indexes are built on first touch and stay on the property
+        sets for the graph's lifetime, so every later run (and
+        :meth:`reversed`) reuses them."""
+        pool = self._values
+        return [(e, e.properties.piece_index(pool)) for e in self._out.get(vid, ())]
 
     # -- mutation (builder / generator use only) ----------------------------
 
     def _add_vertex(self, vertex: TemporalVertex) -> None:
+        self._horizon = None
         self._vertices[vertex.vid] = vertex
         self._out.setdefault(vertex.vid, [])
         self._in.setdefault(vertex.vid, [])
 
     def _add_edge(self, edge: TemporalEdge) -> None:
+        self._horizon = None
         self._edges[edge.eid] = edge
         self._out.setdefault(edge.src, []).append(edge)
         self._in.setdefault(edge.dst, []).append(edge)
@@ -186,6 +213,7 @@ class TemporalGraph:
         Used by reverse-traversing algorithms such as Latest Departure.
         """
         rev = TemporalGraph()
+        rev._values = self._values
         for v in self._vertices.values():
             rv = TemporalVertex(v.vid, v.lifespan)
             rv.properties = v.properties
@@ -195,6 +223,9 @@ class TemporalGraph:
             re.properties = e.properties
             rev._add_edge(re)
         return rev
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_values": {}}
 
     def validate(self) -> None:
         """Check constraints 2 and 3 (constraint 1 holds by dict keying)."""

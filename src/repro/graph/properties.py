@@ -100,16 +100,92 @@ class PropertyTimeline:
         return f"PropertyTimeline({inner})"
 
 
+class PieceIndex:
+    """The property-constant pieces of one property set — the scatter index.
+
+    ``cuts`` holds the set's sorted change points as plain ints and
+    ``values[i]`` the :meth:`PropertySet.values_at` dict that holds over
+    ``[cuts[i-1], cuts[i])``; ``values[0]`` and ``values[-1]`` (before the
+    first and after the last change point) are empty.  Nothing else is
+    resident: no ``Interval``, no per-piece tuple, and equal dicts are one
+    object graph-wide (see :func:`intern_values`), so the index can live as
+    long as its graph.  Both stores build this one shape —
+    :meth:`PropertySet.piece_index` from the timelines,
+    ``CompactGraph._piece_index`` from the ``cut_start`` column.
+    """
+
+    __slots__ = ("cuts", "values")
+
+    def __init__(self, cuts: tuple[int, ...], values: tuple[dict[str, Any], ...]):
+        self.cuts = cuts
+        self.values = values
+
+    def pieces(self, start: int, end: int) -> list[tuple[Interval, dict[str, Any]]]:
+        """Partition ``[start, end)`` at the change points strictly inside
+        it: ``(interval, values)`` pairs in time order, never empty."""
+        cuts = self.cuts
+        values = self.values
+        mk_interval = Interval._unchecked  # start < end holds at every step
+        i = bisect_right(cuts, start)
+        n = len(cuts)
+        out = []
+        while i < n and cuts[i] < end:
+            out.append((mk_interval(start, cuts[i]), values[i]))
+            start = cuts[i]
+            i += 1
+        out.append((mk_interval(start, end), values[i]))
+        return out
+
+
+def intern_values(pool: dict, values: dict[str, Any]) -> dict[str, Any]:
+    """The one shared copy of ``values`` in ``pool`` (a graph's own).
+
+    Dicts are shared only when equal *and* printed alike, label order
+    included: ``1``, ``1.0`` and ``True`` compare and hash equal but export
+    differently, so the key carries the ``repr``.  A dict holding an
+    unhashable value is returned as it is, unshared.
+    """
+    try:
+        return pool.setdefault((repr(values), tuple(values.values())), values)
+    except TypeError:
+        return values
+
+
 class PropertySet:
     """Label → timeline mapping attached to a vertex or an edge."""
 
-    __slots__ = ("_timelines",)
+    __slots__ = ("_timelines", "_index")
 
     def __init__(self) -> None:
         self._timelines: dict[str, PropertyTimeline] = {}
+        self._index: Optional[PieceIndex] = None
 
     def add(self, label: str, interval: Interval, value: Any) -> None:
         self._timelines.setdefault(label, PropertyTimeline()).add(interval, value)
+        self._index = None
+
+    def piece_index(self, pool: Optional[dict] = None) -> PieceIndex:
+        """This set's :class:`PieceIndex`, built on first use and kept until
+        the next :meth:`add`.  Graphs pass their ``pool`` so equal values
+        dicts are shared across edges; a set indexed on its own shares them
+        only within itself.  Sets shared between graphs (``reversed()``)
+        share the index.  Published by one assignment, fully built."""
+        index = self._index
+        if index is None:
+            if pool is None:
+                pool = {}
+            cuts = tuple(self.boundaries())
+            values = [intern_values(pool, {})]
+            values += [intern_values(pool, self.values_at(t)) for t in cuts]
+            index = self._index = PieceIndex(cuts, tuple(values))
+        return index
+
+    def __getstate__(self) -> tuple:
+        return (self._timelines,)  # the index is rebuilt where it is needed
+
+    def __setstate__(self, state: tuple) -> None:
+        self._timelines, = state
+        self._index = None
 
     def timeline(self, label: str) -> Optional[PropertyTimeline]:
         return self._timelines.get(label)

@@ -860,6 +860,12 @@ class ParallelExecutor:
             share = getattr(engine.graph, "ensure_shared", None)
             if share is not None:
                 share()
+        else:
+            # Complete the graph's piece index before forking: the workers
+            # inherit it copy-on-write instead of each rebuilding its share
+            # on every run over a resident graph.
+            for vid in states:
+                engine.graph.piece_indexes(vid)
         self._procs = []
         self._conns = []
 

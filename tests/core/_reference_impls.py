@@ -12,6 +12,9 @@ These are the straightforward implementations the optimised kernels in
   the semantics ``set_many`` must reproduce.
 * ``reference_out_degree_segments`` — the O(E·k) rescan of every out-edge
   per cut that ``VertexContext.out_degree_segments`` ran on every call.
+* ``reference_edge_pieces`` — the body ``TemporalEdge.pieces`` ran on every
+  call (re-derive the property boundaries, one ``values_at`` per piece)
+  before edges sliced the graph-resident ``PieceIndex``.
 
 They are deliberately simple and obviously correct; Hypothesis tests in
 ``test_kernel_oracles.py`` assert the production kernels agree with them
@@ -214,3 +217,18 @@ def reference_out_degree_segments(
         degree = sum(1 for e in edges if e.lifespan.contains_point(lo))
         segments.append((Interval(lo, hi), degree))
     return segments
+
+
+def reference_edge_pieces(edge: Any, window: Interval) -> list[tuple[Interval, dict]]:
+    """``TemporalEdge.pieces`` as it was, as ``(interval, values)`` pairs:
+    clip the lifespan, cut at every property boundary strictly inside, and
+    rebuild the ``values_at`` dict of each piece's start."""
+    clipped = edge.lifespan.intersect(window)
+    if clipped is None:
+        return []
+    bounds = [b for b in edge.properties.boundaries() if clipped.start < b < clipped.end]
+    cuts = [clipped.start, *bounds, clipped.end]
+    return [
+        (Interval(lo, hi), edge.properties.values_at(lo))
+        for lo, hi in zip(cuts, cuts[1:])
+    ]

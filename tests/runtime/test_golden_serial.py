@@ -15,6 +15,8 @@ that alters results on purpose — never to make this test pass.
 
 import hashlib
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -168,6 +170,40 @@ def test_reproduces_golden(case, executor):
 def test_resume_from_combined_checkpoint_reproduces_golden(executor, tmp_path):
     resumed = _resume_combined_case(EXECUTORS[executor], tmp_path)
     assert resumed == GOLDEN["uninterrupted/twitter-BFS"]
+
+
+def test_two_threads_over_one_resident_graph_reproduce_golden():
+    """Serve lanes run concurrent queries over one resident graph, whose
+    piece index both threads build on first touch: every entry must be
+    published whole, and a run must never see another run's half."""
+    graph = transit_graph()
+    algorithms = ("SSSP", "LD", "EAT", "BFS", "TMST", "FAST", "RH")
+    got: dict = {}
+
+    def lane(order):
+        for algorithm in order:
+            outcome = run_algorithm(
+                algorithm, "GRAPHITE", graph, cluster=SimulatedCluster(5),
+                graph_name="transit", config=BASE, icm_options=EXECUTORS["serial"],
+            )
+            got[threading.get_ident(), algorithm] = fingerprint(
+                outcome.result, outcome.metrics)
+
+    threads = [threading.Thread(target=lane, args=(order,))
+               for order in (algorithms, algorithms[::-1])]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == 2 * len(algorithms)
+    for (_, algorithm), value in got.items():
+        assert value == GOLDEN[f"algorithm/{algorithm}"]
 
 
 if __name__ == "__main__":
