@@ -7,14 +7,17 @@ same resident graph through ``repro.algorithms.run_algorithm`` on the
 GRAPHITE platform; prints each run's counters and the top-N functions by own
 time and by cumulative time.  ``--algorithm`` takes a comma list.  The graph's
 piece index is built once per graph, so the warm-up would hide it: its
-one-time build is timed first and printed on its own line.  The defaults are
-the ``pr_dense`` workload of ``benchmarks/e2e``; ``td_frontier`` is the second
-usage line.
+one-time build is timed first and printed on its own line.  ``--window START
+END`` runs the same algorithms over ``graph.window(START, END)`` — what a
+served interval query runs on.  The defaults are the ``pr_dense`` workload of
+``benchmarks/e2e``; ``td_frontier`` is the second usage line, a sliced
+``serve_miss`` the third.
 
 Usage::
 
     python scripts/profile_engine.py --algorithm PR --dataset mag --scale 0.3 [--top 25]
     python scripts/profile_engine.py --algorithm BFS,SSSP,EAT,RH,FAST,TMST,LD --dataset usrn --scale 2.0
+    python scripts/profile_engine.py --algorithm BFS,SSSP,EAT,RH --dataset twitter --scale 2.0 --window 3 11
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ def main(argv=None) -> int:
     parser.add_argument("--dataset", default="mag")
     parser.add_argument("--scale", type=float, default=0.3)
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--window", nargs=2, type=int, default=None,
+                        metavar=("START", "END"),
+                        help="run over graph.window(START, END)")
     args = parser.parse_args(argv)
 
     algorithms = args.algorithm.split(",")
@@ -54,6 +60,11 @@ def main(argv=None) -> int:
         f"{len(indexed)} edges, {pieces} pieces, {build_ms:.1f} ms, {size} bytes"
     )
 
+    where = f"{args.dataset}({args.scale})"
+    if args.window is not None:
+        graph = graph.window(*args.window)
+        where += f" during {graph.interval}"
+
     def run():
         return [run_algorithm(a, "GRAPHITE", graph) for a in algorithms]
 
@@ -62,7 +73,7 @@ def main(argv=None) -> int:
     for outcome in profile.runcall(run):
         m = outcome.metrics
         print(
-            f"{outcome.algorithm} on {args.dataset}({args.scale}): "
+            f"{outcome.algorithm} on {where}: "
             f"{graph.num_vertices} vertices, {m.supersteps} supersteps, "
             f"{m.compute_calls} compute calls, {m.scatter_calls} scatter calls, "
             f"{m.messages_sent} messages, {m.message_bytes} bytes"

@@ -11,7 +11,9 @@ it over the Unix socket through the real wire client:
    payload, and the daemon's stats counter must read exactly one hit;
 4. a held query (``hold_s``) pinning the single lane while a concurrent
    query is rejected with the typed ``queue_full`` backpressure error;
-5. a different-interval query — a distinct cache key, answered cold;
+5. a different-interval query — a distinct cache key, answered cold, and
+   byte-identical to a direct ``api.run`` over ``temporal_slice`` of the
+   same graph (the daemon answers it on a zero-copy window view);
 6. a live scrape of the ``--metrics-port`` HTTP endpoint: valid
    Prometheus text carrying the serve counters, the query-latency
    histogram series and the per-lane heartbeat gauges;
@@ -26,6 +28,7 @@ Usage::
 
 from __future__ import annotations
 
+import json
 import os
 import socket
 import subprocess
@@ -38,6 +41,13 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro import api  # noqa: E402
+from repro.algorithms.td.sssp import TemporalSSSP  # noqa: E402
+from repro.core.interval import Interval  # noqa: E402
+from repro.core.results_io import states_document  # noqa: E402
+from repro.datasets import transit_graph  # noqa: E402
+from repro.query.slice import temporal_slice  # noqa: E402
+from repro.runtime.cluster import SimulatedCluster  # noqa: E402
 from repro.serve import QueueFullError  # noqa: E402
 from repro.serve.client import QueryClient  # noqa: E402
 
@@ -111,10 +121,22 @@ def main() -> int:
             assert not sliced.cache_hit, (
                 "a different interval must be a distinct cache key"
             )
-            assert sliced.payload != cold.payload, (
-                "interval slice answered with the full-horizon payload"
+            direct = api.run(
+                temporal_slice(transit_graph(), Interval(0, 3)),
+                TemporalSSSP("A"), cluster=SimulatedCluster(4),
+                graph_name="transit",
             )
-            print("interval query: ok (distinct cache key)")
+            assert sliced.payload == json.dumps(
+                states_document(direct), sort_keys=True,
+                separators=(",", ":"), default=str,
+            ), (
+                "interval query diverged from a direct run over temporal_slice"
+            )
+            assert sliced.payload != cold.payload, (
+                "interval query answered with the full-horizon payload"
+            )
+            print("interval query: ok (distinct cache key, equals the "
+                  "materialised-slice run)")
 
             # Scrape the live metrics endpoint while the daemon serves.
             with urllib.request.urlopen(

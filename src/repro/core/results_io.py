@@ -90,14 +90,14 @@ def export_states_dense_csv(
     return rows
 
 
-def export_states_json(
+def states_document(
     result: IcmResult,
-    target: Target,
     *,
     value_fn: Optional[Callable[[Any], Any]] = None,
 ) -> dict:
-    """Write (and return) a JSON document of per-vertex interval values."""
-    doc = {
+    """The JSON document of per-vertex interval values
+    :func:`export_states_json` writes, without writing it."""
+    return {
         "algorithm": result.metrics.algorithm,
         "graph": result.metrics.graph,
         "vertices": {
@@ -112,6 +112,16 @@ def export_states_json(
             for vid in sorted(result.states, key=repr)
         },
     }
+
+
+def export_states_json(
+    result: IcmResult,
+    target: Target,
+    *,
+    value_fn: Optional[Callable[[Any], Any]] = None,
+) -> dict:
+    """Write (and return) a JSON document of per-vertex interval values."""
+    doc = states_document(result, value_fn=value_fn)
 
     def write(fh: TextIO) -> None:
         json.dump(doc, fh, indent=2, default=str)

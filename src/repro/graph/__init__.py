@@ -25,6 +25,7 @@ from .snapshots import (
 )
 from .stats import DatasetStats, dataset_stats, memory_footprint, resident_bytes
 from .transform import CHAIN, build_transformed_graph, transformed_size
+from .window import GraphWindow
 
 __all__ = [
     "TemporalGraph",
@@ -35,6 +36,7 @@ __all__ = [
     "CompactGraph",
     "CompactVertex",
     "CompactEdge",
+    "GraphWindow",
     "resolve_graph_store",
     "PropertySet",
     "PropertyTimeline",

@@ -667,6 +667,13 @@ class CompactGraph:
         """A compact copy with every edge direction flipped."""
         return CompactGraph.from_temporal(self.to_temporal().reversed())
 
+    def window(self, start: int, end: int = FOREVER) -> "GraphWindow":
+        """This graph during ``[start, end)``: a zero-copy, read-only view
+        (:class:`~repro.graph.window.GraphWindow`), as on the heap store."""
+        from .window import GraphWindow
+
+        return GraphWindow(self, Interval(start, end))
+
     def __repr__(self) -> str:
         return (
             f"CompactGraph(|V|={self._nv}, |E|={self._ne}, "

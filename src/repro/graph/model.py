@@ -224,6 +224,14 @@ class TemporalGraph:
             rev._add_edge(re)
         return rev
 
+    def window(self, start: int, end: int = FOREVER) -> "GraphWindow":
+        """This graph during ``[start, end)``: a zero-copy, read-only view
+        (:class:`~repro.graph.window.GraphWindow`) — lifespans clipped,
+        entities outside dropped, this graph's piece indexes shared."""
+        from .window import GraphWindow
+
+        return GraphWindow(self, Interval(start, end))
+
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_values": {}}
 

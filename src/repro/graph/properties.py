@@ -180,6 +180,17 @@ class PropertySet:
             index = self._index = PieceIndex(cuts, tuple(values))
         return index
 
+    def clipped(self, window: Interval) -> "PropertySet":
+        """A new set holding every entry's intersection with ``window``;
+        labels with no entry inside it disappear, label order is kept."""
+        out = PropertySet()
+        for label, timeline in self._timelines.items():
+            for iv, value in timeline:
+                common = iv.intersect(window)
+                if common is not None:
+                    out.add(label, common, value)
+        return out
+
     def __getstate__(self) -> tuple:
         return (self._timelines,)  # the index is rebuilt where it is needed
 

@@ -30,14 +30,14 @@ def temporal_slice(graph: TemporalGraph, window: Interval) -> TemporalGraph:
         if lifespan is None:
             continue
         nv = TemporalVertex(v.vid, lifespan)
-        _copy_properties(v.properties, nv.properties, window)
+        nv.properties = v.properties.clipped(window)
         out._add_vertex(nv)
     for e in graph.edges():
         lifespan = e.lifespan.intersect(window)
         if lifespan is None or not (out.has_vertex(e.src) and out.has_vertex(e.dst)):
             continue
         ne = TemporalEdge(e.eid, e.src, e.dst, lifespan)
-        _copy_properties(e.properties, ne.properties, window)
+        ne.properties = e.properties.clipped(window)
         out._add_edge(ne)
     out.validate()
     return out
@@ -88,14 +88,6 @@ def between(graph: TemporalGraph, vertex_ids: Iterable[Any]) -> TemporalGraph:
             out._add_edge(ne)
     out.validate()
     return out
-
-
-def _copy_properties(src, dst, window: Interval) -> None:
-    for label in src:
-        for iv, value in src.timeline(label):
-            common = iv.intersect(window)
-            if common is not None:
-                dst.add(label, common, value)
 
 
 def _clone_properties(src, dst) -> None:

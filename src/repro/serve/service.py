@@ -5,8 +5,9 @@ use-case implies (and Granite, the follow-on path-query engine, builds
 explicitly): the temporal graph is loaded and partitioned **once**, a
 warm executor stays resident per concurrency lane, and each query
 ``(algorithm, params, interval, options)`` either hits the interval-aware
-result cache or runs an engine over the (memoized) temporal slice of the
-resident graph.
+result cache or runs an engine over the resident graph — for a bounded
+interval, over a zero-copy :meth:`window <repro.graph.model.TemporalGraph.window>`
+view of it, so nothing per interval is built or kept.
 
 Three cooperating pieces:
 
@@ -34,12 +35,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import itertools
 import json
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -50,11 +50,10 @@ from repro.core.config import (
     PartitioningConfig,
 )
 from repro.core.interval import FOREVER, Interval
-from repro.core.results_io import export_states_json
+from repro.core.results_io import states_document
 from repro.obs.events import EventStream
 from repro.obs.observers import JsonlTraceWriter
 from repro.obs.registry import Histogram
-from repro.query.slice import temporal_slice
 from repro.runtime.checkpoint import graph_fingerprint
 from repro.runtime.cluster import SimulatedCluster
 from repro.runtime.executor import resolve_executor
@@ -64,9 +63,6 @@ from .cache import ResultCache
 from .errors import BadQueryError, QueryTimeoutError, QueueFullError, ServeError
 
 __all__ = ["GraphService", "QueryAnswer", "QueryRequest", "ServeMetrics"]
-
-#: How many distinct query intervals keep their sliced graph resident.
-_SLICE_MEMO_LIMIT = 8
 
 
 @dataclass
@@ -110,7 +106,7 @@ class QueryRequest:
 
     ``interval`` is ``None`` for the full resident graph or an
     ``(start, end)`` pair (half-open, ``end=None`` for unbounded) that the
-    service materialises via ``temporal_slice``.  Recognised ``options``:
+    service answers on ``graph.window(start, end)``.  Recognised ``options``:
     ``timeout_s`` (per-query deadline, overriding
     ``ServeConfig.default_timeout_s``), ``no_cache`` (bypass the result
     cache entirely), and ``hold_s`` (hold the execution lane after
@@ -285,8 +281,6 @@ class GraphService:
 
         self._graph_fp: Optional[str] = None
         self._config_fp: Optional[str] = None
-        self._slices: "OrderedDict[Tuple[int, Optional[int]], Any]" = OrderedDict()
-        self._slice_lock = threading.Lock()
 
     # -- context management -------------------------------------------------
 
@@ -394,43 +388,17 @@ class GraphService:
         return (start, end)
 
     def _graph_for(self, interval: Optional[Tuple[int, Optional[int]]]):
-        """The resident graph, or the (memoized) temporal slice for a
-        bounded query interval."""
+        """The resident graph, or its zero-copy window view for a bounded
+        query interval — O(1) either way; nothing is built until a lane
+        runs the query."""
         if interval is None:
             return self.graph
-        with self._slice_lock:
-            sliced = self._slices.get(interval)
-            if sliced is not None:
-                self._slices.move_to_end(interval)
-                return sliced
         start, end = interval
-        window = Interval(start, FOREVER if end is None else end)
-        try:
-            sliced = temporal_slice(self.graph, window)
-        except ValueError as exc:
-            raise BadQueryError(
-                f"cannot slice the resident graph to "
-                f"[{start}, {'inf' if end is None else end}): {exc}"
-            ) from exc
-        if sliced.num_vertices == 0:
-            raise BadQueryError(
-                f"interval [{start}, {'inf' if end is None else end}) "
-                "selects no vertices of the resident graph"
-            )
-        with self._slice_lock:
-            self._slices[interval] = sliced
-            while len(self._slices) > _SLICE_MEMO_LIMIT:
-                self._slices.popitem(last=False)
-        return sliced
+        return self.graph.window(start, FOREVER if end is None else end)
 
-    def _program_for(self, algorithm: str, params: Mapping[str, Any], graph):
-        from repro.algorithms.runners import default_source
-        from repro.algorithms.td.eat import TemporalEAT
-        from repro.algorithms.td.reach import TemporalReachability
-        from repro.algorithms.td.sssp import TemporalSSSP
-        from repro.algorithms.ti.bfs import TemporalBFS
-        from repro.algorithms.ti.pagerank import TemporalPageRank
-
+    def _validate(self, algorithm: str, params: Mapping[str, Any], graph) -> None:
+        """Everything about a query that can be judged in O(1), before
+        admission; what needs a walk of the graph waits for a lane."""
         if algorithm not in self.SUPPORTED_ALGORITHMS:
             raise BadQueryError(
                 f"unknown algorithm {algorithm!r} (the serving tier answers "
@@ -443,15 +411,31 @@ class GraphService:
                 f"{algorithm} does not take parameter(s) "
                 f"{sorted(unknown)} (allowed: {sorted(allowed) or 'none'})"
             )
+        source = params.get("source")
+        if source is not None and not graph.has_vertex(source):
+            raise BadQueryError(
+                f"source {source!r} is not a vertex of the queried graph"
+            )
+
+    def _program_for(self, algorithm: str, params: Mapping[str, Any], graph):
+        """A fresh program instance for a validated query (on a lane: the
+        default source and PageRank's vertex counts walk the graph)."""
+        from repro.algorithms.runners import default_source
+        from repro.algorithms.td.eat import TemporalEAT
+        from repro.algorithms.td.reach import TemporalReachability
+        from repro.algorithms.td.sssp import TemporalSSSP
+        from repro.algorithms.ti.bfs import TemporalBFS
+        from repro.algorithms.ti.pagerank import TemporalPageRank
+
+        if graph.num_vertices == 0:
+            raise BadQueryError(
+                "the queried interval selects no vertices of the resident graph"
+            )
         if algorithm == "PR":
             return TemporalPageRank(graph)
         source = params.get("source")
         if source is None:
             source = default_source(graph)
-        elif not graph.has_vertex(source):
-            raise BadQueryError(
-                f"source {source!r} is not a vertex of the queried graph"
-            )
         factory = {
             "BFS": TemporalBFS,
             "SSSP": TemporalSSSP,
@@ -668,13 +652,13 @@ class GraphService:
                     payload=payload,
                 )
 
-        # Miss (or cache bypass): validate early, then go through admission.
+        # Miss (or cache bypass): validate what costs O(1), then go through
+        # admission.  The deadline runs from submission, so it covers the
+        # queue wait and everything the lane does for this query.
         graph = self._graph_for(interval)
-        program = self._program_for(algorithm, dict(params), graph)
-
-        deadline = (
-            time.monotonic() + timeout_s if timeout_s is not None else None
-        )
+        param_map = dict(params)
+        self._validate(algorithm, param_map, graph)
+        deadline = t0 + timeout_s if timeout_s is not None else None
         try:
             lane = self._acquire_lane(deadline)
         except QueryTimeoutError:
@@ -703,7 +687,8 @@ class GraphService:
         )
         try:
             payload = self._execute(
-                lane, graph, program, deadline, timeout_s, options
+                lane, graph, algorithm, param_map, deadline, timeout_s,
+                options,
             )
         except QueryTimeoutError:
             self._finish(time.monotonic() - t0, "timeout", query_id)
@@ -733,11 +718,12 @@ class GraphService:
         )
 
     def _execute(
-        self, lane, graph, program, deadline, timeout_s, options
+        self, lane, graph, algorithm, params, deadline, timeout_s, options
     ) -> str:
         """Run the engine on ``lane`` and render the canonical payload."""
         from repro import api
 
+        program = self._program_for(algorithm, params, graph)
         run_observers: List[Any] = []
         if deadline is not None:
             # First in line: a timed-out superstep is cancelled before any
@@ -755,9 +741,8 @@ class GraphService:
         hold_s = options.get("hold_s")
         if hold_s:
             time.sleep(float(hold_s))
-        doc = export_states_json(result, io.StringIO())
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                          default=str)
+        return json.dumps(states_document(result), sort_keys=True,
+                          separators=(",", ":"), default=str)
 
     # -- introspection -------------------------------------------------------
 

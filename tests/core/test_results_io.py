@@ -10,6 +10,7 @@ from repro.core.results_io import (
     export_states_csv,
     export_states_dense_csv,
     export_states_json,
+    states_document,
 )
 from repro.datasets import transit_graph
 
@@ -64,3 +65,14 @@ class TestJson:
         assert parsed["algorithm"] == "SSSP"
         e = parsed["vertices"]["E"]
         assert e[-1] == {"start": 9, "end": None, "value": 5}
+
+    def test_document_builder_is_what_the_writer_writes(self):
+        """``states_document`` is the writer's document without the write:
+        same keys in the same order, and ``value_fn`` applies to both."""
+        result = sssp_result()
+        buf = io.StringIO()
+        written = export_states_json(result, buf, value_fn=str)
+        built = states_document(result, value_fn=str)
+        assert built == written
+        assert json.dumps(built) == json.dumps(written)  # key order too
+        assert buf.getvalue() == json.dumps(built, indent=2, default=str)

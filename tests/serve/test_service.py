@@ -9,8 +9,10 @@ contract, deadline cancellation with a provably clean engine afterwards
 query-lifecycle events/metrics.
 """
 
+import gc
 import io
 import json
+import sys
 import threading
 import time
 
@@ -23,6 +25,7 @@ from repro.algorithms.ti.pagerank import TemporalPageRank
 from repro.core.interval import Interval
 from repro.core.results_io import export_states_json
 from repro.datasets import transit_graph
+from repro.graph import GraphWindow
 from repro.obs.events import EVENT_SCHEMA_VERSION
 from repro.obs.exporters import prometheus_text, render_summary
 from repro.obs.observers import InMemoryEvents
@@ -126,6 +129,155 @@ class TestServingEquivalence:
             b = service.query("BFS")
         assert b.cache_hit
         assert a.payload == b.payload
+
+
+class TestWindowedQueries:
+    """A bounded interval is answered on a zero-copy window view of the one
+    resident graph; ``temporal_slice`` is only the oracle here."""
+
+    WINDOWS = [(0, 3), (2, 6), (1, 9), (4, None), (3, 5), (0, 9), (5, None),
+               (2, 4)]
+
+    @staticmethod
+    def oracle(algorithm, window):
+        start, end = window
+        sliced = temporal_slice(
+            transit_graph(), Interval(start) if end is None else Interval(start, end))
+        return direct_payload(sliced, algorithm)
+
+    def test_two_threads_with_different_windows_over_one_resident_graph(self):
+        """Every window shares the resident piece index: two lanes
+        answering different windows at once must each get the answer a
+        materialised slice gives."""
+        got = {}
+
+        def client(service, algorithm, windows):
+            for window in windows:
+                got[algorithm, window] = service.query(
+                    algorithm, params={"source": "A"}, interval=window,
+                    options={"no_cache": True}).payload
+
+        with make_service(serve_max_concurrency=2) as service:
+            threads = [
+                threading.Thread(target=client,
+                                 args=(service, "SSSP", self.WINDOWS)),
+                threading.Thread(target=client,
+                                 args=(service, "BFS", self.WINDOWS[::-1])),
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 2 * len(self.WINDOWS)
+        for (algorithm, window), payload in got.items():
+            assert payload == self.oracle(algorithm, window), (algorithm, window)
+
+    @pytest.mark.parametrize("executor", ["serial", "parallel"])
+    @pytest.mark.parametrize("algorithm", ["BFS", "SSSP", "PR"])
+    def test_windowed_answers_match_the_materialised_slice(
+        self, algorithm, executor
+    ):
+        options = {"executor": executor}
+        if executor == "parallel":
+            options["executor_processes"] = 2
+        params = {"source": "A"} if algorithm != "PR" else None
+        with make_service(**options) as service:
+            for window in self.WINDOWS[:4]:
+                answer = service.query(algorithm, params=params, interval=window)
+                assert answer.payload == self.oracle(algorithm, window), window
+
+    def test_service_holds_no_per_window_state(self):
+        def sizes(obj):
+            return {name: len(value) for name, value in vars(obj).items()
+                    if hasattr(value, "__len__")}
+
+        with make_service() as service:
+            service.query("SSSP", params={"source": "A"}, interval=(0, 3),
+                          options={"no_cache": True})  # first touches done
+            before = sizes(service), sizes(service.graph)
+            for start in range(6):
+                for end in (start + 2, start + 4, start + 7, start + 9, None):
+                    service.query("SSSP", params={"source": "A"},
+                                  interval=(start, end),
+                                  options={"no_cache": True})
+            assert service.metrics.queries_served == 31
+            assert (sizes(service), sizes(service.graph)) == before
+            gc.collect()
+            # At most the last run's view, still referenced by the single
+            # lane's executor until its next run replaces it.
+            assert sum(isinstance(o, GraphWindow) for o in gc.get_objects()) <= 1
+
+    def test_full_queue_rejects_a_windowed_query_before_touching_the_graph(self):
+        """Admission comes first: a rejected query must not have walked
+        the resident graph (it used to be sliced before the queue check)."""
+        graph = transit_graph()
+        with GraphService(
+            graph, graph_name="transit", workers=WORKERS,
+            options={"serve_max_concurrency": 1, "serve_queue_depth": 0},
+        ) as service:
+            service.query("BFS", params={"source": "A"})  # fingerprints done
+            walks = []
+            for name in ("vertices", "edges", "vertex_ids"):
+                real = getattr(graph, name)
+                setattr(graph, name,
+                        lambda real=real, name=name: (walks.append(name), real())[1])
+
+            holder = threading.Thread(target=lambda: service.query(
+                "BFS", params={"source": "B"},
+                options={"hold_s": 1.0, "no_cache": True}))
+            holder.start()
+            time.sleep(0.3)  # let the holder take the single lane
+            del walks[:]
+            with pytest.raises(QueueFullError):
+                service.query("SSSP", params={"source": "A"}, interval=(0, 3))
+            rejected_walks = list(walks)
+            holder.join()
+        assert rejected_walks == []
+
+    def test_timeout_covers_everything_a_windowed_query_does(self):
+        """The deadline runs from submission: time spent preparing the
+        window counts against ``timeout_s`` (slicing used to precede the
+        deadline)."""
+        graph = transit_graph()
+        with GraphService(graph, graph_name="transit",
+                          workers=WORKERS) as service:
+            service.query("BFS", params={"source": "A"})  # fingerprints done
+            real = graph.vertices
+
+            def slow_vertices():
+                time.sleep(0.4)
+                return real()
+
+            graph.vertices = slow_vertices
+            with pytest.raises(QueryTimeoutError):
+                service.query("SSSP", params={"source": "A"}, interval=(0, 3),
+                              options={"timeout_s": 0.2})
+            del graph.vertices
+            assert service.metrics.queries_timed_out == 1
+            after = service.query("SSSP", params={"source": "A"},
+                                  interval=(0, 3))
+        assert after.payload == self.oracle("SSSP", (0, 3))
+
+    def test_source_outside_the_window_is_a_bad_query(self):
+        from repro.graph.builder import TemporalGraphBuilder
+
+        builder = TemporalGraphBuilder()
+        builder.add_vertex("A", 0, 4).add_vertex("B", 0, 10).add_vertex("C", 6, 10)
+        builder.add_edge("A", "B", 1, 3, eid="e1")
+        with GraphService(builder.build(), graph_name="tiny",
+                          workers=WORKERS) as service:
+            with pytest.raises(BadQueryError, match="'A'"):
+                service.query("BFS", params={"source": "A"}, interval=(5, 9))
+            # No source given and nothing alive: still typed, from the lane.
+            with pytest.raises(BadQueryError, match="selects no vertices"):
+                service.query("BFS", interval=(20, 30))
+            assert service.query("BFS", interval=(5, 9)).doc["vertices"]
 
 
 class TestCacheKeys:
