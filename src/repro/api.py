@@ -32,6 +32,7 @@ with ``on_event``), an iterable of observers, or a full
 from __future__ import annotations
 
 import dataclasses
+import gc
 from typing import Any, Optional
 
 from repro.core.config import (
@@ -377,13 +378,22 @@ def load_graph(
     ``merge_gap``/... for the event-list parsers, ``map=False`` to read
     a compact file into private memory).
 
+    The cyclic garbage collector is paused while the graph is built (and
+    left as it was found): a load allocates nothing but long-lived, acyclic
+    objects, which the collector would otherwise re-walk as they pile up.
+
     Raises
     ------
     GraphFormatError
-        Unknown format, failed sniffing, bad magic/version, or a source
-        that is neither a file nor a dataset name.
+        Unknown format, failed sniffing, bad magic/version, a source that
+        is neither a file nor a dataset name, or a malformed file — for a
+        text graph ``text graph: line N: ...``: a row that cannot be
+        parsed (record kind, field count, interval, value literal), a
+        repeated vertex or edge id, a property row before its owner's row,
+        overlapping values of one label, or an edge / property interval
+        outside the lifespan that must contain it.
     """
-    from repro.graph.compact import CompactGraph, resolve_graph_store
+    from repro.graph.compact import resolve_graph_store
 
     if format not in GRAPH_FORMATS:
         raise GraphFormatError(
@@ -392,6 +402,17 @@ def load_graph(
         )
     fmt = _sniff_format(source) if format == "auto" else format
 
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return resolve_graph_store(_load_as(fmt, source, options), store)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _load_as(fmt: str, source, options: dict):
+    """Dispatch one resolved format to its loader."""
     if fmt == "dataset":
         from repro.datasets import load_surrogate, transit_graph
 
@@ -408,12 +429,7 @@ def load_graph(
     elif fmt == "text":
         from repro.graph.io import load_graph as _load_text
 
-        try:
-            graph = _load_text(source)
-        except GraphFormatError:
-            raise
-        except ValueError as exc:
-            raise GraphFormatError(f"text graph: {exc}") from exc
+        graph = _load_text(source)
     elif fmt == "binary":
         from repro.graph.binary_io import load_graph_binary
 
@@ -424,6 +440,8 @@ def load_graph(
         except ValueError as exc:
             raise GraphFormatError(f"binary graph: {exc}") from exc
     elif fmt == "compact":
+        from repro.graph.compact import CompactGraph
+
         if hasattr(source, "read"):
             graph = CompactGraph.from_bytes(source.read())
         else:
@@ -444,4 +462,4 @@ def load_graph(
             f"options {sorted(options)} are not understood by the "
             f"{fmt!r} loader"
         )
-    return resolve_graph_store(graph, store)
+    return graph

@@ -76,7 +76,7 @@ class TemporalGraphBuilder:
         self._check_open()
         if eid is None:
             eid = f"e{next(self._eid_counter)}"
-        elif eid in {e.eid for e in self._graph.edges()}:
+        elif self._graph.has_edge(eid):
             raise ValueError(f"edge {eid!r} already exists (constraint 1)")
         for endpoint in (src, dst):
             if not self._graph.has_vertex(endpoint):

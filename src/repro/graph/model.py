@@ -3,7 +3,8 @@
 A temporal graph is a directed multi-graph ``G = (V, E, L, A_V, A_E)`` where
 vertices and edges carry a *lifespan* interval and interval-valued
 properties.  Three soundness constraints are enforced by the
-:class:`~repro.graph.builder.TemporalGraphBuilder`:
+:class:`~repro.graph.builder.TemporalGraphBuilder` (the first also by
+:class:`TemporalGraph` itself, whoever builds it):
 
 1. **Unique vertices and edges** — an id exists at most once, for one
    contiguous interval, and never re-occurs.
@@ -130,6 +131,9 @@ class TemporalGraph:
     def has_vertex(self, vid: VertexId) -> bool:
         return vid in self._vertices
 
+    def has_edge(self, eid: EdgeId) -> bool:
+        return eid in self._edges
+
     def vertices(self) -> Iterator[TemporalVertex]:
         return iter(self._vertices.values())
 
@@ -194,12 +198,16 @@ class TemporalGraph:
     # -- mutation (builder / generator use only) ----------------------------
 
     def _add_vertex(self, vertex: TemporalVertex) -> None:
+        if vertex.vid in self._vertices:
+            raise ValueError(f"vertex {vertex.vid!r} already exists (constraint 1)")
         self._horizon = None
         self._vertices[vertex.vid] = vertex
         self._out.setdefault(vertex.vid, [])
         self._in.setdefault(vertex.vid, [])
 
     def _add_edge(self, edge: TemporalEdge) -> None:
+        if edge.eid in self._edges:
+            raise ValueError(f"edge {edge.eid!r} already exists (constraint 1)")
         self._horizon = None
         self._edges[edge.eid] = edge
         self._out.setdefault(edge.src, []).append(edge)
@@ -236,23 +244,28 @@ class TemporalGraph:
         return {**self.__dict__, "_values": {}}
 
     def validate(self) -> None:
-        """Check constraints 2 and 3 (constraint 1 holds by dict keying)."""
+        """Check constraints 2 and 3 (``_add_vertex`` / ``_add_edge`` refuse
+        a repeated id, so constraint 1 holds for every graph built)."""
         for e in self._edges.values():
-            src = self._vertices.get(e.src)
-            dst = self._vertices.get(e.dst)
-            if src is None or dst is None:
-                raise ValueError(f"edge {e.eid!r} references missing vertex")
-            if not e.lifespan.within(src.lifespan):
-                raise ValueError(
-                    f"edge {e.eid!r} lifespan {e.lifespan} exceeds source {src.lifespan}"
-                )
-            if not e.lifespan.within(dst.lifespan):
-                raise ValueError(
-                    f"edge {e.eid!r} lifespan {e.lifespan} exceeds sink {dst.lifespan}"
-                )
+            self._check_endpoints(e)
             _check_property_containment(e.properties, e.lifespan, f"edge {e.eid!r}")
         for v in self._vertices.values():
             _check_property_containment(v.properties, v.lifespan, f"vertex {v.vid!r}")
+
+    def _check_endpoints(self, e: TemporalEdge) -> None:
+        """Constraint 2 for one edge (the text loader reports it per row)."""
+        src = self._vertices.get(e.src)
+        dst = self._vertices.get(e.dst)
+        if src is None or dst is None:
+            raise ValueError(f"edge {e.eid!r} references missing vertex")
+        if not e.lifespan.within(src.lifespan):
+            raise ValueError(
+                f"edge {e.eid!r} lifespan {e.lifespan} exceeds source {src.lifespan}"
+            )
+        if not e.lifespan.within(dst.lifespan):
+            raise ValueError(
+                f"edge {e.eid!r} lifespan {e.lifespan} exceeds sink {dst.lifespan}"
+            )
 
     def __repr__(self) -> str:
         return f"TemporalGraph(|V|={self.num_vertices}, |E|={self.num_edges})"

@@ -33,6 +33,13 @@ class PropertyTimeline:
             If the interval overlaps an existing entry (Def. 1 forbids
             overlapping values for one label).
         """
+        entries = self._entries
+        if not entries or interval.start >= entries[-1][0].end:
+            # In time order — what every bulk constructor feeds — the one
+            # comparison above is the whole overlap check.
+            self._starts.append(interval.start)
+            entries.append((interval, value))
+            return
         idx = bisect_right(self._starts, interval.start)
         if idx > 0 and self._entries[idx - 1][0].overlaps(interval):
             raise ValueError(
@@ -161,7 +168,10 @@ class PropertySet:
         self._index: Optional[PieceIndex] = None
 
     def add(self, label: str, interval: Interval, value: Any) -> None:
-        self._timelines.setdefault(label, PropertyTimeline()).add(interval, value)
+        timeline = self._timelines.get(label)
+        if timeline is None:
+            timeline = self._timelines[label] = PropertyTimeline()
+        timeline.add(interval, value)
         self._index = None
 
     def piece_index(self, pool: Optional[dict] = None) -> PieceIndex:

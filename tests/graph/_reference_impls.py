@@ -1,0 +1,84 @@
+"""Reference (pre-optimisation) graph-layer implementations, kept as oracles.
+
+* ``reference_load_text`` — the per-row text loader ``repro.graph.io._load``
+  was before the one-pass bulk loader: every value through
+  ``ast.literal_eval``, every property row through a fresh owner lookup and
+  a sorted insert, ``validate()`` once at the end.
+* ``reference_timeline_add`` — the bisect-and-two-probes insert
+  ``PropertyTimeline.add`` ran for every entry before it got its append
+  path.
+
+Self-contained on purpose (nothing here calls the code it is the oracle
+for); ``test_text_loader.py`` holds the production loader to them.
+"""
+
+from __future__ import annotations
+
+import ast
+from bisect import bisect_right
+from typing import Any, TextIO
+
+from repro.core.interval import FOREVER, Interval
+from repro.graph.model import TemporalEdge, TemporalGraph, TemporalVertex
+from repro.graph.properties import PropertyTimeline
+
+
+def reference_timeline_add(timeline: PropertyTimeline, interval: Interval, value: Any) -> None:
+    idx = bisect_right(timeline._starts, interval.start)
+    if idx > 0 and timeline._entries[idx - 1][0].overlaps(interval):
+        raise ValueError(
+            f"property interval {interval} overlaps {timeline._entries[idx - 1][0]}"
+        )
+    if idx < len(timeline._entries) and timeline._entries[idx][0].overlaps(interval):
+        raise ValueError(
+            f"property interval {interval} overlaps {timeline._entries[idx][0]}"
+        )
+    timeline._starts.insert(idx, interval.start)
+    timeline._entries.insert(idx, (interval, value))
+
+
+def _parse_time(token: str) -> int:
+    return FOREVER if token == "inf" else int(token)
+
+
+def _add_property(owner, label: str, interval: Interval, value: Any) -> None:
+    timeline = owner.properties._timelines.setdefault(label, PropertyTimeline())
+    reference_timeline_add(timeline, interval, value)
+
+
+def reference_load_text(fh: TextIO) -> TemporalGraph:
+    graph = TemporalGraph()
+    edges_by_id: dict[str, TemporalEdge] = {}
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        kind = parts[0]
+        try:
+            if kind == "V":
+                _, vid, s, e = parts
+                graph._add_vertex(TemporalVertex(vid, Interval(_parse_time(s), _parse_time(e))))
+            elif kind == "VP":
+                _, vid, label, s, e, val = parts
+                _add_property(
+                    graph.vertex(vid), label,
+                    Interval(_parse_time(s), _parse_time(e)), ast.literal_eval(val),
+                )
+            elif kind == "E":
+                _, eid, src, dst, s, e = parts
+                edge = TemporalEdge(eid, src, dst, Interval(_parse_time(s), _parse_time(e)))
+                edges_by_id[eid] = edge
+                graph._add_edge(edge)
+            elif kind == "EP":
+                _, eid, label, s, e, val = parts
+                _add_property(
+                    edges_by_id[eid], label,
+                    Interval(_parse_time(s), _parse_time(e)), ast.literal_eval(val),
+                )
+            else:
+                raise ValueError(f"unknown record kind {kind!r}")
+        except (ValueError, KeyError) as exc:
+            raise ValueError(f"line {lineno}: cannot parse {line!r}") from exc
+    graph.validate()
+    return graph

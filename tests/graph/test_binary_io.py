@@ -49,6 +49,15 @@ class TestRoundtrip:
         with pytest.raises(ValueError, match="not an ITGR"):
             load_graph_binary(io.BytesIO(b"NOPE" + b"\x00" * 10))
 
+    def test_repeated_edge_id(self):
+        # Constraint 1 is the model's: no loader can build this graph.
+        buf = io.BytesIO()
+        dump_graph_binary(transit_graph(), buf)
+        raw = buf.getvalue()
+        assert raw.count(b"AB") == 1 and raw.count(b"AC") == 1
+        with pytest.raises(ValueError, match="edge 'AB' already exists"):
+            load_graph_binary(io.BytesIO(raw.replace(b"AC", b"AB")))
+
     def test_trailing_bytes(self):
         buf = io.BytesIO()
         dump_graph_binary(transit_graph(), buf)

@@ -36,6 +36,13 @@ class TestBuilder:
         with pytest.raises(ValueError, match="constraint 1"):
             b.add_edge("A", "B", eid="e")
 
+    def test_constraint1_generated_edge_id_meets_a_chosen_one(self):
+        b = TemporalGraphBuilder()
+        b.add_vertices(["A", "B"])
+        b.add_edge("A", "B", eid="e0")
+        with pytest.raises(ValueError, match="constraint 1"):
+            b.add_edge("A", "B")  # generates "e0"
+
     def test_constraint2_edge_outside_endpoint_lifespan(self):
         b = TemporalGraphBuilder()
         b.add_vertex("A", 0, 5)
@@ -115,6 +122,16 @@ class TestGraphAccessors:
         assert (edge.src, edge.dst) == ("B", "A")
         assert edge.lifespan == Interval(3, 7)
         assert edge.properties.value_at("w", 4) == 5
+
+    def test_model_refuses_a_repeated_id(self):
+        # Not only the builder: every constructor goes through these two.
+        g = small_graph()
+        with pytest.raises(ValueError, match="constraint 1"):
+            g._add_vertex(g.vertex("A"))
+        with pytest.raises(ValueError, match="constraint 1"):
+            g._add_edge(g.edge("e1"))
+        assert g.has_edge("e1") and not g.has_edge("e2")
+        assert len(g.out_edges("A")) == len(g.in_edges("B")) == g.num_edges == 1
 
     def test_validate_catches_manual_corruption(self):
         g = small_graph()

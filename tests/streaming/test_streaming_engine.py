@@ -50,6 +50,10 @@ class TestBasics:
             stream.add_edge("a", "zzz")
         with pytest.raises(ValueError, match="constraint 2"):
             stream.add_edge("a", "a", 0, 9)
+        stream.add_edge("a", "a", 0, 5, eid="loop")
+        with pytest.raises(ValueError, match="constraint 1"):
+            stream.add_edge("a", "a", 0, 5, eid="loop")
+        assert stream.pending_updates == 1
 
     def test_engine_options_validated_at_construction(self):
         # Regression: a typo'd option used to surface only when compute()
