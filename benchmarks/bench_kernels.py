@@ -1,14 +1,12 @@
 #!/usr/bin/env python
 """Kernel micro-benchmarks with a persisted perf-regression gate.
 
-Times the engine's four hot kernels on synthetic workloads —
+Times the engine's hot kernels on synthetic workloads —
 
 * **warp**        — ``time_warp`` over 10k messages (plain and combiner),
                     against the retained per-partition reference sweep;
 * **state**       — ``PartitionedState.set_many`` bulk updates, against
                     sequential ``set()`` calls;
-* **scatter**     — ``merge_join_partitioned`` slice×piece pairing, against
-                    the nested-intersection reference;
 * **encode**      — message codec round-trip (no reference; tracked as
                     time normalised by a pure-Python calibration loop so
                     the number is comparable across machines);
@@ -102,7 +100,7 @@ from repro.core.messages import IntervalMessage  # noqa: E402
 from repro.core.program import IntervalProgram  # noqa: E402
 from repro.core.combiner import min_combiner  # noqa: E402
 from repro.core.state import PartitionedState  # noqa: E402
-from repro.core.warp import merge_join_partitioned, time_warp  # noqa: E402
+from repro.core.warp import time_warp  # noqa: E402
 from repro.graph.builder import TemporalGraphBuilder  # noqa: E402
 from repro.obs.exporters import render_summary  # noqa: E402
 from repro.obs.observers import InMemoryEvents, JsonlTraceWriter  # noqa: E402
@@ -111,7 +109,6 @@ from repro.runtime.cluster import SimulatedCluster  # noqa: E402
 from repro.runtime.encoding import decode_message, encode_message  # noqa: E402
 
 from tests.core._reference_impls import (  # noqa: E402
-    reference_join_partitioned,
     reference_set_sequence,
     reference_time_warp,
 )
@@ -164,7 +161,6 @@ SIZES = {
     "full": dict(
         warp_messages=10_000, warp_partitions=64, warp_span=20_000,
         state_updates=5_000, state_span=20_000,
-        scatter_slices=512, scatter_pieces=256, scatter_span=8_192,
         encode_messages=20_000, repeats=3,
         engine_vertices=160, engine_fanout=7, engine_span=64,
         engine_supersteps=4, engine_shards=4, engine_procs=4,
@@ -174,7 +170,6 @@ SIZES = {
     "smoke": dict(
         warp_messages=3_000, warp_partitions=48, warp_span=3_000,
         state_updates=1_000, state_span=4_000,
-        scatter_slices=128, scatter_pieces=64, scatter_span=2_048,
         encode_messages=4_000, repeats=3,
         engine_vertices=60, engine_fanout=5, engine_span=32,
         engine_supersteps=4, engine_shards=4, engine_procs=2,
@@ -281,19 +276,6 @@ def bench_state(sizes, repeats):
     )
     opt = best_of(bulk, repeats)
     ref = best_of(sequential, repeats)
-    return {"opt_s": opt, "ref_s": ref, "speedup": ref / opt}
-
-
-def bench_scatter(sizes, repeats):
-    rng = random.Random(0xF00D)
-    span = sizes["scatter_span"]
-    slices = make_partitions(rng, sizes["scatter_slices"], span)
-    pieces = make_partitions(rng, sizes["scatter_pieces"], span)
-    assert set(merge_join_partitioned(slices, pieces)) == set(
-        reference_join_partitioned(slices, pieces)
-    )
-    opt = best_of(lambda: merge_join_partitioned(slices, pieces), repeats)
-    ref = best_of(lambda: reference_join_partitioned(slices, pieces), repeats)
     return {"opt_s": opt, "ref_s": ref, "speedup": ref / opt}
 
 
@@ -1004,7 +986,7 @@ def main(argv=None) -> int:
     sizes = SIZES[mode]
     repeats = sizes["repeats"]
 
-    print(f"bench_kernels [{mode}] — warp/state/scatter/encode")
+    print(f"bench_kernels [{mode}] — warp/state/encode")
     calib = calibration_seconds()
     print(f"  calibration loop: {calib * 1e3:8.2f} ms")
 
@@ -1013,7 +995,6 @@ def main(argv=None) -> int:
         ("warp_10k", lambda: bench_warp(sizes, repeats)),
         ("warp_combine_10k", lambda: bench_warp_combine(sizes, repeats)),
         ("state_bulk_update", lambda: bench_state(sizes, repeats)),
-        ("scatter_merge_join", lambda: bench_scatter(sizes, repeats)),
         ("encode_roundtrip", lambda: bench_encode(sizes, repeats, calib)),
         ("engine_parallel", lambda: bench_engine_parallel(sizes, repeats)),
         ("checkpoint_overhead", lambda: bench_checkpoint_overhead(sizes, repeats)),

@@ -4,8 +4,11 @@ command.
 
 One warm-up pass, then one profiled pass of the same algorithms over the
 same resident graph through ``repro.algorithms.run_algorithm`` on the
-GRAPHITE platform; prints each run's counters and the top-N functions by own
-time and by cumulative time.  ``--algorithm`` takes a comma list.  The graph's
+GRAPHITE platform; prints each run's counters, then ``calls per message``
+(profiled calls ÷ messages) and how many ``Interval``, ``IntervalMessage`` and
+``EdgeContext`` objects were constructed per ``scatter`` call — the message
+path's allocation contract as numbers — and the top-N functions by own time
+and by cumulative time.  ``--algorithm`` takes a comma list.  The graph's
 piece index is built once per graph, so the warm-up would hide it: its
 one-time build is timed first and printed on its own line.  ``--window START
 END`` runs the same algorithms over ``graph.window(START, END)`` — what a
@@ -33,7 +36,23 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.algorithms import run_algorithm  # noqa: E402
+from repro.core.context import EdgeContext  # noqa: E402
+from repro.core.interval import Interval  # noqa: E402
+from repro.core.messages import IntervalMessage  # noqa: E402
 from repro.datasets import load_surrogate  # noqa: E402
+
+#: The constructors behind each boxed type of the message path.
+CONSTRUCTORS = {
+    "Interval": (Interval.__init__, Interval._unchecked.__func__),
+    "IntervalMessage": (IntervalMessage.__init__,),
+    "EdgeContext": (EdgeContext.__init__,),
+}
+
+
+def _calls(stats: pstats.Stats, fn) -> int:
+    code = fn.__code__
+    entry = stats.stats.get((code.co_filename, code.co_firstlineno, code.co_name))
+    return entry[1] if entry else 0
 
 
 def main(argv=None) -> int:
@@ -70,15 +89,28 @@ def main(argv=None) -> int:
 
     run()  # warm-up: imports, lazy module state, allocator
     profile = cProfile.Profile()
+    messages = scatter_calls = 0
     for outcome in profile.runcall(run):
         m = outcome.metrics
+        messages += m.messages_sent
+        scatter_calls += m.scatter_calls
         print(
             f"{outcome.algorithm} on {where}: "
             f"{graph.num_vertices} vertices, {m.supersteps} supersteps, "
             f"{m.compute_calls} compute calls, {m.scatter_calls} scatter calls, "
             f"{m.messages_sent} messages, {m.message_bytes} bytes"
         )
-    stats = pstats.Stats(profile, stream=sys.stdout).strip_dirs()
+    stats = pstats.Stats(profile, stream=sys.stdout)
+    print(
+        f"calls per message: {stats.total_calls} profiled calls / "
+        f"{messages} messages = {stats.total_calls / max(messages, 1):.1f}"
+    )
+    built = ", ".join(
+        f"{name} {sum(_calls(stats, fn) for fn in fns) / max(scatter_calls, 1):.2f}"
+        for name, fns in CONSTRUCTORS.items()
+    )
+    print(f"constructed per scatter call ({scatter_calls} calls): {built}")
+    stats.strip_dirs()
     for order in ("tottime", "cumulative"):
         print(f"\n== top {args.top} by {order} ==")
         stats.sort_stats(order).print_stats(args.top)

@@ -49,9 +49,11 @@ class TemporalLD(IntervalProgram):
     def compute(self, ctx, interval: Interval, state: int, messages: list[int]) -> None:
         if ctx.superstep == 1:
             if ctx.vertex_id == self.target:
+                # A target that dies before the deadline must be reached
+                # while it lives: the bound is its last time-point.
                 horizon = min(self.deadline + 1, ctx.lifespan.end)
                 if ctx.lifespan.start < horizon:
-                    ctx.set_state(Interval(ctx.lifespan.start, horizon), self.deadline)
+                    ctx.set_state(Interval(ctx.lifespan.start, horizon), horizon - 1)
             return
         best = max(messages, default=IMPOSSIBLE)
         if best > state:

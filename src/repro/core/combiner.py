@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .interval import Interval
-from .messages import IntervalMessage
+from .messages import Row, row_interval
 
 
 class MessageCombiner:
@@ -42,75 +41,57 @@ class MessageCombiner:
     def __call__(self, a: Any, b: Any) -> Any:
         return self._fn(a, b)
 
-    def combine_dominated(
-        self, messages: list[IntervalMessage]
-    ) -> list[IntervalMessage]:
+    def combine_dominated(self, messages: list[Row]) -> list[Row]:
         """Drop messages dominated by another (selective combiners only).
 
-        ``b`` is dominated by ``a`` when ``a.interval ⊇ b.interval`` and the
-        fold of the two values is ``a``'s: every warp group containing ``b``
-        then also contains ``a``, and the folded value is unchanged, so the
-        compute outcomes are identical with ``b`` removed.
+        ``b`` is dominated by ``a`` when ``a``'s interval contains ``b``'s
+        and the fold of the two values is ``a``'s: every warp group
+        containing ``b`` then also contains ``a``, and the folded value is
+        unchanged, so the compute outcomes are identical with ``b`` removed.
         """
         if not self.selective or len(messages) < 2:
             return messages
-        keep: list[IntervalMessage] = []
+        fn = self._fn
+        keep: list[Row] = []
         for i, msg in enumerate(messages):
-            dominated = False
-            for j, other in enumerate(messages):
-                if i == j:
-                    continue
-                if not other.interval.contains(msg.interval):
-                    continue
-                folded = self._fn(other.value, msg.value)
-                if folded != other.value:
+            start, end, value = msg
+            for j, (o_start, o_end, o_value) in enumerate(messages):
+                if o_start > start or end > o_end or i == j:
+                    continue  # not contained in the other (or itself)
+                if fn(o_value, value) != o_value:
                     continue
                 # Ties on both interval and value: keep only the first.
-                if (
-                    other.interval == msg.interval
-                    and other.value == msg.value
-                    and j > i
-                ):
+                if o_start == start and o_end == end and o_value == value and j > i:
                     continue
-                dominated = True
-                break
-            if not dominated:
+                break  # dominated
+            else:
                 keep.append(msg)
         return keep
 
-    def combine_identical_intervals(
-        self, messages: list[IntervalMessage]
-    ) -> list[IntervalMessage]:
+    def combine_identical_intervals(self, messages: list[Row]) -> list[Row]:
         """Receiver-side pass: fold messages sharing the exact same interval.
 
         This is safe for any payloads because it never changes the temporal
-        extent of a message, only collapses duplicates of one extent.
+        extent of a message, only collapses duplicates of one extent.  The
+        folded rows keep the order in which each interval first appeared.
         """
-        # Keyed by the (start, end) ints: tuple hashing and equality stay in
-        # C, where Interval's are Python-level calls per probe.
         fn = self._fn
         folded: dict[tuple[int, int], Any] = {}
-        first: list[IntervalMessage] = []
-        for msg in messages:
-            interval = msg.interval
-            key = (interval.start, interval.end)
+        for start, end, value in messages:
+            key = (start, end)
             if key in folded:
-                folded[key] = fn(folded[key], msg.value)
+                folded[key] = fn(folded[key], value)
             else:
-                folded[key] = msg.value
-                first.append(msg)
-        if len(first) == len(messages):
+                folded[key] = value
+        if len(folded) == len(messages):
             return messages
-        return [IntervalMessage(msg.interval, value)
-                for msg, value in zip(first, folded.values())]
+        return [(start, end, value) for (start, end), value in folded.items()]
 
     def __repr__(self) -> str:
         return f"MessageCombiner({self.name})"
 
 
-def coalesce_messages(
-    messages: list[IntervalMessage], *, allow_overlap: bool
-) -> list[IntervalMessage]:
+def coalesce_messages(messages: list[Row], *, allow_overlap: bool) -> list[Row]:
     """Merge equal-valued messages with adjacent (or overlapping) intervals.
 
     Merging messages whose intervals *meet* is safe for any algorithm: at
@@ -121,17 +102,14 @@ def coalesce_messages(
     """
     if len(messages) < 2:
         return messages
-    ordered = sorted(messages, key=lambda m: (m.interval.start, m.interval.end))
-    out: list[IntervalMessage] = [ordered[0]]
+    ordered = sorted(messages, key=row_interval)
+    out: list[Row] = [ordered[0]]
     for msg in ordered[1:]:
-        last = out[-1]
-        joined = last.interval.end >= msg.interval.start
-        overlapping = last.interval.end > msg.interval.start
-        if joined and (allow_overlap or not overlapping) and last.value == msg.value:
-            if msg.interval.end > last.interval.end:
-                out[-1] = IntervalMessage(
-                    Interval(last.interval.start, msg.interval.end), last.value
-                )
+        start, end, value = msg
+        l_start, l_end, l_value = out[-1]
+        if (l_end == start or (allow_overlap and l_end > start)) and l_value == value:
+            if end > l_end:
+                out[-1] = (l_start, end, l_value)
         else:
             out.append(msg)
     return out

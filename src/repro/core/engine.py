@@ -35,8 +35,9 @@ import os
 import shutil
 import tempfile
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from repro.graph.compact import resolve_graph_store
 from repro.obs.events import EventStream, WORKER_SPAN_PHASES
@@ -48,11 +49,11 @@ from repro.runtime.partitioner import build_partitioner, partitioner_fingerprint
 from .combiner import coalesce_messages
 from .config import EngineConfig
 from .context import EdgeContext, MasterContext, VertexContext
-from .interval import Interval, coalesce
-from .messages import IntervalMessage
+from .interval import FOREVER, Interval, coalesce
+from .messages import IntervalMessage, Row
 from .program import IntervalProgram
 from .state import PartitionedState
-from .warp import merge_join_partitioned, time_warp
+from .warp import warp_rows
 
 
 class IcmProgramError(RuntimeError):
@@ -168,13 +169,14 @@ class VertexProcessor:
     def process(
         self,
         ctx: VertexContext,
-        messages: list[IntervalMessage],
+        messages: list[Row],
         metrics: RunMetrics,
         send_batch,
         extra_raw: int = 0,
     ) -> float:
         """Run one vertex's computation phase; returns its modeled cost.
 
+        ``messages`` is the inbox as ``(start, end, value)`` rows.
         ``extra_raw`` is the number of raw messages that sender-side
         combining pre-folded out of ``messages`` before delivery (the sum
         of ``count - 1`` over combined entries addressed to this vertex);
@@ -217,7 +219,7 @@ class VertexProcessor:
         return self.scatter_updates(ctx, metrics, send_batch)
 
     def _compute_on_messages(
-        self, ctx: VertexContext, messages: list[IntervalMessage],
+        self, ctx: VertexContext, messages: list[Row],
         metrics: RunMetrics, extra_raw: int = 0,
     ) -> float:
         program = self.program
@@ -237,31 +239,42 @@ class VertexProcessor:
                 messages = combiner.combine_dominated(messages)
             metrics.combiner_reductions += before - len(messages)
 
-        if self.should_suppress_warp(messages, ctx.lifespan):
+        # ``covered`` has one reader, the complement pass of fixed-superstep
+        # programs below; nobody else pays for it.
+        fixed = program.fixed_supersteps is not None
+        lifespan = ctx.lifespan
+        if self.should_suppress_warp(messages, lifespan):
             metrics.warp_suppressed_vertices += 1
             cost += self._compute_time_point(ctx, messages, metrics)
-            covered = coalesce(
-                m.interval for m in messages if m.interval.overlaps(ctx.lifespan)
-            )
+            if fixed:
+                covered = coalesce(
+                    Interval._unchecked(start, end)  # rows hold start < end
+                    for start, end, _ in messages
+                    if start < lifespan.end and lifespan.start < end
+                )
         else:
             metrics.warp_calls += 1
             cost += len(messages) * model.per_warp_item_s
-            outer = ctx.state.partitions()
-            inner = [(m.interval, m.value) for m in messages]
             combine = combiner if (combiner is not None and self.enable_warp_combiner) else None
-            triples = time_warp(outer, inner, combine)
+            # The sweep reads the state's columns in place; every triple
+            # exists before the first compute call can repartition them.
+            state = ctx.state
+            triples = warp_rows(
+                state._starts, state._ends, state._values, messages, combine
+            )
             for interval, value, group in triples:
                 self._invoke_compute(ctx, interval, value, group, metrics)
                 # Inline-folded groups are singletons: compute's scan over
                 # the message group is what the warp combiner saves.
                 cost += model.per_compute_call_s + len(group) * model.per_message_scan_s
             ctx._end()
-            covered = coalesce(iv for iv, _, _ in triples)
+            if fixed:
+                covered = coalesce(iv for iv, _, _ in triples)
 
-        if program.fixed_supersteps is not None:
+        if fixed:
             # Complement intervals get an empty-message compute call so the
             # whole lifespan advances each superstep (PageRank-style).
-            for gap in _complement(ctx.lifespan, covered):
+            for gap in _complement(lifespan, covered):
                 for interval, value in ctx.state.slices(gap):
                     self._invoke_compute(ctx, interval, value, [], metrics)
                     cost += model.per_compute_call_s
@@ -269,7 +282,7 @@ class VertexProcessor:
         return cost
 
     def _compute_time_point(
-        self, ctx: VertexContext, messages: list[IntervalMessage], metrics: RunMetrics
+        self, ctx: VertexContext, messages: list[Row], metrics: RunMetrics
     ) -> float:
         """Warp-suppressed path: degenerate to time-point-centric execution.
 
@@ -281,13 +294,13 @@ class VertexProcessor:
         model = self.model
         combiner = self.program.combiner if self.enable_warp_combiner else None
         cost = 0.0
+        life_start = ctx.lifespan.start
+        life_end = ctx.lifespan.end
         buckets: dict[int, list[Any]] = {}
-        for msg in messages:
-            clipped = msg.interval.intersect(ctx.lifespan)
-            if clipped is None:
-                continue
-            for t in clipped.points():
-                buckets.setdefault(t, []).append(msg.value)
+        for start, end, value in messages:
+            # Clipped to the lifespan; bounded, or suppression was refused.
+            for t in range(max(start, life_start), min(end, life_end)):
+                buckets.setdefault(t, []).append(value)
         for t in sorted(buckets):
             group = buckets[t]
             cost += model.per_compute_call_s + len(group) * model.per_message_scan_s
@@ -301,9 +314,7 @@ class VertexProcessor:
         ctx._end()
         return cost
 
-    def should_suppress_warp(
-        self, messages: list[IntervalMessage], lifespan: Interval
-    ) -> bool:
+    def should_suppress_warp(self, messages: list[Row], lifespan: Interval) -> bool:
         """Decide whether to skip warp for time-point execution.
 
         Only the portion of each message inside the vertex lifespan counts:
@@ -313,19 +324,23 @@ class VertexProcessor:
         """
         if not self.enable_warp_suppression or not messages:
             return False
+        life_start = lifespan.start
+        life_end = lifespan.end
         units = 0
-        live = 0
         clipped_lengths: list[int] = []
-        for msg in messages:
-            clipped = msg.interval.intersect(lifespan)
-            if clipped is None:
+        for start, end, _ in messages:
+            if start < life_start:
+                start = life_start
+            if end > life_end:
+                end = life_end
+            if start >= end:
                 continue  # dead traffic: no compute call on any path
-            if clipped.is_unbounded:
+            if end >= FOREVER:
                 return False
-            live += 1
-            if clipped.is_unit:
+            if end - start == 1:
                 units += 1
-            clipped_lengths.append(clipped.length)
+            clipped_lengths.append(end - start)
+        live = len(clipped_lengths)
         if not live or units / live < self.warp_suppression_threshold:
             return False
         total_points = 0
@@ -354,17 +369,28 @@ class VertexProcessor:
             self.scatter_wall += time.perf_counter() - t_scatter
 
     def _scatter_windows(self, ctx, updated, out_edges, metrics, send_batch) -> float:
+        """The pre-scatter time-join and ``scatter`` dispatch, as one loop.
+
+        Per (updated window, out-edge) the state's slices and the edge's
+        property-constant pieces are both partitioned covers of the
+        overlap, so pairing them is a linear walk: one bisection into
+        ``PieceIndex.cuts``, then a cursor that only moves forward.  Each
+        pairing builds the one ``Interval`` and ``EdgeContext`` its
+        ``scatter`` call is handed; what the call returns becomes rows.
+        """
         program = self.program
-        model = self.model
+        scatter = program.scatter
+        tracer = self.tracer
+        superstep = self.superstep
+        per_call = self.model.per_scatter_call_s
+        mk_interval = Interval._unchecked  # lo < cut holds at every step
         cost = 0.0
+        calls = 0
         vid = ctx.vertex_id
-        outbox: dict[Any, list[IntervalMessage]] = {}
+        slice_rows = ctx.state.slice_rows
+        outbox: dict[Any, list[Row]] = {}
         for window in updated:
-            # Both the state slices and each edge's pieces are partitioned
-            # covers of (their part of) the window, so pairing them is a
-            # linear merge-join by interval order — no slices × pieces
-            # re-intersection.
-            slices = ctx.state.slices(window)
+            slices = slice_rows(window)
             if not slices:
                 continue
             w_start = window.start
@@ -375,32 +401,72 @@ class VertexProcessor:
                 end = span.end if span.end < w_end else w_end
                 if start >= end:
                     continue
-                pieces = index.pieces(start, end)
-                for common, s_val, values in merge_join_partitioned(slices, pieces):
-                    edge_ctx = EdgeContext(edge, common, values)
-                    ctx._begin("scatter", common)
-                    if self.tracer is not None:
-                        self.tracer.on_scatter(
-                            self.superstep, vid, edge.eid, common, s_val
-                        )
-                    try:
-                        result = program.scatter(ctx, edge_ctx, common, s_val)
-                    except IcmProgramError:
-                        raise
-                    except Exception as exc:
-                        raise IcmProgramError(
-                            "scatter", vid, self.superstep, common, exc
-                        ) from exc
-                    ctx._end()
-                    metrics.scatter_calls += 1
-                    cost += model.per_scatter_call_s
-                    for msg in _normalise_scatter(result):
-                        outbox.setdefault(edge.dst, []).append(msg)
+                cuts = index.cuts
+                values = index.values
+                n_cuts = len(cuts)
+                # values[i] holds over [cuts[i-1], cuts[i]); from here on
+                # ``i`` stays the piece covering ``lo``.
+                i = bisect_right(cuts, start)
+                dst = edge.dst
+                sink = outbox.get(dst)
+                for s_start, s_end, s_val in slices:
+                    if s_end <= start:
+                        continue
+                    if s_start >= end:
+                        break
+                    lo = s_start if s_start > start else start
+                    hi = s_end if s_end < end else end
+                    while True:
+                        piece = values[i]
+                        if i < n_cuts and cuts[i] <= hi:
+                            cut = cuts[i]
+                            i += 1
+                        else:
+                            cut = hi
+                        common = mk_interval(lo, cut)
+                        ctx._begin("scatter", common)
+                        if tracer is not None:
+                            tracer.on_scatter(superstep, vid, edge.eid, common, s_val)
+                        # What the call returns is the program's too: a bad
+                        # item is its error, at this vertex and interval.
+                        try:
+                            result = scatter(
+                                ctx, EdgeContext(edge, common, piece), common, s_val
+                            )
+                            ctx._end()
+                            if result is not None:
+                                for item in result:
+                                    if item is None:
+                                        continue
+                                    if isinstance(item, IntervalMessage):
+                                        interval = item.interval
+                                        value = item.value
+                                    else:
+                                        interval, value = item
+                                    if sink is None:
+                                        sink = outbox[dst] = []
+                                    sink.append((interval.start, interval.end, value))
+                        except IcmProgramError:
+                            raise
+                        except Exception as exc:
+                            raise IcmProgramError(
+                                "scatter", vid, superstep, common, exc
+                            ) from exc
+                        calls += 1
+                        cost += per_call
+                        if cut == hi:
+                            break
+                        lo = cut
+        metrics.scatter_calls += calls
         combiner = program.combiner
         selective = combiner is not None and combiner.selective
+        dominated = (
+            selective and self.enable_receiver_combiner
+            and self.enable_dominated_elimination
+        )
         for dst, msgs in outbox.items():
             if len(msgs) > 1:
-                if selective and self.enable_receiver_combiner and self.enable_dominated_elimination:
+                if dominated:
                     # Sender-side pass of the dominated-message rule: a
                     # message contained in another that wins the fold
                     # carries no information — keep it off the wire.
@@ -409,7 +475,13 @@ class VertexProcessor:
                 # overlapping ones when the combiner allows): one interval
                 # message instead of one per edge-property piece.
                 msgs = coalesce_messages(msgs, allow_overlap=selective)
-            send_batch(vid, dst, msgs)
+            try:
+                send_batch(vid, dst, msgs)
+            except Exception as exc:
+                # The sink refused the batch (a payload the codec cannot
+                # size, say): report it where the program can be found.
+                span = mk_interval(min(m[0] for m in msgs), max(m[1] for m in msgs))
+                raise IcmProgramError("scatter", vid, superstep, span, exc) from exc
         return cost
 
 
@@ -991,19 +1063,6 @@ class IntervalCentricEngine:
         reduced = dict(self._next_aggregates)
         self._next_aggregates = {}
         return reduced
-
-
-def _normalise_scatter(result) -> Iterable[IntervalMessage]:
-    if result is None:
-        return
-    for item in result:
-        if item is None:
-            continue
-        if isinstance(item, IntervalMessage):
-            yield item
-        else:
-            interval, value = item
-            yield IntervalMessage(interval, value)
 
 
 def _complement(lifespan: Interval, covered: list[Interval]) -> list[Interval]:

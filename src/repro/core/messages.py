@@ -7,9 +7,20 @@ small dataclasses.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 from .interval import Interval
+
+#: A message on the engine's internal path, from the moment ``scatter``
+#: returns to the moment ``compute`` is handed its group: a plain
+#: ``(start, end, value)`` tuple.  The combiner passes, the send sink, the
+#: inboxes, the routed-batch codec and the warp sweep all carry rows;
+#: :class:`IntervalMessage` exists at the program boundary only.
+Row = tuple[int, int, Any]
+
+#: Sort key of rows: interval order ``(start, end)``, compared in C.
+row_interval = itemgetter(0, 1)
 
 
 class IntervalMessage:

@@ -74,17 +74,25 @@ class PartitionedState:
         The result is itself a temporally partitioned cover of
         ``window ∩ lifespan``.
         """
-        out: list[tuple[Interval, Any]] = []
+        mk_interval = Interval._unchecked  # slice_rows guarantees s < e
+        return [(mk_interval(s, e), v) for s, e, v in self.slice_rows(window)]
+
+    def slice_rows(self, window: Interval) -> list[tuple[int, int, Any]]:
+        """:meth:`slices` as plain ``(start, end, value)`` rows, read straight
+        off the columns — the shape the engine's scatter loop walks."""
+        out: list[tuple[int, int, Any]] = []
         lo = max(window.start, self.lifespan.start)
         hi = min(window.end, self.lifespan.end)
         if lo >= hi:
             return out
-        idx = self._locate(lo)
-        while idx < len(self._starts) and self._starts[idx] < hi:
-            s = max(self._starts[idx], lo)
-            e = min(self._ends[idx], hi)
+        starts, ends, values = self._starts, self._ends, self._values
+        idx = bisect_right(starts, lo) - 1
+        n = len(starts)
+        while idx < n and starts[idx] < hi:
             # The partitions tile [lo, hi), so every clip has s < e.
-            out.append((Interval._unchecked(s, e), self._values[idx]))
+            s = starts[idx]
+            e = ends[idx]
+            out.append((s if s > lo else lo, e if e < hi else hi, values[idx]))
             idx += 1
         return out
 

@@ -35,6 +35,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .interval import Interval
+from .messages import row_interval
 
 #: An ``(interval, value)`` pair; states, messages and edge pieces all
 #: project onto this shape before warping.
@@ -120,29 +121,50 @@ def time_warp(
     if not outer or not inner:
         return []
     outer_sorted = sorted(outer, key=_start_key)
-    inner_sorted = sorted(inner, key=_start_key)
+    return warp_rows(
+        [iv.start for iv, _ in outer_sorted],
+        [iv.end for iv, _ in outer_sorted],
+        [val for _, val in outer_sorted],
+        [(iv.start, iv.end, val) for iv, val in inner],
+        combine,
+    )
+
+
+def warp_rows(
+    outer_starts: Sequence[int],
+    outer_ends: Sequence[int],
+    outer_vals: Sequence[Any],
+    inner: Sequence[tuple[int, int, Any]],
+    combine: Optional[Callable[[Any, Any], Any]] = None,
+) -> list[WarpTriple]:
+    """The sweep behind :func:`time_warp`, on the engine's own shapes.
+
+    The outer set arrives as three parallel columns, sorted and
+    non-overlapping — a :class:`~repro.core.state.PartitionedState`'s own
+    ``_starts`` / ``_ends`` / ``_values``, which the sweep only reads; the
+    inner set as ``(start, end, value)`` rows in any order.  The returned
+    list is complete before the caller sees any of it, so ``compute`` may
+    repartition the state whose columns were swept.
+    """
+    if not inner:
+        return []
+    inner_sorted = sorted(inner, key=row_interval)
+    # Column projections: the admission/retirement loops below run once per
+    # elementary segment, so pulling the fields out of the rows up front
+    # trades one linear pass for tens of thousands of tuple reads in the
+    # hot loop.
+    inner_starts = [row[0] for row in inner_sorted]
+    inner_ends = [row[1] for row in inner_sorted]
+    inner_vals = [row[2] for row in inner_sorted]
 
     # Global boundary sweep: one sorted pass over every distinct start/end
     # of both inputs.  Elementary segments lie between consecutive bounds.
-    bound_set: set[int] = set()
-    for iv, _ in outer_sorted:
-        bound_set.add(iv.start)
-        bound_set.add(iv.end)
-    for iv, _ in inner_sorted:
-        bound_set.add(iv.start)
-        bound_set.add(iv.end)
+    bound_set = set(outer_starts)
+    bound_set.update(outer_ends, inner_starts, inner_ends)
     bounds = sorted(bound_set)
 
     n_inner = len(inner_sorted)
-    n_outer = len(outer_sorted)
-    # Column projections: the admission/retirement loops below run once per
-    # elementary segment, so pulling the interval fields out of the tuples
-    # up front trades one linear pass for tens of thousands of attribute
-    # lookups in the hot loop.
-    inner_starts = [item[0].start for item in inner_sorted]
-    inner_ends = [item[0].end for item in inner_sorted]
-    inner_vals = [item[1] for item in inner_sorted]
-    outer_end_col = [item[0].end for item in outer_sorted]
+    n_outer = len(outer_starts)
     #: seq → value of a live message; insertion order is start order, which
     #: keeps emitted group order identical to the historical per-partition
     #: implementation.
@@ -216,13 +238,13 @@ def time_warp(
             continue
         # Advance to the outer partition covering lo (partitions are
         # non-overlapping and sorted, so this pointer only moves forward).
-        while o_idx < n_outer and outer_end_col[o_idx] <= lo:
+        while o_idx < n_outer and outer_ends[o_idx] <= lo:
             o_idx += 1
         if o_idx >= n_outer:
             break
-        o_iv, o_val = outer_sorted[o_idx]
-        if o_iv.start > lo:
+        if outer_starts[o_idx] > lo:
             continue  # gap between outer partitions
+        o_val = outer_vals[o_idx]
         hi = bounds[k + 1]
 
         contiguous = run_hi == lo and _values_equal(run_val, o_val)
@@ -292,41 +314,6 @@ def warp_boundaries(
             bounds.add(max(iv.start, partition.start))
             bounds.add(min(iv.end, partition.end))
     return sorted(bounds)
-
-
-def merge_join_partitioned(
-    left: Sequence[IntervalValue], right: Sequence[IntervalValue]
-) -> list[tuple[Interval, Any, Any]]:
-    """Join two *temporally partitioned* interval-value lists.
-
-    Both inputs must be sorted and non-overlapping (each is a partitioned
-    cover, possibly with gaps).  Equivalent to :func:`time_join` on the same
-    inputs but a pure linear merge — no sorting, no active set — which is
-    what the engine's scatter phase needs when pairing updated state slices
-    with an edge's property-constant pieces.
-
-    Returns ``(intersection, left_value, right_value)`` triples in time
-    order.
-    """
-    out: list[tuple[Interval, Any, Any]] = []
-    li = 0
-    ri = 0
-    n_left = len(left)
-    n_right = len(right)
-    mk_interval = Interval._unchecked  # start < end checked inline below
-    while li < n_left and ri < n_right:
-        l_iv, l_val = left[li]
-        r_iv, r_val = right[ri]
-        start = l_iv.start if l_iv.start > r_iv.start else r_iv.start
-        end = l_iv.end if l_iv.end < r_iv.end else r_iv.end
-        if start < end:
-            out.append((mk_interval(start, end), l_val, r_val))
-        # Advance whichever side ends first; ties advance both.
-        if l_iv.end <= r_iv.end:
-            li += 1
-        if r_iv.end <= l_iv.end:
-            ri += 1
-    return out
 
 
 # -- internals --------------------------------------------------------------

@@ -51,14 +51,14 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from repro.core.interval import Interval
-from repro.core.messages import IntervalMessage
+from repro.core.messages import Row
 from repro.core.state import PartitionedState
 
 from repro.obs.registry import RUN_METRICS
 
 from .encoding import (
-    _encode_interval_into,
     _encode_payload_into,
+    _encode_span_into,
     _encode_varint_into,
     decode_interval,
     decode_payload,
@@ -160,7 +160,7 @@ class LoadedCheckpoint:
     graph: str
     num_workers: int
     states: dict[Any, PartitionedState]
-    pending: list[tuple[int, Any, IntervalMessage]]
+    pending: list[tuple[int, Any, Row]]
     carried_reductions: int
     aggregates: dict[str, Any]
     metrics: dict[str, Any] = field(default_factory=dict)
@@ -180,7 +180,7 @@ class LoadedCheckpoint:
 
 def encode_shard(
     states: list[tuple[Any, PartitionedState]],
-    pending: list[tuple[int, Any, IntervalMessage]],
+    pending: list[tuple[int, Any, Row]],
 ) -> bytes:
     """Encode one shard's states and pending messages with the wire codec.
 
@@ -202,7 +202,7 @@ def encode_shard(
             raise CheckpointError(
                 f"vertex id {vid!r} is not checkpoint-serializable: {exc}"
             ) from exc
-        _encode_interval_into(lifespan, out)
+        _encode_span_into(lifespan.start, lifespan.end, out)
         _encode_varint_into(len(ends), out)
         for end in ends:
             _encode_varint_into(end, out)
@@ -225,7 +225,7 @@ def encode_shard(
 
 def decode_shard(
     buf: bytes, *, coalesce: bool = True
-) -> tuple[dict[Any, PartitionedState], list[tuple[int, Any, IntervalMessage]]]:
+) -> tuple[dict[Any, PartitionedState], list[tuple[int, Any, Row]]]:
     """Inverse of :func:`encode_shard`; rejects bad magic and trailing bytes."""
     if buf[: len(_SHARD_MAGIC)] != _SHARD_MAGIC:
         raise CheckpointError("bad shard file magic (not a checkpoint shard)")
@@ -434,7 +434,7 @@ def write_checkpoint(
     per_shard_states: dict[int, list[tuple[Any, PartitionedState]]] = {}
     for vid, state in snapshot.states.items():
         per_shard_states.setdefault(worker_of(vid), []).append((vid, state))
-    per_shard_pending: dict[int, list[tuple[int, Any, IntervalMessage]]] = {}
+    per_shard_pending: dict[int, list[tuple[int, Any, Row]]] = {}
     for entry in snapshot.pending:
         per_shard_pending.setdefault(worker_of(entry[1]), []).append(entry)
 
@@ -568,7 +568,7 @@ def load_checkpoint(
         )
 
     states: dict[Any, PartitionedState] = {}
-    pending: list[tuple[int, Any, IntervalMessage]] = []
+    pending: list[tuple[int, Any, Row]] = []
     shards = manifest.get("shards", {})
     for shard_key in sorted(shards, key=int):
         meta = shards[shard_key]

@@ -87,36 +87,46 @@ def varint_size(n: int) -> int:
 # -- interval ---------------------------------------------------------------
 
 
-def _encode_interval_into(interval: Interval, out: bytearray) -> None:
-    """Append the wire form of ``interval`` without allocating."""
+def _encode_span_into(start: int, end: int, out: bytearray) -> None:
+    """Append the wire form of ``[start, end)`` without allocating."""
     flags = 0
-    if interval.is_unit:
+    if end - start == 1:
         flags |= _FLAG_UNIT
-    if interval.is_unbounded:
+    if end >= FOREVER:
         flags |= _FLAG_UNBOUNDED
     out.append(flags)
-    _encode_varint_into(interval.start, out)
+    _encode_varint_into(start, out)
     if not flags:
-        _encode_varint_into(interval.end, out)
+        _encode_varint_into(end, out)
 
 
 def encode_interval(interval: Interval) -> bytes:
     """Header byte + varint start [+ varint end when needed]."""
     out = bytearray()
-    _encode_interval_into(interval, out)
+    _encode_span_into(interval.start, interval.end, out)
     return bytes(out)
 
 
-def decode_interval(buf: bytes, offset: int = 0) -> tuple[Interval, int]:
-    """Inverse of :func:`encode_interval`; returns ``(interval, offset)``."""
+def _decode_span(buf: bytes, offset: int) -> tuple[int, int, int]:
+    """``(start, end, next_offset)`` of an encoded interval, refusing what
+    ``Interval()`` refuses: bytes are outside input, rows are not boxed."""
     flags = buf[offset]
     offset += 1
     start, offset = decode_varint(buf, offset)
     if flags & _FLAG_UNBOUNDED:
-        return Interval(start, FOREVER), offset
-    if flags & _FLAG_UNIT:
-        return Interval(start, start + 1), offset
-    end, offset = decode_varint(buf, offset)
+        end = FOREVER
+    elif flags & _FLAG_UNIT:
+        end = start + 1
+    else:
+        end, offset = decode_varint(buf, offset)
+    if start >= end:
+        raise ValueError(f"empty interval [{start}, {end})")
+    return start, end, offset
+
+
+def decode_interval(buf: bytes, offset: int = 0) -> tuple[Interval, int]:
+    """Inverse of :func:`encode_interval`; returns ``(interval, offset)``."""
+    start, end, offset = _decode_span(buf, offset)
     return Interval(start, end), offset
 
 
@@ -260,26 +270,24 @@ def encoded_message_size(msg: IntervalMessage, *, varint: bool = True) -> int:
 
 
 def encoded_batch_size(messages, *, varint: bool = True) -> int:
-    """Aggregate wire size of a message batch, sized in one pass.
+    """Aggregate wire size of a batch of ``(start, end, value)`` rows, sized
+    in one pass.
 
-    Exactly ``sum(encoded_message_size(m) for m in messages)``.  The worker
-    runtime sizes each per-destination batch with one call, and the common
-    shapes — time-points below 128, a float or small non-negative int
-    payload — are sized inline, without a Python call per message; anything
-    else falls back to the per-field sizers.
+    Exactly the sum of :func:`encoded_message_size` over the same messages
+    boxed.  The worker runtime sizes each per-destination batch with one
+    call, and the common shapes — time-points below 128, a float or small
+    non-negative int payload — are sized inline, without a Python call per
+    message; anything else falls back to the per-field sizers.
     """
     total = 0
     if not varint:
-        for msg in messages:
-            total += 16 + payload_size(msg.value, varint=False)
+        for _, _, value in messages:
+            total += 16 + payload_size(value, varint=False)
         return total
-    for msg in messages:
-        interval = msg.interval
-        start, end = interval.start, interval.end
+    for start, end, value in messages:
         total += 2 if start < 0x80 else 1 + varint_size(start)
         if end - start != 1 and end < FOREVER:  # neither unit nor open-ended
             total += 1 if end < 0x80 else varint_size(end)
-        value = msg.value
         kind = type(value)
         if kind is float:
             total += 9
@@ -296,7 +304,8 @@ def encoded_batch_size(messages, *, varint: bool = True) -> int:
 # (source process, destination process) pair.  Each entry carries the
 # sending vertex's global sequence number so the receiver can restore the
 # exact serial delivery order (stable sort by ``seq``), the destination
-# vertex id (any payload-encodable value), and the message itself.
+# vertex id (any payload-encodable value), and the message itself as a
+# ``(start, end, value)`` row — the engine's one internal message shape.
 #
 # Wire format 2 prefixes the buffer with a format byte and gives every
 # entry a trailing varint *raw message count*.  A count above 1 marks a
@@ -315,26 +324,26 @@ ROUTED_BATCH_FORMAT = 2
 def encode_routed_batch_into(entries, out: bytearray) -> None:
     """Append the wire form of a routed batch to ``out`` without allocating.
 
-    Entries are either ``(seq, dst_vid, IntervalMessage)`` 3-tuples (a raw
-    message, count 1) or ``(seq, dst_vid, IntervalMessage, count, charge)``
-    5-tuples (a combined entry standing in for ``count`` raw messages whose
-    modeled receiver scan charge is ``charge`` seconds).
+    Entries are either ``(seq, dst_vid, row)`` 3-tuples (a raw message,
+    count 1) or ``(seq, dst_vid, row, count, charge)`` 5-tuples (a combined
+    entry standing in for ``count`` raw messages whose modeled receiver scan
+    charge is ``charge`` seconds); ``row`` is ``(start, end, value)``.
     """
     out.append(ROUTED_BATCH_FORMAT)
     _encode_varint_into(len(entries), out)
-    varint_into, payload_into, interval_into = (
-        _encode_varint_into, _encode_payload_into, _encode_interval_into,
+    varint_into, payload_into, span_into = (
+        _encode_varint_into, _encode_payload_into, _encode_span_into,
     )
     for entry in entries:
         if len(entry) == 3:
-            seq, dst, msg = entry
+            seq, dst, (start, end, value) = entry
             count = 1
         else:
-            seq, dst, msg, count, charge = entry
+            seq, dst, (start, end, value), count, charge = entry
         varint_into(seq, out)
         payload_into(dst, out)
-        interval_into(msg.interval, out)
-        payload_into(msg.value, out)
+        span_into(start, end, out)
+        payload_into(value, out)
         varint_into(count, out)
         if count > 1:
             out += struct.pack("<d", charge)
@@ -355,7 +364,8 @@ def _decode_routed_entries(buf, offset: int = 0):
     ``bytearray`` receive buffer larger than the frame) — the caller
     checks the final offset against the frame length if it cares about
     trailing bytes.  Combined entries come back as 5-tuples, raw entries
-    as 3-tuples.
+    as 3-tuples, each around a ``(start, end, value)`` row; a row
+    ``Interval()`` would refuse (``end <= start``) is a ``ValueError``.
     """
     fmt = buf[offset]
     offset += 1
@@ -370,10 +380,10 @@ def _decode_routed_entries(buf, offset: int = 0):
     for _ in range(count):
         seq, offset = decode_varint(buf, offset)
         dst, offset = decode_payload(buf, offset)
-        interval, offset = decode_interval(buf, offset)
+        start, end, offset = _decode_span(buf, offset)
         value, offset = decode_payload(buf, offset)
         raw, offset = decode_varint(buf, offset)
-        msg = IntervalMessage(interval, value)
+        msg = (start, end, value)
         if raw > 1:
             charge = struct.unpack_from("<d", buf, offset)[0]
             offset += 8

@@ -72,7 +72,7 @@ from repro.core.config import EngineConfig, ExchangeConfig
 from repro.core.context import VertexContext
 from repro.core.engine import VertexProcessor
 from repro.core.interval import Interval
-from repro.core.messages import IntervalMessage
+from repro.core.messages import Row
 from repro.obs.registry import RUN_METRICS
 
 from .checkpoint import ExecutorSnapshot
@@ -407,7 +407,7 @@ class _WorkerRuntime:
     # -- engine protocol for VertexContext -----------------------------------
 
     def send_direct(self, src_vid: Any, dst_vid: Any, interval: Interval, value: Any) -> None:
-        self.send_batch(src_vid, dst_vid, (IntervalMessage(interval, value),))
+        self.send_batch(src_vid, dst_vid, ((interval.start, interval.end, value),))
 
     def contribute_aggregate(self, name: str, value: Any) -> None:
         if name not in self._aggregator_names:
@@ -421,8 +421,8 @@ class _WorkerRuntime:
     # -- message routing ------------------------------------------------------
 
     def send_batch(self, src: Any, dst: Any, msgs) -> None:
-        """The processor's send sink: ``msgs`` from vertex ``src`` to vertex
-        ``dst``, in send order.
+        """The processor's send sink: ``msgs`` — ``(start, end, value)`` rows
+        — from vertex ``src`` to vertex ``dst``, in send order.
 
         Routing (both shards, local or remote, destination process) and
         wire sizing happen once per batch; the counters are the same
@@ -432,8 +432,10 @@ class _WorkerRuntime:
         tracer = self.tracer
         if tracer is not None:
             superstep = self.superstep
-            for msg in msgs:
-                tracer.on_send(superstep, src, dst, msg.interval, msg.value)
+            for start, end, value in msgs:
+                tracer.on_send(
+                    superstep, src, dst, Interval._unchecked(start, end), value
+                )
         worker_of = self.partitioner.worker_of
         dst_shard = worker_of(dst)
         local = worker_of(src) == dst_shard
@@ -467,7 +469,7 @@ class _WorkerRuntime:
             return
         index = self._out_index.setdefault(dest_proc, {})
         for msg in msgs:
-            key = (dst, msg.interval)
+            key = (dst, msg[0], msg[1])
             pos = index.get(key)
             if pos is None:
                 index[key] = len(out)
@@ -481,11 +483,11 @@ class _WorkerRuntime:
             # scan, one multiply) the fold replaced.
             prev = out[pos]
             count = prev[3] + 1 if len(prev) > 3 else 2
-            msg0 = prev[2]
+            start, end, value = prev[2]
             out[pos] = (
                 prev[0],
                 dst,
-                IntervalMessage(msg0.interval, fold(msg0.value, msg.value)),
+                (start, end, fold(value, msg[2])),
                 count,
                 count * self._scan_s,
             )
@@ -532,7 +534,7 @@ class _WorkerRuntime:
             wire_s = time.perf_counter() - t_wire
         entries: list[tuple] = parts[0] if parts else []
 
-        inboxes: dict[Any, list[IntervalMessage]] = {}
+        inboxes: dict[Any, list[Row]] = {}
         # Raw messages folded away by sender-side combining, per receiving
         # vertex — the receiver pass charges for them as if they arrived.
         extra_raw: dict[Any, int] = {}

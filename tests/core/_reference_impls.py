@@ -15,6 +15,17 @@ These are the straightforward implementations the optimised kernels in
 * ``reference_edge_pieces`` — the body ``TemporalEdge.pieces`` ran on every
   call (re-derive the property boundaries, one ``values_at`` per piece)
   before edges sliced the graph-resident ``PieceIndex``.
+* ``merge_join_partitioned`` / ``reference_scatter_pairing`` /
+  ``_normalise_scatter`` — the engine's scatter phase before it became one
+  fused loop: ``state.slices`` × ``PieceIndex.pieces`` paired by a linear
+  merge-join (one throw-away tuple list each), every result dragged through
+  a generator into an ``IntervalMessage``.
+* ``reference_combine_dominated`` / ``reference_combine_identical_intervals``
+  / ``reference_coalesce_messages`` / ``reference_should_suppress_warp`` —
+  the message passes on ``IntervalMessage`` objects (``contains → within``
+  method calls, ``intersect`` allocations, key lambdas) that the
+  ``(start, end, value)`` row versions replaced.  ``rows_of`` /
+  ``messages_of`` convert between the two shapes.
 
 They are deliberately simple and obviously correct; Hypothesis tests in
 ``test_kernel_oracles.py`` assert the production kernels agree with them
@@ -27,6 +38,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.core.interval import Interval
+from repro.core.messages import IntervalMessage
 from repro.core.state import PartitionedState
 
 IntervalValue = tuple[Interval, Any]
@@ -179,9 +191,8 @@ def reference_join_partitioned(
     every piece (both inputs are partitioned covers).
 
     The intersection is spelled out with the validating constructor rather
-    than calling ``Interval.intersect``: the oracle (and the fixed cost
-    ``bench_kernels.py`` measures the merge-join against) must not move
-    when that production method is tuned.
+    than calling ``Interval.intersect``: the oracle must not move when that
+    production method is tuned.
     """
     out: list[tuple[Interval, Any, Any]] = []
     for p_iv, p_val in pieces:
@@ -232,3 +243,177 @@ def reference_edge_pieces(edge: Any, window: Interval) -> list[tuple[Interval, d
         (Interval(lo, hi), edge.properties.values_at(lo))
         for lo, hi in zip(cuts, cuts[1:])
     ]
+
+
+# -- the object message path (before rows) -------------------------------------
+
+
+def rows_of(messages: Iterable[IntervalMessage]) -> list[tuple[int, int, Any]]:
+    """``IntervalMessage``s as the engine's ``(start, end, value)`` rows."""
+    return [(m.interval.start, m.interval.end, m.value) for m in messages]
+
+
+def messages_of(rows: Iterable[tuple[int, int, Any]]) -> list[IntervalMessage]:
+    return [IntervalMessage(Interval(s, e), v) for s, e, v in rows]
+
+
+def merge_join_partitioned(
+    left: Sequence[IntervalValue], right: Sequence[IntervalValue]
+) -> list[tuple[Interval, Any, Any]]:
+    """Join two *temporally partitioned* interval-value lists by a linear
+    merge — the pairing the scatter phase ran per (window, out-edge).
+
+    Returns ``(intersection, left_value, right_value)`` triples in time
+    order.
+    """
+    out: list[tuple[Interval, Any, Any]] = []
+    li = 0
+    ri = 0
+    while li < len(left) and ri < len(right):
+        l_iv, l_val = left[li]
+        r_iv, r_val = right[ri]
+        start = max(l_iv.start, r_iv.start)
+        end = min(l_iv.end, r_iv.end)
+        if start < end:
+            out.append((Interval(start, end), l_val, r_val))
+        # Advance whichever side ends first; ties advance both.
+        if l_iv.end <= r_iv.end:
+            li += 1
+        if r_iv.end <= l_iv.end:
+            ri += 1
+    return out
+
+
+def reference_scatter_pairing(
+    state: PartitionedState, out_edges: Sequence[Any], windows: Sequence[Interval]
+) -> list[tuple[Any, Interval, Any, dict]]:
+    """Every ``scatter`` call the engine owes a vertex, in call order, as
+    ``(edge id, interval, state value, piece values)``: per updated window
+    and out-edge, the window's state slices merge-joined with the edge's
+    property-constant pieces (:func:`reference_edge_pieces`)."""
+    calls = []
+    for window in windows:
+        slices = state.slices(window)
+        for edge in out_edges:
+            pieces = reference_edge_pieces(edge, window)
+            for common, s_val, values in merge_join_partitioned(slices, pieces):
+                calls.append((edge.eid, common, s_val, values))
+    return calls
+
+
+def _normalise_scatter(result) -> Iterable[IntervalMessage]:
+    """What ``scatter`` may return, as messages: ``None``, or an iterable
+    of ``IntervalMessage``s, ``(Interval, value)`` pairs and ``None``s."""
+    if result is None:
+        return
+    for item in result:
+        if item is None:
+            continue
+        if isinstance(item, IntervalMessage):
+            yield item
+        else:
+            interval, value = item
+            yield IntervalMessage(interval, value)
+
+
+def reference_combine_dominated(
+    combiner: Any, messages: list[IntervalMessage]
+) -> list[IntervalMessage]:
+    """``MessageCombiner.combine_dominated`` on message objects."""
+    if not combiner.selective or len(messages) < 2:
+        return messages
+    keep: list[IntervalMessage] = []
+    for i, msg in enumerate(messages):
+        dominated = False
+        for j, other in enumerate(messages):
+            if i == j:
+                continue
+            if not other.interval.contains(msg.interval):
+                continue
+            folded = combiner(other.value, msg.value)
+            if folded != other.value:
+                continue
+            # Ties on both interval and value: keep only the first.
+            if (
+                other.interval == msg.interval
+                and other.value == msg.value
+                and j > i
+            ):
+                continue
+            dominated = True
+            break
+        if not dominated:
+            keep.append(msg)
+    return keep
+
+
+def reference_combine_identical_intervals(
+    combiner: Any, messages: list[IntervalMessage]
+) -> list[IntervalMessage]:
+    """``MessageCombiner.combine_identical_intervals`` on message objects."""
+    folded: dict[Interval, Any] = {}
+    for msg in messages:
+        if msg.interval in folded:
+            folded[msg.interval] = combiner(folded[msg.interval], msg.value)
+        else:
+            folded[msg.interval] = msg.value
+    if len(folded) == len(messages):
+        return messages
+    return [IntervalMessage(interval, value) for interval, value in folded.items()]
+
+
+def reference_coalesce_messages(
+    messages: list[IntervalMessage], *, allow_overlap: bool
+) -> list[IntervalMessage]:
+    """``coalesce_messages`` on message objects."""
+    if len(messages) < 2:
+        return messages
+    ordered = sorted(messages, key=lambda m: (m.interval.start, m.interval.end))
+    out: list[IntervalMessage] = [ordered[0]]
+    for msg in ordered[1:]:
+        last = out[-1]
+        joined = last.interval.end >= msg.interval.start
+        overlapping = last.interval.end > msg.interval.start
+        if joined and (allow_overlap or not overlapping) and last.value == msg.value:
+            if msg.interval.end > last.interval.end:
+                out[-1] = IntervalMessage(
+                    Interval(last.interval.start, msg.interval.end), last.value
+                )
+        else:
+            out.append(msg)
+    return out
+
+
+def reference_should_suppress_warp(
+    messages: list[IntervalMessage],
+    lifespan: Interval,
+    *,
+    threshold: float,
+    expansion_cap: int,
+) -> bool:
+    """``VertexProcessor.should_suppress_warp`` (suppression enabled) on
+    message objects, clipping with ``Interval.intersect``."""
+    if not messages:
+        return False
+    units = 0
+    live = 0
+    clipped_lengths: list[int] = []
+    for msg in messages:
+        clipped = msg.interval.intersect(lifespan)
+        if clipped is None:
+            continue  # dead traffic: no compute call on any path
+        if clipped.is_unbounded:
+            return False
+        live += 1
+        if clipped.is_unit:
+            units += 1
+        clipped_lengths.append(clipped.length)
+    if not live or units / live < threshold:
+        return False
+    total_points = 0
+    cap = expansion_cap * live
+    for length in clipped_lengths:
+        total_points += length
+        if total_points > cap:
+            return False
+    return True

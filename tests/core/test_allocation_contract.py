@@ -1,0 +1,124 @@
+"""The allocation contract of the engine's message path.
+
+Between ``scatter``'s return value and ``compute``'s group a message is a
+plain ``(start, end, value)`` row: the engine boxes nothing it does not hand
+to the program.  Counting wrappers hold that as numbers — the same ones
+``scripts/profile_engine.py`` prints — on a run whose edges have several
+property pieces each, with a selective combiner (SSSP: domination, real
+warps) and an aggregating one (PR: dense traffic, suppressed warps).
+"""
+
+import pytest
+
+from repro.algorithms import run_algorithm
+from repro.algorithms.td.sssp import TemporalSSSP
+from repro.algorithms.ti.pagerank import TemporalPageRank
+from repro.core import combiner as combiner_module
+from repro.core import engine as engine_module
+from repro.core.combiner import MessageCombiner
+from repro.core.engine import VertexProcessor
+from repro.core.interval import Interval
+from repro.core.messages import IntervalMessage
+from repro.runtime.cluster import SimulatedCluster
+
+from ..algorithms.conftest import random_temporal_graph
+
+
+class _Counts:
+    def __init__(self):
+        self.messages_boxed = 0          # IntervalMessage() anywhere
+        self.scatter_side_intervals = 0  # Interval._unchecked by the scatter loop
+        self.combiner_relations = 0      # Interval.contains / within in a pass
+        self.in_scatter_loop = False
+        self.in_program = False
+        self.in_combiner_pass = False
+
+
+def _flagging(counts, flag, fn):
+    """``fn`` with ``counts.<flag>`` raised for the duration of each call."""
+    def wrapper(*args, **kwargs):
+        before = getattr(counts, flag)
+        setattr(counts, flag, True)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            setattr(counts, flag, before)
+    return wrapper
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    counts = _Counts()
+
+    boxed_init = IntervalMessage.__init__
+
+    def counting_init(self, interval, value):
+        counts.messages_boxed += 1
+        boxed_init(self, interval, value)
+
+    monkeypatch.setattr(IntervalMessage, "__init__", counting_init)
+
+    unchecked = Interval._unchecked.__func__
+
+    def counting_unchecked(cls, start, end):
+        if counts.in_scatter_loop and not counts.in_program:
+            counts.scatter_side_intervals += 1
+        return unchecked(cls, start, end)
+
+    monkeypatch.setattr(Interval, "_unchecked", classmethod(counting_unchecked))
+
+    for name in ("contains", "within"):
+        relation = getattr(Interval, name)
+
+        def counting_relation(self, other, _relation=relation):
+            if counts.in_combiner_pass:
+                counts.combiner_relations += 1
+            return _relation(self, other)
+
+        monkeypatch.setattr(Interval, name, counting_relation)
+
+    monkeypatch.setattr(
+        VertexProcessor, "_scatter_windows",
+        _flagging(counts, "in_scatter_loop", VertexProcessor._scatter_windows),
+    )
+    for name in ("combine_dominated", "combine_identical_intervals"):
+        monkeypatch.setattr(
+            MessageCombiner, name,
+            _flagging(counts, "in_combiner_pass", getattr(MessageCombiner, name)),
+        )
+    coalesce = _flagging(counts, "in_combiner_pass", combiner_module.coalesce_messages)
+    monkeypatch.setattr(combiner_module, "coalesce_messages", coalesce)
+    monkeypatch.setattr(engine_module, "coalesce_messages", coalesce)
+    return counts
+
+
+@pytest.mark.parametrize("algorithm", ["SSSP", "PR"])
+def test_the_engine_boxes_only_what_it_hands_the_program(
+    algorithm, counts, monkeypatch
+):
+    program_class = {"SSSP": TemporalSSSP, "PR": TemporalPageRank}[algorithm]
+    monkeypatch.setattr(
+        program_class, "scatter",
+        _flagging(counts, "in_program", program_class.scatter),
+    )
+    graph = random_temporal_graph(seed=3, n_vertices=12, n_edges=40)
+    assert any(len(e.properties.boundaries()) > 2 for e in graph.edges()), (
+        "no multi-piece edge; the case tests nothing"
+    )
+
+    outcome = run_algorithm(
+        algorithm, "GRAPHITE", graph, cluster=SimulatedCluster(4),
+        source="v0", icm_options={"executor": "serial"},
+    )
+    metrics = outcome.metrics
+    assert metrics.messages_sent > 0 and metrics.scatter_calls > 0
+    if algorithm == "SSSP":
+        assert metrics.warp_calls > 0 and metrics.combiner_reductions > 0
+
+    # Both programs return (Interval, value) pairs: no message is ever boxed.
+    assert counts.messages_boxed == 0
+    # One Interval per scatter call — the one the call is handed — and
+    # nothing else on the scatter side (slices, pieces, pairing, rows).
+    assert 0 < counts.scatter_side_intervals <= metrics.scatter_calls
+    # Dominance, identical-interval folding and coalescing compare ints.
+    assert counts.combiner_relations == 0

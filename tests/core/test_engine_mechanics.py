@@ -10,6 +10,8 @@ from repro.core.messages import message
 from repro.core.program import IntervalProgram
 from repro.graph.builder import TemporalGraphBuilder
 
+from ._reference_impls import rows_of
+
 
 def line_graph(n=4, horizon=10):
     b = TemporalGraphBuilder()
@@ -216,14 +218,14 @@ class TestSuppressionHeuristics:
         engine = self.make_engine(warp_suppression_threshold=0.5)
         unit = [message(t, t + 1, t) for t in range(4)]
         long = [message(0, 8, 9)]
-        assert engine.should_suppress_warp(unit, self.SPAN)
-        assert not engine.should_suppress_warp(unit[:1] + long * 3, self.SPAN)
+        assert engine.should_suppress_warp(rows_of(unit), self.SPAN)
+        assert not engine.should_suppress_warp(rows_of(unit[:1] + long * 3), self.SPAN)
 
     def test_unbounded_messages_never_suppressed(self):
         engine = self.make_engine()
         msgs = [message(t, t + 1, t) for t in range(9)]
         msgs.append(message(3, FOREVER, 1))
-        assert not engine.should_suppress_warp(msgs, Interval(0, FOREVER))
+        assert not engine.should_suppress_warp(rows_of(msgs), Interval(0, FOREVER))
 
     def test_unbounded_message_clipped_by_bounded_lifespan(self):
         """A till-∞ message into a bounded-lifespan vertex expands to at
@@ -231,17 +233,17 @@ class TestSuppressionHeuristics:
         engine = self.make_engine()
         msgs = [message(t, t + 1, t) for t in range(9)]
         msgs.append(message(3, FOREVER, 1))
-        assert engine.should_suppress_warp(msgs, Interval(0, 10))
+        assert engine.should_suppress_warp(rows_of(msgs), Interval(0, 10))
 
     def test_expansion_cap(self):
         engine = self.make_engine(suppression_expansion_cap=2)
         msgs = [message(t, t + 1, t) for t in range(8)] + [message(0, 40, 1)]
         # 8 units + one 40-long: expansion 48 > 2 * 9 → refuse.
-        assert not engine.should_suppress_warp(msgs, self.SPAN)
+        assert not engine.should_suppress_warp(rows_of(msgs), self.SPAN)
 
     def test_disabled(self):
         engine = self.make_engine(enable_warp_suppression=False)
-        assert not engine.should_suppress_warp([message(0, 1, 1)], self.SPAN)
+        assert not engine.should_suppress_warp(rows_of([message(0, 1, 1)]), self.SPAN)
 
     def test_dead_unit_traffic_cannot_force_suppression(self):
         """Regression: unit messages entirely outside the lifespan used to
@@ -251,7 +253,7 @@ class TestSuppressionHeuristics:
         lifespan = Interval(0, 10)
         live = [message(0, 9, 5)]  # one long, warp-worthy message
         dead = [message(20 + t, 21 + t, t) for t in range(9)]
-        assert not engine.should_suppress_warp(live + dead, lifespan)
+        assert not engine.should_suppress_warp(rows_of(live + dead), lifespan)
 
     def test_dead_long_traffic_cannot_veto_suppression(self):
         """Regression: a long message outside the lifespan used to blow the
@@ -260,15 +262,15 @@ class TestSuppressionHeuristics:
         lifespan = Interval(0, 10)
         live = [message(t, t + 1, t) for t in range(6)]
         dead = [message(10, 45, 1)]
-        assert engine.should_suppress_warp(live + dead, lifespan)
+        assert engine.should_suppress_warp(rows_of(live + dead), lifespan)
         # The live units alone obviously suppress; dead traffic must not
         # change the verdict.
-        assert engine.should_suppress_warp(live, lifespan)
+        assert engine.should_suppress_warp(rows_of(live), lifespan)
 
     def test_all_dead_traffic_never_suppresses(self):
         engine = self.make_engine()
         msgs = [message(30 + t, 31 + t, t) for t in range(5)]
-        assert not engine.should_suppress_warp(msgs, Interval(0, 10))
+        assert not engine.should_suppress_warp(rows_of(msgs), Interval(0, 10))
 
 
 class TestVertexPropertyPrepartitioning:

@@ -3,10 +3,13 @@ with execution context, and never corrupt silently."""
 
 import pytest
 
+from repro import api
 from repro.core.engine import IcmProgramError, IntervalCentricEngine
 from repro.core.interval import FOREVER, Interval
 from repro.core.program import IntervalProgram
 from repro.graph.builder import TemporalGraphBuilder
+
+from ..runtime.test_golden_serial import EXECUTORS
 
 
 def tiny_graph():
@@ -80,8 +83,60 @@ class TestScatterFailures:
             def scatter(self, ctx, edge, interval, state):
                 return [42]  # neither message nor (interval, value)
 
-        with pytest.raises(TypeError):
+        with pytest.raises(IcmProgramError) as err:
             IntervalCentricEngine(tiny_graph(), Boom()).run()
+        assert isinstance(err.value.original, TypeError)
+
+
+class _NotAnInterval(Base):
+    def scatter(self, ctx, edge, interval, state):
+        return [(5, state)]
+
+
+class _BareInterval(Base):
+    def scatter(self, ctx, edge, interval, state):
+        return [interval]
+
+
+class _UnsizablePayload(Base):
+    def scatter(self, ctx, edge, interval, state):
+        return [(interval, {"a": 1})]
+
+
+class _RaisesWhileYielding(Base):
+    def scatter(self, ctx, edge, interval, state):
+        yield (interval, state)
+        raise KeyError("mid-iteration")
+
+
+#: Programs are module-level so the error (and the program) can cross a
+#: worker pipe; each value is the exception the bad output first trips.
+BAD_SCATTER_OUTPUT = {
+    "not-an-interval": (_NotAnInterval, AttributeError),
+    "bare-interval": (_BareInterval, TypeError),
+    "unsizable-payload": (_UnsizablePayload, TypeError),
+    "raises-while-yielding": (_RaisesWhileYielding, KeyError),
+}
+
+class TestScatterOutputFailures:
+    """What ``scatter`` *returns* is the program's too: anything wrong with
+    a returned item, and anything the send sink rejects about the vertex's
+    batch, carries the vertex, superstep and interval like a raise inside
+    ``scatter`` does — in-process and across the worker pipe."""
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("case", BAD_SCATTER_OUTPUT)
+    def test_bad_output_is_a_program_error_with_context(self, case, executor):
+        program, cause = BAD_SCATTER_OUTPUT[case]
+        with pytest.raises(IcmProgramError) as err:
+            api.run(tiny_graph(), program(), options=EXECUTORS[executor])
+        assert err.value.phase == "scatter"
+        assert err.value.vertex == "a"
+        assert err.value.superstep == 1
+        assert err.value.interval == Interval(0, 10)
+        assert isinstance(err.value.original, cause)
+        if executor == "serial":  # the pipe carries the error, not its cause
+            assert err.value.__cause__ is err.value.original
 
 
 class TestMessagingEdgeCases:

@@ -1,10 +1,12 @@
 """Oracle-equivalence tests for the single-pass sweep kernels.
 
 The optimised kernels (``time_warp``/``time_join`` global sweep, the
-engine's ``merge_join_partitioned`` scatter pairing, ``PartitionedState``'s
-bulk update path, the context's out-degree timeline) must agree with the retained straightforward
-implementations in ``tests/core/_reference_impls.py`` — exactly, not just
-pointwise, wherever the output is canonical.
+engine's fused scatter loop, the ``(start, end, value)`` row versions of
+the combiner passes and the suppression heuristic, ``PartitionedState``'s
+bulk update path, the context's out-degree timeline) must agree with the
+retained straightforward implementations in
+``tests/core/_reference_impls.py`` — exactly, not just pointwise, wherever
+the output is canonical.
 """
 
 from types import SimpleNamespace
@@ -12,25 +14,41 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.context import VertexContext
-from repro.core.interval import FOREVER, Interval
-from repro.core.state import PartitionedState, states_equal_pointwise
-from repro.core.warp import (
-    _groups_equal,
-    merge_join_partitioned,
-    time_join,
-    time_warp,
+from repro.core.combiner import (
+    MessageCombiner,
+    coalesce_messages,
+    max_combiner,
+    min_combiner,
+    or_combiner,
+    sum_combiner,
+    tuple_min_combiner,
 )
+from repro.core.context import VertexContext
+from repro.core.engine import VertexProcessor
+from repro.core.interval import FOREVER, Interval, coalesce
+from repro.core.messages import IntervalMessage
+from repro.core.program import IntervalProgram
+from repro.core.state import PartitionedState, states_equal_pointwise
+from repro.core.warp import _groups_equal, time_join, time_warp
 from repro.graph.builder import TemporalGraphBuilder
 from repro.graph.compact import CompactGraph
+from repro.runtime.metrics import ComputeModel, RunMetrics
 
 from ._reference_impls import (
+    _normalise_scatter,
     _reference_groups_equal,
+    merge_join_partitioned,
+    reference_combine_dominated,
+    reference_combine_identical_intervals,
+    reference_coalesce_messages,
     reference_join_partitioned,
     reference_out_degree_segments,
+    reference_scatter_pairing,
     reference_set_sequence,
+    reference_should_suppress_warp,
     reference_time_join,
     reference_time_warp,
+    rows_of,
 )
 
 TIME = st.integers(min_value=0, max_value=40)
@@ -128,7 +146,104 @@ class TestJoinOracle:
         assert time_join(outer, inner) == reference_time_join(outer, inner)
 
 
+class _Recorder(IntervalProgram):
+    """Records every ``scatter`` call it is handed; returns ``result``."""
+
+    name = "recorder"
+
+    def __init__(self, result=None):
+        self.calls = []
+        self.result = result
+
+    def compute(self, ctx, interval, state, messages):
+        raise AssertionError("the scatter phase never computes")
+
+    def scatter(self, ctx, edge, interval, state):
+        assert edge.interval is interval
+        self.calls.append((edge.eid, interval, state, edge.values))
+        return self.result
+
+
+def _scatter_on(graph, state, windows, program):
+    """Run the engine's scatter phase for vertex ``"a"`` of ``graph`` over
+    ``windows``; returns the ``(src, dst, rows)`` batches the sink saw."""
+    processor = VertexProcessor(graph, program, ComputeModel())
+    processor.superstep = 2
+    host = SimpleNamespace(graph=graph, superstep=2)
+    ctx = VertexContext(graph.vertex("a"), state.copy(), host)
+    sent = []
+    metrics = RunMetrics()
+    processor.rescatter(
+        ctx, windows, metrics, lambda src, dst, rows: sent.append((src, dst, rows))
+    )
+    assert metrics.scatter_calls == len(program.calls)
+    return sent
+
+
+@st.composite
+def scatter_cases(draw):
+    """``(graph, state, windows)``: a source vertex ``"a"`` with a generated
+    lifespan and a fragmented state, multi-piece out-edges to two
+    destinations (holes in the timelines, unbounded ends, parallel edges),
+    and update windows that overlap, meet, and stray outside the lifespan."""
+    start = draw(st.integers(0, 6))
+    end = draw(st.one_of(st.integers(start + 2, 40), st.just(FOREVER)))
+    builder = TemporalGraphBuilder()
+    builder.add_vertex("a", start, end)
+    builder.add_vertex("b")
+    builder.add_vertex("c")
+    hi = min(end, start + 30)
+    for i in range(draw(st.integers(0, 4))):
+        e_start = draw(st.integers(start, hi - 1))
+        e_end = draw(st.one_of(st.integers(e_start + 1, hi), st.just(end)))
+        top = min(e_end, e_start + 20)
+        props = {}
+        for label in draw(st.lists(st.sampled_from(["w", "cap"]), unique=True)):
+            cuts = sorted(draw(st.sets(st.integers(e_start, top), min_size=2, max_size=6)))
+            entries = [
+                (lo, up, draw(st.integers(0, 3)))
+                for lo, up in zip(cuts, cuts[1:])
+                if draw(st.booleans())
+            ]
+            if entries:
+                props[label] = entries
+        builder.add_edge("a", "bc"[i % 2], e_start, e_end, props=props or None)
+    bounds = sorted(draw(st.sets(st.integers(start + 1, hi - 1), max_size=6))) \
+        if hi - start > 1 else []
+    ends = [*bounds, end]
+    state = PartitionedState.from_parts(
+        Interval(start, end), ends,
+        [draw(st.integers(0, 3)) for _ in ends], coalesce=False,
+    )
+    windows = [
+        Interval(w, draw(st.one_of(st.integers(w + 1, w + 12), st.just(FOREVER))))
+        for w in draw(st.lists(st.integers(0, 36), min_size=1, max_size=4))
+    ]
+    return builder.build(), state, windows
+
+
 class TestScatterPairingOracle:
+    """The fused scatter loop against the pairing it replaced
+    (``state.slices`` × edge pieces × ``merge_join_partitioned``), on the
+    heap store and on its compact image."""
+
+    @given(scatter_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_fused_loop_sees_the_reference_pairing_in_order(self, case):
+        heap, state, windows = case
+        want = reference_scatter_pairing(
+            state, heap.out_edges("a"), coalesce(windows)
+        )
+        for graph in (heap, CompactGraph.from_temporal(heap)):
+            program = _Recorder()
+            assert _scatter_on(graph, state, windows, program) == []
+            assert program.calls == want
+            # Label order is part of the contract (programs iterate values).
+            assert [list(c[3]) for c in program.calls] == [list(w[3]) for w in want]
+
+    # The retained merge-join is the order oracle above; it is itself held
+    # to the nested loop and to time_join, as when the engine ran it.
+
     @given(partitioned_outer(gaps=True), partitioned_outer(gaps=True))
     @settings(max_examples=300, deadline=None)
     def test_merge_join_matches_nested_intersection(self, slices, pieces):
@@ -152,6 +267,143 @@ class TestScatterPairingOracle:
         got = sorted(merge_join_partitioned(slices, pieces), key=repr)
         want = sorted(time_join(slices, pieces), key=repr)
         assert got == want
+
+    @given(scatter_cases(), st.lists(
+        st.one_of(
+            st.none(),
+            st.tuples(st.integers(0, 30), st.integers(1, 9), st.integers(0, 2),
+                      st.booleans()),
+        ), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_returned_items_become_the_rows_normalisation_gave(self, case, spec):
+        """Pairs, ``IntervalMessage``s and ``None``s, in any mix: the sink
+        receives, per destination, exactly the messages
+        ``_normalise_scatter`` produced, coalesced as the object path did."""
+        heap, state, windows = case
+        result = []
+        for item in spec:
+            if item is None:
+                result.append(None)
+                continue
+            start, length, value, boxed = item
+            interval = Interval(start, start + length)
+            result.append(
+                IntervalMessage(interval, value) if boxed else (interval, value)
+            )
+        program = _Recorder(result)
+        sent = _scatter_on(heap, state, windows, program)
+        outbox = {}
+        for eid, *_ in program.calls:
+            outbox.setdefault(heap.edge(eid).dst, []).extend(_normalise_scatter(result))
+        want = [
+            ("a", dst, rows_of(reference_coalesce_messages(msgs, allow_overlap=False)))
+            for dst, msgs in outbox.items() if msgs
+        ]
+        assert sent == want
+
+
+_SPAN_KINDS = st.sampled_from(["unit", "open", "span", "span"])
+
+
+@st.composite
+def message_lists(draw, values, max_size=9):
+    """``IntervalMessage`` lists over a narrow time domain, so that equal
+    intervals, equal values and containment all occur: unit-length,
+    ``FOREVER``-ended and ordinary spans, in any order."""
+    out = []
+    for _ in range(draw(st.integers(0, max_size))):
+        start = draw(st.integers(0, 12))
+        kind = draw(_SPAN_KINDS)
+        if kind == "unit":
+            end = start + 1
+        elif kind == "open":
+            end = FOREVER
+        else:
+            end = start + draw(st.integers(1, 10))
+        out.append(IntervalMessage(Interval(start, end), draw(values)))
+    return out
+
+
+_INTS = st.integers(0, 3)
+_PAIRS = st.tuples(st.integers(0, 2), st.sampled_from(["a", "b"]))
+#: (combiner, payload strategy): every fold the algorithms use.
+_FOLDS = st.sampled_from([
+    (min_combiner(), _INTS),
+    (max_combiner(), _INTS),
+    (or_combiner(), st.booleans()),
+    (sum_combiner(), _INTS),
+    (tuple_min_combiner(), _PAIRS),
+    (MessageCombiner(min, "min-nonselective"), _INTS),
+])
+_folded_messages = _FOLDS.flatmap(
+    lambda fold: st.tuples(st.just(fold[0]), message_lists(fold[1]))
+)
+
+
+class TestMessageRowOracles:
+    """The combiner passes and the suppression heuristic on
+    ``(start, end, value)`` rows against their ``IntervalMessage``
+    versions: equal element by element, in order."""
+
+    @given(_folded_messages)
+    @settings(max_examples=500, deadline=None)
+    def test_combine_dominated(self, case):
+        combiner, msgs = case
+        want = rows_of(reference_combine_dominated(combiner, msgs))
+        assert combiner.combine_dominated(rows_of(msgs)) == want
+
+    @given(_folded_messages)
+    @settings(max_examples=500, deadline=None)
+    def test_combine_identical_intervals(self, case):
+        combiner, msgs = case
+        want = rows_of(reference_combine_identical_intervals(combiner, msgs))
+        assert combiner.combine_identical_intervals(rows_of(msgs)) == want
+
+    @given(_folded_messages, st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_coalesce_messages(self, case, allow_overlap):
+        _, msgs = case
+        want = rows_of(reference_coalesce_messages(msgs, allow_overlap=allow_overlap))
+        assert coalesce_messages(rows_of(msgs), allow_overlap=allow_overlap) == want
+
+    @given(_folded_messages)
+    @settings(max_examples=300, deadline=None)
+    def test_the_receiver_pipeline_composes_identically(self, case):
+        """identical-intervals → dominated → coalesce, as the engine chains
+        them: the reductions the counters report are differences of these
+        lengths."""
+        combiner, msgs = case
+        want = reference_combine_dominated(
+            combiner, reference_combine_identical_intervals(combiner, msgs)
+        )
+        got = combiner.combine_dominated(
+            combiner.combine_identical_intervals(rows_of(msgs))
+        )
+        assert got == rows_of(want)
+        assert coalesce_messages(got, allow_overlap=combiner.selective) == rows_of(
+            reference_coalesce_messages(want, allow_overlap=combiner.selective)
+        )
+
+    @given(
+        message_lists(_INTS, max_size=12),
+        st.tuples(st.integers(0, 14), st.one_of(st.none(), st.integers(1, 14))),
+        st.sampled_from([0.0, 0.5, 0.7, 1.0]),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_should_suppress_warp(self, msgs, span, threshold, cap):
+        """Messages partly or wholly outside the lifespan, bounded and
+        unbounded lifespans, every threshold edge."""
+        start, length = span
+        lifespan = Interval(start, FOREVER if length is None else start + length)
+        processor = VertexProcessor(
+            None, None, None,
+            warp_suppression_threshold=threshold, suppression_expansion_cap=cap,
+        )
+        want = reference_should_suppress_warp(
+            msgs, lifespan, threshold=threshold, expansion_cap=cap
+        )
+        assert processor.should_suppress_warp(rows_of(msgs), lifespan) is want
 
 
 @st.composite

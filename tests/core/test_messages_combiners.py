@@ -12,6 +12,8 @@ from repro.core.combiner import (
 from repro.core.interval import Interval
 from repro.core.messages import IntervalMessage, message, unit_message_fraction
 
+from ._reference_impls import rows_of
+
 
 class TestIntervalMessage:
     def test_construction_and_equality(self):
@@ -59,13 +61,15 @@ class TestCombiners:
         assert comb((3, "b"), (3, "a")) == (3, "a")
         assert comb((2, "z"), (3, "a")) == (2, "z")
 
+    # The passes take and return the engine's ``(start, end, value)`` rows.
+
     def test_combine_identical_intervals(self):
         comb = min_combiner()
-        msgs = [message(0, 5, 9), message(0, 5, 3), message(2, 5, 1)]
-        out = comb.combine_identical_intervals(msgs)
-        assert out == [message(0, 5, 3), message(2, 5, 1)]
+        rows = rows_of([message(0, 5, 9), message(0, 5, 3), message(2, 5, 1)])
+        out = comb.combine_identical_intervals(rows)
+        assert out == [(0, 5, 3), (2, 5, 1)]
 
     def test_combine_identical_intervals_noop(self):
         comb = min_combiner()
-        msgs = [message(0, 5, 9), message(1, 5, 3)]
-        assert comb.combine_identical_intervals(msgs) is msgs
+        rows = [(0, 5, 9), (1, 5, 3)]
+        assert comb.combine_identical_intervals(rows) is rows

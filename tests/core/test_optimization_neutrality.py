@@ -14,7 +14,6 @@ from repro.algorithms.td.sssp import TemporalSSSP
 from repro.core.combiner import coalesce_messages, min_combiner
 from repro.core.engine import IntervalCentricEngine
 from repro.core.interval import FOREVER, Interval
-from repro.core.messages import IntervalMessage
 from repro.core.state import states_equal_pointwise
 from repro.graph.builder import TemporalGraphBuilder
 
@@ -105,6 +104,7 @@ def test_tmst_invariant_under_optimisations(graph, option_idx):
 
 @st.composite
 def message_batch(draw):
+    """The engine's internal message shape: ``(start, end, value)`` rows."""
     n = draw(st.integers(min_value=1, max_value=10))
     msgs = []
     for _ in range(n):
@@ -112,12 +112,16 @@ def message_batch(draw):
         length = draw(st.one_of(st.integers(min_value=1, max_value=10), st.none()))
         end = FOREVER if length is None else start + length
         value = draw(st.integers(min_value=0, max_value=5))
-        msgs.append(IntervalMessage(Interval(start, end), value))
+        msgs.append((start, end, value))
     return msgs
 
 
-def _pointwise_min(messages, t):
-    covering = [m.value for m in messages if m.interval.contains_point(t)]
+def _values_at(rows, t):
+    return [value for start, end, value in rows if start <= t < end]
+
+
+def _pointwise_min(rows, t):
+    covering = _values_at(rows, t)
     return min(covering) if covering else None
 
 
@@ -146,8 +150,8 @@ def test_coalesce_preserves_pointwise_value_sets(msgs, allow_overlap):
     merged = coalesce_messages(msgs, allow_overlap=allow_overlap)
     assert len(merged) <= len(msgs)
     for t in list(range(0, 35)) + [10**9]:
-        before = {m.value for m in msgs if m.interval.contains_point(t)}
-        after = {m.value for m in merged if m.interval.contains_point(t)}
+        before = set(_values_at(msgs, t))
+        after = set(_values_at(merged, t))
         assert before == after, t
 
 
@@ -157,6 +161,6 @@ def test_coalesce_without_overlap_preserves_multiplicity(msgs):
     """Adjacent-only merging never changes per-point value multisets."""
     merged = coalesce_messages(msgs, allow_overlap=False)
     for t in list(range(0, 35)) + [10**9]:
-        before = sorted(m.value for m in msgs if m.interval.contains_point(t))
-        after = sorted(m.value for m in merged if m.interval.contains_point(t))
+        before = sorted(_values_at(msgs, t))
+        after = sorted(_values_at(merged, t))
         assert before == after, t

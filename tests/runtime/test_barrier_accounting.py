@@ -22,6 +22,8 @@ from repro.runtime.encoding import encode_routed_batch, encoded_message_size
 from repro.runtime.executor import _ShardPayload, _WorkerRuntime
 from repro.runtime.partitioner import HashPartitioner
 
+from ..core._reference_impls import rows_of
+
 WORKERS = 3
 SEED = 7
 
@@ -113,10 +115,11 @@ def test_parallel_reports_real_exchange(runs):
 
 # -- the batched send sink ---------------------------------------------------
 #
-# The processor hands the worker runtime one ``send_batch(src, dst, msgs)``
-# per (vertex, destination).  Routing, classification and sizing happen once
-# per batch; everything observable must equal what one call per message
-# (``ctx.send`` — a batch of one) leaves behind.
+# The processor hands the worker runtime one ``send_batch(src, dst, rows)``
+# per (vertex, destination), the messages as ``(start, end, value)`` rows.
+# Routing, classification and sizing happen once per batch; everything
+# observable must equal what one call per message (``ctx.send`` — a batch
+# of one row) leaves behind.
 
 
 def _placed_vertices():
@@ -155,7 +158,7 @@ class _Burst(IntervalProgram):
             return
         for dst, msgs in _PLAN:
             if self.batched:
-                ctx._engine.send_batch(_SRC, dst, msgs)
+                ctx._engine.send_batch(_SRC, dst, rows_of(msgs))
             else:
                 for m in msgs:
                     ctx.send(dst, m.interval, m.value)
@@ -196,7 +199,7 @@ def test_send_batch_equals_batches_of_one(fold, traced):
     # other process's go to ``_out`` — in send order, entry for entry.
     assert batched._pending == single._pending
     assert [e[1] for e in batched._pending] == [_SAME] * 5 + [_NEAR] * 5
-    assert [e[2] for e in batched._pending] == _BURST_A + _BURST_A
+    assert [e[2] for e in batched._pending] == rows_of(_BURST_A + _BURST_A)
     assert batched._out == single._out
     assert list(batched._out) == [1]
     for key in ("traffic", "raw_wire", "out", "exchange_bytes"):
@@ -213,7 +216,7 @@ def test_send_batch_equals_batches_of_one(fold, traced):
     )
     # The raw wire footprint is what the uncombined entries would encode to.
     seq = batched.seq[_SRC]
-    raw_entries = [(seq, _FAR, m) for m in _BURST_A + _BURST_B]
+    raw_entries = [(seq, _FAR, row) for row in rows_of(_BURST_A + _BURST_B)]
     assert rep_b["raw_wire"] == (
         len(encode_routed_batch(raw_entries)) - len(encode_routed_batch([]))
     )
@@ -223,9 +226,9 @@ def test_send_batch_equals_batches_of_one(fold, traced):
         # One entry per distinct interval, at its first message's position;
         # (count, charge) carry what the fold replaced.
         assert batched._out[1] == [
-            (seq, _FAR, message(0, 4, 3), 4, 4 * scan_s),
-            (seq, _FAR, message(2, 6, 0), 3, 3 * scan_s),
-            (seq, _FAR, message(7, 8, 2)),
+            (seq, _FAR, (0, 4, 3), 4, 4 * scan_s),
+            (seq, _FAR, (2, 6, 0), 3, 3 * scan_s),
+            (seq, _FAR, (7, 8, 2)),
         ]
     else:
         assert batched._out[1] == raw_entries

@@ -25,6 +25,9 @@ from repro.runtime.checkpoint import (
 from repro.runtime.encoding import decode_routed_batch, encode_routed_batch
 from repro.runtime.metrics import RunMetrics
 
+from ._reference_impls import reference_encode_routed_batch
+from .test_golden_serial import EXECUTORS, GOLDEN, _twitter_bfs
+
 # -- strategies ---------------------------------------------------------------
 
 # Vertex ids as they appear across the algorithm suite: strings (unicode
@@ -66,7 +69,8 @@ intervals = starts.flatmap(
     )
 )
 
-messages = st.builds(IntervalMessage, intervals, payloads)
+# Pending messages are the engine's ``(start, end, value)`` rows.
+messages = st.builds(lambda iv, value: (iv.start, iv.end, value), intervals, payloads)
 entries = st.lists(
     st.tuples(st.integers(min_value=0, max_value=2**20), vertex_ids, messages),
     max_size=12,
@@ -97,13 +101,13 @@ class TestRoutedBatchRoundTrip:
 
     def test_big_int_interval_bounds(self):
         batch = [
-            (0, "v", IntervalMessage(Interval(2**61, FOREVER), FOREVER + 7)),
-            (1, "v", IntervalMessage(Interval(0), -FOREVER)),
+            (0, "v", (2**61, FOREVER, FOREVER + 7)),
+            (1, "v", (0, FOREVER, -FOREVER)),
         ]
         assert decode_routed_batch(encode_routed_batch(batch)) == batch
 
     def test_unicode_vertex_ids(self):
-        batch = [(3, "駅🚉", IntervalMessage(Interval(1, 2), "значение"))]
+        batch = [(3, "駅🚉", (1, 2, "значение"))]
         assert decode_routed_batch(encode_routed_batch(batch)) == batch
 
 
@@ -133,6 +137,33 @@ class TestShardRoundTrip:
     def test_empty_shard(self):
         states, pending = decode_shard(encode_shard([], []))
         assert states == {} and pending == []
+
+    def test_shards_written_by_the_object_encoder_resume_here(self, tmp_path):
+        """Messages became rows without the bytes moving: every shard of a
+        real checkpoint — sender-combined 5-tuple entries included — is
+        byte for byte what the reference encoder writes from the same
+        pending messages boxed as ``IntervalMessage``s, and the run resumes
+        from the files it wrote to the pinned uninterrupted result."""
+        _twitter_bfs({**EXECUTORS["parallel"], "checkpoint_every": 1,
+                      "checkpoint_dir": str(tmp_path)})
+        step = tmp_path / "step-000002"
+        combined = 0
+        for shard in sorted(step.glob("shard-*.bin")):
+            blob = shard.read_bytes()
+            states, pending = decode_shard(blob)
+            boxed = [
+                (seq, dst, IntervalMessage(Interval(start, end), value), *tail)
+                for seq, dst, (start, end, value), *tail in pending
+            ]
+            combined += sum(len(entry) > 3 for entry in boxed)
+            head = encode_shard(list(states.items()), [])
+            head = head[: len(head) - len(encode_routed_batch([]))]
+            rewritten = head + reference_encode_routed_batch(boxed)
+            assert rewritten == blob
+            shard.write_bytes(rewritten)
+        assert combined, "no sender-combined entry; the case tests nothing"
+        resumed = _twitter_bfs(EXECUTORS["serial"], resume_from=str(step))
+        assert resumed == GOLDEN["uninterrupted/twitter-BFS"]
 
     def test_bad_magic_rejected(self):
         with pytest.raises(CheckpointError, match="magic"):
@@ -190,9 +221,9 @@ class TestManifest:
     def test_pending_merge_is_stable_across_shards(self, tmp_path):
         """Same-seq entries from different shards keep per-shard order."""
         msgs = [
-            (7, "a", IntervalMessage(Interval(0, 1), 1)),
-            (7, "a", IntervalMessage(Interval(0, 1), 2)),
-            (5, "b", IntervalMessage(Interval(0, 1), 3)),
+            (7, "a", (0, 1, 1)),
+            (7, "a", (0, 1, 2)),
+            (5, "b", (0, 1, 3)),
         ]
         info = write_checkpoint(
             tmp_path,

@@ -27,6 +27,12 @@ from repro.runtime.encoding import (
     varint_size,
 )
 
+from ..core._reference_impls import rows_of
+from ._reference_impls import (
+    reference_encode_routed_batch,
+    reference_encoded_batch_size,
+)
+
 
 class TestVarint:
     @pytest.mark.parametrize("n", [0, 1, 127, 128, 300, 2**20, 2**62])
@@ -195,8 +201,9 @@ def test_message_roundtrip_property(start, length, value):
 )
 @settings(max_examples=300, deadline=None)
 def test_batch_size_is_the_sum_of_message_sizes(items):
-    """``encoded_batch_size`` sizes the common shapes inline; it must stay
-    exactly the per-message sum in both encoding modes."""
+    """``encoded_batch_size`` sizes ``(start, end, value)`` rows, the common
+    shapes inline; it must stay exactly the per-message sum over the same
+    messages boxed, in both encoding modes."""
     msgs = [
         IntervalMessage(
             Interval(start, FOREVER if length is None else start + length), value
@@ -204,8 +211,8 @@ def test_batch_size_is_the_sum_of_message_sizes(items):
         for start, length, value in items
     ]
     for varint in (True, False):
-        assert encoded_batch_size(msgs, varint=varint) == sum(
-            encoded_message_size(m, varint=varint) for m in msgs
+        assert encoded_batch_size(rows_of(msgs), varint=varint) == (
+            reference_encoded_batch_size(msgs, varint=varint)
         )
 
 
@@ -218,7 +225,8 @@ routed_entries = st.lists(
         st.integers(min_value=0, max_value=2**40),  # sender seq
         payloads,                                   # destination vertex id
         st.integers(min_value=0, max_value=2**30),  # interval start
-        st.integers(min_value=1, max_value=2**20),  # interval length
+        # interval length: unit, ordinary, or None for a FOREVER end
+        st.one_of(st.none(), st.just(1), st.integers(min_value=1, max_value=2**20)),
         payloads,                                   # message value
         st.integers(min_value=1, max_value=2**20),  # raw message count
     ),
@@ -228,23 +236,28 @@ routed_entries = st.lists(
 
 def _build_entries(raw):
     """Mixed 3-tuple (count 1) and 5-tuple (combined) routed entries, with
-    the charge the sender would compute: ``count * per_message_scan_s``."""
-    entries = []
+    the charge the sender would compute: ``count * per_message_scan_s``.
+    Returns the entries twice: around ``(start, end, value)`` rows, as the
+    engine carries them, and around ``IntervalMessage``s, as the reference
+    encoder takes them."""
+    rows, boxed = [], []
     for seq, dst, start, length, value, count in raw:
-        msg = IntervalMessage(Interval(start, start + length), value)
-        if count == 1:
-            entries.append((seq, dst, msg))
-        else:
-            entries.append((seq, dst, msg, count, count * _SCAN_S))
-    return entries
+        end = FOREVER if length is None else start + length
+        tail = () if count == 1 else (count, count * _SCAN_S)
+        rows.append((seq, dst, (start, end, value), *tail))
+        boxed.append((seq, dst, IntervalMessage(Interval(start, end), value), *tail))
+    return rows, boxed
 
 
 @given(routed_entries)
 @settings(max_examples=200, deadline=None)
 def test_routed_batch_roundtrip_property(raw):
-    entries = _build_entries(raw)
+    entries, boxed = _build_entries(raw)
     buf = encode_routed_batch(entries)
     assert buf[0] == ROUTED_BATCH_FORMAT
+    # The wire did not move when messages became rows: byte for byte what
+    # the object encoder wrote.
+    assert buf == reference_encode_routed_batch(boxed)
     decoded = decode_routed_batch(buf)
     assert decoded == entries
     # Combined entries must carry their exact float charge through the wire
@@ -262,7 +275,7 @@ def test_routed_batch_decodes_from_offset_in_larger_buffer(raw):
     """The peer exchange decodes frames out of an oversized reusable
     receive buffer: decode must honour the offset and report where the
     batch ended instead of demanding an exact-length buffer."""
-    entries = _build_entries(raw)
+    entries, _ = _build_entries(raw)
     frame = encode_routed_batch(entries)
     buf = bytearray(b"\xff" * 7)
     buf += frame
@@ -287,9 +300,28 @@ def test_routed_batch_rejects_future_format():
 
 
 def test_routed_batch_rejects_trailing_bytes():
-    buf = encode_routed_batch([(0, "v1", message(0, 1, 5))]) + b"\x00"
+    buf = encode_routed_batch([(0, "v1", (0, 1, 5))]) + b"\x00"
     with pytest.raises(ValueError, match="trailing"):
         decode_routed_batch(buf)
+
+
+@pytest.mark.parametrize("start,end", [(9, 9), (9, 3), (FOREVER, None)])
+def test_routed_batch_rejects_an_empty_interval(start, end):
+    """Decoded rows are never boxed, so the decoder itself refuses what
+    ``Interval()`` refuses — with the same error — instead of letting an
+    ``end <= start`` row off a crafted frame into an inbox."""
+    frame = bytearray([ROUTED_BATCH_FORMAT, 1])         # one entry
+    frame += encode_varint(0) + encode_payload("v1")    # seq, destination
+    if end is None:                                     # unbounded flag
+        frame += bytes([0x02]) + encode_varint(start)
+    else:
+        frame += bytes([0x00]) + encode_varint(start) + encode_varint(end)
+    frame += encode_payload(5) + encode_varint(1)       # value, raw count
+    with pytest.raises(ValueError) as crafted:
+        decode_routed_batch(bytes(frame))
+    with pytest.raises(ValueError) as boxed:
+        Interval(start, FOREVER if end is None else end)
+    assert str(crafted.value) == str(boxed.value)
 
 
 def test_routed_entries_size_matches_uncombined_encoding():
@@ -304,6 +336,7 @@ def test_routed_entries_size_matches_uncombined_encoding():
                                message(0, 1, 0.25), message(4, 5, (1, "x"))]),
     ]
     for seq, dst, msgs in cases:
-        wire = len(encode_routed_batch([(seq, dst, m) for m in msgs])) - empty
-        assert routed_entries_size(seq, dst, msgs) == wire
-        assert routed_entries_size(seq, dst, msgs, encoded_batch_size(msgs)) == wire
+        rows = rows_of(msgs)
+        wire = len(encode_routed_batch([(seq, dst, row) for row in rows])) - empty
+        assert routed_entries_size(seq, dst, rows) == wire
+        assert routed_entries_size(seq, dst, rows, encoded_batch_size(rows)) == wire
