@@ -21,19 +21,7 @@ exporters); see ``api.run(..., observe="run.trace")`` and the
 ``repro report`` CLI command.
 """
 
-from . import api
-from .core import (
-    FOREVER,
-    IcmResult,
-    Interval,
-    IntervalCentricEngine,
-    IntervalMessage,
-    IntervalProgram,
-    PartitionedState,
-    time_join,
-    time_warp,
-)
-from .graph import TemporalGraph, TemporalGraphBuilder
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -51,3 +39,15 @@ __all__ = [
     "TemporalGraphBuilder",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".api": None,
+    ".core.engine": ("IcmResult", "IntervalCentricEngine"),
+    ".core.interval": ("FOREVER", "Interval"),
+    ".core.messages": ("IntervalMessage",),
+    ".core.program": ("IntervalProgram",),
+    ".core.state": ("PartitionedState",),
+    ".core.warp": ("time_join", "time_warp"),
+    ".graph.builder": ("TemporalGraphBuilder",),
+    ".graph.model": ("TemporalGraph",),
+})

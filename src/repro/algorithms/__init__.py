@@ -1,17 +1,6 @@
 """The 12 TI and TD algorithms of the paper's evaluation (Sec. V, VII-A1)."""
 
-from .runners import (
-    ALL_ALGORITHMS,
-    TD_ALGORITHMS,
-    TD_PLATFORMS,
-    TI_ALGORITHMS,
-    TI_PLATFORMS,
-    RunOutcome,
-    default_source,
-    default_target,
-    platforms_for,
-    run_algorithm,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "TI_ALGORITHMS",
@@ -25,3 +14,11 @@ __all__ = [
     "default_source",
     "default_target",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".runners": (
+        "ALL_ALGORITHMS", "TD_ALGORITHMS", "TD_PLATFORMS", "TI_ALGORITHMS",
+        "TI_PLATFORMS", "RunOutcome", "default_source", "default_target",
+        "platforms_for", "run_algorithm",
+    ),
+})

@@ -13,31 +13,14 @@ SCC, PR) are compared on GRAPHITE / MSB / Chlonos, the TD algorithms
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Any, Optional
 
 from repro import api
-from repro.baselines.chlonos import run_chlonos
-from repro.baselines.goffish import GoffishEngine
-from repro.baselines.msb import run_msb
-from repro.baselines.tgb import run_tgb
 from repro.core.config import EngineConfig
 from repro.graph.model import TemporalGraph
-from repro.graph.transform import build_snapshot_replica_graph
 from repro.runtime.cluster import SimulatedCluster
 from repro.runtime.metrics import RunMetrics
-
-from .td.eat import GoffishEAT, TemporalEAT, TgbEAT
-from .td.fast import GoffishFAST, TemporalFAST, TgbFAST
-from .td.lcc import GoffishLCC, SnapshotLCC, TemporalLCC
-from .td.ld import GoffishLD, TemporalLD, TgbLD
-from .td.reach import GoffishReachability, TemporalReachability, TgbReachability
-from .td.sssp import GoffishSSSP, TemporalSSSP, TgbSSSP
-from .td.tc import GoffishTC, SnapshotTC, TemporalTC
-from .td.tmst import GoffishTMST, TemporalTMST, TgbTMST
-from .ti.bfs import SnapshotBFS, TemporalBFS
-from .ti.pagerank import SnapshotPageRank, TemporalPageRank
-from .ti.scc import run_chlonos_scc, run_icm_scc, run_snapshot_scc
-from .ti.wcc import SnapshotWCC, TemporalWCC, make_undirected
 
 TI_ALGORITHMS = ("BFS", "WCC", "SCC", "PR")
 TD_ALGORITHMS = ("SSSP", "EAT", "FAST", "LD", "TMST", "RH", "LCC", "TC")
@@ -45,6 +28,21 @@ ALL_ALGORITHMS = TI_ALGORITHMS + TD_ALGORITHMS
 
 TI_PLATFORMS = ("GRAPHITE", "MSB", "Chlonos")
 TD_PLATFORMS = ("GRAPHITE", "TGB", "GoFFish")
+
+#: TD algorithm → its module under ``repro.algorithms.td`` and the program
+#: class per platform, in ``TD_PLATFORMS`` order.  ``run_algorithm`` imports
+#: only the selected module.
+_TD_PROGRAMS = {
+    "SSSP": ("sssp", "TemporalSSSP", "TgbSSSP", "GoffishSSSP"),
+    "EAT": ("eat", "TemporalEAT", "TgbEAT", "GoffishEAT"),
+    "FAST": ("fast", "TemporalFAST", "TgbFAST", "GoffishFAST"),
+    "LD": ("ld", "TemporalLD", "TgbLD", "GoffishLD"),
+    "TMST": ("tmst", "TemporalTMST", "TgbTMST", "GoffishTMST"),
+    "RH": ("reach", "TemporalReachability", "TgbReachability",
+           "GoffishReachability"),
+    "LCC": ("lcc", "TemporalLCC", "SnapshotLCC", "GoffishLCC"),
+    "TC": ("tc", "TemporalTC", "SnapshotTC", "GoffishTC"),
+}
 
 
 def platforms_for(algorithm: str) -> tuple[str, ...]:
@@ -110,46 +108,59 @@ def run_algorithm(
             f"(got {platform}/{algorithm})"
         )
     cluster = cluster or SimulatedCluster()
-    if horizon is None:
-        horizon = graph.time_horizon()
-    if source is None:
-        source = default_source(graph)
-    if target is None:
-        target = default_target(graph)
-    if deadline is None:
-        deadline = horizon - 1
     icm_options = icm_options or {}
+    # Defaults are resolved where they are consumed: each walks the whole
+    # adjacency, and most cells of the matrix take none of them.
+    if horizon is None and (
+        platform != "GRAPHITE"
+        or algorithm == "FAST"
+        or (algorithm == "LD" and deadline is None)
+    ):
+        horizon = graph.time_horizon()
 
     def icm(g, program):
-        return api.run(
+        res = api.run(
             g, program, cluster=cluster, graph_name=graph_name,
             config=config, options=icm_options, observe=observe,
             resume_from=resume_from,
         )
+        return RunOutcome(algorithm, platform, res.metrics, res)
+
+    def per_snapshot(g, program_factory):
+        if platform == "MSB":
+            from repro.baselines.msb import run_msb
+
+            res = run_msb(g, program_factory, horizon=horizon,
+                          cluster=cluster, graph_name=graph_name)
+        else:
+            from repro.baselines.chlonos import run_chlonos
+
+            res = run_chlonos(g, program_factory, batch_size=batch_size,
+                              horizon=horizon, cluster=cluster,
+                              graph_name=graph_name)
+        return RunOutcome(algorithm, platform, res.metrics, res)
 
     # --- TI ------------------------------------------------------------------
     if algorithm == "BFS":
+        from .ti.bfs import SnapshotBFS, TemporalBFS
+
+        if source is None:
+            source = default_source(graph)
         if platform == "GRAPHITE":
-            res = icm(graph, TemporalBFS(source))
-            return RunOutcome(algorithm, platform, res.metrics, res)
-        runner = run_msb if platform == "MSB" else run_chlonos
-        kwargs = {} if platform == "MSB" else {"batch_size": batch_size}
-        res = runner(graph, lambda t: SnapshotBFS(source), horizon=horizon,
-                     cluster=cluster, graph_name=graph_name, **kwargs)
-        return RunOutcome(algorithm, platform, res.metrics, res)
+            return icm(graph, TemporalBFS(source))
+        return per_snapshot(graph, lambda t: SnapshotBFS(source))
 
     if algorithm == "WCC":
+        from .ti.wcc import SnapshotWCC, TemporalWCC, make_undirected
+
         undirected = make_undirected(graph)
         if platform == "GRAPHITE":
-            res = icm(undirected, TemporalWCC())
-            return RunOutcome(algorithm, platform, res.metrics, res)
-        runner = run_msb if platform == "MSB" else run_chlonos
-        kwargs = {} if platform == "MSB" else {"batch_size": batch_size}
-        res = runner(undirected, lambda t: SnapshotWCC(), horizon=horizon,
-                     cluster=cluster, graph_name=graph_name, **kwargs)
-        return RunOutcome(algorithm, platform, res.metrics, res)
+            return icm(undirected, TemporalWCC())
+        return per_snapshot(undirected, lambda t: SnapshotWCC())
 
     if algorithm == "SCC":
+        from .ti.scc import run_chlonos_scc, run_icm_scc, run_snapshot_scc
+
         if platform == "GRAPHITE":
             res = run_icm_scc(
                 graph, cluster=cluster, graph_name=graph_name,
@@ -168,72 +179,63 @@ def run_algorithm(
         return RunOutcome(algorithm, platform, metrics, values)
 
     if algorithm == "PR":
+        from .ti.pagerank import SnapshotPageRank, TemporalPageRank
+
         if platform == "GRAPHITE":
-            res = icm(graph, TemporalPageRank(graph))
-            return RunOutcome(algorithm, platform, res.metrics, res)
-        runner = run_msb if platform == "MSB" else run_chlonos
-        kwargs = {} if platform == "MSB" else {"batch_size": batch_size}
-        res = runner(graph, lambda t: SnapshotPageRank(), horizon=horizon,
-                     cluster=cluster, graph_name=graph_name, **kwargs)
-        return RunOutcome(algorithm, platform, res.metrics, res)
+            return icm(graph, TemporalPageRank(graph))
+        return per_snapshot(graph, lambda t: SnapshotPageRank())
 
     # --- TD ------------------------------------------------------------------
-    icm_programs = {
-        "SSSP": lambda: (graph, TemporalSSSP(source)),
-        "EAT": lambda: (graph, TemporalEAT(source)),
-        "FAST": lambda: (graph, TemporalFAST(source, horizon=horizon)),
-        "LD": lambda: (graph.reversed(), TemporalLD(target, deadline)),
-        "TMST": lambda: (graph, TemporalTMST(source)),
-        "RH": lambda: (graph, TemporalReachability(source)),
-        "LCC": lambda: (graph, TemporalLCC()),
-        "TC": lambda: (graph, TemporalTC()),
-    }
+    module, *programs = _TD_PROGRAMS[algorithm]
+    program_cls = getattr(
+        import_module(f"{__package__}.td.{module}"),
+        programs[TD_PLATFORMS.index(platform)],
+    )
+    if algorithm in ("LCC", "TC"):
+        args: tuple = ()
+    elif algorithm == "LD":
+        if target is None:
+            target = default_target(graph)
+        if deadline is None:
+            deadline = horizon - 1
+        args = (target, deadline)
+    else:
+        if source is None:
+            source = default_source(graph)
+        args = (source,)
+
     if platform == "GRAPHITE":
-        g, program = icm_programs[algorithm]()
-        res = icm(g, program)
-        res.metrics.algorithm = algorithm
-        return RunOutcome(algorithm, platform, res.metrics, res)
+        program = (
+            program_cls(source, horizon=horizon) if algorithm == "FAST"
+            else program_cls(*args)
+        )
+        outcome = icm(graph.reversed() if algorithm == "LD" else graph, program)
+        outcome.metrics.algorithm = algorithm
+        return outcome
 
     if platform == "TGB":
+        from repro.baselines.tgb import run_tgb
+
+        transformed = None
         if algorithm in ("LCC", "TC"):
-            replica = build_snapshot_replica_graph(graph, horizon=horizon)
-            program = SnapshotLCC() if algorithm == "LCC" else SnapshotTC()
-            res = run_tgb(graph, program, transformed=replica, horizon=horizon,
-                          cluster=cluster, graph_name=graph_name)
-            return RunOutcome(algorithm, platform, res.metrics, res)
-        tgb_programs = {
-            "SSSP": lambda: TgbSSSP(source),
-            "EAT": lambda: TgbEAT(source),
-            "FAST": lambda: TgbFAST(source),
-            "TMST": lambda: TgbTMST(source),
-            "RH": lambda: TgbReachability(source),
-        }
-        if algorithm == "LD":
+            from repro.graph.transform import build_snapshot_replica_graph
+
+            transformed = build_snapshot_replica_graph(graph, horizon=horizon)
+        elif algorithm == "LD":
             from repro.graph.transform import build_transformed_graph
 
             transformed = build_transformed_graph(graph, horizon=horizon).reversed()
-            res = run_tgb(graph, TgbLD(target, deadline), transformed=transformed,
-                          horizon=horizon, cluster=cluster, graph_name=graph_name)
-            return RunOutcome(algorithm, platform, res.metrics, res)
-        res = run_tgb(graph, tgb_programs[algorithm](), horizon=horizon,
-                      cluster=cluster, graph_name=graph_name)
+        res = run_tgb(graph, program_cls(*args), transformed=transformed,
+                      horizon=horizon, cluster=cluster, graph_name=graph_name)
         return RunOutcome(algorithm, platform, res.metrics, res)
 
-    # GoFFish
-    gof_programs = {
-        "SSSP": lambda: (graph, GoffishSSSP(source), 1),
-        "EAT": lambda: (graph, GoffishEAT(source), 1),
-        "FAST": lambda: (graph, GoffishFAST(source), 1),
-        "LD": lambda: (graph.reversed(), GoffishLD(target, deadline), -1),
-        "TMST": lambda: (graph, GoffishTMST(source), 1),
-        "RH": lambda: (graph, GoffishReachability(source), 1),
-        "LCC": lambda: (graph, GoffishLCC(), 1),
-        "TC": lambda: (graph, GoffishTC(), 1),
-    }
-    g, program, direction = gof_programs[algorithm]()
+    from repro.baselines.goffish import GoffishEngine
+
+    reverse = algorithm == "LD"
     engine = GoffishEngine(
-        g, program, horizon=horizon, cluster=cluster,
-        graph_name=graph_name, direction=direction,
+        graph.reversed() if reverse else graph, program_cls(*args),
+        horizon=horizon, cluster=cluster, graph_name=graph_name,
+        direction=-1 if reverse else 1,
     )
     res = engine.run()
     return RunOutcome(algorithm, platform, res.metrics, res)

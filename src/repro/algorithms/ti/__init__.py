@@ -1,9 +1,6 @@
 """Time-independent algorithms: BFS, WCC, SCC, PageRank."""
 
-from .bfs import SnapshotBFS, TemporalBFS, UNREACHED
-from .pagerank import SnapshotPageRank, TemporalPageRank, vertex_count_timeline
-from .scc import SccResult, run_chlonos_scc, run_icm_scc, run_snapshot_scc
-from .wcc import SnapshotWCC, TemporalWCC, make_undirected
+from repro._lazy import lazy_exports
 
 __all__ = [
     "TemporalBFS",
@@ -20,3 +17,10 @@ __all__ = [
     "run_chlonos_scc",
     "SccResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".bfs": ("SnapshotBFS", "TemporalBFS", "UNREACHED"),
+    ".pagerank": ("SnapshotPageRank", "TemporalPageRank", "vertex_count_timeline"),
+    ".scc": ("SccResult", "run_chlonos_scc", "run_icm_scc", "run_snapshot_scc"),
+    ".wcc": ("SnapshotWCC", "TemporalWCC", "make_undirected"),
+})

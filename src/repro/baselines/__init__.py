@@ -1,16 +1,6 @@
 """The four baseline platforms of the paper's evaluation (Sec. VII-A3)."""
 
-from .chlonos import ChlonosEngine, ChlonosResult, run_chlonos
-from .goffish import GoffishContext, GoffishEngine, GoffishProgram, GoffishResult
-from .msb import MultiSnapshotResult, run_msb
-from .tgb import ChainForwardingProgram, TgbResult, run_tgb
-from .vcm import (
-    VcmContext,
-    VcmMaster,
-    VcmResult,
-    VertexCentricEngine,
-    VertexProgram,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "VertexProgram",
@@ -31,3 +21,16 @@ __all__ = [
     "GoffishContext",
     "GoffishResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".chlonos": ("ChlonosEngine", "ChlonosResult", "run_chlonos"),
+    ".goffish": (
+        "GoffishContext", "GoffishEngine", "GoffishProgram", "GoffishResult",
+    ),
+    ".msb": ("MultiSnapshotResult", "run_msb"),
+    ".tgb": ("ChainForwardingProgram", "TgbResult", "run_tgb"),
+    ".vcm": (
+        "VcmContext", "VcmMaster", "VcmResult", "VertexCentricEngine",
+        "VertexProgram",
+    ),
+})

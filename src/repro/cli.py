@@ -24,20 +24,14 @@ import sys
 from typing import Optional, Sequence
 
 from repro import api
-from repro.algorithms import ALL_ALGORITHMS, run_algorithm
-from repro.datasets import SURROGATES
-from repro.graph.stats import dataset_stats
-from repro.obs.exporters import (
-    prometheus_text,
-    read_trace,
-    render_report,
-    render_summary,
-    render_timeline,
-    render_workers,
-)
-from repro.runtime.cluster import SimulatedCluster
+from repro.algorithms.runners import ALL_ALGORITHMS
 
-DATASET_CHOICES = ("transit", *sorted(SURROGATES))
+# Each command imports what it runs (a daemon start loads no exporter,
+# dataset generator or algorithm), so the dataset names are spelled out;
+# ``tests/test_cli.py`` holds them to `repro.datasets.SURROGATES`.
+DATASET_CHOICES = (
+    "transit", "gplus", "locality", "mag", "reddit", "twitter", "usrn", "webuk",
+)
 
 
 def _load(name: str, scale: float):
@@ -97,6 +91,10 @@ _icm_options = engine_options
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.algorithms.runners import run_algorithm
+    from repro.obs.exporters import prometheus_text, render_summary
+    from repro.runtime.cluster import SimulatedCluster
+
     graph = _load(args.dataset, args.scale)
     outcome = run_algorithm(
         args.algorithm, args.platform, graph,
@@ -139,6 +137,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_datasets(args: argparse.Namespace) -> int:
+    from repro.graph.stats import dataset_stats
+
     print(f"{'name':9s} {'|V|':>6s} {'|E|':>6s} {'snaps':>6s} "
           f"{'E-life':>7s} {'P-life':>7s}")
     for name in DATASET_CHOICES:
@@ -206,6 +206,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from repro.obs.exporters import (
+        read_trace,
+        render_report,
+        render_timeline,
+        render_workers,
+    )
+
     try:
         records = read_trace(args.trace)
     except (OSError, ValueError) as exc:
@@ -298,6 +305,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if endpoint is not None:
             endpoint.stop()
+    from repro.obs.exporters import prometheus_text, render_summary
+
     if args.metrics_out is not None:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             fh.write(prometheus_text(service.metrics))

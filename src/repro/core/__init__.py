@@ -1,23 +1,6 @@
 """Interval-centric computing model (ICM): the paper's core contribution."""
 
-from .combiner import (
-    MessageCombiner,
-    max_combiner,
-    min_combiner,
-    or_combiner,
-    sum_combiner,
-    tuple_min_combiner,
-)
-from .context import EdgeContext, MasterContext, VertexContext
-from .engine import IcmResult, IntervalCentricEngine
-from .interval import FOREVER, Interval, coalesce, total_span
-from .intervalset import IntervalSet
-from .messages import IntervalMessage, message, unit_message_fraction
-from .program import IntervalProgram
-from .results_io import export_states_csv, export_states_dense_csv, export_states_json
-from .state import PartitionedState, states_equal_pointwise
-from .tracing import ExecutionTracer
-from .warp import time_join, time_warp, warp_boundaries
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FOREVER",
@@ -50,3 +33,22 @@ __all__ = [
     "export_states_dense_csv",
     "export_states_json",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".combiner": (
+        "MessageCombiner", "max_combiner", "min_combiner", "or_combiner",
+        "sum_combiner", "tuple_min_combiner",
+    ),
+    ".context": ("EdgeContext", "MasterContext", "VertexContext"),
+    ".engine": ("IcmResult", "IntervalCentricEngine"),
+    ".interval": ("FOREVER", "Interval", "coalesce", "total_span"),
+    ".intervalset": ("IntervalSet",),
+    ".messages": ("IntervalMessage", "message", "unit_message_fraction"),
+    ".program": ("IntervalProgram",),
+    ".results_io": (
+        "export_states_csv", "export_states_dense_csv", "export_states_json",
+    ),
+    ".state": ("PartitionedState", "states_equal_pointwise"),
+    ".tracing": ("ExecutionTracer",),
+    ".warp": ("time_join", "time_warp", "warp_boundaries"),
+})

@@ -31,17 +31,12 @@ shared-nothing worker process exchanging messages at the barrier
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.graph.compact import resolve_graph_store
-from repro.obs.events import EventStream, WORKER_SPAN_PHASES
-from repro.obs.observers import JsonlTraceWriter
 from repro.runtime.cluster import SimulatedCluster
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.partitioner import build_partitioner, partitioner_fingerprint
@@ -588,8 +583,11 @@ class IntervalCentricEngine:
         #: Structured-event consumers; the stream itself is built per run().
         self._observers = list(config.observability.observers)
         if config.observability.trace_path is not None:
+            from repro.obs.observers import JsonlTraceWriter
+
             self._observers.append(JsonlTraceWriter(config.observability.trace_path))
-        self._events: Optional[EventStream] = None
+        #: The run's `repro.obs.events.EventStream`; ``None`` when unobserved.
+        self._events = None
         #: vid → canonical global vertex order (graph enumeration order);
         #: worker runtimes process actives and merge messages in this order.
         self._seq: dict[Any, int] = {}
@@ -656,14 +654,6 @@ class IntervalCentricEngine:
         replayed from superstep 1.  Durability costs are reported in
         ``metrics.recovery``, never in the modeled quantities.
         """
-        from repro.runtime.checkpoint import (
-            EXCHANGE_FINGERPRINT,
-            CheckpointError,
-            clear_checkpoints,
-            config_fingerprint,
-            latest_checkpoint,
-            load_checkpoint,
-        )
         from repro.runtime.executor import resolve_executor
         from repro.runtime.faults import UnrecoverableRunError, WorkerDiedError
         from repro.runtime.metrics import RecoveryMetrics
@@ -679,41 +669,47 @@ class IntervalCentricEngine:
         ckpt_dir = self.checkpoint_dir
         own_dir: Optional[str] = None
         if checkpointing and ckpt_dir is None:
+            import tempfile
+
             own_dir = ckpt_dir = tempfile.mkdtemp(prefix="repro-ckpt-")
         config_hash = ""
         if checkpointing or resume_from is not None:
-            config_hash = config_fingerprint(self)
+            # The durability stack (hashing, JSON manifests, shard files) is
+            # loaded by the runs that checkpoint or resume, not by every run.
+            import repro.runtime.checkpoint as durable
+
+            config_hash = durable.config_fingerprint(self)
 
         current_partitioner = partitioner_fingerprint(self.cluster.partitioner)
 
         def _load_validated(path) -> Any:
-            ckpt = load_checkpoint(path, coalesce=self.coalesce_states)
+            ckpt = durable.load_checkpoint(path, coalesce=self.coalesce_states)
             # Checked before the opaque config hash: a partitioner swap is
             # the one mismatch a user can read and act on directly, and a
             # resume under a different vertex→worker map would silently
             # scramble shard ownership.
             if ckpt.partitioner and ckpt.partitioner != current_partitioner:
-                raise CheckpointError(
+                raise durable.CheckpointError(
                     f"checkpoint {ckpt.path} was written under partitioner "
                     f"{ckpt.partitioner} but this engine runs under "
                     f"{current_partitioner}; refusing to resume across a "
                     "different vertex-to-worker assignment"
                 )
-            if ckpt.exchange and ckpt.exchange != EXCHANGE_FINGERPRINT:
-                raise CheckpointError(
+            if ckpt.exchange and ckpt.exchange != durable.EXCHANGE_FINGERPRINT:
+                raise durable.CheckpointError(
                     f"checkpoint {ckpt.path} carries exchange data-plane "
                     f"fingerprint {ckpt.exchange!r} but this build speaks "
-                    f"{EXCHANGE_FINGERPRINT!r}; refusing to resume across "
+                    f"{durable.EXCHANGE_FINGERPRINT!r}; refusing to resume across "
                     "incompatible routed-batch wire formats"
                 )
             if ckpt.config_hash != config_hash:
-                raise CheckpointError(
+                raise durable.CheckpointError(
                     f"checkpoint {ckpt.path} was written by a different "
                     f"configuration (config hash {ckpt.config_hash[:12]}… vs "
                     f"this engine's {config_hash[:12]}…); refusing to resume"
                 )
             if set(ckpt.states) != set(self._seq):
-                raise CheckpointError(
+                raise durable.CheckpointError(
                     f"checkpoint {ckpt.path} covers {len(ckpt.states)} vertices "
                     f"but the graph has {len(self._seq)}"
                 )
@@ -724,7 +720,7 @@ class IntervalCentricEngine:
             # A fresh checkpointed run owns its directory: stale steps from
             # an earlier run (e.g. SCC's peeling sub-runs sharing one dir)
             # must not be mistaken for this run's rollback points.
-            clear_checkpoints(ckpt_dir)
+            durable.clear_checkpoints(ckpt_dir)
 
         # The event stream restarts its sequence for every run(); it keeps
         # counting across recovery attempts, so a replayed superstep appears
@@ -733,7 +729,11 @@ class IntervalCentricEngine:
         # one pass here serves the run_start event and the metric gauges
         # identically under both executors.
         self._partition_stats = self.cluster.partition_stats(self.graph)
-        events = EventStream(self._observers) if self._observers else None
+        events = None
+        if self._observers:
+            from repro.obs.events import EventStream
+
+            events = EventStream(self._observers)
         self._events = events
         if events is not None:
             events.emit(
@@ -782,7 +782,9 @@ class IntervalCentricEngine:
                             f"restart(s): {died}"
                         ) from died
                     t0 = time.perf_counter()
-                    latest = latest_checkpoint(ckpt_dir) if checkpointing else None
+                    latest = (
+                        durable.latest_checkpoint(ckpt_dir) if checkpointing else None
+                    )
                     if latest is not None:
                         start_ckpt = _load_validated(latest)
                         rollback_to = start_ckpt.superstep
@@ -805,6 +807,8 @@ class IntervalCentricEngine:
                         )
         finally:
             if own_dir is not None:
+                import shutil
+
                 shutil.rmtree(own_dir, ignore_errors=True)
             if events is not None:
                 events.close()
@@ -837,12 +841,6 @@ class IntervalCentricEngine:
         recovery,
     ) -> IcmResult:
         """One execution attempt: fresh, resumed, or a recovery replay."""
-        from repro.runtime.checkpoint import (
-            EXCHANGE_FINGERPRINT,
-            restore_metrics,
-            write_checkpoint,
-        )
-
         if start_ckpt is None:
             metrics = RunMetrics(
                 platform=self.platform,
@@ -851,6 +849,8 @@ class IntervalCentricEngine:
                 executor=executor.name,
             )
         else:
+            from repro.runtime.checkpoint import restore_metrics
+
             metrics = restore_metrics(start_ckpt.metrics, executor=executor.name)
             metrics.platform = metrics.platform or self.platform
             metrics.algorithm = metrics.algorithm or self.program.name
@@ -944,6 +944,11 @@ class IntervalCentricEngine:
                     ckpt_dir is not None
                     and self.superstep % self.checkpoint_every == 0
                 ):
+                    from repro.runtime.checkpoint import (
+                        EXCHANGE_FINGERPRINT,
+                        write_checkpoint,
+                    )
+
                     info = write_checkpoint(
                         ckpt_dir,
                         superstep=self.superstep,
@@ -989,6 +994,8 @@ class IntervalCentricEngine:
         down — so the logical event sequence is identical under both
         executors by construction.  Wall-clock facts go in ``wall``.
         """
+        from repro.obs.events import WORKER_SPAN_PHASES
+
         events = self._events
         superstep = self.superstep
         step = metrics.supersteps_detail[-1]

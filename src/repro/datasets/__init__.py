@@ -1,20 +1,6 @@
 """Datasets: the Fig-1a transit example, Table-1 surrogates, LDBC scaling."""
 
-from .ldbc import ldbc_graph
-from .synthetic import (
-    SURROGATES,
-    TRAVEL_COST,
-    TRAVEL_TIME,
-    gplus,
-    load_surrogate,
-    locality,
-    mag,
-    reddit,
-    twitter,
-    usrn,
-    webuk,
-)
-from .transit import EXPECTED_SSSP_FROM_A, transit_graph
+from repro._lazy import lazy_exports
 
 __all__ = [
     "transit_graph",
@@ -32,3 +18,12 @@ __all__ = [
     "TRAVEL_COST",
     "TRAVEL_TIME",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".ldbc": ("ldbc_graph",),
+    ".synthetic": (
+        "SURROGATES", "TRAVEL_COST", "TRAVEL_TIME", "gplus", "load_surrogate",
+        "locality", "mag", "reddit", "twitter", "usrn", "webuk",
+    ),
+    ".transit": ("EXPECTED_SSSP_FROM_A", "transit_graph"),
+})

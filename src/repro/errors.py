@@ -17,11 +17,13 @@ rebuilds typed exceptions from them via ``error_for_code``).  Codes are
 part of the compatibility surface: renaming one breaks clients, so they
 are pinned by ``tests/test_errors.py``.
 
-Re-exports are lazy (module ``__getattr__``) so importing this module
-never drags in the runtime or serving tiers.
+Re-exports are lazy (`repro._lazy`) so importing this module never drags
+in the runtime or serving tiers.
 """
 
 from __future__ import annotations
+
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ERROR_CODES",
@@ -62,22 +64,14 @@ ERROR_CODES = {
     "bad_query": ("repro.serve.errors", "BadQueryError"),
 }
 
-_REEXPORTS = {name: module for code, (module, name) in ERROR_CODES.items()}
-
 
 def error_code(exc: BaseException) -> str:
     """The stable string code of ``exc``, or ``"error"`` for foreign types."""
     return getattr(type(exc), "code", "error")
 
 
-def __getattr__(name: str):
-    module = _REEXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_REEXPORTS))
+__getattr__, __dir__ = lazy_exports(globals(), {
+    module: [name for home, name in ERROR_CODES.values() if home == module]
+    for module, _ in ERROR_CODES.values()
+    if module != __name__
+})

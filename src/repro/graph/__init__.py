@@ -8,24 +8,9 @@ deprecation shims but warn — new code should not sniff formats by hand.
 """
 
 import warnings
+from importlib import import_module
 
-from .binary_io import dump_graph_binary
-from .builder import TemporalGraphBuilder
-from .compact import CompactEdge, CompactGraph, CompactVertex, resolve_graph_store
-from .io import dump_graph
-from .model import EdgePiece, TemporalEdge, TemporalGraph, TemporalVertex
-from .properties import PropertySet, PropertyTimeline
-from .snapshots import (
-    StaticEdge,
-    StaticGraph,
-    iter_snapshots,
-    largest_snapshot,
-    snapshot_at,
-    snapshot_sizes,
-)
-from .stats import DatasetStats, dataset_stats, memory_footprint, resident_bytes
-from .transform import CHAIN, build_transformed_graph, transformed_size
-from .window import GraphWindow
+from repro._lazy import lazy_exports
 
 __all__ = [
     "TemporalGraph",
@@ -61,8 +46,29 @@ __all__ = [
     "load_contact_sequence",
 ]
 
-# Deprecated load entry points, kept importable for one release: resolve
-# lazily so the warning fires at *use*, and point at the front door.
+_lazy_getattr, __dir__ = lazy_exports(globals(), {
+    ".binary_io": ("dump_graph_binary",),
+    ".builder": ("TemporalGraphBuilder",),
+    ".compact": (
+        "CompactEdge", "CompactGraph", "CompactVertex", "resolve_graph_store",
+    ),
+    ".io": ("dump_graph",),
+    ".model": ("EdgePiece", "TemporalEdge", "TemporalGraph", "TemporalVertex"),
+    ".properties": ("PropertySet", "PropertyTimeline"),
+    ".snapshots": (
+        "StaticEdge", "StaticGraph", "iter_snapshots", "largest_snapshot",
+        "snapshot_at", "snapshot_sizes",
+    ),
+    ".stats": (
+        "DatasetStats", "dataset_stats", "memory_footprint", "resident_bytes",
+    ),
+    ".transform": ("CHAIN", "build_transformed_graph", "transformed_size"),
+    ".window": ("GraphWindow",),
+})
+
+# Deprecated load entry points, kept importable for one release: never
+# cached, so the warning fires at every *use*, and it points at the front
+# door.
 _DEPRECATED_LOADERS = {
     "load_graph": ("repro.graph.io", "load_graph"),
     "load_graph_binary": ("repro.graph.binary_io", "load_graph_binary"),
@@ -74,7 +80,7 @@ _DEPRECATED_LOADERS = {
 def __getattr__(name):
     target = _DEPRECATED_LOADERS.get(name)
     if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        return _lazy_getattr(name)
     module, attr = target
     warnings.warn(
         f"repro.graph.{name} is deprecated; use repro.api.load_graph "
@@ -82,6 +88,4 @@ def __getattr__(name):
         DeprecationWarning,
         stacklevel=2,
     )
-    import importlib
-
-    return getattr(importlib.import_module(module), attr)
+    return getattr(import_module(module), attr)

@@ -540,10 +540,14 @@ class CompactGraph:
                         values[k][label] = value
                     k += 1
             pool = self._values
-            empty = intern_values(pool, {})
+            empty = intern_values(pool, (), ())
             index = self._piece_cache[i] = PieceIndex(
                 (starts[0], *bounds),
-                (empty, *[intern_values(pool, v) for v in values], empty),
+                (
+                    empty,
+                    *[intern_values(pool, tuple(v), tuple(v.values())) for v in values],
+                    empty,
+                ),
             )
         return index
 

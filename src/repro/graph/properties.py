@@ -144,16 +144,33 @@ class PieceIndex:
         return out
 
 
-def intern_values(pool: dict, values: dict[str, Any]) -> dict[str, Any]:
-    """The one shared copy of ``values`` in ``pool`` (a graph's own).
+#: Types whose equal values always print alike: for dicts holding nothing
+#: else, ``(labels, values, types)`` identifies the printed form exactly.
+_EXACT_TYPES = frozenset({int, bool, str, type(None)})
+
+
+def intern_values(pool: dict, labels: tuple, vals: tuple) -> dict[str, Any]:
+    """The one shared ``dict(zip(labels, vals))`` in ``pool`` (a graph's own).
 
     Dicts are shared only when equal *and* printed alike, label order
     included: ``1``, ``1.0`` and ``True`` compare and hash equal but export
-    differently, so the key carries the ``repr``.  A dict holding an
-    unhashable value is returned as it is, unshared.
+    differently, so the key carries each value's exact type — and is looked
+    up before the dict is built, which on a hit it never is.  That settles
+    ``int`` / ``bool`` / ``str`` / ``None``; floats (``0.0 == -0.0``) and
+    containers (``(1,) == (1.0,)``) can still be equal, alike in type and
+    printed differently, so a dict holding one is keyed by its ``repr``.
+    A dict holding an unhashable value is returned unshared.
     """
+    types = tuple(map(type, vals))
+    if _EXACT_TYPES.issuperset(types):
+        key = (labels, vals, types)
+        values = pool.get(key)
+        if values is None:
+            values = pool.setdefault(key, dict(zip(labels, vals)))
+        return values
+    values = dict(zip(labels, vals))
     try:
-        return pool.setdefault((repr(values), tuple(values.values())), values)
+        return pool.setdefault((repr(values), vals), values)
     except TypeError:
         return values
 
@@ -184,9 +201,33 @@ class PropertySet:
         if index is None:
             if pool is None:
                 pool = {}
-            cuts = tuple(self.boundaries())
-            values = [intern_values(pool, {})]
-            values += [intern_values(pool, self.values_at(t)) for t in cuts]
+            # One forward sweep: every entry's start and end is a cut, so
+            # a cursor per label — never moving back — finds the entry (if
+            # any) that holds at each cut.  Same dicts, label order included,
+            # as ``values_at`` at every ``boundaries()`` point.
+            runs = [(label, tl._entries) for label, tl in self._timelines.items()]
+            bounds: set[int] = set()
+            for _, entries in runs:
+                for iv, _ in entries:
+                    bounds.add(iv.start)
+                    bounds.add(iv.end)
+            cuts = tuple(sorted(bounds))
+            cursors = [0] * len(runs)
+            values = [intern_values(pool, (), ())]
+            for t in cuts:
+                labels = []
+                vals = []
+                for k, (label, entries) in enumerate(runs):
+                    i = cursors[k]
+                    while i < len(entries) and entries[i][0].end <= t:
+                        i += 1
+                    cursors[k] = i
+                    if i < len(entries):
+                        iv, value = entries[i]
+                        if iv.start <= t and value is not None:
+                            labels.append(label)
+                            vals.append(value)
+                values.append(intern_values(pool, tuple(labels), tuple(vals)))
             index = self._index = PieceIndex(cuts, tuple(values))
         return index
 

@@ -30,33 +30,7 @@ Design guarantees:
   fingerprint — traced runs resume untraced checkpoints and vice versa.
 """
 
-from repro.obs.events import (
-    EVENT_SCHEMA_VERSION,
-    EVENT_TYPES,
-    EventStream,
-    WORKER_SPAN_PHASES,
-    logical_view,
-    validate_event,
-)
-from repro.obs.exporters import (
-    logical_sequence,
-    prometheus_text,
-    read_trace,
-    render_report,
-    render_summary,
-    render_timeline,
-    render_workers,
-    split_runs,
-)
-from repro.obs.observers import InMemoryEvents, JsonlTraceWriter, RunObserver
-from repro.obs.registry import (
-    RECOVERY_METRICS,
-    RUN_METRICS,
-    SERVE_METRICS,
-    Histogram,
-    MetricRegistry,
-    MetricSpec,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
@@ -83,3 +57,19 @@ __all__ = [
     "split_runs",
     "validate_event",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".events": (
+        "EVENT_SCHEMA_VERSION", "EVENT_TYPES", "EventStream",
+        "WORKER_SPAN_PHASES", "logical_view", "validate_event",
+    ),
+    ".exporters": (
+        "logical_sequence", "prometheus_text", "read_trace", "render_report",
+        "render_summary", "render_timeline", "render_workers", "split_runs",
+    ),
+    ".observers": ("InMemoryEvents", "JsonlTraceWriter", "RunObserver"),
+    ".registry": (
+        "RECOVERY_METRICS", "RUN_METRICS", "SERVE_METRICS", "Histogram",
+        "MetricRegistry", "MetricSpec",
+    ),
+})

@@ -5,20 +5,7 @@ property graphs"; this package provides a small TGA-inspired operator set
 over the library's native types.
 """
 
-from .analytics import (
-    degree_timeline,
-    durable_top_k,
-    edge_count_timeline,
-    property_timeline,
-    state_timeline,
-    top_k_at,
-    total_over_time,
-    vertex_count_timeline,
-    when_stable,
-)
-from .paths import Journey, JourneyLeg, find_journeys, iter_journeys
-from .slice import between, edge_subgraph, temporal_slice, vertex_subgraph
-from .timeline import Timeline, aggregate, align
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Timeline",
@@ -42,3 +29,14 @@ __all__ = [
     "iter_journeys",
     "find_journeys",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".analytics": (
+        "degree_timeline", "durable_top_k", "edge_count_timeline",
+        "property_timeline", "state_timeline", "top_k_at", "total_over_time",
+        "vertex_count_timeline", "when_stable",
+    ),
+    ".paths": ("Journey", "JourneyLeg", "find_journeys", "iter_journeys"),
+    ".slice": ("between", "edge_subgraph", "temporal_slice", "vertex_subgraph"),
+    ".timeline": ("Timeline", "aggregate", "align"),
+})

@@ -1,46 +1,6 @@
 """Simulated distributed runtime: partitioning, transport, metrics."""
 
-from .cluster import SimulatedCluster
-from .encoding import (
-    decode_interval,
-    decode_message,
-    decode_payload,
-    decode_varint,
-    encode_interval,
-    encode_message,
-    encode_payload,
-    encode_varint,
-    encoded_message_size,
-    interval_size,
-    payload_size,
-    varint_size,
-)
-from .checkpoint import (
-    CheckpointError,
-    ExecutorSnapshot,
-    LoadedCheckpoint,
-    latest_checkpoint,
-    load_checkpoint,
-    write_checkpoint,
-)
-from .faults import FaultAction, FaultPlan, UnrecoverableRunError, WorkerDiedError
-from .metrics import (
-    ComputeModel,
-    NetworkModel,
-    RecoveryMetrics,
-    RunMetrics,
-    SuperstepMetrics,
-)
-from .partitioner import (
-    PARTITIONER_KINDS,
-    GreedyEdgeCutPartitioner,
-    HashPartitioner,
-    IntervalGreedyPartitioner,
-    Partitioner,
-    RangePartitioner,
-    build_partitioner,
-    partitioner_fingerprint,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SimulatedCluster",
@@ -80,3 +40,28 @@ __all__ = [
     "decode_message",
     "encoded_message_size",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".checkpoint": (
+        "CheckpointError", "ExecutorSnapshot", "LoadedCheckpoint",
+        "latest_checkpoint", "load_checkpoint", "write_checkpoint",
+    ),
+    ".cluster": ("SimulatedCluster",),
+    ".encoding": (
+        "decode_interval", "decode_message", "decode_payload", "decode_varint",
+        "encode_interval", "encode_message", "encode_payload", "encode_varint",
+        "encoded_message_size", "interval_size", "payload_size", "varint_size",
+    ),
+    ".faults": (
+        "FaultAction", "FaultPlan", "UnrecoverableRunError", "WorkerDiedError",
+    ),
+    ".metrics": (
+        "ComputeModel", "NetworkModel", "RecoveryMetrics", "RunMetrics",
+        "SuperstepMetrics",
+    ),
+    ".partitioner": (
+        "PARTITIONER_KINDS", "GreedyEdgeCutPartitioner", "HashPartitioner",
+        "IntervalGreedyPartitioner", "Partitioner", "RangePartitioner",
+        "build_partitioner", "partitioner_fingerprint",
+    ),
+})

@@ -57,16 +57,11 @@ so an 8-worker simulation keeps its metrics identical whether it runs on
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-import pickle
 import signal
-import threading
 import time
-import traceback
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _conn_wait
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.config import EngineConfig, ExchangeConfig
 from repro.core.context import VertexContext
@@ -75,7 +70,6 @@ from repro.core.interval import Interval
 from repro.core.messages import Row
 from repro.obs.registry import RUN_METRICS
 
-from .checkpoint import ExecutorSnapshot
 from .encoding import (
     _decode_routed_entries,
     decode_routed_batch,
@@ -86,6 +80,13 @@ from .encoding import (
 )
 from .faults import FaultPlan, WorkerDiedError, kill_process
 from .metrics import RunMetrics
+
+if TYPE_CHECKING:
+    from .checkpoint import ExecutorSnapshot
+
+# ``multiprocessing``, ``pickle``, ``threading``, ``traceback`` and the
+# checkpoint module are imported by the code that forks, ships or snapshots
+# — a serial, uncheckpointed run loads none of them.
 
 #: Counters each worker runtime accumulates locally and the barrier folds —
 #: the registry's ``worker_field`` slice, in declaration order
@@ -234,6 +235,8 @@ class SerialExecutor:
 
     def snapshot(self) -> ExecutorSnapshot:
         """Barrier-time snapshot: all states plus the undelivered messages."""
+        from .checkpoint import ExecutorSnapshot
+
         return ExecutorSnapshot(
             states=self._runtime.collect(),
             pending=self._runtime.pending_entries(),
@@ -657,6 +660,10 @@ class _WorkerRuntime:
         readable and decodes each frame straight out of the reusable
         receive buffer.  Returns the bytes this worker put on the wire.
         """
+        import threading
+        from multiprocessing import BufferTooShort
+        from multiprocessing.connection import wait as conn_wait
+
         t_enc = time.perf_counter()
         sent_bytes = 0
         for q in self._peer_ids:
@@ -685,17 +692,17 @@ class _WorkerRuntime:
             os.kill(os.getpid(), signal.SIGKILL)
 
         # Everything from here to the sender join is "waiting on peers":
-        # the drain loop blocks in ``_conn_wait`` with only cheap decodes
+        # the drain loop blocks in ``conn_wait`` with only cheap decodes
         # between wakeups, so its wall is the exchange_wait span.
         t_wait = time.perf_counter()
         waiting = {self.peer_conns[q]: q for q in self._peer_ids}
         dead: Optional[int] = None
         while waiting and dead is None:
-            for conn in _conn_wait(list(waiting)):
+            for conn in conn_wait(list(waiting)):
                 q = waiting.pop(conn)
                 try:
                     nbytes = conn.recv_bytes_into(self._recv_buf)
-                except mp.BufferTooShort as exc:
+                except BufferTooShort as exc:
                     frame = exc.args[0]
                     # Grow the reusable buffer so the next oversized frame
                     # lands in place; decode this one where it arrived.
@@ -736,6 +743,9 @@ class _WorkerRuntime:
 
 
 def _worker_main(payload: _ShardPayload, conn) -> None:
+    import pickle
+    import traceback
+
     # Drop the pipe ends inherited over fork that belong to *other* worker
     # pairs: each peer pipe must be open in exactly its two endpoint
     # processes, so a worker's death surfaces as EOF there and nowhere else.
@@ -850,6 +860,8 @@ class ParallelExecutor:
 
         # fork inherits the graph/program/states copy-on-write — no pickling
         # of the (potentially large) payload; spawn platforms pickle it.
+        import multiprocessing as mp
+
         methods = mp.get_all_start_methods()
         ctx = mp.get_context("fork" if "fork" in methods else None)
         if ctx.get_start_method() != "fork":
@@ -1014,6 +1026,8 @@ class ParallelExecutor:
         sequence, recreating the serial delivery order, so the snapshot is
         executor-neutral.
         """
+        from .checkpoint import ExecutorSnapshot
+
         for i in range(len(self._conns)):
             self._send_cmd(i, ("snapshot",))
         states: dict[Any, Any] = {}

@@ -18,7 +18,6 @@ fails loudly instead of silently scrambling shard ownership.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import re
 import zlib
@@ -165,6 +164,8 @@ class _AssignmentPartitioner(Partitioner):
 
     def _assignment_digest(self) -> str:
         """SHA-256 over the full vertex→worker map (id-order independent)."""
+        import hashlib  # only assignment partitioners pay for OpenSSL's binding
+
         digest = hashlib.sha256()
         for vid, worker in sorted(
             self._assignment.items(), key=lambda item: repr(item[0])

@@ -15,16 +15,7 @@ Entry points: :func:`repro.api.serve` builds a
 :class:`~repro.serve.client.QueryClient`.
 """
 
-from .cache import CacheStats, ResultCache
-from .errors import (
-    BadQueryError,
-    QueryTimeoutError,
-    QueueFullError,
-    ServeError,
-    error_for_code,
-)
-from .metrics_http import MetricsEndpoint
-from .service import GraphService, QueryAnswer, QueryRequest, ServeMetrics
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BadQueryError",
@@ -40,3 +31,13 @@ __all__ = [
     "ServeMetrics",
     "error_for_code",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".cache": ("CacheStats", "ResultCache"),
+    ".errors": (
+        "BadQueryError", "QueryTimeoutError", "QueueFullError", "ServeError",
+        "error_for_code",
+    ),
+    ".metrics_http": ("MetricsEndpoint",),
+    ".service": ("GraphService", "QueryAnswer", "QueryRequest", "ServeMetrics"),
+})

@@ -1,5 +1,9 @@
 """Streaming extension: incremental ICM over append-only temporal graphs."""
 
-from .engine import StreamingIntervalEngine
+from repro._lazy import lazy_exports
 
 __all__ = ["StreamingIntervalEngine"]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(), {".engine": ("StreamingIntervalEngine",)}
+)

@@ -32,6 +32,60 @@ class TestDefaults:
         assert default_source(g) == default_source(g) == "z"
 
 
+class TestDefaultsResolvedWhereConsumed:
+    """Each default walks the whole adjacency (a view per edge on a compact
+    graph), so ``run_algorithm`` resolves one only in the branch that
+    takes it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.algorithms import runners
+
+        counts = {"source": 0, "target": 0}
+
+        def counting(name, fn):
+            def wrapper(graph):
+                counts[name] += 1
+                return fn(graph)
+            return wrapper
+
+        monkeypatch.setattr(
+            runners, "default_source", counting("source", runners.default_source))
+        monkeypatch.setattr(
+            runners, "default_target", counting("target", runners.default_target))
+        return counts
+
+    @pytest.mark.parametrize("algorithm", ["PR", "WCC", "SCC", "LCC", "TC"])
+    def test_sourceless_algorithms_resolve_neither(self, calls, algorithm):
+        run_algorithm(algorithm, "GRAPHITE", transit_graph())
+        assert calls == {"source": 0, "target": 0}
+
+    def test_explicit_source_resolves_neither(self, calls):
+        run_algorithm("SSSP", "GRAPHITE", transit_graph(), source="B")
+        assert calls == {"source": 0, "target": 0}
+
+    def test_sssp_resolves_the_source_once_and_no_target(self, calls):
+        run_algorithm("SSSP", "GRAPHITE", transit_graph())
+        assert calls == {"source": 1, "target": 0}
+
+    @pytest.mark.parametrize("platform", ["GRAPHITE", "TGB", "GoFFish"])
+    def test_ld_resolves_the_target_once_and_no_source(self, calls, platform):
+        g = transit_graph()
+        default = run_algorithm("LD", platform, g)
+        assert calls == {"source": 0, "target": 1}
+        explicit = run_algorithm(
+            "LD", platform, g,
+            target=default_target(g), deadline=g.time_horizon() - 1,
+        )
+        assert calls == {"source": 0, "target": 1}
+        answer = {
+            "GRAPHITE": lambda res: {vid: list(st) for vid, st in res.states.items()},
+            "TGB": lambda res: res.replica_values,
+            "GoFFish": lambda res: (res.values, res.observed),
+        }[platform]
+        assert answer(default.result) == answer(explicit.result)
+
+
 class TestMatrixShape:
     def test_algorithm_lists_cover_paper(self):
         assert set(TI_ALGORITHMS) == {"BFS", "WCC", "SCC", "PR"}

@@ -8,6 +8,11 @@
   ``PropertyTimeline.add`` ran for every entry before it got its append
   path.
 
+* ``reference_piece_index`` — ``PropertySet.piece_index`` as it was defined
+  before the one-sweep build: ``boundaries()`` for the cuts, one
+  ``values_at`` (a bisection per label) per cut for the dicts.  Returns
+  plain ``(cuts, values)``; interning is the production code's business.
+
 Self-contained on purpose (nothing here calls the code it is the oracle
 for); ``test_text_loader.py`` holds the production loader to them.
 """
@@ -20,7 +25,7 @@ from typing import Any, TextIO
 
 from repro.core.interval import FOREVER, Interval
 from repro.graph.model import TemporalEdge, TemporalGraph, TemporalVertex
-from repro.graph.properties import PropertyTimeline
+from repro.graph.properties import PropertySet, PropertyTimeline
 
 
 def reference_timeline_add(timeline: PropertyTimeline, interval: Interval, value: Any) -> None:
@@ -35,6 +40,25 @@ def reference_timeline_add(timeline: PropertyTimeline, interval: Interval, value
         )
     timeline._starts.insert(idx, interval.start)
     timeline._entries.insert(idx, (interval, value))
+
+
+def reference_piece_index(props: PropertySet) -> tuple[tuple, list[dict]]:
+    bounds: set[int] = set()
+    for timeline in props._timelines.values():
+        for iv, _ in timeline._entries:
+            bounds.update((iv.start, iv.end))
+    cuts = tuple(sorted(bounds))
+    values: list[dict] = [{}]
+    for t in cuts:
+        at_t = {}
+        for label, timeline in props._timelines.items():
+            idx = bisect_right(timeline._starts, t) - 1
+            if idx >= 0:
+                iv, value = timeline._entries[idx]
+                if iv.start <= t < iv.end and value is not None:
+                    at_t[label] = value
+        values.append(at_t)
+    return cuts, values
 
 
 def _parse_time(token: str) -> int:

@@ -2,8 +2,10 @@
 
 One index shape serves both stores and lives as long as its graph, so
 three things are pinned here: *answers* (``pieces(window)`` equals the
-retained boundary-rederiving oracle on heap and compact edges, and interning
-never merges dicts that print differently), *lifetime* (appends and
+retained boundary-rederiving oracle on heap and compact edges, the one-sweep
+heap build equals the retained ``boundaries()`` + ``values_at`` definition
+element by element, and interning never merges dicts that print
+differently), *lifetime* (appends and
 property adds invalidate exactly what they touch, ``reversed()`` shares
 tables, pickles stay small) and *size* (the resident bytes per piece — the
 benchmark's RSS bound is 7 %, and a layout of per-piece objects breaks it).
@@ -22,9 +24,11 @@ from repro.core.interval import FOREVER, Interval
 from repro.datasets import transit_graph, usrn
 from repro.graph.builder import TemporalGraphBuilder
 from repro.graph.compact import CompactGraph
+from repro.graph.properties import PropertySet, intern_values
 from repro.streaming.engine import StreamingIntervalEngine
 
 from ..core._reference_impls import reference_edge_pieces
+from ._reference_impls import reference_piece_index
 from .test_compact import temporal_graphs
 
 # -- answers -------------------------------------------------------------------
@@ -91,6 +95,55 @@ class TestOracle:
         assert_pieces_match_oracle(graph, window)
 
 
+def assert_sweep_matches_reference(props: PropertySet):
+    want_cuts, want_values = reference_piece_index(props)
+    index = props.piece_index()
+    assert index.cuts == want_cuts
+    assert list(index.values) == want_values
+    # Label order and exact value types, element by element.
+    assert [[(k, type(v), v) for k, v in d.items()] for d in index.values] == \
+        [[(k, type(v), v) for k, v in d.items()] for d in want_values]
+
+
+@st.composite
+def property_sets(draw):
+    """A property set with up to four labels, inserted in a drawn order, whose
+    timelines are gappy, abut, share change points across labels, hold
+    ``None`` and hash-equal values of different types, and may be unbounded."""
+    props = PropertySet()
+    for label in draw(st.permutations(["w", "cap", "z", "tag"]))[:draw(st.integers(0, 4))]:
+        points = sorted(draw(st.sets(st.integers(0, 12), min_size=2, max_size=7)))
+        if draw(st.booleans()):
+            points[-1] = FOREVER
+        for lo, hi in zip(points, points[1:]):
+            if draw(st.booleans()):
+                value = draw(st.sampled_from([None, 0, 1, True, 1.0, "1", (1,), (1.0,)]))
+                props.add(label, Interval(lo, hi), value)
+    return props
+
+
+class TestSweepOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(property_sets())
+    def test_property_sets(self, props):
+        assert_sweep_matches_reference(props)
+
+    @settings(max_examples=60, deadline=None)
+    @given(temporal_graphs())
+    def test_every_entity_of_random_graphs(self, graph):
+        for entity in (*graph.vertices(), *graph.edges()):
+            assert_sweep_matches_reference(entity.properties)
+
+    def test_empty_set_and_out_of_order_adds(self):
+        assert_sweep_matches_reference(PropertySet())
+        props = PropertySet()
+        props.add("w", Interval(6, 9), 3)
+        props.add("w", Interval(0, 2), 1)  # the sorted-insert path
+        props.add("cap", Interval(2, 6), 7)
+        assert_sweep_matches_reference(props)
+        assert props.piece_index().cuts == (0, 2, 6, 9)
+
+
 def _mixed_type_graph():
     """Edges whose values are equal and hash-equal but print differently,
     plus list values (unhashable) and two label orders."""
@@ -142,6 +195,44 @@ class TestInterning:
         values = self._values(graph)
         assert values["e1"] == values["e2"] == {"tags": ["x"]}
         assert values["e1"] is not values["e2"]
+
+
+    @staticmethod
+    def _intern(pool, values):
+        return intern_values(pool, tuple(values), tuple(values.values()))
+
+    def test_equal_dicts_that_print_differently_are_never_one_object(self):
+        groups = [
+            [{"w": 1}, {"w": 1.0}, {"w": True}],
+            [{"w": 0}, {"w": False}, {"w": 0.0}, {"w": -0.0}],
+            [{"w": (1,)}, {"w": (1.0,)}, {"w": (True,)}],
+            [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+            [{"w": "1"}, {"w": 1}],
+            [{"w": None}, {}],
+        ]
+        for group in groups:
+            pool = {}
+            shared = [self._intern(pool, values) for values in group]
+            assert [repr(s) for s in shared] == [repr(v) for v in group]
+            assert len({id(s) for s in shared}) == len(group), group
+
+    def test_equal_and_alike_dicts_are_always_one_object(self):
+        nan = float("nan")
+        for values in ({}, {"w": 1}, {"w": True, "x": "s", "y": None},
+                       {"w": 1.5}, {"w": -0.0}, {"w": (1, 2.0)}, {"w": nan},
+                       {"a": 1, "b": 2}):
+            pool = {}
+            first = self._intern(pool, dict(values))
+            assert self._intern(pool, dict(values)) is first
+            assert list(first.items()) == list(values.items())
+            assert len(pool) == 1
+
+    def test_an_unhashable_value_is_returned_unshared(self):
+        pool = {}
+        first = self._intern(pool, {"tags": ["x"], "w": 1})
+        second = self._intern(pool, {"tags": ["x"], "w": 1})
+        assert first == second == {"tags": ["x"], "w": 1}
+        assert first is not second and not pool
 
 
 # -- invalidation and lifetime -------------------------------------------------

@@ -18,6 +18,7 @@ PACKAGES = [
     "repro.algorithms.td",
     "repro.datasets",
     "repro.query",
+    "repro.serve",
     "repro.streaming",
 ]
 

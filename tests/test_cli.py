@@ -2,7 +2,34 @@
 
 import pytest
 
-from repro.cli import build_parser, engine_options, main
+from repro.cli import DATASET_CHOICES, build_parser, engine_options, main
+
+from ._fresh_interpreter import run_fresh
+
+
+class TestEachCommandImportsWhatItRuns:
+    def test_dataset_choices_are_the_generators(self):
+        # Spelled out in cli.py so that parsing arguments imports no generator.
+        from repro import api
+        from repro.datasets import SURROGATES
+
+        assert DATASET_CHOICES == ("transit", *sorted(SURROGATES))
+        assert list(DATASET_CHOICES) == api._dataset_names()
+
+    def test_parsing_a_serve_command_loads_no_command_specific_stack(self):
+        out = run_fresh(
+            "import sys; from repro.cli import build_parser; "
+            "build_parser().parse_args(['serve', '--socket', 's', '--graph', 'g']); "
+            "print(' '.join(sorted(sys.modules)))"
+        ).split()
+        loaded = [
+            m for m in out
+            if m.startswith(("repro.datasets", "repro.obs.exporters",
+                             "repro.graph.stats", "repro.algorithms.ti",
+                             "repro.algorithms.td", "repro.baselines",
+                             "repro.serve", "repro.query"))
+        ]
+        assert not loaded, loaded
 
 
 class TestRun:
