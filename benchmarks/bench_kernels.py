@@ -10,18 +10,8 @@ Times the engine's hot kernels on synthetic workloads —
 * **encode**      — message codec round-trip (no reference; tracked as
                     time normalised by a pure-Python calibration loop so
                     the number is comparable across machines);
-* **engine**      — a full interval-centric run (~10k messages) under the
-                    parallel executor (peer-to-peer exchange topology)
-                    against the serial executor, after asserting both
-                    return identical states.  The speedup depends on
-                    physical cores, so the result records the core count:
-                    the acceptance floor only binds on ≥4-core machines,
-                    and baseline comparisons are *refused out loud* when
-                    the baseline came from a different core count.  A
-                    committed baseline that predates the peer data plane
-                    (no ``exchange`` key) must additionally be beaten
-                    ≥1.25× wall-clock on a comparable ≥4-core host;
-* **checkpoint**  — the same engine workload with barrier checkpointing
+* **checkpoint**  — a full interval-centric run (~10k messages) with
+                    barrier checkpointing
                     (``checkpoint_every=4``) against the plain run, after
                     asserting identical states.  The gated metric is the
                     *overhead ratio* (checkpointed / plain wall-clock),
@@ -54,13 +44,10 @@ Times the engine's hot kernels on synthetic workloads —
                     (what an uncombined wire would carry) must be
                     invariant, and the gated ratio uncombined/combined
                     must show a ≥25% real-byte cut (floor 1.33×).
-* **serve_cache**   — the ``repro.serve`` result cache: a PageRank query
-                    answered cold (engine run) then again from cache,
-                    both byte-identical to a direct ``api.run``.  Wall
-                    times are reported but the gate is the deterministic
-                    modeled ratio (run ``modeled_makespan`` vs a probe +
-                    payload-shipping hit cost), floor 5×, so it binds on
-                    any host.
+
+Multi-core engine speedup and serving-cache latency are not measured here:
+``benchmarks/e2e`` reports them as wall-clock (``executor.speedup_2p``,
+``serve_hit`` / ``serve_miss``).
 
 Results are written to ``BENCH_kernels.json`` at the repository root: a
 committed **baseline** plus a bounded run **history**, so the repo carries
@@ -121,27 +108,17 @@ REGRESSION_TOLERANCE = {"full": 0.20, "smoke": 0.50}
 HISTORY_LIMIT = 50
 SPEEDUP_FLOOR = {
     "warp_10k": 3.0,
-    "engine_parallel": 1.7,
     # ≥30% remote-byte reduction vs hash ⇒ hash/greedy ratio ≥ 1/0.7.
     "partition_quality": 1.43,
     # ≥25% real-wire byte cut from sender-side combining ⇒ ratio ≥ 1/0.75.
-    # Deterministic byte counts (no "cores" key), so this binds on any host.
+    # Deterministic byte counts, so this binds on any host.
     "exchange_bytes": 1.33,
-    # A serving-tier cache hit must be ≥5× cheaper than re-running the
-    # engine.  Gated on the deterministic modeled ratio (modeled run
-    # makespan vs modeled hit cost), not wall-clock, so it binds anywhere.
-    "serve_cache": 5.0,
     # mmap-loading a compact image must be ≥5× faster than decoding the
     # v1 object stream of the same 10k-vertex graph — the point of the
     # columnar format is that a restarted daemon is queryable while the
     # object decoder would still be allocating.
     "compact_load": 5.0,
 }  # acceptance bars
-#: One-shot wall-clock gate for the peer-exchange optimisation: while the
-#: committed ``engine_parallel`` baseline predates the peer data plane (its
-#: entry has no "exchange" key), a full run on a comparable ≥4-core host
-#: must beat the baseline ``opt_s`` by this factor before re-adoption.
-IMPROVEMENT_FLOOR = {"engine_parallel": 1.25}
 #: Hard ceiling on overhead-style metrics (instrumented / plain wall-clock).
 #: The checkpoint cadence of 4 must cost <15% on the 10k-message workload;
 #: full observability instrumentation must cost <10% on the same workload.
@@ -153,10 +130,6 @@ OVERHEAD_CAP = {
     "observability_overhead": 1.10,
     "span_overhead": 1.10,
 }
-#: Parallel-executor floors only bind when this many cores are available —
-#: below that the speedup is physically out of reach.
-FLOOR_MIN_CORES = 4
-
 SIZES = {
     "full": dict(
         warp_messages=10_000, warp_partitions=64, warp_span=20_000,
@@ -356,48 +329,6 @@ def _build_engine_workload(sizes):
     return builder.build()
 
 
-def bench_engine_parallel(sizes, repeats):
-    graph = _build_engine_workload(sizes)
-    shards = sizes["engine_shards"]
-    supersteps = sizes["engine_supersteps"]
-
-    def run(executor, processes=None):
-        # The parallel run exercises the production data plane: peer
-        # topology (workers exchange batches directly, the master only
-        # sees barrier reports) with sender-side combining on.
-        return api.run(
-            graph, _FloodMin(supersteps), cluster=SimulatedCluster(shards),
-            options={
-                "executor": executor,
-                "executor_processes": processes,
-                "exchange": "peer",
-            },
-        )
-
-    serial = run("serial")
-    parallel = run("parallel", sizes["engine_procs"])
-    assert {v: list(s) for v, s in serial.states.items()} == \
-           {v: list(s) for v, s in parallel.states.items()}, (
-        "parallel engine run diverged from serial"
-    )
-
-    serial_s = best_of(lambda: run("serial"), repeats)
-    parallel_s = best_of(lambda: run("parallel", sizes["engine_procs"]), repeats)
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cores = os.cpu_count() or 1
-    return {
-        "opt_s": parallel_s,
-        "ref_s": serial_s,
-        "speedup": serial_s / parallel_s,
-        "cores": cores,
-        "processes": sizes["engine_procs"],
-        "exchange": "peer",
-        "messages": serial.metrics.messages_sent,
-    }
-
-
 def bench_checkpoint_overhead(sizes, repeats):
     """Barrier checkpointing (cadence 4) vs the plain serial run.
 
@@ -507,8 +438,8 @@ def bench_span_overhead(sizes, repeats):
     phase timers (perf_counter pairs around scatter/encode/exchange,
     present in both runs) and the observer-side ``worker_span`` event
     emission with its per-event trace flush (instrumented run only).
-    The gated quotient bounds the second; the first is bounded by the
-    ``engine_parallel`` speedup floor staying green.
+    The gated quotient bounds the second; the first shows in
+    ``benchmarks/e2e``'s ``executor.speedup_2p``.
     """
     graph = _build_engine_workload(sizes)
     shards = sizes["engine_shards"]
@@ -702,73 +633,6 @@ def bench_exchange_bytes(sizes):
     }
 
 
-def bench_serve_cache(sizes, repeats):
-    """Serving-tier cache hit vs a cold engine run (``repro.serve``).
-
-    Stands up an in-process ``GraphService`` over the locality surrogate,
-    answers a PageRank query cold (engine run, cache miss), then answers
-    the identical query again from the interval-aware result cache.
-    Correctness first: both answers must be byte-identical to a direct
-    ``api.run`` over the same graph — that is the cache's contract.
-
-    Wall-clock for the cold and hit paths is reported for the curious,
-    but the *gated* "speedup" is a deterministic modeled ratio so the
-    5× floor binds on any host: modeled cold cost is the run's
-    ``modeled_makespan`` under the paper's cluster cost model, modeled
-    hit cost is a dictionary probe plus shipping the canonical payload
-    (1 µs + response bytes × 1 ns/B).  If a hit is not ≥5× cheaper than
-    re-running the engine, the cache is not paying its way.
-    """
-    import io as io_mod
-
-    from repro.algorithms.ti.pagerank import TemporalPageRank
-    from repro.core.results_io import export_states_json
-    from repro.datasets.synthetic import locality
-
-    graph = locality(sizes["locality_scale"])
-    workers = 4
-
-    direct = api.run(
-        graph, TemporalPageRank(graph),
-        cluster=SimulatedCluster(workers), graph_name="locality",
-    )
-    doc = export_states_json(direct, io_mod.StringIO())
-    expected = json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                          default=str)
-
-    service = api.serve(graph, graph_name="locality", workers=workers)
-    try:
-        t0 = time.perf_counter()
-        cold = service.query("PR")
-        cold_s = time.perf_counter() - t0
-        assert not cold.cache_hit
-        assert cold.payload == expected, (
-            "serving answer diverged from the direct run"
-        )
-        hit_s = best_of(lambda: service.query("PR"), repeats)
-        warm = service.query("PR")
-        assert warm.cache_hit and warm.payload == expected, (
-            "cache hit diverged from the cold answer"
-        )
-        assert service.metrics.cache_hits >= repeats
-    finally:
-        service.close()
-
-    response_bytes = len(cold.payload.encode("utf-8"))
-    modeled_cold = direct.metrics.modeled_makespan
-    modeled_hit = 1e-6 + response_bytes * 1e-9
-    return {
-        "speedup": modeled_cold / modeled_hit,
-        "modeled_cold_s": modeled_cold,
-        "modeled_hit_s": modeled_hit,
-        "wall_cold_s": cold_s,
-        "wall_hit_s": hit_s,
-        "response_bytes": response_bytes,
-        "workers": workers,
-    }
-
-
-
 def _build_compact_workload(sizes):
     """A property-bearing temporal graph at compact-benchmark scale.
 
@@ -902,49 +766,12 @@ def check_regressions(results: dict, baseline: dict, mode: str) -> list[str]:
             )
         floor = SPEEDUP_FLOOR.get(kernel)
         if floor is not None and metric == "speedup" and mode == "full" and value < floor:
-            if result.get("cores", FLOOR_MIN_CORES) < FLOOR_MIN_CORES:
-                print(
-                    f"  note: {kernel} floor ({floor:.1f}x) not enforced on "
-                    f"{result['cores']}-core machine"
-                )
-            else:
-                failures.append(
-                    f"{kernel}: speedup {value:.2f}x below the {floor:.1f}x acceptance floor"
-                )
+            failures.append(
+                f"{kernel}: speedup {value:.2f}x below the {floor:.1f}x acceptance floor"
+            )
         base = baseline.get(kernel)
         if not base or metric not in base:
             continue
-        if base.get("cores") is not None and base.get("cores") != result.get("cores"):
-            # Parallel speedups track physical cores; a baseline from a
-            # different machine shape says nothing about a regression here.
-            # Refuse the comparison out loud — a silently skipped gate reads
-            # as a pass it never was.
-            print(
-                f"  refusing {kernel} baseline comparison: baseline recorded "
-                f"on a {base['cores']}-core host, this host has "
-                f"{result.get('cores')} cores "
-                f"(rerun --update-baseline on this core class)"
-            )
-            continue
-        gain_floor = IMPROVEMENT_FLOOR.get(kernel)
-        if (
-            gain_floor is not None
-            and mode == "full"
-            and "exchange" in result
-            and "exchange" not in base
-            and "opt_s" in base
-            and result.get("cores", 0) >= FLOOR_MIN_CORES
-        ):
-            # The committed baseline predates the peer exchange data plane
-            # (its entry carries no "exchange" key): the optimisation must
-            # demonstrably beat it on a comparable host before re-adoption.
-            gain = base["opt_s"] / result["opt_s"]
-            if gain < gain_floor:
-                failures.append(
-                    f"{kernel}: peer exchange only {gain:.2f}x faster than the "
-                    f"pre-peer baseline opt_s {base['opt_s'] * 1e3:.1f} ms "
-                    f"(need >={gain_floor:.2f}x)"
-                )
         ref = base[metric]
         pct = int(tolerance * 100)
         if higher_better:
@@ -996,14 +823,12 @@ def main(argv=None) -> int:
         ("warp_combine_10k", lambda: bench_warp_combine(sizes, repeats)),
         ("state_bulk_update", lambda: bench_state(sizes, repeats)),
         ("encode_roundtrip", lambda: bench_encode(sizes, repeats, calib)),
-        ("engine_parallel", lambda: bench_engine_parallel(sizes, repeats)),
         ("checkpoint_overhead", lambda: bench_checkpoint_overhead(sizes, repeats)),
         ("observability_overhead",
          lambda: bench_observability_overhead(sizes, repeats)),
         ("span_overhead", lambda: bench_span_overhead(sizes, repeats)),
         ("partition_quality", lambda: bench_partition_quality(sizes)),
         ("exchange_bytes", lambda: bench_exchange_bytes(sizes)),
-        ("serve_cache", lambda: bench_serve_cache(sizes, repeats)),
         ("compact_build", lambda: bench_compact_build(sizes, repeats, calib)),
         ("compact_load", lambda: bench_compact_load(sizes, repeats)),
     ):
@@ -1023,13 +848,6 @@ def main(argv=None) -> int:
                 f"ival {result['interval_greedy_remote_bytes']:6d} B   "
                 f"ratio {result['speedup']:5.2f}x   "
                 f"(cut {result['hash_edge_cut']:.2f}→{result['greedy_edge_cut']:.2f})"
-            )
-        elif "modeled_hit_s" in result:
-            print(
-                f"  {name:20s} wall cold {result['wall_cold_s'] * 1e3:7.2f} ms   "
-                f"wall hit {result['wall_hit_s'] * 1e6:7.1f} us   "
-                f"modeled ratio {result['speedup']:9.1f}x   "
-                f"({result['response_bytes']} B)"
             )
         elif "resident_bytes" in result:
             print(
@@ -1052,15 +870,10 @@ def main(argv=None) -> int:
                 f"{extra}"
             )
         elif "speedup" in result:
-            extra = (
-                f"   ({result['processes']} procs / {result['cores']} cores, "
-                f"{result['messages']} msgs)"
-                if "cores" in result else ""
-            )
             print(
                 f"  {name:20s} opt {result['opt_s'] * 1e3:8.2f} ms   "
                 f"ref {result['ref_s'] * 1e3:9.2f} ms   "
-                f"speedup {result['speedup']:6.2f}x{extra}"
+                f"speedup {result['speedup']:6.2f}x"
             )
         else:
             print(

@@ -72,7 +72,7 @@ class VertexContext:
         self._engine = engine
         self._updated: list[Interval] = []
         self._current_interval: Optional[Interval] = None
-        self._phase = "idle"
+        self._phase = "idle"  # the processor stores "init" / "compute" / "scatter"
         #: ``(bounds, degrees)`` of the out-degree timeline, built on the
         #: first :meth:`out_degree_segments` call; dies with the context.
         self._degree_timeline: Optional[tuple[list[int], list[int]]] = None
@@ -209,18 +209,12 @@ class VertexContext:
 
     # -- engine internals ------------------------------------------------------
 
-    def _begin(self, phase: str, interval: Optional[Interval]) -> None:
-        self._phase = phase
-        self._current_interval = interval
-
-    def _end(self) -> None:
-        self._phase = "idle"
-        self._current_interval = None
-
     def _take_updates(self) -> list[Interval]:
-        updates = coalesce(self._updated)
+        updates = self._updated
+        if not updates:
+            return []
         self._updated = []
-        return updates
+        return coalesce(updates) if len(updates) > 1 else updates  # one: its own cover
 
     def __repr__(self) -> str:
         return f"VertexContext({self.vertex_id!r}, superstep={self.superstep})"

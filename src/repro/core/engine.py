@@ -52,7 +52,7 @@ from .warp import warp_rows
 
 
 class IcmProgramError(RuntimeError):
-    """A user program raised during compute/scatter.
+    """A user program raised during init / compute / scatter.
 
     Wraps the original exception with the execution context a distributed
     log would otherwise bury: vertex, superstep, phase and interval.
@@ -146,7 +146,8 @@ class VertexProcessor:
     # -- program invocation (error-context wrapping) ---------------------------
 
     def _invoke_compute(self, ctx, interval, value, group, metrics) -> None:
-        ctx._begin("compute", interval)
+        ctx._phase = "compute"
+        ctx._current_interval = interval
         if self.tracer is not None:
             self.tracer.on_compute(self.superstep, ctx.vertex_id, interval, value, group)
         try:
@@ -177,27 +178,34 @@ class VertexProcessor:
         of ``count - 1`` over combined entries addressed to this vertex);
         the receiver pass charges for them as if they had arrived.
         """
-        program = self.program
-        model = self.model
         cost = 0.0
         if self.superstep == 1:
-            ctx._begin("init", ctx.lifespan)
-            program.init(ctx)
-            ctx._end()
+            ctx._phase = "init"
+            try:
+                self.program.init(ctx)
+            except Exception as exc:
+                raise IcmProgramError(
+                    "init", ctx.vertex_id, 1, ctx.lifespan, exc
+                ) from exc
             ctx._take_updates()  # seeding the state does not trigger scatter
-            for interval, value in ctx.state.partitions():
-                self._invoke_compute(ctx, interval, value, [], metrics)
-                cost += model.per_compute_call_s
-            ctx._end()
+            cost = self._compute_everywhere(ctx, metrics)
         elif messages:
-            cost += self._compute_on_messages(ctx, messages, metrics, extra_raw)
-        elif program.fixed_supersteps is not None:
+            cost = self._compute_on_messages(ctx, messages, metrics, extra_raw)
+        elif self.program.fixed_supersteps is not None:
             # Fixed-superstep programs treat every vertex interval as active.
-            for interval, value in ctx.state.partitions():
-                self._invoke_compute(ctx, interval, value, [], metrics)
-                cost += model.per_compute_call_s
-            ctx._end()
-        cost += self.scatter_updates(ctx, metrics, send_batch)
+            cost = self._compute_everywhere(ctx, metrics)
+        ctx._phase, ctx._current_interval = "idle", None
+        return cost + self.scatter_updates(ctx, metrics, send_batch)
+
+    def _compute_everywhere(self, ctx: VertexContext, metrics: RunMetrics) -> float:
+        """One message-less ``compute`` call per partition of the state."""
+        state = ctx.state
+        mk_interval = Interval._unchecked  # partitions hold 0 <= start < end
+        cost = 0.0
+        # A snapshot of the columns: compute may repartition them.
+        for start, end, value in list(zip(state._starts, state._ends, state._values)):
+            self._invoke_compute(ctx, mk_interval(start, end), value, [], metrics)
+            cost += self.model.per_compute_call_s
         return cost
 
     def rescatter(
@@ -229,9 +237,10 @@ class VertexProcessor:
             # scanned every raw message here.
             before = len(messages) + extra_raw
             cost += before * model.per_message_scan_s  # the receiver pass
-            messages = combiner.combine_identical_intervals(messages)
-            if self.enable_dominated_elimination:
-                messages = combiner.combine_dominated(messages)
+            if len(messages) > 1:  # both passes return a lone row as it is
+                messages = combiner.combine_identical_intervals(messages)
+                if len(messages) > 1 and self.enable_dominated_elimination:
+                    messages = combiner.combine_dominated(messages)
             metrics.combiner_reductions += before - len(messages)
 
         # ``covered`` has one reader, the complement pass of fixed-superstep
@@ -262,7 +271,6 @@ class VertexProcessor:
                 # Inline-folded groups are singletons: compute's scan over
                 # the message group is what the warp combiner saves.
                 cost += model.per_compute_call_s + len(group) * model.per_message_scan_s
-            ctx._end()
             if fixed:
                 covered = coalesce(iv for iv, _, _ in triples)
 
@@ -273,7 +281,6 @@ class VertexProcessor:
                 for interval, value in ctx.state.slices(gap):
                     self._invoke_compute(ctx, interval, value, [], metrics)
                     cost += model.per_compute_call_s
-            ctx._end()
         return cost
 
     def _compute_time_point(
@@ -306,7 +313,6 @@ class VertexProcessor:
                 group = [folded]
             interval = Interval.point(t)
             self._invoke_compute(ctx, interval, ctx.state.value_at(t), group, metrics)
-        ctx._end()
         return cost
 
     def should_suppress_warp(self, messages: list[Row], lifespan: Interval) -> bool:
@@ -358,9 +364,13 @@ class VertexProcessor:
         if not out_edges:
             return 0.0
         t_scatter = time.perf_counter()
+        # Armed once per vertex, until everything ``scatter`` returned has
+        # been consumed: a generator's body runs under the same guard.
+        ctx._phase = "scatter"
         try:
             return self._scatter_windows(ctx, updated, out_edges, metrics, send_batch)
         finally:
+            ctx._phase = "idle"
             self.scatter_wall += time.perf_counter() - t_scatter
 
     def _scatter_windows(self, ctx, updated, out_edges, metrics, send_batch) -> float:
@@ -419,7 +429,6 @@ class VertexProcessor:
                         else:
                             cut = hi
                         common = mk_interval(lo, cut)
-                        ctx._begin("scatter", common)
                         if tracer is not None:
                             tracer.on_scatter(superstep, vid, edge.eid, common, s_val)
                         # What the call returns is the program's too: a bad
@@ -428,12 +437,13 @@ class VertexProcessor:
                             result = scatter(
                                 ctx, EdgeContext(edge, common, piece), common, s_val
                             )
-                            ctx._end()
                             if result is not None:
                                 for item in result:
-                                    if item is None:
+                                    if type(item) is tuple:
+                                        interval, value = item
+                                    elif item is None:
                                         continue
-                                    if isinstance(item, IntervalMessage):
+                                    elif isinstance(item, IntervalMessage):
                                         interval = item.interval
                                         value = item.value
                                     else:
@@ -726,8 +736,8 @@ class IntervalCentricEngine:
         # counting across recovery attempts, so a replayed superstep appears
         # again in the trace (logically identical, new wall facts).
         # Placement quality is a pure function of graph + partitioner, so
-        # one pass here serves the run_start event and the metric gauges
-        # identically under both executors.
+        # one (memoized) pass serves the run_start event and the metric
+        # gauges identically under both executors.
         self._partition_stats = self.cluster.partition_stats(self.graph)
         events = None
         if self._observers:

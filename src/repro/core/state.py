@@ -16,7 +16,7 @@ warp outputs maximal.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterator, Optional
 
 from .interval import Interval
@@ -65,8 +65,9 @@ class PartitionedState:
 
     def value_at(self, t: int) -> Any:
         """Value of the partition covering time-point ``t``."""
-        idx = self._locate(t)
-        return self._values[idx]
+        if not self.lifespan.contains_point(t):
+            raise ValueError(f"time-point {t} outside lifespan {self.lifespan}")
+        return self._values[bisect_right(self._starts, t) - 1]
 
     def slices(self, window: Interval) -> list[tuple[Interval, Any]]:
         """Partitions overlapping ``window``, clipped to it.
@@ -110,16 +111,25 @@ class PartitionedState:
         ValueError
             If ``interval`` is not within the lifespan.
         """
-        if not interval.within(self.lifespan):
+        start, end = interval.start, interval.end
+        if start < self.lifespan.start or end > self.lifespan.end:
             raise ValueError(f"update {interval} outside lifespan {self.lifespan}")
-        first = self._split_at(interval.start)
-        last = self._split_at(interval.end)
-        # Replace every partition in [first, last) with a single new one.
-        self._starts[first:last] = [interval.start]
-        self._ends[first:last] = [interval.end]
-        self._values[first:last] = [value]
+        starts, ends, values = self._starts, self._ends, self._values
+        # Partitions [first, last) are the ones the update touches.  Each
+        # column is spliced once: (left remainder, new, right remainder),
+        # less the remainders that are empty.
+        first = bisect_right(starts, start) - 1
+        last = bisect_left(starts, end, first)
+        head, tail = starts[first] < start, end < ends[last - 1]
+        if head or tail or last - first > 1:
+            keep = slice(not head, 2 + tail)
+            values[first:last] = (values[first], value, values[last - 1])[keep]
+            ends[first:last] = (start, end, ends[last - 1])[keep]
+            starts[first:last] = (starts[first], start, end)[keep]
+        else:
+            values[first] = value  # the update is exactly one partition
         if self._coalesce:
-            self._coalesce_around(first)
+            self._coalesce_around(first + head)
 
     def set_many(self, items: Iterable[tuple[Interval, Any]]) -> None:
         """Assign many ``(interval, value)`` updates in one repartitioning.
@@ -237,9 +247,9 @@ class PartitionedState:
         """Introduce partition boundaries at every *interior* time-point.
 
         Values are replicated across the splits, so this is always
-        semantics-preserving.  All splits are applied in one array rebuild,
-        unlike repeated ``_split_at`` calls whose ``list.insert`` cost grows
-        quadratically with the number of boundaries.  Points outside the
+        semantics-preserving.  All splits are applied in one array rebuild
+        (one ``list.insert`` per boundary would grow quadratically with
+        their number).  Points outside the
         open interior of the lifespan are ignored.
         """
         interior = sorted(
@@ -339,29 +349,6 @@ class PartitionedState:
                 assert self._ends[i] == self._starts[i + 1]
 
     # -- internals ---------------------------------------------------------
-
-    def _locate(self, t: int) -> int:
-        """Index of the partition containing time-point ``t``."""
-        if not self.lifespan.contains_point(t):
-            raise ValueError(f"time-point {t} outside lifespan {self.lifespan}")
-        return bisect_right(self._starts, t) - 1
-
-    def _split_at(self, t: int) -> int:
-        """Ensure a partition boundary exists at ``t``; return its index.
-
-        Returns ``len(self)`` when ``t`` equals the lifespan end.
-        """
-        if t == self.lifespan.end:
-            return len(self._starts)
-        idx = self._locate(t)
-        if self._starts[idx] == t:
-            return idx
-        # Split partition idx at t, replicating its value.
-        self._starts.insert(idx + 1, t)
-        self._ends.insert(idx + 1, self._ends[idx])
-        self._values.insert(idx + 1, self._values[idx])
-        self._ends[idx] = t
-        return idx + 1
 
     def _coalesce_around(self, idx: int) -> None:
         """Merge partition ``idx`` with equal-valued neighbours."""

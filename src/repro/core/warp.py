@@ -30,6 +30,7 @@ and output size ``k`` — with no per-partition re-filtering.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -145,9 +146,33 @@ def warp_rows(
     inner set as ``(start, end, value)`` rows in any order.  The returned
     list is complete before the caller sees any of it, so ``compute`` may
     repartition the state whose columns were swept.
+
+    A single inner row (three engine calls in four) needs no sweep: every
+    group is that row's value, so the triples are the partitions it
+    overlaps, clipped, equal-valued neighbours merged — the sweep's answer.
     """
     if not inner:
         return []
+    mk_interval = Interval._unchecked  # both paths guarantee 0 <= lo < hi
+    if len(inner) == 1:
+        start, end, value = inner[0]
+        idx = bisect_right(outer_starts, start) - 1
+        if idx < 0 or outer_ends[idx] <= start:
+            idx += 1  # ``start`` falls before the first partition or in a gap
+        runs: list[list] = []  # [lo, hi, outer value], neighbours merged
+        for idx in range(idx, len(outer_starts)):
+            lo = outer_starts[idx]
+            if lo >= end:
+                break
+            val = outer_vals[idx]
+            if runs and runs[-1][1] == lo and _values_equal(runs[-1][2], val):
+                runs[-1][1] = outer_ends[idx]
+            else:
+                runs.append([lo if lo > start else start, outer_ends[idx], val])
+        return [
+            (mk_interval(lo, hi if hi < end else end), val, [value])
+            for lo, hi, val in runs
+        ]
     inner_sorted = sorted(inner, key=row_interval)
     # Column projections: the admission/retirement loops below run once per
     # elementary segment, so pulling the fields out of the rows up front
@@ -177,7 +202,6 @@ def warp_rows(
     pop = heappop
 
     triples: list[WarpTriple] = []
-    mk_interval = Interval._unchecked  # loop guarantees 0 <= lo < hi
     # Current-segment caches, rebuilt only when the active set has changed
     # since they were last computed ("dirty"), even across skipped gaps.
     cur_group: Optional[list[Any]] = None

@@ -450,10 +450,12 @@ class CompactGraph:
         self._eprops: dict[int, PropertySet] = {}
         #: Graph-lifetime derived tables, as on the heap store (DESIGN.md
         #: §7): edge index → piece index, the pool interning their values
-        #: dicts, and the raw ``time_horizon()`` memo.
+        #: dicts, the raw ``time_horizon()`` memo and the placement
+        #: statistics per (workers, partitioner fingerprint).
         self._piece_cache: dict[int, PieceIndex] = {}
         self._values: dict = {}
         self._horizon: Optional[int] = None
+        self._placement: dict = {}
 
     # -- internal view/property materialisation ----------------------------
 

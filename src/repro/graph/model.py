@@ -116,9 +116,11 @@ class TemporalGraph:
         self._in: dict[VertexId, list[TemporalEdge]] = {}
         #: Graph-lifetime derived tables (DESIGN.md §7): the pool that
         #: interns piece ``values`` dicts (the piece tables themselves hang
-        #: off the property sets) and the raw ``time_horizon()`` memo.
+        #: off the property sets), the raw ``time_horizon()`` memo and the
+        #: placement statistics per (workers, partitioner fingerprint).
         self._values: dict = {}
         self._horizon: Optional[int] = None
+        self._placement: dict = {}
 
     # -- accessors ---------------------------------------------------------
 
@@ -201,6 +203,7 @@ class TemporalGraph:
         if vertex.vid in self._vertices:
             raise ValueError(f"vertex {vertex.vid!r} already exists (constraint 1)")
         self._horizon = None
+        self._placement.clear()
         self._vertices[vertex.vid] = vertex
         self._out.setdefault(vertex.vid, [])
         self._in.setdefault(vertex.vid, [])
@@ -209,6 +212,7 @@ class TemporalGraph:
         if edge.eid in self._edges:
             raise ValueError(f"edge {edge.eid!r} already exists (constraint 1)")
         self._horizon = None
+        self._placement.clear()
         self._edges[edge.eid] = edge
         self._out.setdefault(edge.src, []).append(edge)
         self._in.setdefault(edge.dst, []).append(edge)

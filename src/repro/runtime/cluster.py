@@ -100,7 +100,18 @@ class SimulatedCluster:
         on both endpoint workers (it costs both sides a barrier exchange);
         ``imbalance`` is max vertex load over the even-split ideal, 1.0
         for a perfectly balanced (or empty) placement.
+
+        A pure function of (graph, partitioner): a resident graph keeps it
+        (``graph._placement``, dropped when it grows) per partitioner
+        ``fingerprint()``; windows and foreign partitioners are walked.
         """
+        memo = None
+        if hasattr(self.partitioner, "fingerprint"):
+            memo = getattr(graph, "_placement", None)
+        if memo is not None:
+            key = (self.num_workers, self.partitioner.fingerprint())
+            if key in memo:
+                return memo[key]
         vertex_load = [0] * self.num_workers
         for vid in graph.vertex_ids():
             vertex_load[self.worker_of(vid)] += 1
@@ -115,12 +126,15 @@ class SimulatedCluster:
                 edge_load[dst_w] += 1
         num_vertices = sum(vertex_load)
         ideal = num_vertices / self.num_workers
-        return {
+        stats = {
             "edge_cut": cut / total if total else 0.0,
             "vertex_load": vertex_load,
             "edge_load": edge_load,
             "imbalance": max(vertex_load) / ideal if num_vertices else 1.0,
         }
+        if memo is not None:
+            memo[key] = stats
+        return stats
 
     # -- superstep lifecycle ---------------------------------------------------
 

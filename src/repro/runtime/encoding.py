@@ -220,29 +220,45 @@ def decode_payload(buf: bytes, offset: int = 0) -> tuple[Any, int]:
     raise ValueError(f"unknown payload tag {tag}")
 
 
+#: Deepest container nesting :func:`payload_size` accepts: the codec recurses
+#: once per level, so the sizing sink refuses first, with a typed error.
+MAX_PAYLOAD_DEPTH = 200
+
+
 def payload_size(value: Any, *, varint: bool = True) -> int:
     """Size of the encoded payload; fixed-width mode charges 8 bytes per
-    scalar — and per length prefix — as a Java long/double layout would."""
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        if not varint:
-            return 1 + 8
-        if value >= FOREVER:
-            return 1 + varint_size(value - FOREVER)
-        return 1 + varint_size(abs(value))
-    if isinstance(value, float):
-        return 1 + 8
-    if isinstance(value, str):
-        raw_len = len(value.encode("utf-8"))
-        len_size = varint_size(raw_len) if varint else 8
-        return 1 + len_size + raw_len
-    if isinstance(value, (tuple, list)):
-        len_size = varint_size(len(value)) if varint else 8
-        return 1 + len_size + sum(
-            payload_size(item, varint=varint) for item in value
-        )
-    raise TypeError(f"unsupported message payload type: {type(value).__name__}")
+    scalar — and per length prefix — as a Java long/double layout would.
+    Containers are sized level by level (a sum does not care in which order
+    it visits items), so nesting costs no Python stack."""
+    total = 0
+    level = [value]
+    for _ in range(MAX_PAYLOAD_DEPTH + 1):
+        deeper: list[Any] = []
+        for item in level:
+            if item is None or isinstance(item, bool):
+                total += 1
+            elif isinstance(item, int):
+                if not varint:
+                    total += 9
+                elif item >= FOREVER:
+                    total += 1 + varint_size(item - FOREVER)
+                else:
+                    total += 1 + varint_size(abs(item))
+            elif isinstance(item, float):
+                total += 9
+            elif isinstance(item, str):
+                raw_len = len(item.encode("utf-8"))
+                total += 1 + (varint_size(raw_len) if varint else 8) + raw_len
+            elif isinstance(item, (tuple, list)):
+                total += 1 + (varint_size(len(item)) if varint else 8)
+                deeper += item
+            else:
+                kind = type(item).__name__
+                raise TypeError(f"unsupported message payload type: {kind}")
+        if not deeper:
+            return total
+        level = deeper
+    raise ValueError(f"message payload nested deeper than {MAX_PAYLOAD_DEPTH} levels")
 
 
 # -- whole messages -----------------------------------------------------------
@@ -276,8 +292,9 @@ def encoded_batch_size(messages, *, varint: bool = True) -> int:
     Exactly the sum of :func:`encoded_message_size` over the same messages
     boxed.  The worker runtime sizes each per-destination batch with one
     call, and the common shapes — time-points below 128, a float or small
-    non-negative int payload — are sized inline, without a Python call per
-    message; anything else falls back to the per-field sizers.
+    non-negative int payload, a flat tuple of those — are sized inline,
+    without a Python call per message; anything else falls back to the
+    per-field sizers.
     """
     total = 0
     if not varint:
@@ -293,6 +310,20 @@ def encoded_batch_size(messages, *, varint: bool = True) -> int:
             total += 9
         elif kind is int and 0 <= value < 0x80:
             total += 2
+        elif kind is tuple and len(value) < 0x80:
+            # A flat tuple of such scalars (FAST / TMST / LD payloads):
+            # tag + length + items, abandoned at the first other item.
+            size = 2
+            for item in value:
+                kind = type(item)
+                if kind is int and 0 <= item < 0x80:
+                    size += 2
+                elif kind is float:
+                    size += 9
+                else:
+                    size = payload_size(value)
+                    break
+            total += size
         else:
             total += payload_size(value)
     return total

@@ -1,10 +1,12 @@
 """Property-based equivalence: ICM vs brute-force references on random
 temporal graphs (stronger than the fixed-seed suites).
 
-The differential net under the engine's hot path: every program the two
-engine workloads of ``benchmarks/e2e`` run (BFS, SSSP, EAT, RH, FAST, TMST,
-LD on ``td_frontier``; PR on ``pr_dense``) plus WCC, each against its dense
-reference in ``repro.algorithms.reference``, on generated graphs whose
+The differential net under the engine's hot path: all twelve programs —
+the ones the two engine workloads of ``benchmarks/e2e`` run (BFS, SSSP, EAT,
+RH, FAST, TMST, LD on ``td_frontier``; PR on ``pr_dense``), WCC, SCC's
+peeling passes and the two non-combinable ones (LCC, TC: whole message
+groups reach ``compute``) — each against its dense reference in
+``repro.algorithms.reference``, on generated graphs whose
 vertex lifespans vary and whose ``travel-cost`` and ``travel-time`` both
 change mid-edge — so edges have several property pieces, states fragment,
 and messages land partly outside their receiver's lifespan.  Each property
@@ -19,7 +21,10 @@ from hypothesis import strategies as st
 from repro import api
 from repro.algorithms.reference import (
     snapshot_bfs,
+    snapshot_lcc,
     snapshot_pagerank,
+    snapshot_scc,
+    snapshot_tc,
     snapshot_wcc,
     temporal_eat,
     temporal_fast,
@@ -30,12 +35,15 @@ from repro.algorithms.reference import (
 )
 from repro.algorithms.td.eat import TemporalEAT, earliest_arrival
 from repro.algorithms.td.fast import TemporalFAST, fastest_duration
+from repro.algorithms.td.lcc import TemporalLCC, lcc_value
 from repro.algorithms.td.ld import TemporalLD, latest_departure
 from repro.algorithms.td.reach import TemporalReachability
 from repro.algorithms.td.sssp import TemporalSSSP
+from repro.algorithms.td.tc import TemporalTC, tc_count
 from repro.algorithms.td.tmst import TemporalTMST, tmst_tree
 from repro.algorithms.ti.bfs import TemporalBFS
 from repro.algorithms.ti.pagerank import TemporalPageRank
+from repro.algorithms.ti.scc import run_icm_scc
 from repro.algorithms.ti.wcc import TemporalWCC, make_undirected
 from repro.core.interval import Interval
 from repro.graph.builder import TemporalGraphBuilder
@@ -188,6 +196,30 @@ def check_pagerank(graph, options):
             assert result.value_at(vid, t) == pytest.approx(rank), (vid, t)
 
 
+def check_scc(graph, options):
+    result = run_icm_scc(graph, icm_options=options)
+    for t in range(HORIZON):
+        expected = snapshot_scc(snapshot_at(graph, t))
+        for vid, label in expected.items():
+            assert result.component_at(vid, t) == label, (vid, t)
+
+
+def check_lcc(graph, options):
+    result = _run(graph, TemporalLCC(), options)
+    for t in range(HORIZON):
+        expected = snapshot_lcc(snapshot_at(graph, t))
+        for vid, lcc in expected.items():
+            assert lcc_value(result.value_at(vid, t)) == pytest.approx(lcc), (vid, t)
+
+
+def check_tc(graph, options):
+    result = _run(graph, TemporalTC(), options)
+    for t in range(HORIZON):
+        expected = snapshot_tc(snapshot_at(graph, t))
+        for vid, count in expected.items():
+            assert tc_count(result.value_at(vid, t)) == count, (vid, t)
+
+
 CHECKS = {
     "SSSP": check_sssp,
     "EAT": check_eat,
@@ -198,6 +230,9 @@ CHECKS = {
     "BFS": check_bfs,
     "WCC": check_wcc,
     "PR": check_pagerank,
+    "SCC": check_scc,
+    "LCC": check_lcc,
+    "TC": check_tc,
 }
 
 
@@ -256,6 +291,24 @@ def test_wcc_matches_per_snapshot(graph):
 @settings(max_examples=40, deadline=None)
 def test_pagerank_matches_per_snapshot(graph):
     check_pagerank(graph, SERIAL)
+
+
+@given(temporal_graph())
+@settings(max_examples=40, deadline=None)
+def test_scc_matches_per_snapshot(graph):
+    check_scc(graph, SERIAL)
+
+
+@given(temporal_graph())
+@settings(max_examples=60, deadline=None)
+def test_lcc_matches_per_snapshot(graph):
+    check_lcc(graph, SERIAL)
+
+
+@given(temporal_graph())
+@settings(max_examples=60, deadline=None)
+def test_tc_matches_per_snapshot(graph):
+    check_tc(graph, SERIAL)
 
 
 # -- two-process leg ----------------------------------------------------------

@@ -8,8 +8,14 @@ These are the straightforward implementations the optimised kernels in
   the boundary set per partition, O(n²) multiset compare in the merge).
 * ``reference_join_partitioned`` — the nested ``slices × pieces``
   intersect loop the engine's scatter phase used.
-* ``reference_set_sequence`` — repeated ``PartitionedState.set`` calls,
+* ``reference_warp_rows`` — the plane sweep ``warp_rows`` ran for every
+  inbox before a one-row inbox was answered by bisection; the oracle for
+  that case (and the body production still runs for two rows or more).
+* ``reference_split_at`` / ``reference_set`` / ``reference_set_sequence`` —
+  ``PartitionedState.set`` as two boundary inserts followed by a slice
+  assignment per column, before it became one splice; applied in sequence,
   the semantics ``set_many`` must reproduce.
+* ``reference_payload_size`` — the recursive payload sizer.
 * ``reference_out_degree_segments`` — the O(E·k) rescan of every out-edge
   per cut that ``VertexContext.out_degree_segments`` ran on every call.
 * ``reference_edge_pieces`` — the body ``TemporalEdge.pieces`` ran on every
@@ -35,11 +41,14 @@ them to report (and gate) the speedup.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from repro.core.interval import Interval
+from repro.core.interval import FOREVER, Interval
 from repro.core.messages import IntervalMessage
 from repro.core.state import PartitionedState
+from repro.runtime.encoding import varint_size
 
 IntervalValue = tuple[Interval, Any]
 WarpTriple = tuple[Interval, Any, list[Any]]
@@ -184,6 +193,172 @@ def _reference_groups_equal(a: list[Any], b: list[Any]) -> bool:
     return True
 
 
+def reference_warp_rows(
+    outer_starts: Sequence[int],
+    outer_ends: Sequence[int],
+    outer_vals: Sequence[Any],
+    inner: Sequence[tuple[int, int, Any]],
+    combine: Optional[Callable[[Any, Any], Any]] = None,
+) -> list[WarpTriple]:
+    """``warp_rows`` as it was before the one-row case left the sweep: one
+    plane sweep over every boundary of both inputs, whatever their size.
+    Verbatim, except that the group compare is the retained quadratic one
+    and rows are sorted with a local key — nothing here moves when the
+    production kernel is tuned."""
+    if not inner:
+        return []
+    inner_sorted = sorted(inner, key=lambda row: (row[0], row[1]))
+    # Column projections: the admission/retirement loops below run once per
+    # elementary segment, so pulling the fields out of the rows up front
+    # trades one linear pass for tens of thousands of tuple reads in the
+    # hot loop.
+    inner_starts = [row[0] for row in inner_sorted]
+    inner_ends = [row[1] for row in inner_sorted]
+    inner_vals = [row[2] for row in inner_sorted]
+
+    # Global boundary sweep: one sorted pass over every distinct start/end
+    # of both inputs.  Elementary segments lie between consecutive bounds.
+    bound_set = set(outer_starts)
+    bound_set.update(outer_ends, inner_starts, inner_ends)
+    bounds = sorted(bound_set)
+
+    n_inner = len(inner_sorted)
+    n_outer = len(outer_starts)
+    #: seq → value of a live message; insertion order is start order, which
+    #: keeps emitted group order identical to the historical per-partition
+    #: implementation.
+    active: dict[int, Any] = {}
+    ends: list[tuple[int, int]] = []  # (end, seq) expiry heap
+    i_idx = 0
+    o_idx = 0
+    seq = 0
+    push = heappush
+    pop = heappop
+
+    triples: list[WarpTriple] = []
+    mk_interval = Interval
+    # Current-segment caches, rebuilt only when the active set has changed
+    # since they were last computed ("dirty"), even across skipped gaps.
+    cur_group: Optional[list[Any]] = None
+    folded: Any = _SENTINEL
+    fold_count = 0
+    dirty = True
+    # Incremental multiset signature of the active values: a commutative
+    # hash sum maintained per admit/retire.  Unequal signatures prove the
+    # groups differ, skipping the full multiset compare in the (common)
+    # dense case where every segment's group is new.  Values must hash
+    # consistently for this to be sound (equal values → equal hashes, the
+    # Python contract); unhashable values disable the shortcut.
+    sig_ok = True
+    cur_sig = 0
+    run_sig = 0
+    # Bookkeeping for on-the-fly maximal merging.  The pending maximal run
+    # is held in ``run_*`` and flushed as a triple only when it breaks, so
+    # Interval objects are built once per *output* triple, not once per
+    # elementary segment.  ``stable_since_emit`` is the cheap merge path:
+    # when the active set has not changed since the last emitted segment,
+    # the groups are identical by construction and no compare is needed.
+    stable_since_emit = False
+    run_start = -1  # -1 → no pending run
+    run_hi = -1
+    run_val: Any = _SENTINEL
+    run_group: Optional[list[Any]] = None
+    last_fold: Any = _SENTINEL
+    last_count = -1
+
+    for k in range(len(bounds) - 1):
+        lo = bounds[k]
+        # Admit messages starting at this boundary (every message start is
+        # itself a boundary, so admission is exact).
+        while i_idx < n_inner and inner_starts[i_idx] <= lo:
+            m_end = inner_ends[i_idx]
+            if m_end > lo:
+                val = inner_vals[i_idx]
+                active[seq] = val
+                push(ends, (m_end, seq))
+                seq += 1
+                dirty = True
+                stable_since_emit = False
+                if sig_ok:
+                    try:
+                        cur_sig += hash(val)
+                    except TypeError:
+                        sig_ok = False
+            i_idx += 1
+        # Retire messages that ended at or before this boundary.
+        while ends and ends[0][0] <= lo:
+            gone = pop(ends)[1]
+            if sig_ok:
+                cur_sig -= hash(active[gone])
+            del active[gone]
+            dirty = True
+            stable_since_emit = False
+        if not active:
+            continue
+        # Advance to the outer partition covering lo (partitions are
+        # non-overlapping and sorted, so this pointer only moves forward).
+        while o_idx < n_outer and outer_ends[o_idx] <= lo:
+            o_idx += 1
+        if o_idx >= n_outer:
+            break
+        if outer_starts[o_idx] > lo:
+            continue  # gap between outer partitions
+        o_val = outer_vals[o_idx]
+        hi = bounds[k + 1]
+
+        contiguous = run_hi == lo and _values_equal(run_val, o_val)
+        if combine is None:
+            if dirty or cur_group is None:
+                cur_group = list(active.values())
+                dirty = False
+            if contiguous and (
+                stable_since_emit
+                or (
+                    (not sig_ok or cur_sig == run_sig)
+                    and _reference_groups_equal(run_group, cur_group)
+                )
+            ):
+                run_hi = hi
+            else:
+                if run_start >= 0:
+                    triples.append(
+                        (mk_interval(run_start, run_hi), run_val, run_group)
+                    )
+                run_start = lo
+                run_hi = hi
+                run_val = o_val
+                run_group = cur_group
+        else:
+            if dirty or folded is _SENTINEL:
+                folded = _SENTINEL
+                fold_count = 0
+                for val in active.values():
+                    folded = val if folded is _SENTINEL else combine(folded, val)
+                    fold_count += 1
+                dirty = False
+            if contiguous and (
+                stable_since_emit
+                or (last_count == fold_count and _values_equal(last_fold, folded))
+            ):
+                run_hi = hi
+            else:
+                if run_start >= 0:
+                    triples.append(
+                        (mk_interval(run_start, run_hi), run_val, run_group)
+                    )
+                run_start = lo
+                run_hi = hi
+                run_val = o_val
+                run_group = [folded]
+                last_fold = folded
+                last_count = fold_count
+        run_sig = cur_sig
+        stable_since_emit = True
+    if run_start >= 0:
+        triples.append((mk_interval(run_start, run_hi), run_val, run_group))
+    return triples
+
+
 def reference_join_partitioned(
     slices: Sequence[IntervalValue], pieces: Sequence[IntervalValue]
 ) -> list[tuple[Interval, Any, Any]]:
@@ -204,12 +379,68 @@ def reference_join_partitioned(
     return out
 
 
+def reference_split_at(state: PartitionedState, t: int) -> int:
+    """``PartitionedState._split_at`` as it was: ensure a partition boundary
+    at ``t`` (one ``list.insert`` per column) and return its index —
+    ``len(state)`` when ``t`` is the lifespan end."""
+    if t == state.lifespan.end:
+        return len(state._starts)
+    idx = bisect_right(state._starts, t) - 1
+    if state._starts[idx] == t:
+        return idx
+    state._starts.insert(idx + 1, t)
+    state._ends.insert(idx + 1, state._ends[idx])
+    state._values.insert(idx + 1, state._values[idx])
+    state._ends[idx] = t
+    return idx + 1
+
+
+def reference_set(state: PartitionedState, interval: Interval, value: Any) -> None:
+    """``PartitionedState.set`` as it was: split at both ends of the update,
+    then replace everything between the two boundaries."""
+    if not interval.within(state.lifespan):
+        raise ValueError(f"update {interval} outside lifespan {state.lifespan}")
+    first = reference_split_at(state, interval.start)
+    last = reference_split_at(state, interval.end)
+    state._starts[first:last] = [interval.start]
+    state._ends[first:last] = [interval.end]
+    state._values[first:last] = [value]
+    if state._coalesce:
+        state._coalesce_around(first)
+
+
 def reference_set_sequence(
     state: PartitionedState, items: Iterable[tuple[Interval, Any]]
 ) -> None:
-    """Apply updates one `.set()` at a time — the semantics of `set_many`."""
+    """Apply updates one two-split ``set`` at a time — the semantics of
+    both `set` and `set_many`."""
     for iv, value in items:
-        state.set(iv, value)
+        reference_set(state, iv, value)
+
+
+def reference_payload_size(value: Any, *, varint: bool = True) -> int:
+    """``payload_size`` as it was: one Python frame (two, with the
+    generator) per nesting level."""
+    if value is None or isinstance(value, bool):
+        return 1
+    if isinstance(value, int):
+        if not varint:
+            return 1 + 8
+        if value >= FOREVER:
+            return 1 + varint_size(value - FOREVER)
+        return 1 + varint_size(abs(value))
+    if isinstance(value, float):
+        return 1 + 8
+    if isinstance(value, str):
+        raw_len = len(value.encode("utf-8"))
+        len_size = varint_size(raw_len) if varint else 8
+        return 1 + len_size + raw_len
+    if isinstance(value, (tuple, list)):
+        len_size = varint_size(len(value)) if varint else 8
+        return 1 + len_size + sum(
+            reference_payload_size(item, varint=varint) for item in value
+        )
+    raise TypeError(f"unsupported message payload type: {type(value).__name__}")
 
 
 def reference_out_degree_segments(

@@ -5,7 +5,10 @@ plain ``(start, end, value)`` row: the engine boxes nothing it does not hand
 to the program.  Counting wrappers hold that as numbers — the same ones
 ``scripts/profile_engine.py`` prints — on a run whose edges have several
 property pieces each, with a selective combiner (SSSP: domination, real
-warps) and an aggregating one (PR: dense traffic, suppressed warps).
+warps) and an aggregating one (PR: dense traffic, suppressed warps).  The
+degenerate cases have their own numbers: a vertex with one update sorts
+nothing, re-arming the context is not a method call, and the message-less
+walk of superstep 1 boxes partitions without re-validating them.
 """
 
 import pytest
@@ -14,10 +17,12 @@ from repro.algorithms import run_algorithm
 from repro.algorithms.td.sssp import TemporalSSSP
 from repro.algorithms.ti.pagerank import TemporalPageRank
 from repro.core import combiner as combiner_module
+from repro.core import context as context_module
 from repro.core import engine as engine_module
 from repro.core.combiner import MessageCombiner
+from repro.core.context import VertexContext
 from repro.core.engine import VertexProcessor
-from repro.core.interval import Interval
+from repro.core.interval import FOREVER, Interval
 from repro.core.messages import IntervalMessage
 from repro.runtime.cluster import SimulatedCluster
 
@@ -29,9 +34,14 @@ class _Counts:
         self.messages_boxed = 0          # IntervalMessage() anywhere
         self.scatter_side_intervals = 0  # Interval._unchecked by the scatter loop
         self.combiner_relations = 0      # Interval.contains / within in a pass
+        self.update_sorts = []           # len(updates) of each coalesce() sort
+        self.phase_stores = 0            # writes of VertexContext._phase
+        self.process_calls = 0           # VertexProcessor.process
+        self.walk_validations = 0        # Interval() by the message-less walk
         self.in_scatter_loop = False
         self.in_program = False
         self.in_combiner_pass = False
+        self.in_walk = False
 
 
 def _flagging(counts, flag, fn):
@@ -77,6 +87,47 @@ def counts(monkeypatch):
 
         monkeypatch.setattr(Interval, name, counting_relation)
 
+    validating_init = Interval.__init__
+
+    def counting_validating_init(self, start, end=FOREVER):
+        if counts.in_walk and not counts.in_program:
+            counts.walk_validations += 1
+        validating_init(self, start, end)
+
+    monkeypatch.setattr(Interval, "__init__", counting_validating_init)
+    monkeypatch.setattr(
+        VertexProcessor, "_compute_everywhere",
+        _flagging(counts, "in_walk", VertexProcessor._compute_everywhere),
+    )
+
+    def counting_coalesce(intervals, _coalesce=context_module.coalesce):
+        counts.update_sorts.append(len(intervals))
+        return _coalesce(intervals)
+
+    monkeypatch.setattr(context_module, "coalesce", counting_coalesce)
+
+    phase_slot = VertexContext.__dict__["_phase"]
+
+    class CountingPhase:
+        """The ``_phase`` slot, counting the processor's stores."""
+
+        def __get__(self, ctx, owner=None):
+            return phase_slot.__get__(ctx, owner)
+
+        def __set__(self, ctx, value):
+            counts.phase_stores += 1
+            phase_slot.__set__(ctx, value)
+
+    monkeypatch.setattr(VertexContext, "_phase", CountingPhase())
+
+    process = VertexProcessor.process
+
+    def counting_process(self, *args, **kwargs):
+        counts.process_calls += 1
+        return process(self, *args, **kwargs)
+
+    monkeypatch.setattr(VertexProcessor, "process", counting_process)
+
     monkeypatch.setattr(
         VertexProcessor, "_scatter_windows",
         _flagging(counts, "in_scatter_loop", VertexProcessor._scatter_windows),
@@ -97,10 +148,11 @@ def test_the_engine_boxes_only_what_it_hands_the_program(
     algorithm, counts, monkeypatch
 ):
     program_class = {"SSSP": TemporalSSSP, "PR": TemporalPageRank}[algorithm]
-    monkeypatch.setattr(
-        program_class, "scatter",
-        _flagging(counts, "in_program", program_class.scatter),
-    )
+    for callback in ("init", "compute", "scatter"):
+        monkeypatch.setattr(
+            program_class, callback,
+            _flagging(counts, "in_program", getattr(program_class, callback)),
+        )
     graph = random_temporal_graph(seed=3, n_vertices=12, n_edges=40)
     assert any(len(e.properties.boundaries()) > 2 for e in graph.edges()), (
         "no multi-piece edge; the case tests nothing"
@@ -122,3 +174,16 @@ def test_the_engine_boxes_only_what_it_hands_the_program(
     assert 0 < counts.scatter_side_intervals <= metrics.scatter_calls
     # Dominance, identical-interval folding and coalescing compare ints.
     assert counts.combiner_relations == 0
+    # A vertex with one update has nothing to sort or merge: the updates
+    # are coalesced only when there are two or more of them.
+    assert all(n >= 2 for n in counts.update_sorts)
+    # Re-arming the context is a slot store, not a method call: once per
+    # compute call, once when a vertex's compute phase ends, and around a
+    # vertex's whole scatter phase — never once per scatter call.
+    assert not hasattr(VertexContext, "_begin") and not hasattr(VertexContext, "_end")
+    assert counts.phase_stores <= (
+        metrics.compute_calls + 3 * counts.process_calls + 2 * graph.num_vertices
+    )
+    # The superstep-1 (and fixed-superstep) walk reads the state's columns:
+    # the engine validates no interval it cut from a partition itself.
+    assert counts.walk_validations == 0

@@ -1,15 +1,24 @@
 """Engine-mechanics tests: aggregators, master control, direct messaging,
 fixed supersteps, guards and the suppression heuristics."""
 
+import pickle
+
 import pytest
 
+from repro import api
 from repro.core.combiner import min_combiner
-from repro.core.engine import IntervalCentricEngine, VertexProcessor, _complement
+from repro.core.engine import (
+    IcmProgramError,
+    IntervalCentricEngine,
+    VertexProcessor,
+    _complement,
+)
 from repro.core.interval import FOREVER, Interval
 from repro.core.messages import message
 from repro.core.program import IntervalProgram
 from repro.graph.builder import TemporalGraphBuilder
 
+from ..runtime.test_golden_serial import EXECUTORS
 from ._reference_impls import rows_of
 
 
@@ -201,6 +210,67 @@ class TestStateUpdateGuards:
 
         with pytest.raises(RuntimeError, match="scatter must not"):
             IntervalCentricEngine(line_graph(), BadScatter()).run()
+
+
+class _ListScatterSetsState(Flood):
+    """``scatter`` that updates state, returning a list."""
+
+    def scatter(self, ctx, edge, interval, state):
+        ctx.set_state(interval, state + 1)
+        return [(interval, state + 1)]
+
+
+class _GeneratorScatterSetsState(Flood):
+    """The same program as a generator: its body runs while the engine
+    iterates what ``scatter`` returned, not while it calls ``scatter``."""
+
+    def scatter(self, ctx, edge, interval, state):
+        ctx.set_state(interval, state + 1)
+        yield (interval, state + 1)
+
+
+class _InitRaises(Flood):
+    def init(self, ctx):
+        if ctx.vertex_id == "v2":
+            raise KeyError("no seed for v2")
+        super().init(ctx)
+
+
+class TestGuardsUnderBothExecutors:
+    """Programs are module-level so they (and the error) cross a worker pipe."""
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize(
+        "program", [_ListScatterSetsState, _GeneratorScatterSetsState]
+    )
+    def test_scatter_cannot_update_state_however_it_returns(self, program, executor):
+        """The scatter phase stays armed until the returned iterable has been
+        consumed: the generator twin used to slip past the guard and
+        re-scatter its own update one superstep late, for ever."""
+        with pytest.raises(IcmProgramError, match="scatter must not") as err:
+            api.run(
+                line_graph(), program(),
+                options={**EXECUTORS[executor], "max_supersteps": 12},
+            )
+        assert err.value.phase == "scatter"
+        assert (err.value.vertex, err.value.superstep) == ("v0", 1)
+        assert isinstance(err.value.original, RuntimeError)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_a_failing_init_carries_its_context(self, executor):
+        with pytest.raises(IcmProgramError) as err:
+            api.run(line_graph(), _InitRaises(), options=EXECUTORS[executor])
+        assert err.value.phase == "init"
+        assert (err.value.vertex, err.value.superstep) == ("v2", 1)
+        assert err.value.interval == Interval(0, 10)
+        assert isinstance(err.value.original, KeyError)
+        if executor == "serial":  # the pipe carries the error, not its cause
+            assert err.value.__cause__ is err.value.original
+        clone = pickle.loads(pickle.dumps(err.value))
+        assert (clone.phase, clone.vertex, clone.superstep, clone.interval) == (
+            "init", "v2", 1, Interval(0, 10),
+        )
+        assert str(clone) == str(err.value)
 
 
 class TestSuppressionHeuristics:

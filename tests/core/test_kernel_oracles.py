@@ -11,6 +11,7 @@ the output is canonical.
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,7 @@ from repro.core.interval import FOREVER, Interval, coalesce
 from repro.core.messages import IntervalMessage
 from repro.core.program import IntervalProgram
 from repro.core.state import PartitionedState, states_equal_pointwise
-from repro.core.warp import _groups_equal, time_join, time_warp
+from repro.core.warp import _groups_equal, time_join, time_warp, warp_rows
 from repro.graph.builder import TemporalGraphBuilder
 from repro.graph.compact import CompactGraph
 from repro.runtime.metrics import ComputeModel, RunMetrics
@@ -44,10 +45,13 @@ from ._reference_impls import (
     reference_join_partitioned,
     reference_out_degree_segments,
     reference_scatter_pairing,
+    reference_set,
     reference_set_sequence,
     reference_should_suppress_warp,
+    reference_split_at,
     reference_time_join,
     reference_time_warp,
+    reference_warp_rows,
     rows_of,
 )
 
@@ -130,6 +134,89 @@ class TestWarpOracle:
         got = canon_triples(time_warp(outer, inner_dicts))
         want = canon_triples(reference_time_warp(outer, inner_dicts))
         assert got == want
+
+
+@st.composite
+def one_row_cases(draw):
+    """State columns of 1-8 partitions — contiguous or gapped, two distinct
+    values so equal-valued neighbours are the rule — and one inbox row that
+    overhangs, misses, nests in or exactly covers them."""
+    outer = draw(partitioned_outer(max_parts=8, distinct_values=2, gaps=draw(st.booleans())))
+    if not outer:
+        outer = [(Interval(3, 9), 0)]
+    first, last = outer[0][0].start, outer[-1][0].end
+    start, end = draw(st.one_of(
+        st.just((first, last)),                                   # exact cover
+        st.tuples(st.integers(0, 45), st.integers(1, 50)).map(    # anything
+            lambda se: (se[0], se[0] + se[1])
+        ),
+        st.sampled_from([iv for iv, _ in outer]).map(             # one partition
+            lambda iv: (iv.start, iv.end)
+        ),
+        st.just((last, last + 4)),                                # outside, after
+        st.just((0, max(first, 1))),                              # outside, before
+        st.just((first, FOREVER)),                                # open-ended
+    ))
+    columns = (
+        [iv.start for iv, _ in outer],
+        [iv.end for iv, _ in outer],
+        [val for _, val in outer],
+    )
+    return columns, (start, end)
+
+
+class TestOneRowWarpOracle:
+    """A one-row inbox is answered by bisection; the sweep it no longer
+    enters (``reference_warp_rows``, the parent's body) is its oracle."""
+
+    VALUES = st.one_of(st.integers(0, 3), st.tuples(st.integers(0, 3), st.integers(0, 3)))
+
+    @given(one_row_cases(), VALUES, st.sampled_from([None, min, lambda a, b: a + b]))
+    @settings(max_examples=600, deadline=None)
+    def test_one_row_matches_the_sweep(self, case, value, combine):
+        (starts, ends, vals), (start, end) = case
+        row = (start, end, value)
+        before = (list(starts), list(ends), list(vals))
+        got = warp_rows(starts, ends, vals, [row], combine)
+        assert got == reference_warp_rows(starts, ends, vals, [row], combine)
+        assert (starts, ends, vals) == before  # columns are only read
+        for interval, _, group in got:
+            assert group == [value]
+            assert start <= interval.start < interval.end <= end
+        assert len({id(group) for _, _, group in got}) == len(got)
+
+    @given(one_row_cases(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_unhashable_values_on_either_side(self, case, with_combine):
+        (starts, ends, vals), (start, end) = case
+        vals = [[v] for v in vals]                      # lists: unhashable states
+        row = (start, end, {"payload": 1})              # ... and an unhashable message
+        combine = (lambda a, b: a) if with_combine else None
+        got = warp_rows(starts, ends, vals, [row], combine)
+        assert got == reference_warp_rows(starts, ends, vals, [row], combine)
+
+    @given(one_row_cases(), one_row_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_two_rows_still_take_the_sweep(self, case, other):
+        (starts, ends, vals), (start, end) = case
+        rows = [(start, end, 1), (*other[1], 2)]
+        for combine in (None, min):
+            assert warp_rows(starts, ends, vals, rows, combine) == (
+                reference_warp_rows(starts, ends, vals, rows, combine)
+            )
+
+    def test_named_shapes(self):
+        starts, ends, vals = [0, 4, 6, 10], [4, 6, 9, 12], ["a", "a", "b", "b"]
+        def run(start, end):
+            return [
+                ((iv.start, iv.end), v, g)
+                for iv, v, g in warp_rows(starts, ends, vals, [(start, end, 7)])
+            ]
+        # equal-valued neighbours merge; the gap at [9, 10) splits equal values
+        assert run(0, 12) == [((0, 6), "a", [7]), ((6, 9), "b", [7]), ((10, 12), "b", [7])]
+        assert run(2, 5) == [((2, 5), "a", [7])]
+        assert run(5, 40) == [((5, 6), "a", [7]), ((6, 9), "b", [7]), ((10, 12), "b", [7])]
+        assert run(9, 10) == [] and run(12, 20) == [] and run(9, 11) == [((10, 11), "b", [7])]
 
 
 class TestJoinOracle:
@@ -439,6 +526,30 @@ class TestBulkStateOracle:
             # pointwise.
             assert bulk.partitions() == seq.partitions()
 
+    @given(update_batches(), st.booleans())
+    @settings(max_examples=600, deadline=None)
+    def test_set_is_the_two_split_set_column_for_column(self, updates, coalesce):
+        """``set`` splices once per column; after every update of a random
+        sequence its columns equal the ones two boundary inserts and a
+        slice assignment leave, element by element."""
+        lifespan = Interval(0, self.SPAN)
+        new = PartitionedState(lifespan, 0, coalesce=coalesce)
+        old = PartitionedState(lifespan, 0, coalesce=coalesce)
+        for interval, value in updates:
+            new.set(interval, value)
+            reference_set(old, interval, value)
+            assert (new._starts, new._ends, new._values) == (
+                old._starts, old._ends, old._values
+            )
+            new.check_invariants()
+
+    def test_set_outside_the_lifespan_is_refused_and_changes_nothing(self):
+        state = PartitionedState(Interval(2, 9), 0)
+        for bad in (Interval(0, 4), Interval(5, 12), Interval(0, 20), Interval(9, 11)):
+            with pytest.raises(ValueError, match="outside lifespan"):
+                state.set(bad, 1)
+        assert state.partitions() == [(Interval(2, 9), 0)]
+
     @given(update_batches(), st.integers(0, 30))
     @settings(max_examples=200, deadline=None)
     def test_update_applies_fn_to_pre_update_slices(self, warmup, start):
@@ -470,7 +581,7 @@ class TestPresplit:
         bulk.presplit(points)
         for t in sorted(points):
             if lifespan.start < t < lifespan.end:
-                seq._split_at(t)
+                reference_split_at(seq, t)
         bulk.check_invariants()
         assert bulk.partitions() == seq.partitions()
 

@@ -346,5 +346,9 @@ def test_resident_index_size_on_usrn():
     assert pieces > 2 * graph.num_edges
     assert resident / pieces <= 48
     assert resident / graph.num_vertices <= 1024
-    # Nothing else on the graph grew: no per-vertex or per-edge side table.
-    assert set(vars(graph)) == {"_vertices", "_edges", "_out", "_in", "_values", "_horizon"}
+    # Nothing else on the graph grew: no per-vertex or per-edge side table
+    # (``_placement`` holds one small dict per partitioner a run used).
+    assert set(vars(graph)) == {
+        "_vertices", "_edges", "_out", "_in", "_values", "_horizon", "_placement",
+    }
+    assert graph._placement == {}

@@ -6,8 +6,12 @@ from repro import api
 from repro.algorithms.td.sssp import TemporalSSSP
 from repro.core.config import _PARTITIONER_KINDS, EngineConfig
 from repro.core.engine import IntervalCentricEngine
+from repro.core.interval import Interval
 from repro.core.messages import message
 from repro.datasets import transit_graph
+from repro.graph.builder import TemporalGraphBuilder
+from repro.graph.compact import CompactGraph
+from repro.graph.model import TemporalEdge, TemporalVertex
 from repro.obs.observers import InMemoryEvents
 from repro.runtime.checkpoint import CheckpointError
 from repro.runtime.cluster import SimulatedCluster
@@ -126,6 +130,14 @@ class TestPartitionerSelection:
         assert engine.cluster.partitioner.kind == "greedy"
 
 
+def _walked(cluster, graph):
+    """Placement statistics with no memo in the way: over a full-lifespan
+    window for a resident graph (same entities, no ``_placement``)."""
+    if hasattr(graph, "_placement"):
+        graph = graph.window(0)
+    return cluster.partition_stats(graph)
+
+
 class TestPartitionObservability:
     def test_partition_stats_shape(self):
         g = transit_graph()
@@ -143,6 +155,68 @@ class TestPartitionObservability:
         stats = SimulatedCluster(1).partition_stats(transit_graph())
         assert stats["edge_cut"] == 0.0
         assert stats["imbalance"] == 1.0
+
+    @pytest.mark.parametrize("store", ["heap", "compact"])
+    def test_placement_statistics_are_memoized_on_the_resident_graph(self, store):
+        """Placement quality is a pure function of (graph, partitioner): the
+        resident graph keeps it per fingerprint, so a second engine build
+        walks no edge — and a grown graph, another partitioner or another
+        worker count each get their own walk."""
+        g = transit_graph()
+        if store == "compact":
+            g = CompactGraph.from_temporal(g)
+        first = SimulatedCluster(4).partition_stats(g)
+        assert SimulatedCluster(4).partition_stats(g) is first
+        assert first == _walked(SimulatedCluster(4), g)
+        seeded = SimulatedCluster(4, partitioner=HashPartitioner(4, seed=9))
+        assert seeded.partition_stats(g) is not first
+        assert seeded.partition_stats(g) == _walked(seeded, g)
+        # Same partitioner, more simulated workers: loads have another shape.
+        wide = SimulatedCluster(6, partitioner=HashPartitioner(4))
+        assert len(wide.partition_stats(g)["vertex_load"]) == 6
+        assert SimulatedCluster(4).partition_stats(g) is first
+        # An engine run goes through the memo (an explicit kind, so that no
+        # REPRO_PARTITIONER sweep can swap the placement under the test).
+        engine = api.build_engine(
+            g, TemporalSSSP("A"), cluster=SimulatedCluster(4),
+            options={"partitioner": "hash", "checkpoint_every": 0},
+        )
+        engine.run()
+        key = (4, HashPartitioner(4).fingerprint())
+        assert engine._partition_stats is engine.graph._placement[key]
+        if engine.graph is g:  # REPRO_GRAPH_STORE may have frozen a copy
+            assert engine._partition_stats is first
+
+    def test_placement_memo_is_dropped_when_the_graph_grows(self):
+        builder = TemporalGraphBuilder()
+        builder.add_vertices(["a", "b", "c"], 0, 10)
+        builder.add_edge("a", "b", 0, 10)
+        g = builder.build()
+        cluster = SimulatedCluster(2)
+        before = cluster.partition_stats(g)
+        g._add_edge(TemporalEdge("bc", "b", "c", Interval(2, 8)))
+        after = cluster.partition_stats(g)
+        assert after is not before and sum(after["edge_load"]) > sum(before["edge_load"])
+        g._add_vertex(TemporalVertex("d", Interval(0, 10)))
+        assert sum(cluster.partition_stats(g)["vertex_load"]) == 4
+
+    def test_placement_memo_skips_windows_and_unfingerprinted_partitioners(self):
+        g = transit_graph()
+        cluster = SimulatedCluster(4)
+        resident = cluster.partition_stats(g)
+        view = g.window(0, 5)
+        seen = cluster.partition_stats(view)
+        assert seen is not cluster.partition_stats(view)  # walked every time
+        assert seen == _walked(cluster, g.window(0, 5)) and len(g._placement) == 1
+        assert cluster.partition_stats(g) is resident
+
+        class Foreign:  # no fingerprint(): identified by repr, i.e. not at all
+            def worker_of(self, vid):
+                return 0
+
+        foreign = SimulatedCluster(4, partitioner=Foreign())
+        assert foreign.partition_stats(g) is not foreign.partition_stats(g)
+        assert len(g._placement) == 1
 
     def test_run_reports_partition_metrics_and_events(self):
         events = InMemoryEvents()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.interval import FOREVER, Interval
 from repro.core.messages import IntervalMessage, message
 from repro.runtime.encoding import (
+    MAX_PAYLOAD_DEPTH,
     ROUTED_BATCH_FORMAT,
     _decode_routed_entries,
     decode_interval,
@@ -27,7 +28,7 @@ from repro.runtime.encoding import (
     varint_size,
 )
 
-from ..core._reference_impls import rows_of
+from ..core._reference_impls import reference_payload_size, rows_of
 from ._reference_impls import (
     reference_encode_routed_batch,
     reference_encoded_batch_size,
@@ -340,3 +341,99 @@ def test_routed_entries_size_matches_uncombined_encoding():
         wire = len(encode_routed_batch([(seq, dst, row) for row in rows])) - empty
         assert routed_entries_size(seq, dst, rows) == wire
         assert routed_entries_size(seq, dst, rows, encoded_batch_size(rows)) == wire
+
+
+# -- the iterative sizer and the inline tuple case against the recursive one ----
+
+_small = st.one_of(
+    st.integers(-2, 130),                       # both sides of 0 and of 0x80
+    st.integers(FOREVER - 2, FOREVER + 130),    # the big-int tag
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+)
+_flat_tuples = st.one_of(
+    st.lists(_small, max_size=4).map(tuple),
+    # 127 items is the last length the inline case takes, 128 the first
+    # it hands back (a two-byte length prefix).
+    st.tuples(st.sampled_from([0, 1, 126, 127, 128, 129]), _small).map(
+        lambda nv: (nv[1],) * nv[0]
+    ),
+)
+_nested = st.recursive(
+    st.one_of(_small, _flat_tuples),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(tuple), st.lists(inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+@given(_nested)
+@settings(max_examples=400, deadline=None)
+def test_payload_size_matches_the_recursive_sizer(value):
+    for varint in (True, False):
+        assert payload_size(value, varint=varint) == reference_payload_size(
+            value, varint=varint
+        )
+    assert payload_size(value) == len(encode_payload(value))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 300),
+            st.one_of(st.none(), st.integers(1, 300)),
+            st.one_of(_flat_tuples, _nested),
+        ),
+        max_size=8,
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_batch_size_of_tuple_payloads_is_the_sum_of_recursive_sizes(items):
+    """Flat tuples of small ints / floats are sized inside the batch loop;
+    everything else (bools, negatives, big ints, strings, nesting, 128 items)
+    must leave it for the general sizer — same numbers either way."""
+    rows = [
+        (start, FOREVER if length is None else start + length, value)
+        for start, length, value in items
+    ]
+    for varint in (True, False):
+        want = sum(
+            interval_size(Interval(start, end), varint=varint)
+            + reference_payload_size(value, varint=varint)
+            for start, end, value in rows
+        )
+        assert encoded_batch_size(rows, varint=varint) == want
+
+
+def test_inline_tuple_sizing_named_shapes():
+    for value, size in [
+        ((), 2), ((3, 4), 6), ((3, 0.5), 13), ((127,), 4), ((128,), 5),
+        ((True, 3), 5), ((-1, 3), 6), ((FOREVER, 3), 6), ((3, "ab"), 8),
+        (((1, 2), 3), 10), ((1,) * 127, 2 + 254), ((1,) * 128, 3 + 256),
+    ]:
+        assert encoded_batch_size([(0, 1, value)]) == 2 + size, value
+        assert payload_size(value) == size == len(encode_payload(value)), value
+
+
+def _nest(depth):
+    value = 7
+    for _ in range(depth):
+        value = (value,)
+    return value
+
+
+def test_deep_payloads_are_sized_without_recursion_and_refused_by_depth():
+    """The sizer walks levels, not frames: the deepest payload it accepts
+    is a number it states, and one far past the interpreter's recursion
+    limit is a ``ValueError``, not a ``RecursionError``."""
+    deepest = _nest(MAX_PAYLOAD_DEPTH)
+    assert payload_size(deepest) == 2 * MAX_PAYLOAD_DEPTH + 2
+    assert payload_size(deepest) == len(encode_payload(deepest))
+    for depth in (MAX_PAYLOAD_DEPTH + 1, 10_000):
+        with pytest.raises(ValueError, match="nested deeper"):
+            payload_size(_nest(depth))
+        with pytest.raises(ValueError, match="nested deeper"):
+            encoded_batch_size([(0, 1, _nest(depth))])
