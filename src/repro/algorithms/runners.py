@@ -62,12 +62,12 @@ class RunOutcome:
 
 def default_source(graph: TemporalGraph) -> Any:
     """A deterministic interesting source: the max out-degree vertex."""
-    return max(graph.vertex_ids(), key=lambda vid: (len(graph.out_edges(vid)), str(vid)))
+    return max(graph.vertex_ids(), key=lambda vid: (graph.out_degree(vid), str(vid)))
 
 
 def default_target(graph: TemporalGraph) -> Any:
     """A deterministic interesting target: the max in-degree vertex."""
-    return max(graph.vertex_ids(), key=lambda vid: (len(graph.in_edges(vid)), str(vid)))
+    return max(graph.vertex_ids(), key=lambda vid: (graph.in_degree(vid), str(vid)))
 
 
 def run_algorithm(

@@ -297,7 +297,7 @@ def _sniff_format(source) -> str:
     """Decide the format of ``source`` by looking, never by extension.
 
     Binary files are recognised by the ``ITGR`` magic (the version varint
-    picks v1 object-stream vs v2 compact); text graphs by a leading
+    picks v1 object-stream vs v2 / v3 compact); text graphs by a leading
     ``V``/``VP``/``E``/``EP`` record; names that match a built-in dataset
     (and are not files) load the dataset.  SNAP-style numeric event lists
     sniff as ``snap`` — a contact sequence is indistinguishable by eye,
@@ -324,11 +324,11 @@ def _sniff_format(source) -> str:
         version = head[4] if len(head) > 4 else -1
         if version == 1:
             return "binary"
-        if version == 2:
+        if version in (2, 3):
             return "compact"
         raise GraphFormatError(
             f"{name}: ITGR file with unsupported version {version} "
-            f"(readable versions: 1, 2)"
+            f"(readable versions: 1, 2, 3)"
         )
     try:
         with open(name, "r", encoding="utf-8") as fh:
@@ -364,8 +364,8 @@ def load_graph(
 ):
     """Load a temporal graph from anywhere — the one front door.
 
-    ``source`` may be a file path (text format, binary v1, compact v2 —
-    sniffed from content when ``format="auto"``), a named built-in
+    ``source`` may be a file path (text format, binary v1, compact v3 or
+    v2 — sniffed from content when ``format="auto"``), a named built-in
     dataset (``"transit"`` or any Table-1 surrogate name), or an open
     handle (with an explicit ``format``).  Compact files are mmap'd
     read-only, so concurrently serving processes share their pages.
@@ -376,7 +376,10 @@ def load_graph(
     ``REPRO_GRAPH_STORE``.  Remaining keyword ``options`` go to the
     underlying loader (``scale``/``seed`` for datasets, ``bucket``/
     ``merge_gap``/... for the event-list parsers, ``map=False`` to read
-    a compact file into private memory).
+    a compact file into private memory).  ``verify=True`` checks a compact
+    v3 image against its sha256 digest before anything is read from it —
+    one pass over the file, for a process that did not just write it; the
+    other formats carry no digest and load as without it.
 
     The cyclic garbage collector is paused while the graph is built (and
     left as it was found): a load allocates nothing but long-lived, acyclic
@@ -413,6 +416,9 @@ def load_graph(
 
 def _load_as(fmt: str, source, options: dict):
     """Dispatch one resolved format to its loader."""
+    # Only a compact v3 image carries a digest; elsewhere there is nothing
+    # to check, so a caller may ask for every file it opens.
+    verify = options.pop("verify", False)
     if fmt == "dataset":
         from repro.datasets import load_surrogate, transit_graph
 
@@ -443,9 +449,10 @@ def _load_as(fmt: str, source, options: dict):
         from repro.graph.compact import CompactGraph
 
         if hasattr(source, "read"):
-            graph = CompactGraph.from_bytes(source.read())
+            graph = CompactGraph.from_bytes(source.read(), verify=verify)
         else:
-            graph = CompactGraph.load(source, map=options.pop("map", True))
+            graph = CompactGraph.load(
+                source, map=options.pop("map", True), verify=verify)
     elif fmt == "snap":
         from repro.graph.parsers import load_snap_edgelist
 

@@ -264,8 +264,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.graph is not None:
         # A graph file beats the dataset flags; compact files are mmap'd,
         # so a restarted daemon shares the OS page cache with its
-        # predecessor instead of re-decoding the graph.
-        graph = api.load_graph(args.graph)
+        # predecessor instead of re-decoding the graph.  A daemon reads
+        # bytes it did not just write, for a long time: check the image's
+        # digest once, here.
+        graph = api.load_graph(args.graph, verify=True)
         graph_name = args.graph
     else:
         graph = _load(args.dataset, args.scale)
@@ -411,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--format", choices=("text", "binary", "compact"),
                       default="text",
                       help="output encoding: human-readable text, the v1 "
-                           "binary object stream, or the v2 compact columnar "
+                           "binary object stream, or the v3 compact columnar "
                            "image (mmap-able; `repro serve --graph` loads it "
                            "zero-copy)")
     add_common(p_cv)

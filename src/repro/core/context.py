@@ -101,10 +101,9 @@ class VertexContext:
 
     def out_degree(self, interval: Optional[Interval] = None) -> int:
         """Out-edges overlapping ``interval`` (default: whole lifespan)."""
-        edges = self.out_edges()
         if interval is None:
-            return len(edges)
-        return sum(1 for e in edges if e.lifespan.overlaps(interval))
+            return self._engine.graph.out_degree(self._vertex.vid)
+        return sum(1 for e in self.out_edges() if e.lifespan.overlaps(interval))
 
     def vertex_property(self, label: str, t: int) -> Any:
         """Static vertex property value at time-point ``t`` (or None)."""

@@ -160,8 +160,8 @@ def _decode_graph(raw: bytes) -> TemporalGraph:
     version, offset = decode_varint(raw, offset)
     if version != VERSION:
         hint = (
-            " (a version-2 compact graph; open it with api.load_graph)"
-            if version == 2 else ""
+            f" (a version-{version} compact graph; open it with api.load_graph)"
+            if version in (2, 3) else ""
         )
         raise ValueError(f"unsupported ITGR version {version}{hint}")
 

@@ -10,9 +10,13 @@ buffer instead of an object per vertex/edge/property entry —
 * edge endpoints, lifespans and ids (``e_src``/``e_dst``/``e_start``/...),
 * property change-points as per-entity entry runs
   (``vp_*``/``ep_*`` label/start/end/value-offset arrays), and
-* precomputed per-edge **piece cut tables** (``cut_off``/``cut_start``),
-  the property-constant sub-intervals both stores' resident
-  :class:`~repro.graph.properties.PieceIndex` is cut at.
+* the per-edge **scatter index**, stored: ``cut_off``/``cut_start`` (where
+  each property-constant piece starts), ``piece_row`` (one int per piece)
+  and the image-wide **values table** it points into
+  (``pv_off``/``pv_label``/``pv_val``: each distinct values dict once, in
+  label-insertion order).  An edge's resident
+  :class:`~repro.graph.properties.PieceIndex` is two column slices and a
+  row lookup per piece — nothing is decoded or bisected per property entry.
 
 The layout follows the time-indexed array stores of Kairos
 (arXiv:2401.02563) and Raphtory's frozen columnar graph
@@ -27,9 +31,17 @@ checkpoints are interchangeable between the two stores (asserted across
 all 12 algorithms by the equivalence tests).
 
 **An mmap-able on-disk form.**  ``dump()`` writes the buffer as binary
-graph format **v2** (same ``ITGR`` magic + version-varint framing as
+graph format **v3** (same ``ITGR`` magic + version-varint framing as
 :mod:`repro.graph.binary_io`); ``load()`` maps it read-only, so a served
-graph's pages are shared between every process that maps the file.
+graph's pages are shared between every process that maps the file.  The
+header carries a sha256 of everything behind it, checked on request
+(``verify=True``); every bind checks the section table — alignment,
+bounds, order and the lengths the columns must agree on — before the first
+cast, and a column that points outside its target surfaces as
+:class:`~repro.errors.GraphFormatError` naming the section, never as a
+bare ``IndexError``.  **v2** images (no ``piece_row``, no values table, no
+digest) keep loading: the bind derives both once, in memory
+(:func:`_derive_piece_rows`), and every reader after that is the same code.
 
 **Zero-copy worker sharing.**  ``ensure_shared()`` migrates the buffer
 into :mod:`multiprocessing.shared_memory`; pickling then ships only the
@@ -42,6 +54,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import struct
 from array import array
 from bisect import bisect_right
 from pathlib import Path
@@ -51,7 +64,7 @@ from repro.core.interval import FOREVER, Interval
 from repro.errors import GraphFormatError
 from repro.runtime.encoding import decode_payload, decode_varint, encode_payload
 from .model import TemporalEdge, TemporalGraph, TemporalVertex, _PiecewiseEdge
-from .properties import PieceIndex, PropertySet, intern_values
+from .properties import _EXACT_TYPES, PieceIndex, PropertySet, intern_values
 
 __all__ = [
     "COMPACT_VERSION",
@@ -64,27 +77,45 @@ __all__ = [
 
 MAGIC = b"ITGR"
 #: Binary graph format version written by :meth:`CompactGraph.dump`
-#: (version 1 is the varint object stream of ``graph/binary_io.py``).
-COMPACT_VERSION = 2
+#: (version 1 is the varint object stream of ``graph/binary_io.py``;
+#: version 2, still read, is version 3 without the sections in
+#: ``_V3_ONLY`` and without the digest).
+COMPACT_VERSION = 3
 
 #: Accepted values of ``REPRO_GRAPH_STORE`` / ``store=``.
 GRAPH_STORE_KINDS = ("heap", "compact")
 
-# Section order is the file format: 25 int64 arrays, then 3 byte blobs.
+# Section order is the file format: 29 int64 arrays, then 3 byte blobs.
 # The header carries an explicit (offset, length) table per section, so
 # readers never have to re-derive the layout arithmetic.
 _INT_SECTIONS = (
     "v_start", "v_end", "vid_off",
     "vp_off", "out_off", "out_idx", "in_off", "in_idx",
     "e_src", "e_dst", "e_start", "e_end", "eid_off",
-    "ep_off", "cut_off", "cut_start",
+    "ep_off", "cut_off", "cut_start", "piece_row",
     "vp_label", "vp_start", "vp_end", "vp_val",
     "ep_label", "ep_start", "ep_end", "ep_val",
+    "pv_off", "pv_label", "pv_val",
     "label_off",
 )
 _BLOB_SECTIONS = ("id_blob", "val_blob", "label_blob")
 _SECTIONS = _INT_SECTIONS + _BLOB_SECTIONS
+_V3_ONLY = frozenset({"piece_row", "pv_off", "pv_label", "pv_val"})
 _HEADER_FIXED = 16  # magic(4) + version varint(1) + pad(3) + n_sections(8)
+_DIGEST_BYTES = 32  # v3: sha256 of every byte behind it, before the table
+
+#: What reading a column that points outside its target raises, here or in
+#: the payload codec; re-raised as ``GraphFormatError`` naming the section.
+_FAULTS = (IndexError, ValueError, RecursionError, struct.error)
+
+
+def _malformed(sections: str, exc: Exception) -> GraphFormatError:
+    if isinstance(exc, GraphFormatError):
+        return exc
+    return GraphFormatError(
+        f"compact graph section {sections} is malformed "
+        f"({type(exc).__name__}: {exc})"
+    )
 
 
 def _align8(n: int) -> int:
@@ -145,35 +176,64 @@ def _encode_compact(graph: TemporalGraph) -> bytes:
         label_blob += label.encode("utf-8")
     cols["label_off"].append(len(label_blob))
 
+    # Every (label, value) a property entry can hold gets a small token, on
+    # ``intern_values``' terms: values are one token when they are equal
+    # *and* print alike (``1`` / ``True`` / ``1.0`` are three).  A value is
+    # encoded once per token, and a piece's values dict is the tuple of the
+    # tokens that hold over it — so the values table below is built from
+    # tuples of ints, without a dict or a sweep per edge.
+    tokens: dict[tuple, int] = {}
+    token_ref: list[int] = []  # token → label ref
+    token_bytes: list[bytes] = []  # token → encoded value
+    token_at: list[int] = []  # token → offset of its first copy in val_blob
+
     def _append_entries(owner_name, props, label_col, start_col, end_col, val_col):
-        count = 0
+        """Append ``props``' entries to the four columns; the token of each
+        (-1 where the value is ``None``: ``values_at`` reports no such label)."""
+        entry_tokens: list[int] = []
         for label in props:  # PropertySet iteration order == insertion order
             ref = lref[label]
             for iv, value in props.timeline(label):
+                kind = type(value)
+                key = (ref, kind if kind in _EXACT_TYPES else repr(value), value)
+                try:
+                    token = tokens.get(key)
+                except TypeError:  # unhashable (a list): storable, never shared
+                    token, key = None, None
+                if token is None:
+                    token = len(token_ref)
+                    token_ref.append(ref)
+                    token_bytes.append(_encode_value(value, owner_name, label))
+                    token_at.append(len(val_blob))
+                    if key is not None:
+                        tokens[key] = token
                 label_col.append(ref)
                 start_col.append(iv.start)
                 end_col.append(iv.end)
                 val_col.append(len(val_blob))
-                val_blob.extend(_encode_value(value, owner_name, label))
-                count += 1
-        return count
+                val_blob.extend(token_bytes[token])
+                entry_tokens.append(-1 if value is None else token)
+        return entry_tokens
 
-    vp_total = 0
     cols["vp_off"].append(0)
     for v in vertices:
         cols["v_start"].append(v.lifespan.start)
         cols["v_end"].append(v.lifespan.end)
         cols["vid_off"].append(len(id_blob))
         id_blob += _encode_id(v.vid, f"vertex")
-        vp_total += _append_entries(
+        _append_entries(
             f"vertex {v.vid!r}", v.properties,
             cols["vp_label"], cols["vp_start"], cols["vp_end"], cols["vp_val"],
         )
-        cols["vp_off"].append(vp_total)
+        cols["vp_off"].append(len(cols["vp_label"]))
     cols["vid_off"].append(len(id_blob))
 
-    ep_total = 0
-    pieces_total = 0
+    # The values table: each distinct values dict once — as the tuple of its
+    # tokens, in label-insertion order — rows numbered in order of first use.
+    rows: dict[tuple, int] = {}
+
+    ep_label, ep_start, ep_end = cols["ep_label"], cols["ep_start"], cols["ep_end"]
+    cut_start, piece_row = cols["cut_start"], cols["piece_row"]
     cols["ep_off"].append(0)
     cols["cut_off"].append(0)
     for e in edges:
@@ -183,22 +243,36 @@ def _encode_compact(graph: TemporalGraph) -> bytes:
         cols["e_end"].append(e.lifespan.end)
         cols["eid_off"].append(len(id_blob))
         id_blob += _encode_id(e.eid, "edge")
-        ep_total += _append_entries(
-            f"edge {e.eid!r}", e.properties,
-            cols["ep_label"], cols["ep_start"], cols["ep_end"], cols["ep_val"],
+        lo = len(ep_label)
+        entry_tokens = _append_entries(
+            f"edge {e.eid!r}", e.properties, ep_label, ep_start, ep_end, cols["ep_val"],
         )
-        cols["ep_off"].append(ep_total)
-        # Piece cut table: the full-lifespan property change points, the
-        # exact cuts TemporalEdge.pieces(lifespan) derives per call.
+        cols["ep_off"].append(len(ep_label))
+        # Scatter index: the lifespan cut at every property change point,
+        # and per piece the row of the tokens that hold over it (what
+        # ``properties.values_at`` answers anywhere inside the piece).
         span = e.lifespan
-        cols["cut_start"].append(span.start)
-        pieces_total += 1
-        for b in e.properties.boundaries():
-            if span.start < b < span.end:
-                cols["cut_start"].append(b)
-                pieces_total += 1
-        cols["cut_off"].append(pieces_total)
+        starts, ends = ep_start[lo:], ep_end[lo:]
+        cuts = sorted({span.start, span.end, *starts, *ends})
+        at = {t: k for k, t in enumerate(cuts)}
+        holding: dict[int, list[int]] = {}  # label ref → token per piece
+        for ref, s, t, token in zip(ep_label[lo:], starts, ends, entry_tokens):
+            column = holding.get(ref)
+            if column is None:
+                column = holding[ref] = [-1] * (len(cuts) - 1)
+            column[at[s]:at[t]] = [token] * (at[t] - at[s])
+        cut_start.extend(cuts[:-1])
+        for held in zip(*holding.values()) if holding else [()]:
+            if -1 in held:
+                held = tuple([token for token in held if token >= 0])
+            piece_row.append(rows.setdefault(held, len(rows)))
+        cols["cut_off"].append(len(cut_start))
     cols["eid_off"].append(len(id_blob))
+    for held in rows:
+        cols["pv_off"].append(len(cols["pv_label"]))
+        cols["pv_label"].extend([token_ref[token] for token in held])
+        cols["pv_val"].extend([token_at[token] for token in held])
+    cols["pv_off"].append(len(cols["pv_label"]))
     # Value-offset sentinels close the last entries.
     cols["vp_val"].append(len(val_blob))
     cols["ep_val"].append(len(val_blob))
@@ -220,7 +294,7 @@ def _encode_compact(graph: TemporalGraph) -> bytes:
     blobs = {"id_blob": bytes(id_blob), "val_blob": bytes(val_blob),
              "label_blob": bytes(label_blob)}
 
-    table_at = _HEADER_FIXED
+    table_at = _HEADER_FIXED + _DIGEST_BYTES
     payload_at = _align8(table_at + len(_SECTIONS) * 16)
     offsets: list[tuple[int, int]] = []
     cursor = payload_at
@@ -243,7 +317,88 @@ def _encode_compact(graph: TemporalGraph) -> bytes:
         at += 16
     for (off, length), data in zip(offsets, section_bytes):
         out[off:off + length] = data
+    out[_HEADER_FIXED:table_at] = _digest(out)
     return bytes(out)
+
+
+def _digest(image) -> bytes:
+    """sha256 of a v3 image behind its digest field (table and sections)."""
+    import hashlib
+
+    return hashlib.sha256(memoryview(image)[_HEADER_FIXED + _DIGEST_BYTES:]).digest()
+
+
+def _derive_piece_rows(graph: "CompactGraph") -> tuple[array, list[dict]]:
+    """``piece_row`` and the values table of ``graph``, from its cut and
+    property-entry columns alone.
+
+    What a v2 image does not carry: its bind runs this once.  It is also
+    the oracle the v3 encoder's columns are tested against — each piece's
+    dict assembled in one pass over the edge's entries, in label-insertion
+    order (``properties.values_at`` at the piece's start, without building
+    a ``PropertySet``), interned into the graph's pool, rows numbered in
+    order of first use.
+    """
+    pool = graph._values
+    blob, labels = graph._val_blob, graph._labels
+    ep_off, ep_label, ep_val = graph._ep_off, graph._ep_label, graph._ep_val
+    ep_start, ep_end = graph._ep_start, graph._ep_end
+    piece_row = array("q")
+    rows: list[dict] = []
+    row_ids: dict[int, int] = {}
+    for i in range(graph._ne):
+        lo, hi = graph._cut_off[i], graph._cut_off[i + 1]
+        starts = graph._cut_start[lo:hi].tolist()
+        bounds = starts[1:] + [graph._e_end[i]]
+        values: list[dict] = [{} for _ in starts]
+        for j in range(ep_off[i], ep_off[i + 1]):
+            value, _ = decode_payload(blob, ep_val[j])
+            if value is None:
+                continue  # values_at() skips absent/None values
+            label = labels[ep_label[j]]
+            s, e = ep_start[j], ep_end[j]
+            # Pieces never straddle a property boundary, so the
+            # entry covers a contiguous run of whole pieces.
+            k = bisect_right(starts, s) - 1
+            if k < 0:
+                k = 0
+            while k < len(starts) and starts[k] < e:
+                if bounds[k] > s:
+                    values[k][label] = value
+                k += 1
+        for v in values:
+            shared = intern_values(pool, tuple(v), tuple(v.values()))
+            row = row_ids.get(id(shared))
+            if row is None:
+                row = row_ids[id(shared)] = len(rows)
+                rows.append(shared)
+            piece_row.append(row)
+    return piece_row, rows
+
+
+class _ValuesTable(dict):
+    """Row number → the values dict of that row of a v3 image's table,
+    decoded and interned into the graph's pool the first time a piece
+    index asks for it."""
+
+    __slots__ = ("_columns", "_labels", "_blob", "_pool")
+
+    def __init__(self, columns, labels, blob, pool):
+        self._columns = columns  # (pv_off, pv_label, pv_val)
+        self._labels = labels
+        self._blob = blob
+        self._pool = pool
+
+    def __missing__(self, row: int) -> dict:
+        off, label, val = self._columns
+        try:
+            run = range(off[row], off[row + 1])
+            names = tuple([self._labels[label[j]] for j in run])
+            vals = tuple([decode_payload(self._blob, val[j])[0] for j in run])
+        except _FAULTS as exc:
+            raise _malformed("'pv_off' / 'pv_label' / 'pv_val'", exc) from exc
+        values = self[row] = intern_values(self._pool, names, vals)
+        return values
 
 
 # -- views ---------------------------------------------------------------------
@@ -267,7 +422,7 @@ class CompactVertex:
 
     @property
     def properties(self) -> PropertySet:
-        return self._graph._vertex_props(self._idx)
+        return self._graph._props("vp", self._idx, self._graph._vprops)
 
     def __repr__(self) -> str:
         return f"Vertex({self.vid!r}, {self.lifespan})"
@@ -294,7 +449,7 @@ class CompactEdge(_PiecewiseEdge):
 
     @property
     def properties(self) -> PropertySet:
-        return self._graph._edge_props(self._idx)
+        return self._graph._props("ep", self._idx, self._graph._eprops)
 
     def piece_index(self) -> PieceIndex:
         return self._graph._piece_index(self._idx)
@@ -310,13 +465,13 @@ class CompactGraph:
     """A frozen temporal graph over one contiguous columnar buffer.
 
     Construct with :meth:`from_temporal` (from a validated heap graph),
-    :meth:`load` (mmap of a v2 file) or :meth:`from_bytes`.  The query
-    surface mirrors :class:`~repro.graph.model.TemporalGraph` verbatim;
-    entity accessors hand out cached :class:`CompactVertex`/
+    :meth:`load` (mmap of a v3 — or v2 — file) or :meth:`from_bytes`.  The
+    query surface mirrors :class:`~repro.graph.model.TemporalGraph`
+    verbatim; entity accessors hand out cached :class:`CompactVertex`/
     :class:`CompactEdge` views.
     """
 
-    def __init__(self, buffer, *, _keepalive=None):
+    def __init__(self, buffer, *, verify: bool = False, _keepalive=None):
         self._keepalive = _keepalive  # open file/mmap/shm backing `buffer`
         self._shm = None
         self._shm_owner = False
@@ -324,7 +479,13 @@ class CompactGraph:
         self._file = None
         self._path: Optional[str] = None
         self._views: list = []
-        self._bind(buffer)
+        try:
+            self._bind(buffer, verify)
+        except BaseException:
+            # The caller closes what backs `buffer` (an mmap refuses to
+            # close under a live export), so let go of it first.
+            self._release_views()
+            raise
 
     # -- construction ------------------------------------------------------
 
@@ -335,15 +496,21 @@ class CompactGraph:
         return cls(_encode_compact(graph))
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "CompactGraph":
-        return cls(data)
+    def from_bytes(cls, data: bytes, *, verify: bool = False) -> "CompactGraph":
+        """Bind an image held in memory; ``verify`` as in :meth:`load`."""
+        return cls(data, verify=verify)
 
     @classmethod
-    def load(cls, path: Union[str, Path], *, map: bool = True) -> "CompactGraph":
-        """Open a binary v2 file, memory-mapped read-only by default.
+    def load(
+        cls, path: Union[str, Path], *, map: bool = True, verify: bool = False
+    ) -> "CompactGraph":
+        """Open a binary v3 (or v2) file, memory-mapped read-only by default.
 
         Mapped pages are shared with every other process that maps the
         same file — the serving tier's resident-graph story.
+        ``verify=True`` recomputes the image's sha256 (one pass over the
+        whole file) and refuses a mismatch; a v2 image carries no digest
+        and gets the bind checks only.
         """
         path = str(path)
         fh = open(path, "rb")
@@ -354,7 +521,7 @@ class CompactGraph:
                 fh.close()
                 raise GraphFormatError(f"{path}: not a compact temporal graph ({exc})")
             try:
-                graph = cls(mapped)
+                graph = cls(mapped, verify=verify)
             except Exception:
                 mapped.close()
                 fh.close()
@@ -365,51 +532,83 @@ class CompactGraph:
         else:
             data = fh.read()
             fh.close()
-            graph = cls(data)
+            graph = cls(data, verify=verify)
             graph._path = path
         return graph
 
     def dump(self, target: Union[str, Path]) -> None:
-        """Write the buffer as a binary v2 file (fsync + atomic rename)."""
+        """Write the buffer as a binary file (fsync + atomic rename): v3,
+        or the v2 image this graph was loaded from, as it is."""
         from .binary_io import _atomic_write_bytes
         _atomic_write_bytes(self.to_bytes(), Path(target))
 
     # -- binding -----------------------------------------------------------
 
-    def _bind(self, buffer) -> None:
+    def _bind(self, buffer, verify: bool = False) -> None:
         mv = memoryview(buffer)
         self._views.append(mv)
-        if mv.nbytes < _HEADER_FIXED or bytes(mv[0:4]) != MAGIC:
+        size = mv.nbytes
+        if size < _HEADER_FIXED or bytes(mv[0:4]) != MAGIC:
             raise GraphFormatError("not an ITGR compact temporal graph")
         version, _ = decode_varint(mv, 4)
-        if version != COMPACT_VERSION:
+        if version not in (2, COMPACT_VERSION):
             raise GraphFormatError(
                 f"unsupported compact graph version {version} "
-                f"(this build reads version {COMPACT_VERSION}; "
+                f"(this build reads versions 2 and {COMPACT_VERSION}; "
                 f"version 1 files are read by api.load_graph)"
             )
+        if version == 2:
+            names = tuple(n for n in _SECTIONS if n not in _V3_ONLY)
+            table_at = _HEADER_FIXED
+        else:
+            names = _SECTIONS
+            table_at = _HEADER_FIXED + _DIGEST_BYTES
         n_sections = int.from_bytes(bytes(mv[8:16]), "little", signed=True)
-        if n_sections != len(_SECTIONS):
+        if n_sections != len(names) or bytes(mv[5:8]) != b"\0\0\0":
             raise GraphFormatError(
-                f"compact graph header lists {n_sections} sections, "
-                f"expected {len(_SECTIONS)}"
+                f"compact graph v{version} header lists {n_sections} sections "
+                f"(expected {len(names)}) after padding {bytes(mv[5:8])!r} "
+                f"(expected zeros)"
             )
-        table = mv[_HEADER_FIXED:_HEADER_FIXED + n_sections * 16].cast("q")
+        table_end = table_at + n_sections * 16
+        if table_end > size:
+            raise GraphFormatError(
+                f"compact graph section table exceeds the {size}-byte "
+                f"buffer (truncated file?)"
+            )
+        if verify and version > 2 and bytes(mv[_HEADER_FIXED:table_at]) != _digest(mv):
+            raise GraphFormatError(
+                "compact graph image does not match its sha256 digest "
+                "(corrupted, or edited after it was written)"
+            )
+        table = mv[table_at:table_end].cast("q")
         self._views.append(table)
-        size = mv.nbytes
+        # Every section is checked before the first cast: inside the
+        # buffer, behind its predecessor, and — the int columns — 8-byte
+        # aligned, so a shifted or torn table cannot load and answer.
         sections: dict[str, Any] = {}
-        for i, name in enumerate(_SECTIONS):
+        floor = table_end
+        for i, name in enumerate(names):
             off, length = table[2 * i], table[2 * i + 1]
-            if off < 0 or length < 0 or off + length > size:
+            if off < floor or length < 0 or off + length > size:
                 raise GraphFormatError(
                     f"compact graph section {name!r} ([{off}, {off + length})) "
-                    f"exceeds the {size}-byte buffer (truncated file?)"
+                    f"overlaps its predecessor or exceeds the {size}-byte "
+                    f"buffer (truncated file?)"
+                )
+            if name in _INT_SECTIONS and (off % 8 or length % 8):
+                raise GraphFormatError(
+                    f"compact graph section {name!r} ([{off}, {off + length})) "
+                    f"is not 8-byte aligned"
                 )
             sections[name] = mv[off:off + length]
+            self._views.append(sections[name])
+            floor = off + length
         for name in _INT_SECTIONS:
-            view = sections[name].cast("q")
-            self._views.append(view)
-            setattr(self, "_" + name, view)
+            if name in sections:
+                view = sections[name].cast("q")
+                self._views.append(view)
+                setattr(self, "_" + name, view)
         # Blobs are decoded with `bytes`-only helpers (str payloads call
         # `.decode`), so take one small copy each instead of holding more
         # buffer exports.
@@ -417,28 +616,25 @@ class CompactGraph:
         self._val_blob = bytes(sections["val_blob"])
         self._label_blob = bytes(sections["label_blob"])
         self.nbytes = size
+        self._nv = nv = len(self._v_start)
+        self._ne = ne = len(self._e_src)
+        self._check_lengths(version)
 
-        nv = len(self._v_start)
-        ne = len(self._e_src)
-        if len(self._vid_off) != nv + 1 or len(self._out_off) != nv + 1:
-            raise GraphFormatError("compact graph vertex tables disagree on |V|")
-        if len(self._eid_off) != ne + 1 or len(self._cut_off) != ne + 1:
-            raise GraphFormatError("compact graph edge tables disagree on |E|")
-        self._nv = nv
-        self._ne = ne
-
-        self._labels = [
-            self._label_blob[self._label_off[i]:self._label_off[i + 1]].decode("utf-8")
-            for i in range(len(self._label_off) - 1)
-        ]
-        vid_off = self._vid_off
-        self._vids = [
-            decode_payload(self._id_blob, vid_off[i])[0] for i in range(nv)
-        ]
-        eid_off = self._eid_off
-        self._eids = [
-            decode_payload(self._id_blob, eid_off[i])[0] for i in range(ne)
-        ]
+        try:
+            self._labels = [
+                self._label_blob[self._label_off[i]:self._label_off[i + 1]].decode("utf-8")
+                for i in range(len(self._label_off) - 1)
+            ]
+            vid_off = self._vid_off
+            self._vids = [
+                decode_payload(self._id_blob, vid_off[i])[0] for i in range(nv)
+            ]
+            eid_off = self._eid_off
+            self._eids = [
+                decode_payload(self._id_blob, eid_off[i])[0] for i in range(ne)
+            ]
+        except _FAULTS as exc:
+            raise _malformed("'label_off' / 'vid_off' / 'eid_off'", exc) from exc
         self._vid_index = {vid: i for i, vid in enumerate(self._vids)}
         self._eid_index = {eid: i for i, eid in enumerate(self._eids)}
         if len(self._vid_index) != nv:
@@ -450,107 +646,136 @@ class CompactGraph:
         self._eprops: dict[int, PropertySet] = {}
         #: Graph-lifetime derived tables, as on the heap store (DESIGN.md
         #: §7): edge index → piece index, the pool interning their values
-        #: dicts, the raw ``time_horizon()`` memo and the placement
+        #: dicts (``_rows``: the values-table rows decoded into it so
+        #: far), the raw ``time_horizon()`` memo and the placement
         #: statistics per (workers, partitioner fingerprint).
         self._piece_cache: dict[int, PieceIndex] = {}
         self._values: dict = {}
+        self._empty = intern_values(self._values, (), ())
         self._horizon: Optional[int] = None
         self._placement: dict = {}
+        if version == 2:
+            try:
+                self._piece_row, rows = _derive_piece_rows(self)
+            except _FAULTS as exc:
+                raise _malformed("'cut_off' / 'cut_start' / 'ep_*'", exc) from exc
+            self._rows = dict(enumerate(rows))
+        else:
+            self._rows = _ValuesTable(
+                (self._pv_off, self._pv_label, self._pv_val),
+                self._labels, self._val_blob, self._values,
+            )
+
+    def _check_lengths(self, version: int) -> None:
+        """The lengths and end points the columns must agree on — read off
+        section sizes and each offset column's first and last entry, so a
+        bind stays O(sections) however large the image."""
+        nv, ne = self._nv, self._ne
+        n_vp, n_ep = len(self._vp_label), len(self._ep_label)
+        n_pieces = len(self._cut_start)
+        lengths = {
+            "v_end": nv, "vid_off": nv + 1, "vp_off": nv + 1,
+            "out_off": nv + 1, "in_off": nv + 1, "out_idx": ne, "in_idx": ne,
+            "e_dst": ne, "e_start": ne, "e_end": ne, "eid_off": ne + 1,
+            "ep_off": ne + 1, "cut_off": ne + 1,
+            "vp_start": n_vp, "vp_end": n_vp, "vp_val": n_vp + 1,
+            "ep_start": n_ep, "ep_end": n_ep, "ep_val": n_ep + 1,
+        }
+        if version > 2:
+            lengths.update(piece_row=n_pieces, pv_val=len(self._pv_label))
+        for name, want in lengths.items():
+            got = len(getattr(self, "_" + name))
+            if got != want:
+                raise GraphFormatError(
+                    f"compact graph section {name!r} holds {got} entries, "
+                    f"expected {want}"
+                )
+        # Offset column → (its first entry, its last entry); None: any.
+        spans = {
+            "vid_off": (0, self._eid_off[0]), "eid_off": (None, len(self._id_blob)),
+            "vp_off": (0, n_vp), "ep_off": (0, n_ep),
+            "out_off": (0, ne), "in_off": (0, ne), "cut_off": (0, n_pieces),
+            "vp_val": (None, len(self._val_blob)),
+            "ep_val": (None, len(self._val_blob)),
+            "label_off": (0, len(self._label_blob)),
+        }
+        if version > 2:
+            spans["pv_off"] = (0, len(self._pv_label))
+        for name, (first, last) in spans.items():
+            col = getattr(self, "_" + name)
+            if not len(col) or first not in (None, col[0]) or last not in (None, col[-1]):
+                raise GraphFormatError(
+                    f"compact graph offset column {name!r} does not span "
+                    f"the section it indexes"
+                )
 
     # -- internal view/property materialisation ----------------------------
 
     def _vertex_view(self, i: int) -> CompactVertex:
         view = self._vertex_cache.get(i)
         if view is None:
-            view = CompactVertex(
-                self, i, self._vids[i],
-                Interval(self._v_start[i], self._v_end[i]),
-            )
-            self._vertex_cache[i] = view
+            try:
+                span = Interval(self._v_start[i], self._v_end[i])
+            except _FAULTS as exc:
+                raise _malformed("'v_start' / 'v_end'", exc) from exc
+            view = self._vertex_cache[i] = CompactVertex(self, i, self._vids[i], span)
         return view
 
     def _edge_view(self, i: int) -> CompactEdge:
         view = self._edge_cache.get(i)
         if view is None:
-            view = CompactEdge(
-                self, i, self._eids[i],
-                self._vids[self._e_src[i]], self._vids[self._e_dst[i]],
-                Interval(self._e_start[i], self._e_end[i]),
-            )
+            try:
+                view = CompactEdge(
+                    self, i, self._eids[i],
+                    self._vids[self._e_src[i]], self._vids[self._e_dst[i]],
+                    Interval(self._e_start[i], self._e_end[i]),
+                )
+            except _FAULTS as exc:
+                raise _malformed(
+                    "'out_idx' / 'in_idx' / 'e_src' / 'e_dst' / 'e_start' / 'e_end'", exc
+                ) from exc
             self._edge_cache[i] = view
         return view
 
-    def _props(self, cache, i, off_col, label_col, start_col, end_col, val_col):
-        props = cache.get(i)
+    def _props(self, kind: str, i: int, cache: Optional[dict]) -> PropertySet:
+        """The property set of vertex (``kind="vp"``) or edge (``"ep"``)
+        ``i``; kept in ``cache`` unless that is ``None`` (``to_temporal``
+        hands each set to a new owner)."""
+        props = cache.get(i) if cache is not None else None
         if props is None:
+            off, label, start, end, val = (
+                getattr(self, f"_{kind}_{col}")
+                for col in ("off", "label", "start", "end", "val")
+            )
             props = PropertySet()
-            lo, hi = off_col[i], off_col[i + 1]
             labels = self._labels
             blob = self._val_blob
-            for j in range(lo, hi):
-                value, _ = decode_payload(blob, val_col[j])
-                props.add(
-                    labels[label_col[j]],
-                    Interval(start_col[j], end_col[j]),
-                    value,
-                )
-            cache[i] = props
+            try:
+                for j in range(off[i], off[i + 1]):
+                    value, _ = decode_payload(blob, val[j])
+                    props.add(labels[label[j]], Interval(start[j], end[j]), value)
+            except _FAULTS as exc:
+                raise _malformed(f"'{kind}_*' (property entries)", exc) from exc
+            if cache is not None:
+                cache[i] = props
         return props
 
-    def _vertex_props(self, i: int) -> PropertySet:
-        return self._props(
-            self._vprops, i, self._vp_off,
-            self._vp_label, self._vp_start, self._vp_end, self._vp_val,
-        )
-
-    def _edge_props(self, i: int) -> PropertySet:
-        return self._props(
-            self._eprops, i, self._ep_off,
-            self._ep_label, self._ep_start, self._ep_end, self._ep_val,
-        )
-
     def _piece_index(self, i: int) -> PieceIndex:
-        """The resident piece index of edge ``i`` (built on first use).
-
-        Cut points are copied out of the precomputed ``cut_start`` run;
-        each piece's values dict is assembled in one pass over the edge's
-        property entries, in label-insertion order — exactly
-        ``properties.values_at(lo)`` for the piece's start, without
-        building a PropertySet.
-        """
+        """The resident piece index of edge ``i`` (built on first use):
+        the edge's run of ``cut_start`` closed by its lifespan's end, and
+        per piece the values-table row ``piece_row`` names — two slices,
+        no property entry is read."""
         index = self._piece_cache.get(i)
         if index is None:
-            lo, hi = self._cut_off[i], self._cut_off[i + 1]
-            starts = self._cut_start[lo:hi].tolist()
-            bounds = starts[1:] + [self._e_end[i]]
-            values: list[dict] = [{} for _ in starts]
-            blob = self._val_blob
-            labels = self._labels
-            for j in range(self._ep_off[i], self._ep_off[i + 1]):
-                value, _ = decode_payload(blob, self._ep_val[j])
-                if value is None:
-                    continue  # values_at() skips absent/None values
-                label = labels[self._ep_label[j]]
-                s, e = self._ep_start[j], self._ep_end[j]
-                # Pieces never straddle a property boundary, so the
-                # entry covers a contiguous run of whole pieces.
-                k = bisect_right(starts, s) - 1
-                if k < 0:
-                    k = 0
-                while k < len(starts) and starts[k] < e:
-                    if bounds[k] > s:
-                        values[k][label] = value
-                    k += 1
-            pool = self._values
-            empty = intern_values(pool, (), ())
-            index = self._piece_cache[i] = PieceIndex(
-                (starts[0], *bounds),
-                (
-                    empty,
-                    *[intern_values(pool, tuple(v), tuple(v.values())) for v in values],
-                    empty,
-                ),
-            )
+            try:
+                lo, hi = self._cut_off[i], self._cut_off[i + 1]
+                rows, empty = self._rows, self._empty
+                index = self._piece_cache[i] = PieceIndex(
+                    (*self._cut_start[lo:hi], self._e_end[i]),
+                    (empty, *[rows[r] for r in self._piece_row[lo:hi]], empty),
+                )
+            except _FAULTS as exc:
+                raise _malformed("'cut_off' / 'cut_start' / 'piece_row'", exc) from exc
         return index
 
     # -- TemporalGraph query surface ---------------------------------------
@@ -578,14 +803,23 @@ class CompactGraph:
         if i is None:
             return []
         off = self._out_off
-        return [self._edge_view(self._out_idx[j]) for j in range(off[i], off[i + 1])]
+        return [self._edge_view(k) for k in self._out_idx[off[i]:off[i + 1]]]
 
     def in_edges(self, vid: Any) -> list:
         i = self._vid_index.get(vid)
         if i is None:
             return []
         off = self._in_off
-        return [self._edge_view(self._in_idx[j]) for j in range(off[i], off[i + 1])]
+        return [self._edge_view(k) for k in self._in_idx[off[i]:off[i + 1]]]
+
+    def out_degree(self, vid: Any) -> int:
+        """``len(out_edges(vid))`` as a CSR offset difference: no edge view."""
+        i = self._vid_index.get(vid)
+        return 0 if i is None else self._out_off[i + 1] - self._out_off[i]
+
+    def in_degree(self, vid: Any) -> int:
+        i = self._vid_index.get(vid)
+        return 0 if i is None else self._in_off[i + 1] - self._in_off[i]
 
     @property
     def num_vertices(self) -> int:
@@ -622,9 +856,7 @@ class CompactGraph:
             for i in range(self._ne):
                 lo, hi = ep_off[i], ep_off[i + 1]
                 span_end: dict[int, int] = {}
-                for j in range(lo, hi):
-                    ref = ep_label[j]
-                    end = ep_end[j]
+                for ref, end in zip(ep_label[lo:hi], ep_end[lo:hi]):
                     if end > span_end.get(ref, -1):
                         span_end[ref] = end
                 for end in span_end.values():
@@ -707,10 +939,12 @@ class CompactGraph:
         lifespan bounds straight from the columnar arrays.
         """
         vids = self._vids
-        e_src, e_dst = self._e_src, self._e_dst
         e_start, e_end = self._e_start, self._e_end
-        for i in range(self._ne):
-            yield vids[e_src[i]], vids[e_dst[i]], e_start[i], e_end[i]
+        try:
+            for i, (s, d) in enumerate(zip(self._e_src, self._e_dst)):
+                yield vids[s], vids[d], e_start[i], e_end[i]
+        except IndexError as exc:
+            raise _malformed("'e_src' / 'e_dst'", exc) from exc
 
     # -- conversion / serialisation ----------------------------------------
 
@@ -722,7 +956,7 @@ class CompactGraph:
         graph = TemporalGraph()
         for i in range(self._nv):
             v = TemporalVertex(self._vids[i], Interval(self._v_start[i], self._v_end[i]))
-            v.properties = self._vertex_props_copy(i)
+            v.properties = self._props("vp", i, None)
             graph._add_vertex(v)
         for i in range(self._ne):
             e = TemporalEdge(
@@ -730,32 +964,9 @@ class CompactGraph:
                 self._vids[self._e_src[i]], self._vids[self._e_dst[i]],
                 Interval(self._e_start[i], self._e_end[i]),
             )
-            e.properties = self._edge_props_copy(i)
+            e.properties = self._props("ep", i, None)
             graph._add_edge(e)
         return graph
-
-    def _vertex_props_copy(self, i: int) -> PropertySet:
-        return self._fresh_props(
-            i, self._vp_off, self._vp_label,
-            self._vp_start, self._vp_end, self._vp_val,
-        )
-
-    def _edge_props_copy(self, i: int) -> PropertySet:
-        return self._fresh_props(
-            i, self._ep_off, self._ep_label,
-            self._ep_start, self._ep_end, self._ep_val,
-        )
-
-    def _fresh_props(self, i, off_col, label_col, start_col, end_col, val_col):
-        props = PropertySet()
-        for j in range(off_col[i], off_col[i + 1]):
-            value, _ = decode_payload(self._val_blob, val_col[j])
-            props.add(
-                self._labels[label_col[j]],
-                Interval(start_col[j], end_col[j]),
-                value,
-            )
-        return props
 
     # -- sharing / pickling ------------------------------------------------
 

@@ -151,6 +151,14 @@ class TemporalGraph:
     def in_edges(self, vid: VertexId) -> list[TemporalEdge]:
         return self._in.get(vid, [])
 
+    def out_degree(self, vid: VertexId) -> int:
+        """``len(out_edges(vid))`` — on every store without building the
+        edges (part of the graph read protocol)."""
+        return len(self._out.get(vid, ()))
+
+    def in_degree(self, vid: VertexId) -> int:
+        return len(self._in.get(vid, ()))
+
     @property
     def num_vertices(self) -> int:
         return len(self._vertices)

@@ -116,9 +116,11 @@ class PieceIndex:
     first and after the last change point) are empty.  Nothing else is
     resident: no ``Interval``, no per-piece tuple, and equal dicts are one
     object graph-wide (see :func:`intern_values`), so the index can live as
-    long as its graph.  Both stores build this one shape —
-    :meth:`PropertySet.piece_index` from the timelines,
-    ``CompactGraph._piece_index`` from the ``cut_start`` column.
+    long as its graph.  Both stores hold this one shape:
+    :meth:`PropertySet.piece_index` sweeps the timelines on first touch;
+    a compact image stores each edge's pieces when it is written
+    (``cut_start`` / ``piece_row`` and the image's values table), so
+    ``CompactGraph._piece_index`` slices them back out and sweeps nothing.
     """
 
     __slots__ = ("cuts", "values")

@@ -171,6 +171,16 @@ class GraphWindow:
     def in_edges(self, vid: Any) -> list:
         return self._edges(self.base.in_edges(vid))
 
+    def out_degree(self, vid: Any) -> int:
+        """Out-edges alive in the window (their lifespans decide; no
+        stand-in is built)."""
+        window = self.interval
+        return sum(1 for e in self.base.out_edges(vid) if e.lifespan.overlaps(window))
+
+    def in_degree(self, vid: Any) -> int:
+        window = self.interval
+        return sum(1 for e in self.base.in_edges(vid) if e.lifespan.overlaps(window))
+
     def edges(self) -> Iterator:
         clip = self._clip
         for e in self.base.edges():

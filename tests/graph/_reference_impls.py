@@ -13,6 +13,12 @@
   ``values_at`` (a bisection per label) per cut for the dicts.  Returns
   plain ``(cuts, values)``; interning is the production code's business.
 
+* ``sections_of`` / ``v2_image`` — an ``ITGR`` compact image taken apart by
+  its own section table, and a v3 image re-packed the way the v2 encoder
+  laid one out (no ``piece_row``, no values table, no digest; 16-byte
+  header, table, 8-aligned sections): what ``test_compact_image.py`` binds
+  to hold the v2 compatibility path to the v3 reader.
+
 Self-contained on purpose (nothing here calls the code it is the oracle
 for); ``test_text_loader.py`` holds the production loader to them.
 """
@@ -106,3 +112,48 @@ def reference_load_text(fh: TextIO) -> TemporalGraph:
             raise ValueError(f"line {lineno}: cannot parse {line!r}") from exc
     graph.validate()
     return graph
+
+
+# -- ITGR compact images -------------------------------------------------------------
+
+_V3_SECTIONS = (
+    "v_start", "v_end", "vid_off", "vp_off", "out_off", "out_idx", "in_off",
+    "in_idx", "e_src", "e_dst", "e_start", "e_end", "eid_off", "ep_off",
+    "cut_off", "cut_start", "piece_row", "vp_label", "vp_start", "vp_end",
+    "vp_val", "ep_label", "ep_start", "ep_end", "ep_val", "pv_off", "pv_label",
+    "pv_val", "label_off", "id_blob", "val_blob", "label_blob",
+)
+_V3_ONLY = ("piece_row", "pv_off", "pv_label", "pv_val")
+
+
+def sections_of(image: bytes) -> dict[str, tuple[int, int]]:
+    """``{section: (offset, length)}`` of a v2 or v3 image, in table order."""
+    version = image[4]
+    names = [n for n in _V3_SECTIONS if version == 3 or n not in _V3_ONLY]
+    table_at = 48 if version == 3 else 16
+    assert int.from_bytes(image[8:16], "little") == len(names)
+    return {
+        name: (
+            int.from_bytes(image[table_at + 16 * i:table_at + 16 * i + 8], "little"),
+            int.from_bytes(image[table_at + 16 * i + 8:table_at + 16 * i + 16], "little"),
+        )
+        for i, name in enumerate(names)
+    }
+
+
+def v2_image(image: bytes) -> bytes:
+    """The v2 image of the graph in v3 ``image``."""
+    assert image[4] == 3
+    kept = [(name, image[off:off + length])
+            for name, (off, length) in sections_of(image).items() if name not in _V3_ONLY]
+    cursor = (16 + 16 * len(kept) + 7) & ~7
+    table = bytearray()
+    body = bytearray()
+    for _, data in kept:
+        pad = -(cursor + len(body)) % 8
+        body += bytes(pad)
+        table += (cursor + len(body)).to_bytes(8, "little")
+        table += len(data).to_bytes(8, "little")
+        body += data
+    header = b"ITGR\x02\0\0\0" + len(kept).to_bytes(8, "little")
+    return bytes(header + table + bytes(cursor - 16 - len(table)) + body)

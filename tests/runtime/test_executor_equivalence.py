@@ -8,6 +8,7 @@ tests hold the contract across the whole algorithm matrix.
 """
 
 import os
+import sys
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.core.interval import Interval
 from repro.core.program import IntervalProgram
 from repro.core.tracing import ExecutionTracer
 from repro.datasets import transit_graph
+from repro.graph.compact import CompactGraph
 from repro.runtime.cluster import SimulatedCluster
 from repro.runtime.executor import (
     ParallelExecutor,
@@ -58,11 +60,27 @@ def _partitions(result):
     return {vid: list(state) for vid, state in states.items()}
 
 
+#: Where `_run` gets its graph.  The compact-store CI leg runs every test
+#: here twice: over the heap graph the engine freezes per build ("frozen"),
+#: and over a dumped-and-mapped image — the bytes a served or batch graph
+#: is actually read from ("mapped").  Elsewhere there is one, unnamed, leg.
+_IMAGES = ("frozen", "mapped") if os.environ.get("REPRO_GRAPH_STORE") == "compact" else None
+_graph = transit_graph
+
+
+@pytest.fixture(autouse=True, params=_IMAGES)
+def graph_image(request, tmp_path, monkeypatch):
+    if getattr(request, "param", "frozen") == "mapped":
+        path = tmp_path / "transit.itgr"
+        CompactGraph.from_temporal(transit_graph()).dump(path)
+        monkeypatch.setattr(sys.modules[__name__], "_graph", lambda: CompactGraph.load(path))
+
+
 def _run(algorithm, observe=None, **icm_options):
     # The serial reference is pinned explicitly so the comparison stays
     # meaningful under REPRO_EXECUTOR=parallel test sweeps.
     return run_algorithm(
-        algorithm, "GRAPHITE", transit_graph(),
+        algorithm, "GRAPHITE", _graph(),
         cluster=SimulatedCluster(5), graph_name="transit",
         icm_options=icm_options or {"executor": "serial"},
         observe=observe,
@@ -183,7 +201,7 @@ def test_plain_config_is_hermetic(monkeypatch):
     resolved from the environment at run time, whatever config was given."""
     for name, value in _EXECUTOR_ENV.items():
         monkeypatch.setenv(name, value)
-    graph, program = transit_graph(), TemporalBFS("A")
+    graph, program = _graph(), TemporalBFS("A")
     executor = resolve_executor(EngineConfig())
     assert executor.name == "serial"
 
@@ -233,7 +251,7 @@ class _Exploding(IntervalProgram):
 
 def test_worker_error_surfaces_as_program_error():
     engine = IntervalCentricEngine(
-        transit_graph(), _Exploding(), cluster=SimulatedCluster(5),
+        _graph(), _Exploding(), cluster=SimulatedCluster(5),
         executor="parallel", executor_processes=2,
     )
     with pytest.raises(IcmProgramError, match="compute"):
