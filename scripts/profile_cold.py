@@ -5,11 +5,12 @@ profile_engine.py / profile_load.py.
 Writes ``--dataset/--scale`` as a text file and a compact v2 file, then per
 ``--store`` runs the ``batch_*`` job in a fresh interpreter (best of
 ``--repeat``) and prints: interpreter start; the job's four imports with the
-``repro.*`` / total module counts they load; load; ``default_source``; the
-first SSSP against the second (the difference is first touch: the piece
-index and the modules a run imports when it starts); the first-touch index
-build over *every* edge of a freshly loaded graph in µs/edge, on its own
-line; and the top-N imports by own time from one ``-X importtime`` pass.
+``repro.*`` / total module counts they add to what start-up loaded; load;
+``default_source``; the first SSSP against the second (the difference is
+first touch: the piece index and the modules a run imports when it
+starts); the first-touch index build over *every* edge of a freshly loaded
+graph in µs/edge, on its own line; and the top-N imports by own time from
+one ``-X importtime`` pass.
 The defaults are the ``batch_text`` / ``batch_compact`` file.
 
 Find candidates with it; judge them with
@@ -42,17 +43,20 @@ from repro.algorithms.td.sssp import TemporalSSSP
 from repro.core.results_io import export_states_csv
 """
 
-# The job, with a stopwatch between its stages.  Nothing but ``sys`` and
-# ``time`` is imported before the job's own imports, so the module counts
-# are the job's.
+# The job, with a stopwatch between its stages.  The interpreter starts with
+# ``site``, as the benchmark's children do, and site start-up may preload
+# modules (a ``.pth`` file can import whole stdlib stacks), so the module
+# counts are what the job's imports add to a snapshot taken before them.
 _JOB = """
 import sys, time
 clock = time.perf_counter
+preloaded = set(sys.modules)
 started = clock()
 """ + _IMPORTS + """
 stages = {"imports": clock() - started}
-stages["repro_modules"] = sum(m == "repro" or m.startswith("repro.") for m in sys.modules)
-stages["modules"] = len(sys.modules)
+added = set(sys.modules) - preloaded
+stages["repro_modules"] = sum(m == "repro" or m.startswith("repro.") for m in added)
+stages["modules"] = len(added)
 
 def timed(name, fn, *args):
     t0 = clock()
@@ -146,7 +150,7 @@ def main(argv=None) -> int:
         for store in (args.store,) if args.store else ("text", "compact"):
             s = run_job(files[store], os.path.join(tmp, "out.csv"), args.repeat)
             print(f"\n== {store} ==")
-            print(f"imports: {1e3 * s['imports']:.1f} ms — {s['repro_modules']} repro.* "
+            print(f"imports: {1e3 * s['imports']:.1f} ms — add {s['repro_modules']} repro.* "
                   f"modules, {s['modules']} modules in all")
             print(f"load {1e3 * s['load']:.1f} ms, default_source "
                   f"{1e3 * s['default_source']:.1f} ms, first run "

@@ -4,6 +4,13 @@ What a process *loads* (``sys.modules``, threads started) can only be
 asserted where nothing has been imported yet.  The child sees no
 ``REPRO_*`` variable — like the benchmark's children — so a CI leg's
 ``REPRO_EXECUTOR=parallel`` cannot decide what it imports.
+
+The child starts with ``-S`` (no ``site``).  Site start-up runs every
+``.pth`` file in site-packages before the program's first line, and such a
+file can import whole stdlib stacks (``certifi`` → ``importlib.resources``
+→ ``tempfile`` → ``shutil`` is one seen in the wild) that would then count
+as the program's.  The project has no runtime dependency, so a site-less
+child with ``PYTHONPATH`` at ``src`` sees exactly the checkout.
 """
 
 import os
@@ -16,11 +23,11 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def run_fresh(code: str, *argv: str, timeout: float = 120) -> str:
-    """Stdout of ``python -c code argv...``; fails on a non-zero exit."""
+    """Stdout of ``python -S -c code argv...``; fails on a non-zero exit."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = SRC
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, "-S", "-c", code, *argv],
         env=env, capture_output=True, text=True, timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
