@@ -16,6 +16,7 @@ from harness import (
     save_result,
 )
 
+from repro import api
 from repro.algorithms.runners import default_source
 from repro.algorithms.td.sssp import TemporalSSSP
 from repro.algorithms.ti.bfs import SnapshotBFS, TemporalBFS
@@ -97,9 +98,9 @@ def build_suppression_sweep() -> tuple[str, list]:
     from repro.algorithms.td.lcc import TemporalLCC
 
     for threshold in (0.0, 0.3, 0.5, 0.7, 0.9, 1.01):
-        engine = IntervalCentricEngine(
+        engine = api.build_engine(
             graph, TemporalLCC(), cluster=SimulatedCluster(NUM_WORKERS),
-            warp_suppression_threshold=threshold,
+            options={"warp_suppression_threshold": threshold},
         )
         metrics = engine.run().metrics
         series.append((threshold, metrics.warp_suppressed_vertices, metrics.modeled_makespan))
@@ -144,10 +145,10 @@ def build_domination_ablation() -> tuple[str, dict]:
         with_elim = IntervalCentricEngine(
             graph, program_factory(), cluster=SimulatedCluster(NUM_WORKERS)
         ).run().metrics
-        without = IntervalCentricEngine(
+        without = api.run(
             graph, program_factory(), cluster=SimulatedCluster(NUM_WORKERS),
-            enable_dominated_elimination=False,
-        ).run().metrics
+            options={"enable_dominated_elimination": False},
+        ).metrics
         reductions[name] = (
             1 - with_elim.compute_calls / without.compute_calls,
             1 - with_elim.messages_sent / without.messages_sent,

@@ -13,11 +13,10 @@
 from harness import format_table, once, save_result
 
 from repro.algorithms.td.sssp import TemporalSSSP
-from repro.core.engine import IntervalCentricEngine
 from repro.core.interval import Interval
 from repro.core.tracing import ExecutionTracer
 from repro.core.warp import time_warp
-from repro.api import load_graph
+from repro.api import build_engine, load_graph
 from repro.graph.snapshots import snapshot_sizes
 from repro.graph.transform import CHAIN, build_transformed_graph
 
@@ -66,9 +65,9 @@ def test_fig1_views(benchmark):
 
 def build_fig2() -> tuple[str, int]:
     tracer = ExecutionTracer()
-    engine = IntervalCentricEngine(
+    engine = build_engine(
         load_graph("transit"), TemporalSSSP("A"),
-        tracer=tracer, enable_warp_combiner=False,
+        options={"tracer": tracer, "enable_warp_combiner": False},
     )
     result = engine.run()
     header = ("Fig 2: SSSP execution on the transit network (source A, "

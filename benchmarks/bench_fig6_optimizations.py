@@ -24,7 +24,7 @@ from repro.algorithms.td.tc import TemporalTC
 from repro.algorithms.td.tmst import TemporalTMST
 from repro.algorithms.ti.bfs import TemporalBFS
 from repro.algorithms.runners import default_source
-from repro.core.engine import IntervalCentricEngine
+from repro import api
 from repro.graph.stats import memory_footprint
 from repro.runtime.cluster import SimulatedCluster
 
@@ -61,8 +61,8 @@ def test_fig6a_memory(benchmark):
 
 
 def _run_icm(graph, program, **options):
-    engine = IntervalCentricEngine(
-        graph, program, cluster=SimulatedCluster(NUM_WORKERS), **options
+    engine = api.build_engine(
+        graph, program, cluster=SimulatedCluster(NUM_WORKERS), options=options
     )
     return engine.run().metrics
 

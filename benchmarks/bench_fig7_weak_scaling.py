@@ -20,6 +20,7 @@ import os
 
 from harness import format_table, once, save_result
 
+from repro import api
 from repro.algorithms.runners import default_source
 from repro.algorithms.td.eat import TemporalEAT
 from repro.algorithms.td.reach import TemporalReachability
@@ -61,11 +62,11 @@ def build_fig7() -> tuple[str, dict]:
             # processes (capped at the host's cores; the modeled series
             # above is what carries the scaling claim).
             run_graph2, program2 = prepare(graph)
-            wall = IntervalCentricEngine(
+            wall = api.run(
                 run_graph2, program2, cluster=SimulatedCluster(m),
-                graph_name=f"ldbc-{m}m", executor="parallel",
-                executor_processes=min(m, cores),
-            ).run()
+                graph_name=f"ldbc-{m}m",
+                options={"executor": "parallel", "executor_processes": min(m, cores)},
+            )
             measured[name][m] = wall.metrics.makespan
 
     rows = []

@@ -37,7 +37,7 @@ Times the engine's hot kernels on synthetic workloads —
                     remote-barrier-byte ratio hash/greedy (a "speedup":
                     higher is better, hardware-independent); both greedy
                     variants must cut remote bytes ≥30% vs hash.
-* **exchange**      — sender-side combining on the peer-to-peer barrier
+* **exchange**      — sender-side combining on the parallel barrier
                     data plane: the min-combiner flood on the locality
                     graph, combined vs uncombined wire.  Deterministic
                     byte counts, no wall-clock; ``exchange_raw_bytes``
@@ -573,10 +573,10 @@ def bench_partition_quality(sizes):
 
 
 def bench_exchange_bytes(sizes):
-    """Real wire bytes with sender-side combining on vs off (peer topology).
+    """Real wire bytes with sender-side combining on vs off.
 
-    Runs the min-combiner flood on the ``locality`` surrogate under the
-    peer-to-peer exchange with combining enabled and disabled.  Everything
+    Runs the min-combiner flood on the ``locality`` surrogate on two worker
+    processes with combining enabled and disabled.  Everything
     gated here is a deterministic byte count — no repeats, no wall-clock:
     ``exchange_raw_bytes`` (the bytes an uncombined wire would carry, the
     count-preserving invariant behind the charging discipline) must be
@@ -596,7 +596,6 @@ def bench_exchange_bytes(sizes):
             options={
                 "executor": executor,
                 "executor_processes": 2 if executor == "parallel" else None,
-                "exchange": "peer",
                 "exchange_combine": combine,
                 "checkpoint_every": 0,
             },
@@ -610,10 +609,10 @@ def bench_exchange_bytes(sizes):
     plain = run(combine=False)
     reference = states_of(serial)
     assert states_of(combined) == reference, (
-        "combined peer run diverged from serial"
+        "combined parallel run diverged from serial"
     )
     assert states_of(plain) == reference, (
-        "uncombined peer run diverged from serial"
+        "uncombined parallel run diverged from serial"
     )
     assert combined.metrics.exchange_raw_bytes == plain.metrics.exchange_raw_bytes, (
         "combining changed the raw (uncombined-equivalent) wire accounting"

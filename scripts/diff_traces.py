@@ -15,9 +15,9 @@ the data plane's real wire accounting: ``exchange_bytes`` (bytes
 actually shipped, post sender-side combining) and
 ``exchange_raw_bytes`` (what an uncombined wire would have carried).
 Both totals are printed per trace, and when *both* traces moved real
-wire traffic (e.g. parallel star vs parallel peer), their raw totals
-must agree — raw bytes are a count-preserving invariant of the run, not
-of the topology or of combining.  A serial trace has no wire, so its
+wire traffic (e.g. two parallel runs, one with sender-side combining
+and one without), their raw totals must agree — raw bytes are a
+count-preserving invariant of the run, not of combining.  A serial trace has no wire, so its
 zero raw total is reported but never compared.
 
 ``worker_span`` records (schema v5) are excluded from the logical diff —
@@ -26,8 +26,8 @@ per superstep), so serial vs parallel traces legitimately differ there.
 They get their own check instead: when both traces were produced by the
 same executor shape (identical worker-id sets), the per-superstep
 sequence of logical span facts — worker id, superstep, phase list —
-must match exactly; star vs peer topologies at the same process count
-may not disagree about which workers ran which supersteps.  Wall
+must match exactly; two runs at the same process count may not disagree
+about which workers ran which supersteps.  Wall
 durations are never compared.  When the shapes differ (serial vs
 parallel, different process counts) the check prints a note and is
 skipped.
@@ -78,8 +78,8 @@ def diff_spans(left, right, left_path: str, right_path: str) -> bool:
     """Compare worker_span logical facts; returns True on failure.
 
     Only comparable when both traces come from the same executor shape
-    (identical worker-id sets) — star vs peer at equal process counts
-    must agree; serial vs parallel is skipped with a note.
+    (identical worker-id sets) — two runs at equal process counts must
+    agree; serial vs parallel is skipped with a note.
     """
     left_workers = {w for _, w, _ in left}
     right_workers = {w for _, w, _ in right}

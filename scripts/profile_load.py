@@ -58,7 +58,7 @@ def main(argv=None) -> int:
 
 
 def front_door(path):
-    return api.load_graph(path, format="text", store="heap")
+    return api.load_graph(path, format="text")
 
 
 def timed(loader, path) -> float:

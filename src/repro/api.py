@@ -103,10 +103,9 @@ def build_engine(
     """Construct a configured engine (without running it).
 
     ``config`` defaults to :meth:`EngineConfig.from_env`; ``options`` are
-    flat overrides in legacy-kwarg names (``{"executor": "parallel"}``,
+    flat overrides (``{"executor": "parallel"}``,
     ``{"partitioner": "greedy"}``) applied via
-    :meth:`EngineConfig.with_options` — no deprecation warnings, this is
-    the supported programmatic spelling; ``observe`` adds observability on
+    :meth:`EngineConfig.with_options`; ``observe`` adds observability on
     top (path / observer / iterable / :class:`ObservabilityConfig`);
     ``platform`` is the label stamped on the run's metrics and
     ``run_start`` event (override it when wrapping the engine as a
@@ -355,13 +354,7 @@ def _sniff_format(source) -> str:
     )
 
 
-def load_graph(
-    source,
-    format: str = "auto",
-    *,
-    store: Optional[str] = None,
-    **options,
-):
+def load_graph(source, format: str = "auto", **options):
     """Load a temporal graph from anywhere — the one front door.
 
     ``source`` may be a file path (text format, binary v1, compact v3 or
@@ -370,11 +363,12 @@ def load_graph(
     handle (with an explicit ``format``).  Compact files are mmap'd
     read-only, so concurrently serving processes share their pages.
 
-    ``store`` picks the in-memory representation: ``"compact"`` freezes a
-    heap result into :class:`~repro.graph.compact.CompactGraph`,
-    ``"heap"`` leaves heap graphs alone, ``None`` defers to
-    ``REPRO_GRAPH_STORE``.  Remaining keyword ``options`` go to the
-    underlying loader (``scale``/``seed`` for datasets, ``bucket``/
+    The format decides the store: a compact v2/v3 image loads as a
+    :class:`~repro.graph.compact.CompactGraph`, everything else as a heap
+    :class:`~repro.graph.model.TemporalGraph`.  Freeze a heap graph with
+    ``CompactGraph.from_temporal`` (or write an image once with
+    ``repro convert``).  Keyword ``options`` go to the underlying loader
+    (``scale``/``seed`` for datasets, ``bucket``/
     ``merge_gap``/... for the event-list parsers, ``map=False`` to read
     a compact file into private memory).  ``verify=True`` checks a compact
     v3 image against its sha256 digest before anything is read from it —
@@ -396,8 +390,6 @@ def load_graph(
         overlapping values of one label, or an edge / property interval
         outside the lifespan that must contain it.
     """
-    from repro.graph.compact import resolve_graph_store
-
     if format not in GRAPH_FORMATS:
         raise GraphFormatError(
             f"unknown graph format {format!r}; expected one of "
@@ -408,7 +400,7 @@ def load_graph(
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return resolve_graph_store(_load_as(fmt, source, options), store)
+        return _load_as(fmt, source, options)
     finally:
         if collecting:
             gc.enable()

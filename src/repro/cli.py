@@ -56,12 +56,6 @@ def add_engine_flags(parser: argparse.ArgumentParser) -> None:
                         default=None,
                         help="vertex-to-worker placement for GRAPHITE runs "
                              "(default: REPRO_PARTITIONER env var or hash)")
-    parser.add_argument("--exchange", choices=("star", "peer"),
-                        default=None,
-                        help="parallel barrier data plane: 'star' routes "
-                             "batches through the master, 'peer' ships them "
-                             "over direct worker-to-worker pipes "
-                             "(default: REPRO_EXCHANGE env var or star)")
 
 
 def engine_options(args: argparse.Namespace) -> dict:
@@ -77,8 +71,6 @@ def engine_options(args: argparse.Namespace) -> dict:
         options["executor_processes"] = args.processes
     if getattr(args, "partitioner", None) is not None:
         options["partitioner"] = args.partitioner
-    if getattr(args, "exchange", None) is not None:
-        options["exchange"] = args.exchange
     if getattr(args, "checkpoint_every", None) is not None:
         options["checkpoint_every"] = args.checkpoint_every
     if getattr(args, "checkpoint_dir", None) is not None:

@@ -18,7 +18,6 @@ Environment resolution lives in exactly one documented place,
 ``REPRO_CHECKPOINT_DIR``      path → ``checkpoint.dir``
 ``REPRO_PARTITIONER``         ``hash`` | ``range`` | ``greedy`` |
                               ``interval_greedy`` → ``partitioning.kind``
-``REPRO_EXCHANGE``            ``star`` | ``peer`` → ``exchange.topology``
 ``REPRO_SERVE_CONCURRENCY``   positive int → ``serve.max_concurrency``
 ``REPRO_SERVE_QUEUE_DEPTH``   non-negative int → ``serve.max_queue_depth``
 ``REPRO_SERVE_CACHE_BYTES``   non-negative int → ``serve.cache_bytes``
@@ -32,8 +31,9 @@ built by plain ``EngineConfig(...)`` is hermetic: nothing downstream of it
 else) reads these variables, so ``executor.kind=None`` is the serial
 executor whatever ``REPRO_EXECUTOR`` says.  The environment is consulted
 only when no config is given (``config=None`` → ``from_env()``).
-``REPRO_GRAPH_STORE`` is the storage layer's own knob
-(`repro.graph.compact.resolve_graph_store`) and not part of this table.
+No variable picks the graph store: an engine runs on the graph it is
+given, and `repro.api.load_graph` returns the compact store for an ITGR
+v2/v3 image and the heap store for everything else.
 
 Observability settings (``observability``) never influence the computation
 and are deliberately excluded from the checkpoint config fingerprint
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
@@ -59,9 +58,6 @@ __all__ = [
     "StateConfig",
     "WarpConfig",
 ]
-
-#: Valid barrier-exchange topologies (`repro.runtime.executor`).
-_EXCHANGE_TOPOLOGIES = ("star", "peer")
 
 #: Duplicated from ``repro.runtime.partitioner.PARTITIONER_KINDS`` so config
 #: validation stays import-cycle-free; ``test_cluster_partitioner`` pins the
@@ -139,25 +135,14 @@ class ExecutorConfig:
 class ExchangeConfig:
     """Parallel barrier data plane (`repro.runtime.executor`).
 
-    ``topology`` picks how cross-process message batches travel at the
-    barrier: ``"star"`` routes every batch worker→master→worker inside the
-    step-result dict (the historical layout), ``"peer"`` gives workers
-    direct pipe pairs so batch bytes cross the wire exactly once — the
-    Giraph-style netty exchange, with the master still owning the barrier,
-    aggregates, and fault supervision.  ``combine`` enables count-preserving
-    sender-side combining for selective combiners (results stay bit-identical
-    either way; the serial executor ignores this group entirely).
+    Cross-process message batches ride each worker's step report to the
+    master, which routes them on with the next step command.  ``combine``
+    enables count-preserving sender-side combining for selective combiners
+    (results stay bit-identical either way; the serial executor ignores
+    this group entirely).
     """
 
-    topology: str = "star"
     combine: bool = True
-
-    def __post_init__(self):
-        if self.topology not in _EXCHANGE_TOPOLOGIES:
-            raise ValueError(
-                f"exchange topology {self.topology!r} unknown "
-                f"(expected one of {', '.join(_EXCHANGE_TOPOLOGIES)})"
-            )
 
 
 @dataclass(frozen=True)
@@ -377,18 +362,6 @@ def _env_partitioner_kind(env: Mapping[str, str]) -> Optional[str]:
     return raw
 
 
-def _env_exchange_topology(env: Mapping[str, str]) -> Optional[str]:
-    raw = env.get("REPRO_EXCHANGE")
-    if not raw:
-        return None
-    if raw not in _EXCHANGE_TOPOLOGIES:
-        raise ValueError(
-            f"unknown exchange topology in REPRO_EXCHANGE={raw!r} "
-            f"(expected one of {', '.join(_EXCHANGE_TOPOLOGIES)})"
-        )
-    return raw
-
-
 def _env_fault_plan(env: Mapping[str, str]) -> Optional[str]:
     raw = env.get("REPRO_FAULT_PLAN")
     if not raw:
@@ -412,9 +385,8 @@ def _serve_cache_bytes_env(env: Mapping[str, str]) -> int:
     return ServeConfig.cache_bytes if value is None else value
 
 
-#: Legacy ``IntervalCentricEngine`` kwarg → (config group, field).  The one
-#: mapping table behind the deprecation shim, ``icm_options`` dicts, and the
-#: CLI flags.
+#: Flat engine option → (config group, field).  The one mapping table
+#: behind ``options`` / ``icm_options`` dicts and the CLI flags.
 _OPTION_MAP: dict[str, tuple[Optional[str], str]] = {
     "enable_warp_combiner": ("warp", "enable_combiner"),
     "enable_receiver_combiner": ("warp", "enable_receiver_combiner"),
@@ -427,7 +399,6 @@ _OPTION_MAP: dict[str, tuple[Optional[str], str]] = {
     "executor": ("executor", "kind"),
     "executor_processes": ("executor", "processes"),
     "fault_plan": ("executor", "fault_plan"),
-    "exchange": ("exchange", "topology"),
     "exchange_combine": ("exchange", "combine"),
     "partitioner": ("partitioning", "kind"),
     "partitioner_seed": ("partitioning", "seed"),
@@ -442,17 +413,6 @@ _OPTION_MAP: dict[str, tuple[Optional[str], str]] = {
     "tracer": ("observability", "tracer"),
     "trace_path": ("observability", "trace_path"),
     "max_supersteps": (None, "max_supersteps"),
-}
-
-_GROUP_CLASS_NAMES = {
-    "warp": "WarpConfig",
-    "state": "StateConfig",
-    "executor": "ExecutorConfig",
-    "exchange": "ExchangeConfig",
-    "partitioning": "PartitioningConfig",
-    "checkpoint": "CheckpointConfig",
-    "serve": "ServeConfig",
-    "observability": "ObservabilityConfig",
 }
 
 
@@ -489,9 +449,6 @@ class EngineConfig:
                 fault_plan=_env_fault_plan(env),
                 kind_from_env=kind is not None,
             ),
-            exchange=ExchangeConfig(
-                topology=_env_exchange_topology(env) or "star",
-            ),
             partitioning=PartitioningConfig(
                 kind=partitioner_kind,
                 kind_from_env=partitioner_kind is not None,
@@ -513,9 +470,9 @@ class EngineConfig:
     def with_options(self, **options: Any) -> "EngineConfig":
         """A copy with flat engine-option overrides applied.
 
-        ``options`` uses the flat legacy kwarg names (``executor``,
-        ``checkpoint_every``, ``enable_warp_combiner``, …) — the
-        programmatic twin of the CLI flags and of ``icm_options`` dicts.
+        ``options`` uses the flat option names of ``_OPTION_MAP``
+        (``executor``, ``checkpoint_every``, ``enable_warp_combiner``, …) —
+        the programmatic twin of the CLI flags and of ``icm_options`` dicts.
         Unknown names raise ``TypeError``.
         """
         if not options:
@@ -540,34 +497,6 @@ class EngineConfig:
                 getattr(self, group), **fields
             )
         return dataclasses.replace(self, **replacements)
-
-    def with_legacy_kwargs(self, **kwargs: Any) -> "EngineConfig":
-        """The deprecation shim: legacy engine kwargs → config fields.
-
-        Emits one :class:`DeprecationWarning` per kwarg, naming the
-        replacement field, then applies :meth:`with_options`.
-        """
-        for name in kwargs:
-            target = _OPTION_MAP.get(name)
-            if target is None:
-                raise TypeError(
-                    f"IntervalCentricEngine got an unexpected keyword "
-                    f"argument {name!r}"
-                )
-            group, fld = target
-            if group is None:
-                replacement = f"EngineConfig({fld}=...)"
-            else:
-                replacement = (
-                    f"EngineConfig({group}={_GROUP_CLASS_NAMES[group]}({fld}=...))"
-                )
-            warnings.warn(
-                f"IntervalCentricEngine(..., {name}=...) is deprecated; "
-                f"pass config={replacement} instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return self.with_options(**kwargs)
 
     def describe(self) -> dict[str, Any]:
         """A JSON-friendly view of the config (observers elided to names)."""

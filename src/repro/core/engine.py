@@ -36,7 +36,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.graph.compact import resolve_graph_store
 from repro.runtime.cluster import SimulatedCluster
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.partitioner import build_partitioner, partitioner_fingerprint
@@ -507,12 +506,11 @@ class IntervalCentricEngine:
         selection, checkpointing, observability.  ``None`` uses
         :meth:`EngineConfig.from_env` (defaults plus the documented
         ``REPRO_*`` environment variables).  Prefer building engines
-        through `repro.api`.
+        through `repro.api`, whose ``options`` dict takes the flat option
+        names (``enable_warp_combiner``, ``executor``, …).
 
-    The individual keyword arguments of the pre-config constructor
-    (``enable_warp_combiner``, ``executor``, ``checkpoint_every``, …)
-    are still accepted, mapped onto the config with a
-    ``DeprecationWarning`` naming the replacement field.
+    The engine runs on the graph it is given, heap or compact; it never
+    converts one store into the other.
     """
 
     def __init__(
@@ -524,21 +522,11 @@ class IntervalCentricEngine:
         graph_name: str = "",
         config: Optional[EngineConfig] = None,
         platform: str = "GRAPHITE",
-        **legacy_kwargs: Any,
     ):
-        if legacy_kwargs:
-            base = config if config is not None else EngineConfig.from_env()
-            config = base.with_legacy_kwargs(**legacy_kwargs)
-        elif config is None:
+        if config is None:
             config = EngineConfig.from_env()
         self.config = config
-
-        # Storage-layer knob, resolved at construction so the whole run —
-        # partitioning, executors, checkpoint fingerprints — sees one
-        # store.  REPRO_GRAPH_STORE=compact freezes heap graphs into
-        # `repro.graph.compact.CompactGraph`; results are bit-identical.
-        self.graph = resolve_graph_store(graph)
-        graph = self.graph
+        self.graph = graph
         self.program = program
         self.cluster = cluster or SimulatedCluster()
         partitioning = config.partitioning
@@ -906,11 +894,6 @@ class IntervalCentricEngine:
         try:
             if start_ckpt is not None:
                 executor.restore_pending(start_ckpt.pending)
-                # Worker-local combiner folds already staged in the
-                # checkpointed messages; the serial run credits them at the
-                # receiving superstep, which will not re-run — credit them
-                # here, once, executor-independently.
-                metrics.combiner_reductions += start_ckpt.carried_reductions
             t_run = time.perf_counter()
             events = self._events
             self.superstep = start_superstep

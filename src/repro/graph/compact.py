@@ -53,7 +53,6 @@ shares the buffer copy-on-write).
 from __future__ import annotations
 
 import mmap
-import os
 import struct
 from array import array
 from bisect import bisect_right
@@ -68,11 +67,9 @@ from .properties import _EXACT_TYPES, PieceIndex, PropertySet, intern_values
 
 __all__ = [
     "COMPACT_VERSION",
-    "GRAPH_STORE_KINDS",
     "CompactGraph",
     "CompactEdge",
     "CompactVertex",
-    "resolve_graph_store",
 ]
 
 MAGIC = b"ITGR"
@@ -81,9 +78,6 @@ MAGIC = b"ITGR"
 #: version 2, still read, is version 3 without the sections in
 #: ``_V3_ONLY`` and without the digest).
 COMPACT_VERSION = 3
-
-#: Accepted values of ``REPRO_GRAPH_STORE`` / ``store=``.
-GRAPH_STORE_KINDS = ("heap", "compact")
 
 # Section order is the file format: 29 int64 arrays, then 3 byte blobs.
 # The header carries an explicit (offset, length) table per section, so
@@ -1052,29 +1046,4 @@ def _attach_shared(name: str, nbytes: int) -> CompactGraph:
     graph = CompactGraph(shm.buf[:nbytes])
     graph._shm = shm
     graph._shm_owner = False
-    return graph
-
-
-# -- store selection -----------------------------------------------------------
-
-
-def resolve_graph_store(graph, store: Optional[str] = None, *, env=None):
-    """Apply the graph-store choice to ``graph``.
-
-    ``store`` may be ``"heap"`` (leave heap graphs alone), ``"compact"``
-    (freeze heap graphs into :class:`CompactGraph`) or ``None``, which
-    reads ``REPRO_GRAPH_STORE`` (default ``heap``).  Graphs that are
-    already compact pass through untouched either way — the knob only
-    decides whether heap graphs get frozen, it never thaws one.
-    """
-    if store is None:
-        environ = os.environ if env is None else env
-        store = environ.get("REPRO_GRAPH_STORE", "") or "heap"
-    if store not in GRAPH_STORE_KINDS:
-        raise ValueError(
-            f"unknown graph store {store!r} (REPRO_GRAPH_STORE): "
-            f"expected one of {', '.join(GRAPH_STORE_KINDS)}"
-        )
-    if store == "compact" and isinstance(graph, TemporalGraph):
-        return CompactGraph.from_temporal(graph)
     return graph

@@ -33,7 +33,7 @@ replay re-emits the same logical events; only ``wall`` differs).
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
@@ -54,8 +54,8 @@ EVENT_SCHEMA_VERSION = 5
 
 #: The phases every ``worker_span`` record times, in execution order:
 #: vertex computation, the scatter time-join, wire encoding of outbound
-#: batches, waiting on peer frames (peer topology; 0 under star), and
-#: idle time at the barrier before this superstep's command arrived.
+#: batches, waiting on other workers' batches (0: the master routes them),
+#: and idle time at the barrier before this superstep's command arrived.
 WORKER_SPAN_PHASES = (
     "compute", "scatter", "encode", "exchange_wait", "barrier_wait",
 )

@@ -239,8 +239,8 @@ def logical_sequence(records) -> List[Tuple[str, Optional[int], Tuple]]:
     ``worker_span`` records are excluded: their count is a property of
     the executor shape (one per worker per superstep), so a serial trace
     and an N-process parallel trace of the same run legitimately differ
-    there.  Cross-*topology* span comparison (star vs peer at equal
-    process counts) is ``scripts/diff_traces.py``'s separate check.
+    there.  Span comparison between runs at equal process counts is
+    ``scripts/diff_traces.py``'s separate check.
     """
     return [logical_view(r) for r in records if r["type"] != "worker_span"]
 

@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from repro.core.interval import Interval
 from repro.core.messages import Row
 from repro.core.state import PartitionedState
 
@@ -95,7 +94,7 @@ CHECKPOINT_FORMAT = 2
 
 #: The exchange data-plane fingerprint written into manifests: names the
 #: routed-batch wire version the pending entries use.  Deliberately not
-#: the topology or the combine flag — those are resume-portable.
+#: the combine flag — a checkpoint resumes with combining on or off.
 EXCHANGE_FINGERPRINT = "routed-batch-v2"
 
 _SHARD_MAGIC = b"ICMC"
@@ -128,15 +127,11 @@ class ExecutorSnapshot:
     ``(seq, dst, message, count, charge)`` 5-tuples where sender-side
     combining folded ``count`` raw messages into one; either executor
     charges the folded-away messages on the first resumed superstep, so a
-    snapshot taken under one executor/topology resumes under any other.
-    ``carried_reductions`` predates the count-carrying entries and is now
-    always 0 (counts travel inside the entries); the field and its
-    manifest key are kept so the snapshot shape stays stable.
+    snapshot taken under one executor resumes under the other.
     """
 
     states: dict[Any, PartitionedState]
     pending: list[tuple]
-    carried_reductions: int = 0
 
 
 @dataclass
@@ -161,7 +156,6 @@ class LoadedCheckpoint:
     num_workers: int
     states: dict[Any, PartitionedState]
     pending: list[tuple[int, Any, Row]]
-    carried_reductions: int
     aggregates: dict[str, Any]
     metrics: dict[str, Any] = field(default_factory=dict)
     #: Fingerprint of the partitioner the writer ran under ("" in
@@ -169,9 +163,8 @@ class LoadedCheckpoint:
     partitioner: str = ""
     #: Exchange data-plane fingerprint — the routed-batch wire version the
     #: pending entries were written with ("" in older manifests).  The
-    #: topology and combine flag are deliberately *not* part of it: star
-    #: and peer checkpoints are interchangeable by construction, and the
-    #: decoder always understands combined entries.
+    #: combine flag is deliberately *not* part of it: the decoder always
+    #: understands combined entries.
     exchange: str = ""
 
 
@@ -468,7 +461,6 @@ def write_checkpoint(
         "algorithm": metrics.algorithm,
         "graph": metrics.graph,
         "num_workers": num_workers,
-        "carried_reductions": snapshot.carried_reductions,
         "shards": shards_meta,
         "aggregates": {
             "file": "aggregates.bin",
@@ -601,7 +593,6 @@ def load_checkpoint(
         num_workers=manifest.get("num_workers", 0),
         states=states,
         pending=pending,
-        carried_reductions=manifest.get("carried_reductions", 0),
         aggregates=aggregates,
         metrics=manifest.get("metrics", {}),
         partitioner=manifest.get("partitioner", ""),

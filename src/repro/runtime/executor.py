@@ -18,14 +18,8 @@ cluster of one):
   varint-encoded routed batches (`repro.runtime.encoding`).  Messages
   between shards of the same process never leave it.
 
-Two exchange topologies move the batches (``ExchangeConfig.topology``):
-
-* ``star`` — batches ride the worker's step report to the master, which
-  redistributes them with the next step command (the historical layout);
-* ``peer`` — every worker pair shares a duplex pipe and batch bytes cross
-  the wire exactly once, framed with ``send_bytes``/``recv_bytes`` into
-  reusable buffers (no pickling); the master still owns the barrier,
-  aggregates, and fault supervision.
+The batches travel in a star: they ride the worker's step report to the
+master, which redistributes them with the next step command.
 
 Cross-process batches are **combined at the sender** when the program's
 combiner is selective (min/max/or — order-insensitive folds): messages to
@@ -71,10 +65,8 @@ from repro.core.messages import Row
 from repro.obs.registry import RUN_METRICS
 
 from .encoding import (
-    _decode_routed_entries,
     decode_routed_batch,
     encode_routed_batch,
-    encode_routed_batch_into,
     encoded_batch_size,
     routed_entries_size,
 )
@@ -102,7 +94,7 @@ def resolve_executor(config: EngineConfig):
     untouched (the serving tier keeps one warm per lane this way).  The
     parallel executor takes its process count, fault plan — a spec string
     is parsed into a fresh :class:`~repro.runtime.faults.FaultPlan` per
-    call, so one frozen config can arm many runs — and exchange data plane
+    call, so one frozen config can arm many runs — and exchange settings
     from the same config.  Nothing here reads the environment:
     :meth:`EngineConfig.from_env` is the only reader.
 
@@ -290,11 +282,9 @@ class _ShardPayload:
     #: Sender-side combining enabled (``ExchangeConfig.combine``) — still
     #: gated per program on a selective combiner at runtime.
     combine: bool = True
-    #: Direct pipe ends to sibling workers (``{peer_index: Connection}``)
-    #: under ``topology=peer``; ``None`` keeps the star exchange.
-    peer_conns: Optional[dict[int, Any]] = None
-    #: Pipe ends belonging to *other* worker pairs, inherited through
-    #: fork — closed at worker startup so peer death surfaces as EOF.
+    #: The master's pipe ends a forked worker inherited — its own among
+    #: them — closed at worker startup, so the master's death surfaces in
+    #: the worker as EOF on its command pipe.
     close_conns: Any = None
 
     @classmethod
@@ -321,14 +311,6 @@ class _ShardPayload:
             processor_args=engine.processor_args(),
             **exchange,
         )
-
-
-class _PeerDied(Exception):
-    """A peer pipe hit EOF mid-exchange: that worker process is gone."""
-
-    def __init__(self, peer: int):
-        super().__init__(f"peer worker {peer} died during barrier exchange")
-        self.peer = peer
 
 
 class _WorkerRuntime:
@@ -398,14 +380,6 @@ class _WorkerRuntime:
         #: the process-boot wait, which is exactly the straggler signal a
         #: slow-forking worker should show.
         self.barrier_wait = 0.0
-        # Peer exchange plumbing (empty/no-op under the star topology).
-        self.peer_conns = payload.peer_conns or {}
-        self._peer_ids = sorted(self.peer_conns)
-        self._send_bufs = {q: bytearray() for q in self._peer_ids}
-        self._recv_buf = bytearray(1 << 16)
-        #: Decoded per-peer entry lists received at the last exchange,
-        #: awaiting the next superstep (peer topology only).
-        self._peer_parts: list[list[tuple]] = []
 
     # -- engine protocol for VertexContext -----------------------------------
 
@@ -508,9 +482,8 @@ class _WorkerRuntime:
         self.processor.superstep = superstep
         self._aggregates = aggregates
 
-        # Gather the delivery sources: worker-local pending, master-routed
-        # batches (star topology and checkpoint restores), and the entry
-        # lists already decoded off the peer pipes at the last exchange.
+        # Gather the delivery sources: worker-local pending and the batches
+        # the master routed here (other workers' and checkpoint restores).
         # Every source is nondecreasing in sender seq (actives run in seq
         # order at their sender; batches preserve send order), so a single
         # non-empty source is *provably* already in delivery order and the
@@ -519,14 +492,12 @@ class _WorkerRuntime:
         parts: list[list[tuple]] = [self._pending] if self._pending else []
         self._pending = []
         wire_s = 0.0
-        if batches or self._peer_parts:
+        if batches:
             t_wire = time.perf_counter()
             for buf in batches:
                 decoded = decode_routed_batch(buf)
                 if decoded:
                     parts.append(decoded)
-            parts.extend(self._peer_parts)
-            self._peer_parts = []
             if len(parts) > 1:
                 # Restore the canonical delivery order: stable sort by
                 # sender sequence (per-sender order is already correct
@@ -578,8 +549,6 @@ class _WorkerRuntime:
         processor = self.processor
         worker_of = self.partitioner.worker_of
         processor.scatter_wall = 0.0
-        self._encode_s = 0.0
-        self._exchange_wait_s = 0.0
 
         t0 = time.perf_counter()
         for vid in active:
@@ -601,20 +570,18 @@ class _WorkerRuntime:
 
         out: dict[int, bytes] = {}
         exchange_bytes = 0
-        if self._out or self.peer_conns or die_in_exchange:
+        encode_s = 0.0
+        if self._out or die_in_exchange:
             t_wire = time.perf_counter()
-            if self.peer_conns:
-                exchange_bytes = self._exchange_peer(die_in_exchange)
-            else:
-                for dest, out_entries in self._out.items():
-                    out[dest] = encode_routed_batch(out_entries)
-                    exchange_bytes += len(out[dest])
-                self._encode_s = time.perf_counter() - t_wire
-                if die_in_exchange:
-                    # Star analog of the mid-exchange kill: die with the
-                    # outbound batches encoded but the report never sent.
-                    os.kill(os.getpid(), signal.SIGKILL)
-            wire_s += time.perf_counter() - t_wire
+            for dest, out_entries in self._out.items():
+                out[dest] = encode_routed_batch(out_entries)
+                exchange_bytes += len(out[dest])
+            encode_s = time.perf_counter() - t_wire
+            if die_in_exchange:
+                # The mid-exchange kill: die with the outbound batches
+                # encoded but the report never sent.
+                os.kill(os.getpid(), signal.SIGKILL)
+            wire_s += encode_s
 
         return {
             "active": len(active),
@@ -626,8 +593,10 @@ class _WorkerRuntime:
             "spans": {
                 "compute": max(0.0, wall - processor.scatter_wall),
                 "scatter": processor.scatter_wall,
-                "encode": self._encode_s,
-                "exchange_wait": self._exchange_wait_s,
+                "encode": encode_s,
+                # Kept in the span schema: the master routes the batches,
+                # so no worker ever waits on another's and it reads 0.
+                "exchange_wait": 0.0,
                 "barrier_wait": self.barrier_wait,
             },
             "exchange_bytes": exchange_bytes,
@@ -646,97 +615,14 @@ class _WorkerRuntime:
             "out": out,
         }
 
-    # -- peer exchange ---------------------------------------------------------
-
-    def _exchange_peer(self, die_in_exchange: bool) -> int:
-        """Move this superstep's batches directly between workers.
-
-        One frame per peer per superstep, always — empty batches included —
-        so every worker knows exactly how many frames to collect.  Frames
-        are encoded into reusable per-peer buffers with the allocation-free
-        ``_into`` paths and shipped with ``send_bytes`` from a dedicated
-        sender thread (sends never wait on receives, so opposing full
-        pipes cannot deadlock); the main thread drains whichever peers are
-        readable and decodes each frame straight out of the reusable
-        receive buffer.  Returns the bytes this worker put on the wire.
-        """
-        import threading
-        from multiprocessing import BufferTooShort
-        from multiprocessing.connection import wait as conn_wait
-
-        t_enc = time.perf_counter()
-        sent_bytes = 0
-        for q in self._peer_ids:
-            buf = self._send_bufs[q]
-            del buf[:]
-            encode_routed_batch_into(self._out.get(q, ()), buf)
-            sent_bytes += len(buf)
-        self._encode_s += time.perf_counter() - t_enc
-
-        def _sender() -> None:
-            first = True
-            for q in self._peer_ids:
-                try:
-                    self.peer_conns[q].send_bytes(self._send_bufs[q])
-                except (BrokenPipeError, OSError):
-                    pass  # receiver died; the recv loop reports it
-                if die_in_exchange and first:
-                    # Injected mid-exchange death: the first peer holds
-                    # this worker's batch, the rest never see theirs.
-                    os.kill(os.getpid(), signal.SIGKILL)
-                first = False
-
-        sender = threading.Thread(target=_sender, daemon=True)
-        sender.start()
-        if die_in_exchange and not self._peer_ids:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        # Everything from here to the sender join is "waiting on peers":
-        # the drain loop blocks in ``conn_wait`` with only cheap decodes
-        # between wakeups, so its wall is the exchange_wait span.
-        t_wait = time.perf_counter()
-        waiting = {self.peer_conns[q]: q for q in self._peer_ids}
-        dead: Optional[int] = None
-        while waiting and dead is None:
-            for conn in conn_wait(list(waiting)):
-                q = waiting.pop(conn)
-                try:
-                    nbytes = conn.recv_bytes_into(self._recv_buf)
-                except BufferTooShort as exc:
-                    frame = exc.args[0]
-                    # Grow the reusable buffer so the next oversized frame
-                    # lands in place; decode this one where it arrived.
-                    self._recv_buf = bytearray(2 * len(frame))
-                    entries, end = _decode_routed_entries(frame, 0)
-                    nbytes = len(frame)
-                except (EOFError, OSError):
-                    dead = q
-                    continue
-                else:
-                    entries, end = _decode_routed_entries(self._recv_buf, 0)
-                if end != nbytes:
-                    raise ValueError("trailing bytes after peer frame")
-                if entries:
-                    self._peer_parts.append(entries)
-        if dead is not None:
-            raise _PeerDied(dead)
-        sender.join()
-        self._exchange_wait_s += time.perf_counter() - t_wait
-        return sent_bytes
-
     def collect(self) -> dict[Any, Any]:
         return {vid: ctx._state for vid, ctx in self.contexts.items()}
 
     def pending_entries(self) -> list[tuple]:
         """Every message awaiting the next superstep here (read-only): the
-        worker-local pending list and, under the peer topology, the
-        in-flight batches already received off the peer pipes
-        (cross-process batches under the star topology sit at the master
+        worker-local pending list (cross-process batches sit at the master
         and are snapshotted there)."""
-        pending = list(self._pending)
-        for part in self._peer_parts:
-            pending.extend(part)
-        return pending
+        return list(self._pending)
 
 
 # -- worker processes ---------------------------------------------------------
@@ -746,9 +632,9 @@ def _worker_main(payload: _ShardPayload, conn) -> None:
     import pickle
     import traceback
 
-    # Drop the pipe ends inherited over fork that belong to *other* worker
-    # pairs: each peer pipe must be open in exactly its two endpoint
-    # processes, so a worker's death surfaces as EOF there and nowhere else.
+    # Drop the master's pipe ends inherited over fork: with them open here
+    # a command pipe never reaches EOF, and a worker whose master was
+    # killed would block in ``recv`` for ever.
     for other in payload.close_conns or ():
         other.close()
     try:
@@ -781,10 +667,6 @@ def _worker_main(payload: _ShardPayload, conn) -> None:
                 }
             else:
                 raise RuntimeError(f"unknown worker command {op!r}")
-        except _PeerDied as exc:
-            # Not this worker's failure: a peer vanished mid-exchange.  Tell
-            # the master *which* one so recovery blames the right process.
-            conn.send(("peerdead", exc.peer))
         except BaseException as exc:
             try:
                 pickle.dumps(exc)
@@ -802,13 +684,10 @@ class ParallelExecutor:
     Long-lived worker processes are forked once per run holding their
     partitions' contexts; each superstep is one round trip per worker over a
     pipe (step command with aggregates out, report with metrics deltas
-    back).  Under the default ``star`` exchange topology the outbound
-    batches ride the report and the master routes them; under ``peer`` the
-    workers ship batches directly over pairwise pipes and the report
-    carries only accounting.  Either way the master folds reports into the
-    cluster's accounting at the barrier (:func:`_fold_reports`, the same
-    fold the serial executor calls) so the modeled metrics do not depend
-    on the process count.
+    back).  The outbound batches ride the report and the master routes
+    them; it folds the reports into the cluster's accounting at the
+    barrier (:func:`_fold_reports`, the same fold the serial executor
+    calls) so the modeled metrics do not depend on the process count.
     """
 
     name = "parallel"
@@ -882,39 +761,22 @@ class ParallelExecutor:
                 engine.graph.piece_indexes(vid)
         self._procs = []
         self._conns = []
-
-        # Peer topology: one duplex pipe per worker pair, all created
-        # *before* the first fork so every child inherits every end.  Each
-        # child then closes the ends that are not its own (see
-        # ``_worker_main``) and the master closes all of them — leaving each
-        # pipe open in exactly its two endpoints.
-        peer = self.exchange.topology == "peer" and procs > 1
-        peer_conns: list[dict[int, Any]] = [{} for _ in range(procs)]
-        if peer:
-            for a in range(procs):
-                for b in range(a + 1, procs):
-                    end_a, end_b = ctx.Pipe()
-                    peer_conns[a][b] = end_a
-                    peer_conns[b][a] = end_b
-        all_ends = [c for conns in peer_conns for c in conns.values()]
-
+        fork = ctx.get_start_method() == "fork"
         for p in range(procs):
-            own = set(peer_conns[p].values())
+            parent_conn, child_conn = ctx.Pipe()
             payload = _ShardPayload.of(
                 engine, shard_to_proc, p,
                 per_states[p], fresh, rescatter, warm,
                 combine=self.exchange.combine,
-                peer_conns=peer_conns[p] if peer else None,
-                close_conns=[c for c in all_ends if c not in own],
+                # A forked child holds a copy of every master end open at
+                # fork time: the earlier workers' and its own.
+                close_conns=[*self._conns, parent_conn] if fork else None,
             )
-            parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(target=_worker_main, args=(payload, child_conn), daemon=True)
             proc.start()
             child_conn.close()
             self._procs.append(proc)
             self._conns.append(parent_conn)
-        for c in all_ends:
-            c.close()
         self._inbound: list[list] = [[] for _ in range(procs)]
         self._pending_total = 0
 
@@ -948,12 +810,6 @@ class ParallelExecutor:
                 # rollback — unlike the user-program errors below, which
                 # would fail identically on every replay.
                 raise self._worker_died(i) from None
-            if reply[0] == "peerdead":
-                # Worker ``i`` is healthy; it saw EOF on its pipe to the
-                # named peer mid-exchange.  Blame the peer.
-                raise self._worker_died(
-                    reply[1], detail="died during peer barrier exchange"
-                )
             if reply[0] == "error":
                 _, tb, exc = reply
                 if exc is not None:
@@ -976,9 +832,9 @@ class ParallelExecutor:
                     kill_process(proc.pid)
                     proc.join(timeout=10)
             # Exchange-phase kills are shipped with the step command: the
-            # worker SIGKILLs *itself* mid-exchange, after its first peer
-            # frame (or its batches) is already out.  Marked fired here, at
-            # ship time, because the victim never reports back.
+            # worker SIGKILLs *itself* mid-exchange, with its batches
+            # encoded and its report unsent.  Marked fired here, at ship
+            # time, because the victim never reports back.
             exchange_victims = set(
                 self.fault_plan.victims(superstep, self._nprocs, phase="exchange")
             )
@@ -996,7 +852,7 @@ class ParallelExecutor:
         reports = self._recv_all()
         compute_wall = time.perf_counter() - t0
 
-        # Star topology: the batches rode the reports; route them on.
+        # The batches rode the reports; route them on.
         for rep in reports:
             for dest, buf in rep["out"].items():
                 self._inbound[dest].append(buf)
@@ -1017,10 +873,8 @@ class ParallelExecutor:
         """Barrier-time snapshot across all worker processes.
 
         Each worker reports its states and the messages parked with it for
-        the next superstep — its worker-local pending list plus, under the
-        peer topology, the batches already received off the peer pipes;
-        the master adds the cross-process batches still sitting in
-        ``_inbound`` (star topology and restores; decoded
+        the next superstep — its worker-local pending list; the master adds
+        the cross-process batches still sitting in ``_inbound`` (decoded
         non-destructively — the live bytes stay put for the next
         superstep).  Entries are merged with one stable sort by sender
         sequence, recreating the serial delivery order, so the snapshot is

@@ -91,9 +91,8 @@ class FaultAction:
     ``phase`` refines *when* within the superstep the kill lands: the
     default ``""`` is the historical top-of-superstep SIGKILL from the
     master; ``"exchange"`` makes the victim kill itself mid barrier
-    exchange — after its batches are encoded and (in the peer topology)
-    its first peer frame is already on the wire, the hardest moment for
-    recovery to get right.
+    exchange — after its batches are encoded and before its report
+    reaches the master, the hardest moment for recovery to get right.
     """
 
     worker: int

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro import api
 from repro.core.context import EdgeContext, MasterContext, VertexContext
 from repro.core.interval import FOREVER, Interval
 from repro.core.program import IntervalProgram
-from repro.core.engine import IntervalCentricEngine
 from repro.graph.builder import TemporalGraphBuilder
 
 
@@ -39,7 +39,7 @@ class TestVertexContext:
     def ctx(self):
         # Captures the live context object from inside compute — only
         # meaningful in-process, so the serial executor is pinned.
-        IntervalCentricEngine(degree_graph(), Probe(), executor="serial").run()
+        api.build_engine(degree_graph(), Probe(), options={"executor": "serial"}).run()
         return Probe.captured
 
     def test_static_attributes(self, ctx):
@@ -132,5 +132,5 @@ class TestVertexPropertyAccess:
                 seen[3] = ctx.vertex_property("kind", 3)
                 seen[7] = ctx.vertex_property("kind", 7)
 
-        IntervalCentricEngine(g, P(), executor="serial").run()
+        api.build_engine(g, P(), options={"executor": "serial"}).run()
         assert seen == {3: "x", 7: "y"}

@@ -86,7 +86,7 @@ class TestBasicLoop:
         b.add_edge("a", "b")
         b.add_edge("b", "a")
         with pytest.raises(RuntimeError, match="exceeded"):
-            IntervalCentricEngine(b.build(), PingPong(), max_supersteps=5).run()
+            api.build_engine(b.build(), PingPong(), options={"max_supersteps": 5}).run()
 
 
 class TestAggregatorsAndMaster:
@@ -105,7 +105,7 @@ class TestAggregatorsAndMaster:
                     ctx.aggregate("reached", 1)
 
         # White-box observation via the `observed` closure: in-process only.
-        IntervalCentricEngine(line_graph(), Agg(), executor="serial").run()
+        api.build_engine(line_graph(), Agg(), options={"executor": "serial"}).run()
         # superstep 2 sees superstep 1's reduction: only v0 contributed
         # (and only *active* vertices contribute, so each later superstep
         # reduces exactly the frontier vertex's contribution).
@@ -151,7 +151,7 @@ class TestAggregatorsAndMaster:
                 if master.superstep == 1:
                     master.set_aggregate("x", 42)
 
-        IntervalCentricEngine(line_graph(), Overrider(), executor="serial").run()
+        api.build_engine(line_graph(), Overrider(), options={"executor": "serial"}).run()
         assert seen["x"] == 42
 
 
@@ -171,7 +171,7 @@ class TestDirectMessaging:
                 for m in messages:
                     received.append((ctx.vertex_id, interval, m))
 
-        result = IntervalCentricEngine(line_graph(), Pinger(), executor="serial").run()
+        result = api.build_engine(line_graph(), Pinger(), options={"executor": "serial"}).run()
         assert received == [("v3", Interval(2, 5), "hello")]
         assert result.metrics.messages_sent == 1
 
@@ -278,7 +278,7 @@ class TestSuppressionHeuristics:
 
     def make_engine(self, **kw):
         """The processor a worker runtime would build for this engine."""
-        engine = IntervalCentricEngine(line_graph(), Flood(), **kw)
+        engine = api.build_engine(line_graph(), Flood(), options=kw)
         return VertexProcessor(
             engine.graph, engine.program, engine.cluster.compute_model,
             **engine.processor_args(),
@@ -369,10 +369,10 @@ class TestVertexPropertyPrepartitioning:
             def scatter(self, ctx, edge, interval, state):
                 return None
 
-        IntervalCentricEngine(
-            self.make_graph(), Probe(), prepartition_by_vertex_properties=True,
-            executor="serial",
-        ).run()
+        api.run(
+            self.make_graph(), Probe(),
+            options={"prepartition_by_vertex_properties": True, "executor": "serial"},
+        )
         assert (("a", Interval(0, 4), "red")) in calls
         assert (("a", Interval(4, 12), "blue")) in calls
         assert (("b", Interval(0, 12), None)) in calls
@@ -389,7 +389,7 @@ class TestVertexPropertyPrepartitioning:
             def scatter(self, ctx, edge, interval, state):
                 return None
 
-        IntervalCentricEngine(self.make_graph(), Probe(), executor="serial").run()
+        api.build_engine(self.make_graph(), Probe(), options={"executor": "serial"}).run()
         assert len(calls) == 2
 
 

@@ -7,6 +7,7 @@ engine's warp wiring, scatter invocation rules and final states.
 
 import pytest
 
+from repro import api
 from repro.algorithms.td.sssp import INFINITY, TemporalSSSP
 from repro.core.engine import IntervalCentricEngine
 from repro.core.interval import FOREVER, Interval
@@ -36,10 +37,12 @@ class RecordingSSSP(TemporalSSSP):
 def trace():
     graph = transit_graph()
     program = RecordingSSSP("A")
-    engine = IntervalCentricEngine(
+    engine = api.build_engine(
         graph, program, graph_name="transit",
-        enable_warp_combiner=False,  # keep full message groups observable
-        executor="serial",  # the program logs calls in-process
+        options={
+            "enable_warp_combiner": False,  # keep full message groups observable
+            "executor": "serial",  # the program logs calls in-process
+        },
     )
     result = engine.run()
     return program, result
@@ -138,18 +141,18 @@ class TestCombinerEquivalence:
     def test_warp_combiner_does_not_change_results(self):
         graph = transit_graph()
         with_comb = IntervalCentricEngine(graph, TemporalSSSP("A")).run()
-        without = IntervalCentricEngine(
-            graph, TemporalSSSP("A"), enable_warp_combiner=False,
-            enable_receiver_combiner=False,
-        ).run()
+        without = api.run(
+            graph, TemporalSSSP("A"),
+            options={"enable_warp_combiner": False, "enable_receiver_combiner": False},
+        )
         for vid in "ABCDEF":
             assert with_comb.states[vid].partitions() == without.states[vid].partitions()
 
     def test_suppression_does_not_change_results(self):
         graph = transit_graph()
         on = IntervalCentricEngine(graph, TemporalSSSP("A")).run()
-        off = IntervalCentricEngine(
-            graph, TemporalSSSP("A"), enable_warp_suppression=False
-        ).run()
+        off = api.run(
+            graph, TemporalSSSP("A"), options={"enable_warp_suppression": False}
+        )
         for vid in "ABCDEF":
             assert on.states[vid].partitions() == off.states[vid].partitions()

@@ -9,10 +9,10 @@ final states, plus direct properties of the message-set transformations.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.algorithms.td.eat import TemporalEAT
 from repro.algorithms.td.sssp import TemporalSSSP
 from repro.core.combiner import coalesce_messages, min_combiner
-from repro.core.engine import IntervalCentricEngine
 from repro.core.interval import FOREVER, Interval
 from repro.core.state import states_equal_pointwise
 from repro.graph.builder import TemporalGraphBuilder
@@ -41,7 +41,7 @@ def temporal_graph(draw):
 
 
 def _states(graph, program_factory, **options):
-    return IntervalCentricEngine(graph, program_factory(), **options).run().states
+    return api.build_engine(graph, program_factory(), options=options).run().states
 
 
 OPTION_SETS = [

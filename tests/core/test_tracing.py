@@ -1,5 +1,6 @@
 """Tests for the execution tracer."""
 
+from repro import api
 from repro.algorithms.td.sssp import TemporalSSSP
 from repro.core.engine import IntervalCentricEngine
 from repro.core.interval import FOREVER, Interval
@@ -9,8 +10,8 @@ from repro.datasets import transit_graph
 
 def traced_run(**options):
     tracer = ExecutionTracer()
-    engine = IntervalCentricEngine(
-        transit_graph(), TemporalSSSP("A"), tracer=tracer, **options
+    engine = api.build_engine(
+        transit_graph(), TemporalSSSP("A"), options={"tracer": tracer, **options}
     )
     result = engine.run()
     return tracer, result

@@ -5,11 +5,9 @@ The load-bearing property is *bit-identity*: freezing a heap
 order, lifespans, property timelines and edge-piece cuts exactly, so a
 run over either store produces byte-identical results.  The Hypothesis
 round-trip below drives that contract over randomly shaped graphs; the
-rest covers the on-disk format's failure modes, zero-copy sharing, and
-the ``REPRO_GRAPH_STORE`` resolution knob.
+rest covers the on-disk format's failure modes and zero-copy sharing.
 """
 
-import os
 import pickle
 
 import pytest
@@ -20,10 +18,7 @@ from repro.core.interval import FOREVER, Interval
 from repro.datasets import transit_graph
 from repro.errors import GraphFormatError
 from repro.graph.builder import TemporalGraphBuilder
-from repro.graph.compact import (
-    CompactGraph,
-    resolve_graph_store,
-)
+from repro.graph.compact import CompactGraph
 from repro.runtime.checkpoint import graph_fingerprint
 
 # -- random temporal graphs ----------------------------------------------------
@@ -264,72 +259,18 @@ class TestSharing:
             compact.close()
 
 
-# -- store resolution ----------------------------------------------------------
+# -- engine bit-identity (one probe; test_executor_equivalence runs the matrix) -
 
 
-class TestResolveGraphStore:
-    def test_default_is_heap(self):
-        graph = transit_graph()
-        assert resolve_graph_store(graph, None, env={}) is graph
-
-    def test_explicit_compact(self):
-        graph = transit_graph()
-        got = resolve_graph_store(graph, "compact", env={})
-        assert isinstance(got, CompactGraph)
-
-    def test_env_knob(self):
-        got = resolve_graph_store(
-            transit_graph(), None, env={"REPRO_GRAPH_STORE": "compact"}
-        )
-        assert isinstance(got, CompactGraph)
-
-    def test_compact_graph_never_thawed(self):
-        compact = CompactGraph.from_temporal(transit_graph())
-        assert resolve_graph_store(compact, "heap", env={}) is compact
-        assert resolve_graph_store(compact, "compact", env={}) is compact
-
-    def test_unknown_store_rejected(self):
-        with pytest.raises(ValueError) as err:
-            resolve_graph_store(transit_graph(), "columnar", env={})
-        assert "REPRO_GRAPH_STORE" in str(err.value)
-
-
-# -- engine bit-identity (one explicit probe; CI runs the full matrix) ---------
-
-
-def test_engine_results_identical_across_stores():
+def test_engine_results_identical_across_stores(stores):
     from repro import api
     from repro.algorithms.td.sssp import TemporalSSSP
 
-    graph = transit_graph()
-    heap = api.run(graph, TemporalSSSP("A"), graph_name="transit")
-    compact = api.run(
-        CompactGraph.from_temporal(graph), TemporalSSSP("A"),
-        graph_name="transit",
+    heap, compact = (
+        api.run(put(transit_graph()), TemporalSSSP("A"), graph_name="transit")
+        for _, put in stores
     )
     assert {v: list(s) for v, s in heap.states.items()} == \
            {v: list(s) for v, s in compact.states.items()}
     assert heap.metrics.messages_sent == compact.metrics.messages_sent
     assert heap.metrics.compute_calls == compact.metrics.compute_calls
-
-
-# -- deprecation shims ---------------------------------------------------------
-
-
-class TestDeprecatedLoaders:
-    def test_package_level_loader_warns(self):
-        import repro.graph as graph_pkg
-
-        with pytest.warns(DeprecationWarning, match="api.load_graph"):
-            fn = graph_pkg.load_graph_binary
-        from repro.graph.binary_io import load_graph_binary
-
-        assert fn is load_graph_binary
-
-    def test_all_shimmed_names_resolve(self):
-        import repro.graph as graph_pkg
-
-        for name in ("load_graph", "load_graph_binary",
-                     "load_snap_edgelist", "load_contact_sequence"):
-            with pytest.warns(DeprecationWarning):
-                assert getattr(graph_pkg, name) is not None

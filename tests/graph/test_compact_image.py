@@ -94,7 +94,7 @@ def _pieces(index, span):
 
 
 @pytest.mark.parametrize("name", GRAPHS)
-def test_v2_bind_and_mapped_v3_hold_the_heap_index(name, tmp_path):
+def test_v2_bind_and_mapped_v3_hold_the_heap_index(name, tmp_path, stores):
     heap = GRAPHS[name]
     frozen = CompactGraph.from_temporal(heap)
     path = tmp_path / "graph.itgr"
@@ -124,7 +124,10 @@ def test_v2_bind_and_mapped_v3_hold_the_heap_index(name, tmp_path):
         assert graph_fingerprint(mapped) == graph_fingerprint(derived) \
             == graph_fingerprint(heap), name
         if heap.num_edges:
-            assert sssp(mapped) == sssp(derived) == sssp(heap), name
+            want = sssp(heap)
+            assert sssp(mapped) == sssp(derived) == want, name
+            for store, put in stores:
+                assert sssp(put(heap)) == want, (name, store)
     finally:
         mapped.close()
 
@@ -136,17 +139,19 @@ def _shards(graph, directory) -> dict:
 
 
 @pytest.mark.parametrize("case", (3, 4))
-def test_checkpoint_shards_are_equal_on_every_store(case, tmp_path):
+def test_checkpoint_shards_are_equal_on_every_store(case, tmp_path, stores):
     seed, heap = make_case(case)
     image = CompactGraph.from_temporal(heap).to_bytes()
-    stores = {"heap": heap, "v3": CompactGraph.from_bytes(image),
-              "v2": CompactGraph.from_bytes(v2_image(image))}
+    graphs = {name: put(heap) for name, put in stores}
+    graphs.update(v3=CompactGraph.from_bytes(image),
+                  v2=CompactGraph.from_bytes(v2_image(image)))
     written = {}
-    for name, graph in stores.items():
+    for name, graph in graphs.items():
         (tmp_path / name).mkdir()
         written[name] = _shards(graph, tmp_path / name)
     assert written["heap"], hex(seed)
-    assert written["heap"] == written["v3"] == written["v2"], hex(seed)
+    for name in graphs:
+        assert written[name] == written["heap"], (hex(seed), name)
 
 
 @pytest.mark.parametrize("name", GRAPHS)

@@ -193,8 +193,8 @@ def test_bulk_loader_equals_reference_loader(case):
     ref = reference_load_text(io.StringIO(text))
     assert snapshot(new) == snapshot(ref), f"seed {seed:#x}"
     assert sssp(new) == sssp(ref), f"seed {seed:#x}: SSSP differs between the loaders"
-    # Through the front door too (which also resolves the store).
-    front = api.load_graph(io.StringIO(text), format="text", store="heap")
+    # Through the front door too.
+    front = api.load_graph(io.StringIO(text), format="text")
     assert snapshot(front) == snapshot(ref), f"seed {seed:#x}"
 
 
@@ -277,7 +277,7 @@ def test_dumped_int_values_never_reach_the_compiler(monkeypatch, tmp_path):
     dump_graph(usrn(0.5, 3), path)
     calls = []
     monkeypatch.setattr(ast, "literal_eval", lambda token: calls.append(token))
-    loaded = api.load_graph(path, store="heap")
+    loaded = api.load_graph(path)
     assert calls == []
     assert sum(e.properties.total_entries() for e in loaded.edges()) > 500
 
@@ -380,7 +380,7 @@ def test_mutated_files_load_validly_or_fail_typed(tmp_path):
             mutant = b"".join(keep)
         path.write_bytes(mutant)
         try:
-            got = api.load_graph(path, format="text", store="heap")
+            got = api.load_graph(path, format="text")
         except GraphFormatError as exc:
             assert str(exc).startswith("text graph: line "), f"mutant {i} ({how} at {at}): {exc}"
             refused += 1

@@ -6,6 +6,7 @@ the *shape* — who wins and roughly why — not absolute numbers.
 
 import pytest
 
+from repro import api
 from repro.algorithms import run_algorithm
 from repro.algorithms.td.sssp import TemporalSSSP
 from repro.algorithms.ti.bfs import SnapshotBFS, TemporalBFS
@@ -116,10 +117,10 @@ class TestCombinerAndSuppressionKnobs:
     def test_combiner_reduces_compute_time_inputs(self):
         g = twitter(scale=0.4)
         on = IntervalCentricEngine(g, TemporalSSSP("v0")).run()
-        off = IntervalCentricEngine(
+        off = api.run(
             g, TemporalSSSP("v0"),
-            enable_warp_combiner=False, enable_receiver_combiner=False,
-        ).run()
+            options={"enable_warp_combiner": False, "enable_receiver_combiner": False},
+        )
         # Same compute outcome...
         for vid in g.vertex_ids():
             assert on.states[vid].partitions() == off.states[vid].partitions()
@@ -130,9 +131,9 @@ class TestCombinerAndSuppressionKnobs:
     def test_suppression_reduces_warp_calls_on_gplus(self):
         g = gplus(scale=0.5)
         on = IntervalCentricEngine(g, TemporalBFS("v0")).run()
-        off = IntervalCentricEngine(
-            g, TemporalBFS("v0"), enable_warp_suppression=False
-        ).run()
+        off = api.run(
+            g, TemporalBFS("v0"), options={"enable_warp_suppression": False}
+        )
         assert on.metrics.warp_calls < off.metrics.warp_calls
         for vid in g.vertex_ids():
             assert on.states[vid].partitions() == off.states[vid].partitions()
@@ -146,9 +147,9 @@ class TestCombinerAndSuppressionKnobs:
 
         g = gplus(scale=0.4)
         on = IntervalCentricEngine(g, TemporalLCC()).run()
-        off = IntervalCentricEngine(
-            g, TemporalLCC(), enable_warp_suppression=False
-        ).run()
+        off = api.run(
+            g, TemporalLCC(), options={"enable_warp_suppression": False}
+        )
         assert on.metrics.warp_suppressed_vertices > 0
         for t in range(g.time_horizon()):
             expected = snapshot_lcc(snapshot_at(g, t))

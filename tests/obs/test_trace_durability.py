@@ -4,9 +4,13 @@
 `read_trace` drops (with a warning) at most one torn trailing line — so
 SIGKILLing a live parallel run mid-superstep must still leave a trace
 that post-mortem tooling (`repro report`, `scripts/diff_traces.py`) can
-load.  Mid-file corruption stays a hard error.
+load.  Mid-file corruption stays a hard error.  And the run's worker
+processes do not outlive it: a worker sees EOF on its command pipe once
+the master is gone, and exits.
 """
 
+import os
+import signal
 import subprocess
 import sys
 import time
@@ -58,25 +62,28 @@ def _serial_trace(tmp_path):
     return path
 
 
-def test_sigkilled_parallel_run_leaves_readable_trace(tmp_path):
-    path = tmp_path / "killed.trace"
+def _start_killable_run(path):
+    """The CHILD run, past superstep 1 and still streaming events."""
     proc = subprocess.Popen(
         [sys.executable, "-c", CHILD.format(src=SRC), str(path)],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
-    try:
-        # Wait until the trace is past superstep 1, then kill without
-        # warning while events are still streaming.
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            if path.exists() and len(path.read_bytes().splitlines()) >= 8:
-                break
-            time.sleep(0.05)
-        else:
-            pytest.fail("child never wrote 8 trace records")
-    finally:
-        proc.kill()
-        proc.wait()
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline:
+        if path.exists() and len(path.read_bytes().splitlines()) >= 8:
+            return proc
+        time.sleep(0.05)
+    proc.kill()
+    proc.wait()
+    pytest.fail("child never wrote 8 trace records")
+
+
+def test_sigkilled_parallel_run_leaves_readable_trace(tmp_path):
+    path = tmp_path / "killed.trace"
+    proc = _start_killable_run(path)
+    # Kill without warning while events are still streaming.
+    proc.kill()
+    proc.wait()
     assert proc.returncode != 0  # killed, not completed
 
     with warnings.catch_warnings():
@@ -88,6 +95,47 @@ def test_sigkilled_parallel_run_leaves_readable_trace(tmp_path):
     assert [r["seq"] for r in records] == list(range(len(records)))
     for record in records:
         validate_event(record)
+
+
+def _stat(pid):
+    """``(state, ppid)`` of a live process, ``None`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _alive(pid):
+    stat = _stat(pid)
+    return stat is not None and stat[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_exit_when_their_master_is_sigkilled(tmp_path):
+    proc = _start_killable_run(tmp_path / "killed.trace")
+    workers = []
+    try:
+        for entry in os.listdir("/proc"):
+            if entry.isdigit():
+                stat = _stat(int(entry))
+                if stat is not None and stat[1] == proc.pid:
+                    workers.append(int(entry))
+        assert len(workers) == 2, f"expected 2 worker processes, found {workers}"
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and any(map(_alive, workers)):
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if _alive(pid)]
+        assert not survivors, f"workers {survivors} outlived their master by 5 s"
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_truncated_trailing_record_dropped_with_warning(tmp_path):

@@ -7,6 +7,7 @@ that the barrier folds per-worker quantities identically.
 
 import pytest
 
+from repro import api
 from repro.algorithms.td.sssp import TemporalSSSP
 from repro.algorithms.runners import default_source
 from repro.core.combiner import min_combiner
@@ -34,9 +35,9 @@ def _cluster():
 
 def _run(executor):
     graph = transit_graph()
-    engine = IntervalCentricEngine(
+    engine = api.build_engine(
         graph, TemporalSSSP(default_source(graph)), cluster=_cluster(),
-        executor=executor, executor_processes=2,
+        options={"executor": executor, "executor_processes": 2},
     )
     return engine.run()
 

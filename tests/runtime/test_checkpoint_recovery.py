@@ -8,14 +8,16 @@ times **bitwise identical** to an uninterrupted run.  These tests hold that
 contract across the whole algorithm matrix, under real SIGKILLs.
 """
 
+import json
 import os
 
 import pytest
 
+from repro import api
 from repro.algorithms import ALL_ALGORITHMS, run_algorithm
-from repro.core.engine import IntervalCentricEngine
 from repro.datasets import transit_graph
 from repro.runtime.checkpoint import (
+    EXCHANGE_FINGERPRINT,
     CheckpointError,
     config_fingerprint,
     latest_checkpoint,
@@ -184,6 +186,26 @@ def test_retry_limit_exhaustion_raises_unrecoverable(tmp_path):
     assert isinstance(err.value.__cause__, WorkerDiedError)
 
 
+@pytest.mark.parametrize("algorithm", ("BFS", "SSSP", "PR"))
+def test_killed_mid_exchange_recovers_bit_identical(algorithm, tmp_path):
+    """SIGKILL mid barrier exchange: the victim dies with its outbound
+    batches encoded but its report never sent.  Rollback must discard the
+    half-finished exchange entirely and replay to results bitwise identical
+    to an uninterrupted serial run."""
+    ref = _run(algorithm)
+    for superstep in sorted({2, ref.metrics.supersteps}):
+        plan = FaultPlan.parse(f"kill:{superstep % 2}@{superstep}:exchange")
+        crashed = _run(
+            algorithm,
+            executor=ParallelExecutor(processes=2, fault_plan=plan),
+            checkpoint_every=1,
+            checkpoint_dir=str(tmp_path / str(superstep)),
+        )
+        _assert_identical(ref, crashed)
+        assert plan.pending() == 0, "the exchange-phase kill never fired"
+        assert crashed.metrics.recovery.restarts >= 1
+
+
 def test_recovery_metrics_account_the_crash(tmp_path):
     crashed = _run(
         "PR",
@@ -266,16 +288,31 @@ def test_load_rejects_corrupt_manifest(tmp_path):
         load_checkpoint(step)
 
 
+def test_resume_refuses_incompatible_exchange_fingerprint(tmp_path):
+    """A manifest claiming a different routed-batch wire version is refused
+    with both versions named, before any shard is decoded."""
+    _run("SSSP", executor="serial", checkpoint_every=2, checkpoint_dir=str(tmp_path))
+    manifest_path = latest_checkpoint(tmp_path) / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["exchange"] == EXCHANGE_FINGERPRINT
+    manifest["exchange"] = "routed-batch-v1"
+    manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    with pytest.raises(CheckpointError, match="routed-batch-v1.*routed-batch-v2"):
+        _run("SSSP", executor="serial", resume_from=str(manifest_path.parent))
+
+
 def test_config_fingerprint_ignores_executor():
     g = transit_graph()
     kwargs = dict(cluster=SimulatedCluster(5), graph_name="transit")
-    serial = IntervalCentricEngine(g, _any_program(), executor="serial", **kwargs)
-    parallel = IntervalCentricEngine(g, _any_program(), executor="parallel", **kwargs)
+
+    def engine(**options):
+        return api.build_engine(g, _any_program(), options=options, **kwargs)
+
+    serial = engine(executor="serial")
+    parallel = engine(executor="parallel")
     assert config_fingerprint(serial) == config_fingerprint(parallel)
 
-    flipped = IntervalCentricEngine(
-        g, _any_program(), enable_warp_combiner=False, **kwargs
-    )
+    flipped = engine(enable_warp_combiner=False)
     assert config_fingerprint(serial) != config_fingerprint(flipped)
 
 
@@ -285,7 +322,7 @@ def test_config_fingerprint_ignores_executor():
 def test_invalid_checkpoint_every_env(monkeypatch):
     monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "sometimes")
     with pytest.raises(ValueError, match="REPRO_CHECKPOINT_EVERY"):
-        IntervalCentricEngine(transit_graph(), _any_program())
+        api.build_engine(transit_graph(), _any_program())
 
 
 def test_checkpoint_every_env_applies(monkeypatch, tmp_path):

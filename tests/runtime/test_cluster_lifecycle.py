@@ -85,18 +85,18 @@ class TestModelNetworkDisabled:
         assert step.bytes == 0
 
     def test_engine_runs_with_network_disabled(self):
+        from repro import api
         from repro.algorithms.ti.bfs import TemporalBFS
-        from repro.core.engine import IntervalCentricEngine
         from repro.datasets import transit_graph
 
         graph = transit_graph()
         source = graph.vertex_ids()[0]
 
-        def run(**kwargs):
-            return IntervalCentricEngine(
+        def run(**options):
+            return api.run(
                 graph, TemporalBFS(source),
-                cluster=SimulatedCluster(4, model_network=False), **kwargs
-            ).run()
+                cluster=SimulatedCluster(4, model_network=False), options=options,
+            )
 
         serial = run()
         parallel = run(executor="parallel", executor_processes=2)

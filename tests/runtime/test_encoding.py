@@ -273,9 +273,9 @@ def test_routed_batch_roundtrip_property(raw):
 @given(routed_entries)
 @settings(max_examples=100, deadline=None)
 def test_routed_batch_decodes_from_offset_in_larger_buffer(raw):
-    """The peer exchange decodes frames out of an oversized reusable
-    receive buffer: decode must honour the offset and report where the
-    batch ended instead of demanding an exact-length buffer."""
+    """A batch can be decoded out of a larger buffer: decode honours the
+    offset and reports where the batch ended instead of demanding an
+    exact-length buffer."""
     entries, _ = _build_entries(raw)
     frame = encode_routed_batch(entries)
     buf = bytearray(b"\xff" * 7)

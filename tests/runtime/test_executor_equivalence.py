@@ -16,7 +16,7 @@ from repro import api
 from repro.algorithms import ALL_ALGORITHMS, run_algorithm
 from repro.algorithms.ti.bfs import TemporalBFS
 from repro.core.config import EngineConfig, ExchangeConfig
-from repro.core.engine import IcmProgramError, IntervalCentricEngine
+from repro.core.engine import IcmProgramError
 from repro.obs.observers import InMemoryEvents
 from repro.core.interval import Interval
 from repro.core.program import IntervalProgram
@@ -60,20 +60,26 @@ def _partitions(result):
     return {vid: list(state) for vid, state in states.items()}
 
 
-#: Where `_run` gets its graph.  The compact-store CI leg runs every test
-#: here twice: over the heap graph the engine freezes per build ("frozen"),
-#: and over a dumped-and-mapped image — the bytes a served or batch graph
-#: is actually read from ("mapped").  Elsewhere there is one, unnamed, leg.
-_IMAGES = ("frozen", "mapped") if os.environ.get("REPRO_GRAPH_STORE") == "compact" else None
+#: Where `_run` gets its graph.  Every test that runs one takes it from
+#: each store in turn (`graph_image`): the heap graph, the heap graph frozen
+#: into the compact store ("frozen"), and a dumped-and-mapped ITGR image —
+#: the bytes a served or batch graph is actually read from ("mapped").
 _graph = transit_graph
+IMAGES = ("heap", "frozen", "mapped")
+on_every_image = pytest.mark.parametrize("graph_image", IMAGES, indirect=True)
 
 
-@pytest.fixture(autouse=True, params=_IMAGES)
+@pytest.fixture
 def graph_image(request, tmp_path, monkeypatch):
-    if getattr(request, "param", "frozen") == "mapped":
+    this = sys.modules[__name__]
+    if request.param == "frozen":
+        monkeypatch.setattr(
+            this, "_graph", lambda: CompactGraph.from_temporal(transit_graph())
+        )
+    elif request.param == "mapped":
         path = tmp_path / "transit.itgr"
         CompactGraph.from_temporal(transit_graph()).dump(path)
-        monkeypatch.setattr(sys.modules[__name__], "_graph", lambda: CompactGraph.load(path))
+        monkeypatch.setattr(this, "_graph", lambda: CompactGraph.load(path))
 
 
 def _run(algorithm, observe=None, **icm_options):
@@ -87,14 +93,12 @@ def _run(algorithm, observe=None, **icm_options):
     )
 
 
-@pytest.mark.parametrize("topology", ("star", "peer"))
+@on_every_image
 @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
-def test_parallel_matches_serial(algorithm, topology):
+def test_parallel_matches_serial(algorithm, graph_image):
     serial_events, parallel_events = InMemoryEvents(), InMemoryEvents()
     serial = _run(algorithm, observe=serial_events)
-    parallel = _run(
-        algorithm, observe=parallel_events, exchange=topology, **PARALLEL
-    )
+    parallel = _run(algorithm, observe=parallel_events, **PARALLEL)
 
     assert _partitions(serial.result) == _partitions(parallel.result)
     if hasattr(serial.result, "aggregates"):
@@ -109,23 +113,20 @@ def test_parallel_matches_serial(algorithm, topology):
         assert serial_events.logical() == parallel_events.logical()
 
 
-@pytest.mark.parametrize("topology", ("star", "peer"))
+@on_every_image
 @pytest.mark.parametrize("algorithm", ("BFS", "SSSP", "PR"))
 @pytest.mark.parametrize("partitioner", PARTITIONER_KINDS)
 def test_parallel_matches_serial_under_every_partitioner(
-    algorithm, partitioner, topology
+    algorithm, partitioner, graph_image
 ):
     """Placement moves messages between workers, never changes results.
 
     The executors must stay bit-identical whichever partitioner shards the
     graph — including the greedy ones, whose shard sizes are deliberately
-    uneven — under either exchange topology, and all must agree on the
-    byte-level locality split.
+    uneven — and all must agree on the byte-level locality split.
     """
     serial = _run(algorithm, executor="serial", partitioner=partitioner)
-    parallel = _run(
-        algorithm, partitioner=partitioner, exchange=topology, **PARALLEL
-    )
+    parallel = _run(algorithm, partitioner=partitioner, **PARALLEL)
 
     assert _partitions(serial.result) == _partitions(parallel.result)
     for fld in EXACT_FIELDS + ("local_message_bytes", "remote_message_bytes"):
@@ -133,16 +134,49 @@ def test_parallel_matches_serial_under_every_partitioner(
     assert serial.metrics.partition_edge_cut == parallel.metrics.partition_edge_cut
 
 
+def test_combining_off_still_bit_identical():
+    serial = _run("SSSP")
+    plain = _run("SSSP", exchange_combine=False, **PARALLEL)
+    assert _partitions(serial.result) == _partitions(plain.result)
+    for fld in EXACT_FIELDS + ("local_message_bytes", "remote_message_bytes"):
+        assert getattr(serial.metrics, fld) == getattr(plain.metrics, fld), fld
+
+
+def test_combining_cuts_wire_bytes():
+    """The same run ships fewer real bytes with sender-side combining than
+    without, and ``exchange_raw_bytes`` (what an uncombined wire would
+    carry) is invariant.  The transit graph is too sparse for two
+    same-(dst, interval) messages to meet in one sender process, so this
+    uses the denser twitter surrogate."""
+    from repro.datasets import load_surrogate
+
+    graph = load_surrogate("twitter", scale=0.3)
+
+    def _go(combine):
+        return run_algorithm(
+            "BFS", "GRAPHITE", graph,
+            cluster=SimulatedCluster(8), graph_name="twitter",
+            icm_options={**PARALLEL, "exchange_combine": combine},
+        )
+
+    combined = _go(True)
+    plain = _go(False)
+    assert combined.metrics.exchange_raw_bytes == plain.metrics.exchange_raw_bytes
+    assert 0 < combined.metrics.exchange_bytes < plain.metrics.exchange_bytes
+
+
 def _config(**options):
     return EngineConfig().with_options(**options)
 
 
-def test_executor_recorded_in_metrics():
+@on_every_image
+def test_executor_recorded_in_metrics(graph_image):
     assert _run("BFS").metrics.executor == "serial"
     assert _run("BFS", **PARALLEL).metrics.executor == "parallel"
 
 
-def test_parallel_worker_wall_times_per_process():
+@on_every_image
+def test_parallel_worker_wall_times_per_process(graph_image):
     metrics = _run("SSSP", **PARALLEL).metrics
     for step in metrics.supersteps_detail:
         assert len(step.worker_wall_times) == 2
@@ -163,32 +197,30 @@ def test_resolve_executor_takes_everything_from_the_config():
     executor = resolve_executor(
         _config(
             executor="parallel", executor_processes=2,
-            fault_plan="kill:1@3", exchange="peer", exchange_combine=False,
+            fault_plan="kill:1@3", exchange_combine=False,
         )
     )
     assert isinstance(executor, ParallelExecutor)
     assert executor.processes == 2
     assert executor.fault_plan.pending() == 1
-    assert executor.exchange == ExchangeConfig(topology="peer", combine=False)
+    assert executor.exchange == ExchangeConfig(combine=False)
 
 
 _EXECUTOR_ENV = {
     "REPRO_EXECUTOR": "parallel",
     "REPRO_EXECUTOR_PROCESSES": "2",
     "REPRO_FAULT_PLAN": "kill:0@2",
-    "REPRO_EXCHANGE": "peer",
 }
 
 
 def test_resolve_executor_env(monkeypatch):
-    """The four variables reach the executor through ``from_env`` alone."""
+    """The three variables reach the executor through ``from_env`` alone."""
     for name, value in _EXECUTOR_ENV.items():
         monkeypatch.setenv(name, value)
     executor = resolve_executor(EngineConfig.from_env())
     assert isinstance(executor, ParallelExecutor)
     assert executor.processes == 2
     assert executor.fault_plan.pending() == 1
-    assert executor.exchange.topology == "peer"
 
 
 def test_env_typo_names_the_variable():
@@ -196,7 +228,8 @@ def test_env_typo_names_the_variable():
         EngineConfig.from_env({"REPRO_EXECUTOR": "threads"})
 
 
-def test_plain_config_is_hermetic(monkeypatch):
+@on_every_image
+def test_plain_config_is_hermetic(monkeypatch, graph_image):
     """Regression: with ``executor.kind=None`` the executor used to be
     resolved from the environment at run time, whatever config was given."""
     for name, value in _EXECUTOR_ENV.items():
@@ -249,10 +282,10 @@ class _Exploding(IntervalProgram):
         return [(interval, state)]
 
 
-def test_worker_error_surfaces_as_program_error():
-    engine = IntervalCentricEngine(
-        _graph(), _Exploding(), cluster=SimulatedCluster(5),
-        executor="parallel", executor_processes=2,
+@on_every_image
+def test_worker_error_surfaces_as_program_error(graph_image):
+    engine = api.build_engine(
+        _graph(), _Exploding(), cluster=SimulatedCluster(5), options=PARALLEL,
     )
     with pytest.raises(IcmProgramError, match="compute"):
         engine.run()

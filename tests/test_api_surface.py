@@ -1,27 +1,19 @@
-"""The `repro.api` front door: surface, config shim, env parsing, fingerprints.
+"""The `repro.api` front door: surface, options, env parsing, fingerprints.
 
-These tests pin the public API redesign: `EngineConfig` is the one way to
-configure an engine, legacy constructor kwargs keep working through a
-deprecation shim that names its replacement, environment resolution lives
-in `EngineConfig.from_env`, and observability settings never perturb the
+These tests pin the public API: `EngineConfig` is the one way to configure
+an engine (flat ``options`` dicts map onto it), the engine constructor
+takes no per-option keywords, environment resolution lives in
+`EngineConfig.from_env`, and observability settings never perturb the
 checkpoint config fingerprint (traces are diagnostics, not semantics).
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
 from repro import api
 from repro.algorithms.td.sssp import TemporalSSSP
-from repro.core.config import (
-    CheckpointConfig,
-    EngineConfig,
-    ExecutorConfig,
-    ObservabilityConfig,
-    StateConfig,
-    WarpConfig,
-)
+from repro.core.config import EngineConfig, ObservabilityConfig, WarpConfig
 from repro.core.engine import IntervalCentricEngine
 from repro.datasets import transit_graph
 from repro.obs.observers import InMemoryEvents
@@ -77,15 +69,12 @@ class TestLoadGraph:
             assert (loaded.num_vertices, loaded.num_edges) == (6, 7)
         assert isinstance(api.load_graph(str(compact)), CompactGraph)
 
-    def test_store_override(self):
-        from repro.graph.compact import CompactGraph
+    def test_the_format_decides_the_store(self):
+        from repro.graph.model import TemporalGraph
 
-        assert isinstance(
-            api.load_graph("transit", store="compact"), CompactGraph
-        )
-        assert not isinstance(
-            api.load_graph("transit", store="heap"), CompactGraph
-        )
+        assert isinstance(api.load_graph("transit"), TemporalGraph)
+        with pytest.raises(api.GraphFormatError, match="store"):
+            api.load_graph("transit", store="compact")
 
     def test_snap_sniff_and_contacts_explicit(self, tmp_path):
         events = tmp_path / "events.txt"
@@ -144,47 +133,15 @@ def test_engine_config_is_frozen():
         config.max_supersteps = 5
 
 
-# -- legacy-kwarg shim ---------------------------------------------------------
-
-
-def test_legacy_kwargs_map_to_config_groups():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        engine = _engine(
-            enable_warp_suppression=False, executor="serial",
-            checkpoint_every=3, coalesce_states=False,
-        )
-    assert engine.config.warp.enable_suppression is False
-    assert engine.config.executor.kind == "serial"
-    assert engine.config.checkpoint.every == 3
-    assert engine.config.state.coalesce is False
-
-
-def test_legacy_kwargs_warn_with_replacement():
-    with pytest.warns(DeprecationWarning, match=r"executor=ExecutorConfig\(kind"):
-        _engine(executor="serial")
-    with pytest.warns(DeprecationWarning, match=r"EngineConfig\(max_supersteps"):
-        _engine(max_supersteps=7)
+# -- one spelling per option ---------------------------------------------------
 
 
 def test_unknown_legacy_kwarg_raises():
-    with pytest.raises(TypeError, match="unexpected keyword argument 'warp_speed'"):
-        _engine(warp_speed=9)
-
-
-def test_legacy_and_config_spellings_run_identically():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = _engine(enable_warp_combiner=False, executor="serial").run()
-    config = EngineConfig(
-        warp=WarpConfig(enable_combiner=False),
-        executor=ExecutorConfig(kind="serial"),
-    )
-    modern = _engine(config=config).run()
-    assert _partitions(legacy) == _partitions(modern)
-    from repro.obs.registry import RUN_METRICS
-    for field in RUN_METRICS.names(modeled=True):
-        assert getattr(legacy.metrics, field) == getattr(modern.metrics, field)
+    """The engine takes options through its config only: the keywords of
+    the pre-config constructor are refused like any other."""
+    for kwargs in ({"executor": "serial"}, {"max_supersteps": 7}, {"warp_speed": 9}):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            _engine(**kwargs)
 
 
 def test_with_options_rejects_unknown_names():
@@ -268,11 +225,14 @@ def test_fingerprint_ignores_observability():
 
 
 def test_fingerprint_stable_across_legacy_and_config_spellings():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = _engine(enable_warp_suppression=False)
+    """The flat option names (the old constructor keywords) and the config
+    groups are two spellings of one configuration."""
+    flat = api.build_engine(
+        transit_graph(), TemporalSSSP("A"), cluster=SimulatedCluster(4),
+        options={"enable_warp_suppression": False},
+    )
     modern = _engine(config=EngineConfig(warp=WarpConfig(enable_suppression=False)))
-    assert config_fingerprint(legacy) == config_fingerprint(modern)
+    assert config_fingerprint(flat) == config_fingerprint(modern)
 
 
 def test_fingerprint_tracks_modeled_options():

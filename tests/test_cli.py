@@ -105,7 +105,7 @@ class TestEngineFlagConsolidation:
     flags must parse to the same engine options under both commands."""
 
     FLAGS = ["--executor", "parallel", "--processes", "3",
-             "--partitioner", "greedy", "--exchange", "peer"]
+             "--partitioner", "greedy"]
 
     def test_run_and_serve_parse_engine_flags_identically(self):
         parser = build_parser()
@@ -116,7 +116,6 @@ class TestEngineFlagConsolidation:
             "executor": "parallel",
             "executor_processes": 3,
             "partitioner": "greedy",
-            "exchange": "peer",
         }
 
     def test_compare_parses_engine_flags_identically_too(self):

@@ -11,7 +11,6 @@ first accesses (the ``GraphService`` lane situation) all see one object.
 
 import importlib
 import sys
-import warnings
 
 import pytest
 
@@ -43,9 +42,7 @@ PINNED_ALL = {
         "TemporalGraph", "TemporalGraphBuilder", "TemporalVertex",
         "build_transformed_graph", "dataset_stats", "dump_graph",
         "dump_graph_binary", "iter_snapshots", "largest_snapshot",
-        "load_contact_sequence", "load_graph", "load_graph_binary",
-        "load_snap_edgelist", "memory_footprint", "resident_bytes",
-        "resolve_graph_store", "snapshot_at", "snapshot_sizes",
+        "memory_footprint", "resident_bytes", "snapshot_at", "snapshot_sizes",
         "transformed_size",
     ],
     "repro.runtime": [
@@ -129,22 +126,6 @@ PINNED_ALL = {
     ],
 }
 
-#: Deprecated `repro.graph` loaders: resolved with a warning at *every* use,
-#: so never cached.  ``__version__`` is defined in the package itself.
-UNCACHED = {
-    "repro.graph": {
-        "load_graph", "load_graph_binary", "load_snap_edgelist",
-        "load_contact_sequence",
-    },
-}
-
-
-def _resolve(module, name):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return getattr(module, name)
-
-
 def _defined_in_a_submodule(obj, name) -> bool:
     """``obj`` is what some loaded, non-package ``repro.*`` module holds
     under ``name`` (classes and functions: the module they name)."""
@@ -170,26 +151,20 @@ def test_all_is_the_pinned_surface(pkg):
 def test_exports_are_the_submodules_objects_and_get_cached(pkg):
     module = importlib.import_module(pkg)
     for name in module.__all__:
-        obj = _resolve(module, name)
-        if name == "__version__":
+        obj = getattr(module, name)
+        if name == "__version__":  # defined in the package itself
             continue
         assert _defined_in_a_submodule(obj, name), f"{pkg}.{name}"
-        if name in UNCACHED.get(pkg, ()):
-            assert name not in vars(module)
-        else:
-            # The second access is a plain attribute hit, not __getattr__.
-            assert vars(module)[name] is obj
-            assert getattr(module, name) is obj
+        # The second access is a plain attribute hit, not __getattr__.
+        assert vars(module)[name] is obj
+        assert getattr(module, name) is obj
 
 
 @pytest.mark.parametrize("pkg", sorted(PINNED_ALL))
 def test_star_import_binds_exactly_all(pkg):
     namespace = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        exec(f"from {pkg} import *", namespace)
-    # exec's own bookkeeping (the shims' warnings register themselves here).
-    bound = set(namespace) - {"__builtins__", "__warningregistry__"}
+    exec(f"from {pkg} import *", namespace)
+    bound = set(namespace) - {"__builtins__"}
     assert sorted(bound) == PINNED_ALL[pkg]
 
 
@@ -205,15 +180,6 @@ def test_unknown_attribute_raises_the_standard_error(pkg):
 def test_the_front_door_is_reachable_as_an_attribute():
     # ``from . import api`` used to make this work after a bare ``import repro``.
     assert repro.api is importlib.import_module("repro.api")
-
-
-def test_deprecated_graph_loaders_warn_at_every_use():
-    import repro.graph as graph_pkg
-    from repro.graph.io import load_graph
-
-    for _ in range(2):
-        with pytest.warns(DeprecationWarning, match="repro.api.load_graph"):
-            assert graph_pkg.load_graph is load_graph
 
 
 _RACE = """
