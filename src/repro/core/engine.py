@@ -23,10 +23,11 @@ The per-vertex pipeline lives in :class:`VertexProcessor`, a pure function
 of (context, inbox, superstep): every engine-global service it needs comes
 in through the context's host object or the ``send_batch`` sink.  The driver
 loop in :meth:`IntervalCentricEngine.run` hands each superstep to an *executor*
-(`repro.runtime.executor`), which hosts the one worker runtime that owns
-processors and contexts — a single runtime in-process (serial), or one per
-shared-nothing worker process exchanging messages at the barrier
-(parallel).  The engine itself builds no processor and hosts no context.
+(`repro.runtime.executor`), which hosts the worker runtimes that own
+processors and contexts — runtime 0 in-process and, for a P-process run,
+P−1 forked shared-nothing workers exchanging messages at the barrier (a
+serial run is P = 1).  The engine itself builds no processor and hosts no
+context.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ class VertexProcessor:
     passed per call — one call per (vertex, destination) with that pair's
     messages in send order — and engine services (aggregators, direct
     sends) reach user code through the context's host object.  Every worker
-    runtime (`repro.runtime.executor`) — the serial executor's single
-    in-process one, or one per parallel worker process — builds its own
+    runtime (`repro.runtime.executor`) — runtime 0 in the master, and one
+    per forked worker process when there are more — builds its own
     processor from the same construction arguments
     (:meth:`IntervalCentricEngine.processor_args`).
 

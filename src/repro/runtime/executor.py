@@ -1,25 +1,22 @@
-"""Superstep executors: one worker runtime, hosted in-process or in workers.
+"""The superstep executor: the master is process 0.
 
 The engine's driver loop (`IntervalCentricEngine.run`) delegates each
 superstep to an executor.  There is exactly one superstep loop,
 :meth:`_WorkerRuntime.step` — activation, warm-start rescatter, inbox
 construction, the per-vertex walk, message routing and the measured phase
-spans — and one barrier fold, :func:`_fold_reports`.  The executors differ
-only in where runtimes live (as on Giraph, where a single-machine run is a
-cluster of one):
+spans — one barrier fold, :func:`_fold_reports`, and one executor,
+:class:`ParallelExecutor`.  A P-process run (``--processes P``) hosts
+runtime 0 in the master and forks P−1 workers, each owning a fixed subset
+of the shards (shared-nothing — no state is shared after fork).  The
+serial executor is its P = 1 case, as on Giraph, where a single-machine
+run is a cluster of one: nothing is forked, no message is ever encoded or
+exchanged, and the wire phases of its one ``worker_span`` are exactly 0.
 
-* :class:`SerialExecutor` hosts a single runtime in the calling process.
-  Every simulated worker ("shard") maps to process 0, so no message is
-  ever encoded or exchanged and the wire phases of its one
-  ``worker_span`` are exactly 0.
-* :class:`ParallelExecutor` forks one runtime per worker process, each
-  owning a fixed subset of the shards (shared-nothing — no state is shared
-  after fork), and exchanges cross-process messages at the BSP barrier as
-  varint-encoded routed batches (`repro.runtime.encoding`).  Messages
-  between shards of the same process never leave it.
-
-The batches travel in a star: they ride the worker's step report to the
-master, which redistributes them with the next step command.
+Cross-process messages travel at the BSP barrier as varint-encoded routed
+batches (`repro.runtime.encoding`); messages between shards of the same
+process never leave it.  The batches travel in a star: a forked worker's
+ride its step report to the master, which redistributes them with the
+next step command; runtime 0's are handed over in-process.
 
 Cross-process batches are **combined at the sender** when the program's
 combiner is selective (min/max/or — order-insensitive folds): messages to
@@ -41,7 +38,7 @@ aggregate contributions are folded at the master in (sender, call) order,
 and modeled compute is summed per shard in vertex order — so a run returns
 the same bits however many processes host it.
 ``tests/runtime/golden_serial.json``, recorded from the per-vertex loop
-this runtime replaced, is the oracle both executors are held to.
+this runtime replaced, is the oracle every process count is held to.
 
 Shards (``cluster.num_workers``) are decoupled from worker *processes*:
 shards are assigned round-robin to however many processes are available,
@@ -90,13 +87,14 @@ def resolve_executor(config: EngineConfig):
     """The executor an :class:`~repro.core.config.EngineConfig` asks for.
 
     ``config.executor.kind`` is ``"serial"`` (or ``None``, which means the
-    same), ``"parallel"``, or an executor instance, which passes through
-    untouched (the serving tier keeps one warm per lane this way).  The
-    parallel executor takes its process count, fault plan — a spec string
-    is parsed into a fresh :class:`~repro.runtime.faults.FaultPlan` per
-    call, so one frozen config can arm many runs — and exchange settings
-    from the same config.  Nothing here reads the environment:
-    :meth:`EngineConfig.from_env` is the only reader.
+    same) — a :class:`ParallelExecutor` of one process — ``"parallel"``,
+    or an executor instance, which passes through untouched (the serving
+    tier keeps one warm per lane this way).  The parallel kind takes its
+    process count, fault plan — a spec string is parsed into a fresh
+    :class:`~repro.runtime.faults.FaultPlan` per call, so one frozen config
+    can arm many runs — and exchange settings from the same config.
+    Nothing here reads the environment: :meth:`EngineConfig.from_env` is
+    the only reader.
 
     Tracing is in-process only.  A parallel kind that came from
     ``REPRO_EXECUTOR`` (``kind_from_env``) yields to a configured
@@ -109,7 +107,7 @@ def resolve_executor(config: EngineConfig):
     if tracer is not None and spec.kind_from_env:
         kind = "serial"
     if kind is None or kind == "serial":
-        executor = SerialExecutor()
+        executor = ParallelExecutor(processes=1, name="serial")
     elif kind == "parallel":
         plan = spec.fault_plan
         if isinstance(plan, str):
@@ -188,71 +186,6 @@ def _fold_reports(engine, metrics: RunMetrics, reports, compute_wall: float):
     return active, in_flight
 
 
-class SerialExecutor:
-    """A cluster of one: a single worker runtime in the calling process.
-
-    Every shard maps to process 0, so the runtime's exchange has nothing
-    to do.  The only executor that can host an ``ExecutionTracer``.
-    """
-
-    name = "serial"
-    _runtime = None
-
-    def start(self, engine, states, fresh, rescatter, warm: bool) -> None:
-        self._engine = engine
-        self._runtime = _WorkerRuntime(
-            _ShardPayload.of(
-                engine, [0] * engine.cluster.num_workers, 0,
-                states, fresh, rescatter, warm,
-            ),
-            tracer=engine.tracer,
-        )
-        self._pending_total = 0
-
-    def has_pending(self) -> bool:
-        return self._pending_total > 0
-
-    def run_superstep(self, superstep: int, metrics: RunMetrics) -> int:
-        engine = self._engine
-        engine.cluster.begin_superstep(superstep)
-        report = self._runtime.step(superstep, engine._aggregates, ())
-        # In-process, the superstep *is* the worker's vertex walk.
-        active, self._pending_total = _fold_reports(
-            engine, metrics, [report], report["wall"]
-        )
-        return active
-
-    def collect_states(self) -> dict[Any, Any]:
-        return self._runtime.collect()
-
-    def snapshot(self) -> ExecutorSnapshot:
-        """Barrier-time snapshot: all states plus the undelivered messages."""
-        from .checkpoint import ExecutorSnapshot
-
-        return ExecutorSnapshot(
-            states=self._runtime.collect(),
-            pending=self._runtime.pending_entries(),
-        )
-
-    def restore_pending(self, entries) -> None:
-        """Hand a checkpoint's pending entries (already in delivery order)
-        to the runtime as the messages awaiting its next superstep."""
-        self._runtime._pending = list(entries)
-        self._pending_total = len(entries)
-
-    def close(self) -> None:
-        """Drop the run's runtime (idempotent; ``start`` builds a new one,
-        so one instance can host any number of runs — the serving tier
-        relies on this).  The contexts point back at the runtime: cutting
-        the cycle frees the run's edge indexes and inboxes now rather than
-        at some later garbage collection."""
-        runtime, self._runtime = self._runtime, None
-        if runtime is not None:
-            runtime.contexts.clear()
-
-    abort = close
-
-
 # -- the worker runtime -------------------------------------------------------
 
 
@@ -260,9 +193,9 @@ class SerialExecutor:
 class _ShardPayload:
     """Everything one worker runtime needs to run its vertex partitions.
 
-    Handed over in-process by the serial executor; shipped at fork time by
-    the parallel one (copy-on-write under the fork start method, pickled
-    under spawn), after which nothing here is shared with the master.
+    Handed over in-process for runtime 0; shipped at fork time to the
+    others (copy-on-write under the fork start method, pickled under
+    spawn), after which nothing here is shared with the master.
     """
 
     graph: Any
@@ -378,7 +311,8 @@ class _WorkerRuntime:
         #: Idle wall-clock before the current step command arrived, set by
         #: ``_worker_main`` around ``conn.recv()``; superstep 1 includes
         #: the process-boot wait, which is exactly the straggler signal a
-        #: slow-forking worker should show.
+        #: slow-forking worker should show.  Runtime 0 lives in the master
+        #: and never waits on a command: it stays 0.
         self.barrier_wait = 0.0
 
     # -- engine protocol for VertexContext -----------------------------------
@@ -679,32 +613,41 @@ def _worker_main(payload: _ShardPayload, conn) -> None:
 
 
 class ParallelExecutor:
-    """Shared-nothing multiprocess execution of the superstep loop.
+    """Shared-nothing execution of the superstep loop: the master is
+    process 0.
 
-    Long-lived worker processes are forked once per run holding their
-    partitions' contexts; each superstep is one round trip per worker over a
-    pipe (step command with aggregates out, report with metrics deltas
-    back).  The outbound batches ride the report and the master routes
-    them; it folds the reports into the cluster's accounting at the
-    barrier (:func:`_fold_reports`, the same fold the serial executor
-    calls) so the modeled metrics do not depend on the process count.
+    ``start`` forks processes 1 … P−1 — long-lived workers holding their
+    partitions' contexts — and then builds runtime 0 in the master
+    (forking first, so no child inherits runtime 0's contexts).  Each
+    superstep sends the step commands (aggregates and routed batches out),
+    runs runtime 0's step in-process while the workers run theirs, and
+    receives the other reports over the pipes.  The reports stay in
+    process order; the batches that rode them are routed on, and
+    :func:`_fold_reports` folds them into the cluster's accounting at the
+    barrier, so the modeled metrics do not depend on the process count.
+    With P = 1 nothing is forked — the serial executor is this class at
+    ``processes=1`` (``name`` is what the config asked for).
     """
-
-    name = "parallel"
 
     def __init__(
         self,
         processes: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         exchange: Optional[ExchangeConfig] = None,
+        name: str = "parallel",
     ):
         self.processes = processes
+        self.name = name
         #: Deterministic kill schedule (`repro.runtime.faults`); ``None``
-        #: runs fault-free.  Injected kills are real SIGKILLs delivered at
-        #: the top of the scheduled superstep (or mid-exchange for
-        #: ``:exchange``-phase actions).
+        #: runs fault-free.  Injected kills are real SIGKILLs delivered to a
+        #: forked worker at the top of the scheduled superstep (or
+        #: mid-exchange for ``:exchange``-phase actions); runtime 0 is the
+        #: master itself and is never a victim.
         self.fault_plan = fault_plan
         self.exchange = exchange or ExchangeConfig()
+        self._runtime: Optional[_WorkerRuntime] = None
+        #: Forked processes 1 … P−1 and the master's pipe ends to them:
+        #: ``_procs[p - 1]`` is process ``p``.
         self._procs: list = []
         self._conns: list = []
         self._pending_total = 0
@@ -717,7 +660,7 @@ class ParallelExecutor:
         # clear them), but a run torn down mid-flight — e.g. a query
         # cancelled at its deadline between ``abort`` and re-entry — must
         # not leak its workers into the next run.
-        if self._procs:
+        if self._procs or self._runtime is not None:
             self.abort()
         cluster = engine.cluster
         n_shards = cluster.num_workers
@@ -726,24 +669,39 @@ class ParallelExecutor:
         self._nprocs = procs
         self._engine = engine
         shard_to_proc = [s % procs for s in range(n_shards)]
-        partitioner = cluster.partitioner
         self._shard_to_proc = shard_to_proc
-        self._partitioner = partitioner
         self._last_superstep = 0
+        self._inbound: list[list] = [[] for _ in range(procs)]
+        self._pending_total = 0
+        per_states = [states]
+        if procs > 1:
+            # ``fresh`` and ``rescatter`` go to every runtime whole: a
+            # runtime only ever looks its own vertices up in them.
+            worker_of = cluster.partitioner.worker_of
+            per_states = [{} for _ in range(procs)]
+            for vid, state in states.items():
+                per_states[shard_to_proc[worker_of(vid)]][vid] = state
+            self._fork(engine, shard_to_proc, per_states, fresh, rescatter, warm)
+        self._runtime = _WorkerRuntime(
+            _ShardPayload.of(
+                engine, shard_to_proc, 0, per_states[0], fresh, rescatter, warm,
+                combine=self.exchange.combine,
+            ),
+            tracer=engine.tracer,
+        )
 
-        # ``fresh`` and ``rescatter`` go to every worker whole: a runtime
-        # only ever looks its own vertices up in them.
-        per_states: list[dict] = [{} for _ in range(procs)]
-        for vid, state in states.items():
-            per_states[shard_to_proc[partitioner.worker_of(vid)]][vid] = state
+    def _fork(self, engine, shard_to_proc, per_states, fresh, rescatter, warm):
+        """Start processes 1 … P−1, each with its share of the states.
 
-        # fork inherits the graph/program/states copy-on-write — no pickling
-        # of the (potentially large) payload; spawn platforms pickle it.
+        fork inherits the graph/program/states copy-on-write — no pickling
+        of the (potentially large) payload; spawn platforms pickle it.
+        """
         import multiprocessing as mp
 
         methods = mp.get_all_start_methods()
         ctx = mp.get_context("fork" if "fork" in methods else None)
-        if ctx.get_start_method() != "fork":
+        fork = ctx.get_start_method() == "fork"
+        if not fork:
             # Spawn pickles the payload per worker.  A compact graph can
             # dodge the copy entirely: migrate its buffer into shared
             # memory so the pickle carries only the segment name and every
@@ -757,12 +715,10 @@ class ParallelExecutor:
             # Complete the graph's piece index before forking: the workers
             # inherit it copy-on-write instead of each rebuilding its share
             # per run (mapped usrn(4.0), 9 024 edges: 30 ms; 120 ms on ITGR v2).
-            for vid in states:
-                engine.graph.piece_indexes(vid)
-        self._procs = []
-        self._conns = []
-        fork = ctx.get_start_method() == "fork"
-        for p in range(procs):
+            for share in per_states[1:]:
+                for vid in share:
+                    engine.graph.piece_indexes(vid)
+        for p in range(1, len(per_states)):
             parent_conn, child_conn = ctx.Pipe()
             payload = _ShardPayload.of(
                 engine, shard_to_proc, p,
@@ -777,31 +733,30 @@ class ParallelExecutor:
             child_conn.close()
             self._procs.append(proc)
             self._conns.append(parent_conn)
-        self._inbound: list[list] = [[] for _ in range(procs)]
-        self._pending_total = 0
 
     def has_pending(self) -> bool:
         return self._pending_total > 0
 
-    def _worker_died(self, i: int, detail: str = "") -> WorkerDiedError:
-        proc = self._procs[i]
+    def _worker_died(self, p: int, detail: str = "") -> WorkerDiedError:
+        proc = self._procs[p - 1]
         proc.join(timeout=10)
         return WorkerDiedError(
-            worker=i,
+            worker=p,
             superstep=self._last_superstep,
             exitcode=proc.exitcode,
             detail=detail,
         )
 
-    def _send_cmd(self, i: int, cmd: tuple) -> None:
+    def _send(self, p: int, cmd: tuple) -> None:
+        """Send ``cmd`` to forked process ``p``."""
         try:
-            self._conns[i].send(cmd)
+            self._conns[p - 1].send(cmd)
         except (BrokenPipeError, OSError) as exc:
-            raise self._worker_died(i, detail=str(exc)) from None
+            raise self._worker_died(p, detail=str(exc)) from None
 
     def _recv_all(self) -> list:
         replies = []
-        for i, conn in enumerate(self._conns):
+        for p, conn in enumerate(self._conns, 1):
             try:
                 reply = conn.recv()
             except EOFError:
@@ -809,22 +764,24 @@ class ParallelExecutor:
                 # gone (crash / SIGKILL / oom).  Recoverable via checkpoint
                 # rollback — unlike the user-program errors below, which
                 # would fail identically on every replay.
-                raise self._worker_died(i) from None
+                raise self._worker_died(p) from None
             if reply[0] == "error":
                 _, tb, exc = reply
                 if exc is not None:
                     raise exc
-                raise RuntimeError(f"parallel worker {i} failed:\n{tb}")
+                raise RuntimeError(f"parallel worker {p} failed:\n{tb}")
             replies.append(reply[1])
         return replies
 
     def run_superstep(self, superstep: int, metrics: RunMetrics) -> int:
         engine = self._engine
-        cluster = engine.cluster
         self._last_superstep = superstep
         exchange_victims: set[int] = set()
-        if self.fault_plan is not None:
-            for victim in self.fault_plan.victims(superstep, self._nprocs):
+        if self.fault_plan is not None and self._procs:
+            # Plans index the forked processes: ``kill:W@S`` targets
+            # process ``1 + W % (P−1)``.
+            forked = len(self._procs)
+            for victim in self.fault_plan.victims(superstep, forked):
                 # A real, uncatchable death — the master must discover it
                 # through the broken pipe exactly as it would a crash.
                 proc = self._procs[victim]
@@ -835,46 +792,53 @@ class ParallelExecutor:
             # worker SIGKILLs *itself* mid-exchange, with its batches
             # encoded and its report unsent.  Marked fired here, at ship
             # time, because the victim never reports back.
-            exchange_victims = set(
-                self.fault_plan.victims(superstep, self._nprocs, phase="exchange")
-            )
-        cluster.begin_superstep(superstep)
+            exchange_victims = {
+                1 + v
+                for v in self.fault_plan.victims(superstep, forked, phase="exchange")
+            }
+        engine.cluster.begin_superstep(superstep)
 
         aggregates = engine._aggregates
-        t0 = time.perf_counter()
-        for i in range(len(self._conns)):
-            self._send_cmd(
-                i,
-                ("step", superstep, aggregates, self._inbound[i],
-                 i in exchange_victims),
-            )
+        inbound = self._inbound
         self._inbound = [[] for _ in range(self._nprocs)]
-        reports = self._recv_all()
-        compute_wall = time.perf_counter() - t0
-
-        # The batches rode the reports; route them on.
-        for rep in reports:
-            for dest, buf in rep["out"].items():
-                self._inbound[dest].append(buf)
+        t0 = time.perf_counter()
+        for p in range(1, self._nprocs):
+            self._send(
+                p, ("step", superstep, aggregates, inbound[p], p in exchange_victims)
+            )
+        reports = [self._runtime.step(superstep, aggregates, inbound[0])]
+        if self._conns:
+            reports += self._recv_all()
+            compute_wall = time.perf_counter() - t0
+            # The batches rode the reports; route them on.
+            for rep in reports:
+                for dest, buf in rep["out"].items():
+                    self._inbound[dest].append(buf)
+        else:
+            # A cluster of one: the superstep *is* the vertex walk.
+            compute_wall = reports[0]["wall"]
         active, self._pending_total = _fold_reports(
             engine, metrics, reports, compute_wall
         )
         return active
 
     def collect_states(self) -> dict[Any, Any]:
-        for i in range(len(self._conns)):
-            self._send_cmd(i, ("collect",))
-        merged: dict[Any, Any] = {}
-        for states in self._recv_all():
-            merged.update(states)
-        return {vid: merged[vid] for vid in self._engine._seq}
+        for p in range(1, self._nprocs):
+            self._send(p, ("collect",))
+        states = self._runtime.collect()
+        if not self._conns:
+            return states  # one runtime holds every vertex in seq order
+        for share in self._recv_all():
+            states.update(share)
+        return {vid: states[vid] for vid in self._engine._seq}
 
     def snapshot(self) -> ExecutorSnapshot:
-        """Barrier-time snapshot across all worker processes.
+        """Barrier-time snapshot across all processes.
 
-        Each worker reports its states and the messages parked with it for
-        the next superstep — its worker-local pending list; the master adds
-        the cross-process batches still sitting in ``_inbound`` (decoded
+        Each runtime contributes its states and the messages parked with it
+        for the next superstep — its worker-local pending list (runtime 0's
+        in-process, the others' encoded); the master adds the
+        cross-process batches still sitting in ``_inbound`` (decoded
         non-destructively — the live bytes stay put for the next
         superstep).  Entries are merged with one stable sort by sender
         sequence, recreating the serial delivery order, so the snapshot is
@@ -882,10 +846,10 @@ class ParallelExecutor:
         """
         from .checkpoint import ExecutorSnapshot
 
-        for i in range(len(self._conns)):
-            self._send_cmd(i, ("snapshot",))
-        states: dict[Any, Any] = {}
-        pending: list[tuple] = []
+        for p in range(1, self._nprocs):
+            self._send(p, ("snapshot",))
+        states = self._runtime.collect()
+        pending = self._runtime.pending_entries()
         for rep in self._recv_all():
             states.update(rep["states"])
             pending.extend(decode_routed_batch(rep["pending"]))
@@ -893,22 +857,34 @@ class ParallelExecutor:
             for buf in batches:
                 pending.extend(decode_routed_batch(buf))
         pending.sort(key=lambda e: e[0])  # stable: per-sender order kept
-        states = {vid: states[vid] for vid in self._engine._seq}
+        if self._conns:
+            states = {vid: states[vid] for vid in self._engine._seq}
         return ExecutorSnapshot(states=states, pending=pending)
 
     def restore_pending(self, entries) -> None:
-        """Feed a checkpoint's pending messages back as inbound batches —
-        one re-encoded batch per destination process.  Combined 5-tuple
-        entries pass through intact, so the first resumed superstep
-        charges the receiver pass for the folded-away raw messages exactly
-        as the original run would have."""
+        """Hand a checkpoint's pending messages (already in delivery order)
+        back: runtime 0's share as its pending list, the others' as one
+        re-encoded inbound batch per process.  Combined 5-tuple entries
+        pass through intact, so the first resumed superstep charges the
+        receiver pass for the folded-away raw messages exactly as the
+        original run would have."""
         per_proc: dict[int, list] = {}
+        worker_of = self._engine.cluster.partitioner.worker_of
         for entry in entries:
-            shard = self._partitioner.worker_of(entry[1])
-            per_proc.setdefault(self._shard_to_proc[shard], []).append(entry)
+            proc = self._shard_to_proc[worker_of(entry[1])]
+            per_proc.setdefault(proc, []).append(entry)
+        self._runtime._pending = per_proc.pop(0, [])
         for p, ents in per_proc.items():
             self._inbound[p].append(encode_routed_batch(ents))
         self._pending_total = len(entries)
+
+    def _release(self) -> None:
+        """Drop the run's runtime 0.  The contexts point back at the
+        runtime: cutting the cycle frees the run's edge indexes and inboxes
+        now rather than at some later garbage collection."""
+        runtime, self._runtime = self._runtime, None
+        if runtime is not None:
+            runtime.contexts.clear()
 
     def close(self) -> None:
         """Shut workers down, **propagating** any death instead of hiding it.
@@ -920,24 +896,26 @@ class ParallelExecutor:
         instead of the old silent terminate-and-move-on.
 
         Idempotent: a second ``close()`` (or one after ``abort()``) finds
-        no processes and returns immediately, so a long-lived holder — the
-        serving tier keeps executors resident across queries — can close
-        defensively without tracking whether the last run already did.
+        no runtime and no processes and returns immediately, so a
+        long-lived holder — the serving tier keeps executors resident
+        across queries — can close defensively without tracking whether
+        the last run already did.
         """
+        self._release()
         failure: Optional[WorkerDiedError] = None
-        for i, conn in enumerate(self._conns):
+        for conn in self._conns:
             try:
                 conn.send(("stop",))
             except Exception:
                 pass  # already dead; the exit code check below reports it
-        for i, proc in enumerate(self._procs):
+        for p, proc in enumerate(self._procs, 1):
             proc.join(timeout=10)
             if proc.is_alive():  # pragma: no cover - crash cleanup
                 proc.terminate()
                 proc.join(timeout=10)
             if proc.exitcode not in (0, None) and failure is None:
                 failure = WorkerDiedError(
-                    worker=i,
+                    worker=p,
                     superstep=self._last_superstep,
                     exitcode=proc.exitcode,
                 )
@@ -953,6 +931,7 @@ class ParallelExecutor:
 
     def abort(self) -> None:
         """Best-effort teardown for error paths — never raises, never hangs."""
+        self._release()
         for proc in self._procs:
             try:
                 if proc.is_alive():

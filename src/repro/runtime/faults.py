@@ -7,19 +7,23 @@ checkpoint.  `repro.runtime.checkpoint` provides the checkpoints; this
 module provides the failures — on purpose, so the recovery path is
 exercised by tests and CI rather than waiting for a real crash.
 
-A :class:`FaultPlan` is a list of "kill worker-process *w* at superstep
-*s*" actions.  The :class:`~repro.runtime.executor.ParallelExecutor`
-consults the plan at the top of every superstep and delivers a real
-``SIGKILL`` to the victim — not an exception, not a mock: the process dies
-mid-run and the master discovers it through the broken pipe, exactly as it
-would a genuine crash.  Each action fires at most once so that the replay
-after recovery does not re-kill the respawned worker.
+A :class:`FaultPlan` is a list of "kill worker *w* at superstep *s*"
+actions.  The master is process 0 and a P-process run forks processes
+1 … P−1; action *w* targets forked process ``1 + w % (P−1)``, so the
+master itself is never a victim and with P = 1 a plan does nothing.  The
+:class:`~repro.runtime.executor.ParallelExecutor` consults the plan at the
+top of every superstep and delivers a real ``SIGKILL`` to the victim — not
+an exception, not a mock: the process dies mid-run and the master
+discovers it through the broken pipe, exactly as it would a genuine crash.
+Each action fires at most once so that the replay after recovery does not
+re-kill the respawned worker.
 
 Failure taxonomy
 ----------------
 ``WorkerDiedError``
     A worker *process* vanished (nonzero exit / killed / pipe EOF).  Raised
-    by the executor with the worker id, last superstep and exit code;
+    by the executor with the process number (1 … P−1), last superstep and
+    exit code;
     recoverable when checkpointing gives the engine somewhere to roll back
     to (the engine also recovers checkpoint-less runs by replaying from
     superstep 1).
@@ -82,11 +86,12 @@ class UnrecoverableRunError(RuntimeError):
 
 @dataclass
 class FaultAction:
-    """Kill worker-process ``worker`` at the start of ``superstep``.
+    """Kill forked worker ``worker`` at the start of ``superstep``.
 
-    ``worker`` indexes the executor's *processes* (0-based); plans written
-    against more processes than a run actually has wrap via modulo, so a
-    seeded plan stays meaningful at any scale.
+    ``worker`` indexes the executor's *forked* processes (0-based: action
+    ``w`` of a P-process run kills process ``1 + w % (P−1)``); plans
+    written against more processes than a run actually has wrap via
+    modulo, so a seeded plan stays meaningful at any scale.
 
     ``phase`` refines *when* within the superstep the kill lands: the
     default ``""`` is the historical top-of-superstep SIGKILL from the
@@ -137,8 +142,9 @@ class FaultPlan:
     def parse(cls, spec: str) -> "FaultPlan":
         """Parse the ``REPRO_FAULT_PLAN`` environment syntax.
 
-        ``"kill:1@3"`` kills worker 1 at superstep 3 (comma-separate for
-        several), ``"kill:1@3:exchange"`` kills it mid barrier exchange
+        ``"kill:1@3"`` kills forked process ``1 + 1 % (P−1)`` at superstep 3
+        (comma-separate for several), ``"kill:1@3:exchange"`` kills it mid
+        barrier exchange
         instead of at the top of the superstep, ``"seed:42"`` builds
         :meth:`seeded` with that seed.
         """
@@ -174,8 +180,8 @@ class FaultPlan:
         )
 
     def victims(self, superstep: int, num_procs: int, phase: str = "") -> list[int]:
-        """Worker-process indexes to kill at ``superstep`` in ``phase``;
-        marks them fired."""
+        """Indexes into ``num_procs`` forked processes to kill at
+        ``superstep`` in ``phase``; marks them fired."""
         out = []
         for action in self.actions:
             if (

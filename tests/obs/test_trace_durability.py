@@ -28,8 +28,10 @@ from repro.runtime.cluster import SimulatedCluster
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-# A real 2-process run whose trace writer sleeps after each record, so
-# the parent can SIGKILL it mid-superstep with certainty.
+# A real 3-process run — the master is process 0 and forks two workers,
+# the later of which inherits the earlier one's master pipe end — whose
+# trace writer sleeps after each record, so the parent can SIGKILL it
+# mid-superstep with certainty.
 CHILD = """
 import sys, time
 sys.path.insert(0, {src!r})
@@ -46,7 +48,7 @@ class SlowWriter(JsonlTraceWriter):
 run_algorithm(
     "BFS", "GRAPHITE", transit_graph(),
     cluster=SimulatedCluster(5), graph_name="transit",
-    icm_options={{"executor": "parallel", "executor_processes": 2}},
+    icm_options={{"executor": "parallel", "executor_processes": 3}},
     observe=SlowWriter(sys.argv[1]),
 )
 """

@@ -16,6 +16,7 @@ import pytest
 from repro import api
 from repro.algorithms import ALL_ALGORITHMS, run_algorithm
 from repro.datasets import transit_graph
+from repro.obs.observers import InMemoryEvents
 from repro.runtime.checkpoint import (
     EXCHANGE_FINGERPRINT,
     CheckpointError,
@@ -221,11 +222,43 @@ def test_recovery_metrics_account_the_crash(tmp_path):
     assert rec.checkpoint_bytes > 0
 
 
+@pytest.mark.parametrize("processes,spec", [(2, "kill:0@2"), (3, "kill:2@3")])
+def test_kill_targets_a_forked_process(processes, spec, tmp_path):
+    """The master is process 0 and never a victim: ``kill:W@S`` kills
+    forked process ``1 + W % (P−1)``, the death names that process, and the
+    recovered run is bit-identical to serial."""
+    ref = _run("SSSP")
+    plan = FaultPlan.parse(spec)
+    events = InMemoryEvents()
+    crashed = run_algorithm(
+        "SSSP", "GRAPHITE", transit_graph(),
+        cluster=SimulatedCluster(5), graph_name="transit",
+        icm_options={
+            "executor": ParallelExecutor(processes=processes, fault_plan=plan),
+            "checkpoint_every": 1,
+            "checkpoint_dir": str(tmp_path),
+        },
+        observe=events,
+    )
+    _assert_identical(ref, crashed)
+    assert plan.pending() == 0 and crashed.metrics.recovery.restarts == 1
+    victim = 1 + plan.actions[0].worker % (processes - 1)
+    assert [e["data"]["worker"] for e in events.of_type("worker_death")] == [victim]
+
+
+def test_one_process_plan_does_nothing():
+    """At P = 1 there is no forked process to kill: the plan never fires."""
+    plan = FaultPlan.parse("kill:0@2")
+    run = _run("SSSP", executor=ParallelExecutor(processes=1, fault_plan=plan))
+    _assert_identical(_run("SSSP"), run)
+    assert plan.pending() == 1 and run.metrics.recovery.restarts == 0
+
+
 # -- close() propagation (satellite bugfix) ------------------------------------
 
 
 class _KillAfterCollect(ParallelExecutor):
-    """Kills worker 0 after the final collect — the death only a close()
+    """Kills forked worker 1 after the final collect — the death only a close()
     exit-code check can see (the old close() silently swallowed it)."""
 
     def collect_states(self):
@@ -247,7 +280,7 @@ def test_close_propagates_worker_death():
         )
     died = err.value.__cause__
     assert isinstance(died, WorkerDiedError)
-    assert died.worker == 0
+    assert died.worker == 1
     assert died.exitcode is not None and died.exitcode != 0
 
 

@@ -24,11 +24,7 @@ from repro.core.tracing import ExecutionTracer
 from repro.datasets import transit_graph
 from repro.graph.compact import CompactGraph
 from repro.runtime.cluster import SimulatedCluster
-from repro.runtime.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    resolve_executor,
-)
+from repro.runtime.executor import ParallelExecutor, resolve_executor
 from repro.runtime.partitioner import PARTITIONER_KINDS
 
 PARALLEL = {"executor": "parallel", "executor_processes": 2}
@@ -183,11 +179,14 @@ def test_parallel_worker_wall_times_per_process(graph_image):
 
 
 def test_resolve_executor():
-    assert resolve_executor(EngineConfig()).name == "serial"
-    assert resolve_executor(_config(executor="serial")).name == "serial"
+    # The serial executor is the one executor class at one process.
+    for config in (EngineConfig(), _config(executor="serial")):
+        serial = resolve_executor(config)
+        assert isinstance(serial, ParallelExecutor)
+        assert serial.name == "serial" and serial.processes == 1
     parallel = resolve_executor(_config(executor="parallel", executor_processes=3))
     assert parallel.name == "parallel" and parallel.processes == 3
-    inst = SerialExecutor()
+    inst = ParallelExecutor(processes=1, name="serial")
     assert resolve_executor(_config(executor=inst)) is inst
     with pytest.raises(ValueError, match="unknown"):
         _config(executor="threads")

@@ -603,6 +603,33 @@ class TestExecutorLifecycleReuse:
             assert a.payload == b.payload
 
 
+    def test_parallel_lanes_answer_concurrent_queries_like_serial(self):
+        """Two lanes under ``executor=parallel``: each lane's thread hosts
+        runtime 0 of its query in the daemon (the master is process 0)
+        while the other lane's query runs beside it.  Concurrent BFS, SSSP
+        and PR answers equal the serial ones."""
+        queries = [("BFS", {"source": "A"}), ("SSSP", {"source": "A"}),
+                   ("PR", None)] * 2
+        got = [None] * len(queries)
+
+        def client(service, i):
+            algorithm, params = queries[i]
+            got[i] = service.query(algorithm, params=params,
+                                   options={"no_cache": True}).payload
+
+        with make_service(executor="parallel", executor_processes=2,
+                          serve_max_concurrency=2) as service:
+            threads = [threading.Thread(target=client, args=(service, i))
+                       for i in range(len(queries))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        expected = {algorithm: direct_payload(transit_graph(), algorithm)
+                    for algorithm in ("BFS", "SSSP", "PR")}
+        assert got == [expected[algorithm] for algorithm, _ in queries]
+
 class TestSubmitRequests:
     def test_submit_takes_a_request_object(self):
         with make_service() as service:
