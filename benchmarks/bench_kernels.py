@@ -8,15 +8,16 @@ Times the engine's hot kernels on synthetic workloads —
 * **state**       — ``PartitionedState.set_many`` bulk updates, against
                     sequential ``set()`` calls;
 * **encode**      — message codec round-trip (no reference; tracked as
-                    time normalised by a pure-Python calibration loop so
-                    the number is comparable across machines);
+                    time normalised by a pure-Python calibration loop,
+                    timed beside each repeat, so the number is comparable
+                    across machines);
 * **checkpoint**  — a full interval-centric run (~10k messages) with
                     barrier checkpointing
                     (``checkpoint_every=4``) against the plain run, after
                     asserting identical states.  The gated metric is the
-                    *overhead ratio* (checkpointed / plain wall-clock),
-                    hardware-independent like a speedup; full mode enforces
-                    a hard <15% ceiling.
+                    *overhead ratio* (checkpointed / plain wall-clock,
+                    the two run in turn), hardware-independent like a
+                    speedup; full mode enforces a hard <15% ceiling.
 * **observability** — the same engine workload fully instrumented (JSON-lines
                     trace writer + in-memory event observer) against the
                     uninstrumented run, after asserting identical states.
@@ -152,27 +153,57 @@ SIZES = {
 }
 
 
+def _timed(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
 def best_of(fn, repeats: int) -> float:
     """Minimum wall-clock over ``repeats`` runs (noise-robust)."""
-    best = float("inf")
+    return min(_timed(fn) for _ in range(repeats))
+
+
+def best_of_alternating(first, second, repeats: int) -> tuple[float, float]:
+    """Minimum wall-clock of each of two functions over ``repeats`` runs,
+    run in turn — first, second, first, … — so that a stretch of host noise
+    falls on both sides of a ratio instead of on one side's whole series."""
+    a = b = float("inf")
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - t0
-        if elapsed < best:
-            best = elapsed
-    return best
+        a = min(a, _timed(first))
+        b = min(b, _timed(second))
+    return a, b
+
+
+def _calibration_loop():
+    acc = 0
+    for i in range(2_000_00):
+        acc += i % 7
+    return acc
 
 
 def calibration_seconds() -> float:
     """A fixed pure-Python workload; normalising by it makes absolute
     timings roughly comparable across machines and interpreters."""
-    def loop():
-        acc = 0
-        for i in range(2_000_00):
-            acc += i % 7
-        return acc
-    return best_of(loop, 3)
+    return best_of(_calibration_loop, 3)
+
+
+def best_normalized(fn, repeats: int) -> tuple[float, float]:
+    """``(best wall-clock, best normalized)`` over ``repeats`` runs of ``fn``.
+
+    Each run is normalised by the calibration loop timed right before and
+    right after it (their mean): a stretch of host noise slows the
+    calibration beside a run as much as the run itself, where a single
+    calibration at start-up would leave the run's share of the noise in
+    the ratio."""
+    best = ratio = float("inf")
+    for _ in range(repeats):
+        before = _timed(_calibration_loop)
+        elapsed = _timed(fn)
+        after = _timed(_calibration_loop)
+        best = min(best, elapsed)
+        ratio = min(ratio, 2 * elapsed / (before + after))
+    return best, ratio
 
 
 # -- synthetic workloads -------------------------------------------------------
@@ -252,7 +283,7 @@ def bench_state(sizes, repeats):
     return {"opt_s": opt, "ref_s": ref, "speedup": ref / opt}
 
 
-def bench_encode(sizes, repeats, calib):
+def bench_encode(sizes, repeats):
     rng = random.Random(0xFEED)
     msgs = [
         IntervalMessage(
@@ -266,8 +297,8 @@ def bench_encode(sizes, repeats, calib):
         for m in msgs:
             decode_message(encode_message(m))
 
-    opt = best_of(roundtrip, repeats)
-    return {"opt_s": opt, "normalized": opt / calib}
+    opt, normalized = best_normalized(roundtrip, repeats)
+    return {"opt_s": opt, "normalized": normalized}
 
 
 class _FloodMin(IntervalProgram):
@@ -362,8 +393,7 @@ def bench_checkpoint_overhead(sizes, repeats):
         assert ckpt.metrics.recovery.checkpoints_written > 0, (
             "checkpoint cadence never fired on the bench workload"
         )
-        plain_s = best_of(run, repeats)
-        ckpt_s = best_of(lambda: run(ckpt_dir), repeats)
+        plain_s, ckpt_s = best_of_alternating(run, lambda: run(ckpt_dir), repeats)
     finally:
         shutil.rmtree(ckpt_dir, ignore_errors=True)
     return {
@@ -417,8 +447,7 @@ def bench_observability_overhead(sizes, repeats):
         ), "observation perturbed the modeled metrics"
         # Benchmark logs share the CLI's metric renderer (one code path).
         print(render_summary(observed.metrics))
-        plain_s = best_of(run, repeats)
-        instrumented_s = best_of(instrumented, repeats)
+        plain_s, instrumented_s = best_of_alternating(run, instrumented, repeats)
     finally:
         shutil.rmtree(trace_dir, ignore_errors=True)
     return {
@@ -488,8 +517,7 @@ def bench_span_overhead(sizes, repeats):
             getattr(plain.metrics, f) == getattr(observed.metrics, f)
             for f in modeled
         ), "span capture perturbed the modeled metrics"
-        plain_s = best_of(run, repeats)
-        instrumented_s = best_of(instrumented, repeats)
+        plain_s, instrumented_s = best_of_alternating(run, instrumented, repeats)
     finally:
         shutil.rmtree(trace_dir, ignore_errors=True)
     return {
@@ -660,14 +688,14 @@ def _build_compact_workload(sizes):
     return builder.build()
 
 
-def bench_compact_build(sizes, repeats, calib):
+def bench_compact_build(sizes, repeats):
     """Freezing a heap graph into the compact columnar image.
 
     Correctness first: the frozen graph must carry the same checkpoint
     fingerprint as its heap source (the bit-identity contract).  The
     gated metric is build wall-clock normalised by the calibration loop
-    (host-robust); resident bytes of both stores ride along for the
-    record.
+    timed beside each repeat (host-robust); resident bytes of both stores
+    ride along for the record.
     """
     from repro.graph.compact import CompactGraph
     from repro.graph.stats import resident_bytes
@@ -678,10 +706,10 @@ def bench_compact_build(sizes, repeats, calib):
     assert graph_fingerprint(compact) == graph_fingerprint(graph), (
         "compact graph fingerprint diverged from its heap source"
     )
-    opt = best_of(lambda: CompactGraph.from_temporal(graph), repeats)
+    opt, normalized = best_normalized(lambda: CompactGraph.from_temporal(graph), repeats)
     return {
         "opt_s": opt,
-        "normalized": opt / calib,
+        "normalized": normalized,
         "heap_bytes": resident_bytes(graph),
         "resident_bytes": compact.nbytes,
         "vertices": graph.num_vertices,
@@ -821,14 +849,14 @@ def main(argv=None) -> int:
         ("warp_10k", lambda: bench_warp(sizes, repeats)),
         ("warp_combine_10k", lambda: bench_warp_combine(sizes, repeats)),
         ("state_bulk_update", lambda: bench_state(sizes, repeats)),
-        ("encode_roundtrip", lambda: bench_encode(sizes, repeats, calib)),
+        ("encode_roundtrip", lambda: bench_encode(sizes, repeats)),
         ("checkpoint_overhead", lambda: bench_checkpoint_overhead(sizes, repeats)),
         ("observability_overhead",
          lambda: bench_observability_overhead(sizes, repeats)),
         ("span_overhead", lambda: bench_span_overhead(sizes, repeats)),
         ("partition_quality", lambda: bench_partition_quality(sizes)),
         ("exchange_bytes", lambda: bench_exchange_bytes(sizes)),
-        ("compact_build", lambda: bench_compact_build(sizes, repeats, calib)),
+        ("compact_build", lambda: bench_compact_build(sizes, repeats)),
         ("compact_load", lambda: bench_compact_load(sizes, repeats)),
     ):
         result = fn()

@@ -44,12 +44,11 @@ class TemporalEAT(IntervalProgram):
         if best < state:
             ctx.set_state(interval, best)
 
-    def scatter(self, ctx, edge, interval: Interval, state: int):
+    def transfer(self, ctx, edge, start: int, end: int, state: int, piece):
         if state >= NEVER:
             return None
-        travel_time = edge.get(self.time_label, 1)
-        arrival = interval.start + travel_time
-        return [(Interval(arrival, FOREVER), arrival)]
+        arrival = start + piece.get(self.time_label, 1)
+        return (arrival, FOREVER, arrival)
 
 
 def earliest_arrival(state: PartitionedState) -> Optional[int]:

@@ -69,34 +69,34 @@ class TemporalFAST(IntervalProgram):
         if state == SOURCE:
             return
         latest_start, best_duration = state
-        new_start = max((s for s, _ in messages), default=-1)
-        new_duration = min((a - s for s, a in messages), default=FOREVER)
+        new_start, new_duration = -1, FOREVER
+        for s, a in messages:
+            if s > new_start:
+                new_start = s
+            if a - s < new_duration:
+                new_duration = a - s
         if new_start > latest_start or new_duration < best_duration:
             ctx.set_state(
                 interval, (max(latest_start, new_start), min(best_duration, new_duration))
             )
 
-    def scatter(self, ctx, edge, interval: Interval, state):
-        travel_time = edge.get(self.time_label, 1)
+    def transfer(self, ctx, edge, start: int, end: int, state, piece):
+        travel_time = piece.get(self.time_label, 1)
         if state == SOURCE:
             # One journey per distinct departure time-point in the window.
-            window = interval
-            if window.is_unbounded:
+            if end >= FOREVER:
                 if self.horizon is None:
                     raise ValueError("FAST needs a horizon for unbounded departure windows")
-                clipped = window.intersect(Interval(0, self.horizon))
-                if clipped is None:
-                    return None
-                window = clipped
+                end = min(end, self.horizon)
             return [
-                (Interval(t + travel_time, FOREVER), (t, t + travel_time))
-                for t in window.points()
+                (t + travel_time, FOREVER, (t, t + travel_time))
+                for t in range(start, end)
             ]
         latest_start, _ = state
         if latest_start < 0:
             return None
-        arrival = interval.start + travel_time
-        return [(Interval(arrival, FOREVER), (latest_start, arrival))]
+        arrival = start + travel_time
+        return (arrival, FOREVER, (latest_start, arrival))
 
 
 def fastest_duration(state: PartitionedState) -> Optional[int]:

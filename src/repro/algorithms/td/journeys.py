@@ -54,17 +54,13 @@ class TemporalSSSPJourneys(IntervalProgram):
         if best != state:
             ctx.set_state(interval, best)
 
-    def scatter(self, ctx, edge, interval: Interval, state):
+    def transfer(self, ctx, edge, start: int, end: int, state, piece):
         cost = state[0]
         if cost >= FOREVER:
             return None
-        travel_time = edge.get(self.time_label, 1)
-        travel_cost = edge.get(self.cost_label, 1)
-        departure = interval.start
-        return [(
-            Interval(departure + travel_time, FOREVER),
-            (cost + travel_cost, departure, ctx.vertex_id),
-        )]
+        travel_time = piece.get(self.time_label, 1)
+        travel_cost = piece.get(self.cost_label, 1)
+        return (start + travel_time, FOREVER, (cost + travel_cost, start, ctx.vertex_id))
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,10 @@ class TemporalKCore(IntervalProgram):
         remaining = state - drops
         ctx.set_state(interval, DEAD if remaining < self.k else remaining)
 
-    def scatter(self, ctx, edge, interval: Interval, state):
+    def transfer(self, ctx, edge, start: int, end: int, state, piece):
         # Only deaths propagate; surviving-degree updates are local.
         if state == DEAD:
-            return [(interval, 1)]
+            return (start, end, 1)
         return None
 
 

@@ -63,11 +63,11 @@ class TemporalLCC(IntervalProgram):
                 value = count / possible if possible > 0 else 0.0
                 ctx.set_state(segment, ("lcc", value))
 
-    def scatter(self, ctx, edge, interval: Interval, state):
+    def transfer(self, ctx, edge, start: int, end: int, state, piece):
         if state == SEED:
-            return [(interval, ("nbr", ctx.vertex_id))]
+            return (start, end, ("nbr", ctx.vertex_id))
         if state and state[0] == "origins":
-            return [(interval, ("fwd", state[1]))]
+            return (start, end, ("fwd", state[1]))
         return None
 
 

@@ -59,16 +59,16 @@ class TemporalLD(IntervalProgram):
         if best > state:
             ctx.set_state(interval, best)
 
-    def scatter(self, ctx, edge, interval: Interval, state: int):
+    def transfer(self, ctx, edge, start: int, end: int, state: int, piece):
         if state <= IMPOSSIBLE:
             return None
-        travel_time = edge.get(self.time_label, 1)
+        travel_time = piece.get(self.time_label, 1)
         # Original departures in this piece land at t + travel_time, which
         # must be no later than the downstream latest departure.
-        t_max = min(interval.end - 1, state - travel_time)
-        if t_max < interval.start:
+        t_max = min(end - 1, state - travel_time)
+        if t_max < start:
             return None
-        return [(Interval(0, t_max + 1), t_max)]
+        return (0, t_max + 1, t_max)
 
 
 def latest_departure(state: PartitionedState) -> Optional[int]:

@@ -40,11 +40,10 @@ class TemporalReachability(IntervalProgram):
         if not state and any(messages):
             ctx.set_state(interval, True)
 
-    def scatter(self, ctx, edge, interval: Interval, state: bool):
+    def transfer(self, ctx, edge, start: int, end: int, state: bool, piece):
         if not state:
             return None
-        travel_time = edge.get(self.time_label, 1)
-        return [(Interval(interval.start + travel_time, FOREVER), True)]
+        return (start + piece.get(self.time_label, 1), FOREVER, True)
 
 
 def is_reachable(state: PartitionedState) -> bool:

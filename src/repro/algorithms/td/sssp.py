@@ -24,7 +24,7 @@ INFINITY = FOREVER
 
 
 class TemporalSSSP(IntervalProgram):
-    """Interval-centric temporal SSSP (Alg. 1 verbatim).
+    """Interval-centric temporal SSSP (Alg. 1; its scatter as a row ``transfer``).
 
     Parameters
     ----------
@@ -57,15 +57,15 @@ class TemporalSSSP(IntervalProgram):
         if best < state:
             ctx.set_state(interval, best)
 
-    def scatter(self, ctx, edge, interval: Interval, state: int):
+    def transfer(self, ctx, edge, start: int, end: int, state: int, piece):
         if state >= INFINITY:
             return None
-        travel_time = edge.get(self.time_label, 1)
-        travel_cost = edge.get(self.cost_label, 1)
+        travel_time = piece.get(self.time_label, 1)
+        travel_cost = piece.get(self.cost_label, 1)
         # The journey departs no earlier than the start of the overlap of
         # the updated state and the edge piece, arriving travel_time later;
         # the cost is valid from that arrival time onwards.
-        return [(Interval(interval.start + travel_time, FOREVER), state + travel_cost)]
+        return (start + travel_time, FOREVER, state + travel_cost)
 
 
 class TgbSSSP(ChainForwardingProgram):

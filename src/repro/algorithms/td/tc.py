@@ -59,11 +59,11 @@ class TemporalTC(IntervalProgram):
                 if lo >= interval.start and hi <= interval.end:
                     ctx.set_state(Interval(lo, hi), ("tc", running))
 
-    def scatter(self, ctx, edge, interval: Interval, state):
+    def transfer(self, ctx, edge, start: int, end: int, state, piece):
         if state == SEED:
-            return [(interval, ("nbr", ctx.vertex_id))]
+            return (start, end, ("nbr", ctx.vertex_id))
         if state and state[0] == "wedge":
-            return [(interval, ("fwd", state[1]))]
+            return (start, end, ("fwd", state[1]))
         return None
 
 

@@ -47,12 +47,11 @@ class TemporalTMST(IntervalProgram):
         if best < state:
             ctx.set_state(interval, best)
 
-    def scatter(self, ctx, edge, interval: Interval, state):
+    def transfer(self, ctx, edge, start: int, end: int, state, piece):
         if state[0] >= FOREVER:
             return None
-        travel_time = edge.get(self.time_label, 1)
-        arrival = interval.start + travel_time
-        return [(Interval(arrival, FOREVER), (arrival, ctx.vertex_id))]
+        arrival = start + piece.get(self.time_label, 1)
+        return (arrival, FOREVER, (arrival, ctx.vertex_id))
 
 
 def tmst_parent(state: PartitionedState) -> Optional[tuple[int, Any]]:

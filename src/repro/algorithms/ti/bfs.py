@@ -42,12 +42,12 @@ class TemporalBFS(IntervalProgram):
         if best < state:
             ctx.set_state(interval, best)
 
-    def scatter(self, ctx, edge, interval: Interval, state: int):
+    def transfer(self, ctx, edge, start: int, end: int, state: int, piece):
         if state >= UNREACHED:
             return None
         # TI semantics: the hop stays within each snapshot, so the message
         # interval is inherited from the (state ∩ edge) overlap.
-        return [(interval, state + 1)]
+        return (start, end, state + 1)
 
 
 class SnapshotBFS(VertexProgram):

@@ -7,7 +7,7 @@ The fixed-superstep Pregel formulation (10 rounds, damping 0.85):
 Both ``N_t`` (vertices alive at ``t``) and out-degrees vary over time; the
 ICM variant handles this by splitting state updates at vertex-count change
 points and message emission at out-degree change points
-(:meth:`VertexContext.out_degree_segments`), so one interval-graph run
+(:meth:`VertexContext.out_degree_rows`), so one interval-graph run
 matches the per-snapshot baseline pointwise.
 """
 
@@ -72,14 +72,14 @@ class TemporalPageRank(IntervalProgram):
         for seg, n in self._count_segments(interval):
             ctx.set_state(seg, (1.0 - self.damping) / n + self.damping * total)
 
-    def scatter(self, ctx, edge, interval: Interval, state: float):
+    def transfer(self, ctx, edge, start: int, end: int, state: float, piece):
         if ctx.superstep >= self.fixed_supersteps:
             return None
-        out = []
-        for seg, degree in ctx.out_degree_segments(interval):
-            if degree > 0:
-                out.append((seg, state / degree))
-        return out
+        return [
+            (lo, hi, state / degree)
+            for lo, hi, degree in ctx.out_degree_rows(start, end)
+            if degree > 0
+        ]
 
 
 class SnapshotPageRank(VertexProgram):

@@ -69,10 +69,10 @@ class MinLabelPass(IntervalProgram):
         if best < state:
             ctx.set_state(interval, best)
 
-    def scatter(self, ctx, edge, interval: Interval, state: Any):
+    def transfer(self, ctx, edge, start: int, end: int, state: Any, piece):
         if state == BLOCKED:
             return None
-        return [(interval, state)]
+        return (start, end, state)
 
 
 @dataclass

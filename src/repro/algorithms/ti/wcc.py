@@ -59,7 +59,9 @@ class TemporalWCC(IntervalProgram):
         if best < state:
             ctx.set_state(interval, best)
 
-    # Default scatter forwards the updated label over the overlap interval.
+    def transfer(self, ctx, edge, start: int, end: int, state: Any, piece):
+        # Forward the updated label over the overlap (the default scatter).
+        return (start, end, state)
 
 
 class SnapshotWCC(VertexProgram):

@@ -74,7 +74,7 @@ class VertexContext:
         self._current_interval: Optional[Interval] = None
         self._phase = "idle"  # the processor stores "init" / "compute" / "scatter"
         #: ``(bounds, degrees)`` of the out-degree timeline, built on the
-        #: first :meth:`out_degree_segments` call; dies with the context.
+        #: first :meth:`out_degree_rows` call; dies with the context.
         self._degree_timeline: Optional[tuple[list[int], list[int]]] = None
 
     # -- static attributes ---------------------------------------------------
@@ -110,14 +110,20 @@ class VertexContext:
         return self._vertex.properties.value_at(label, t)
 
     def out_degree_segments(self, interval: Interval) -> list[tuple[Interval, int]]:
-        """Piecewise-constant out-degree over ``interval``.
+        """Piecewise-constant out-degree over ``interval``: the segments of
+        :meth:`out_degree_rows`, boxed.  The list is the caller's."""
+        make = Interval._unchecked  # start < cuts < end, ascending
+        return [(make(s, e), d) for s, e, d in self.out_degree_rows(interval.start, interval.end)]
 
-        Splits ``interval`` at every out-edge lifespan boundary and reports
+    def out_degree_rows(self, start: int, end: int) -> list[tuple[int, int, int]]:
+        """Piecewise-constant out-degree over ``[start, end)`` as
+        ``(start, end, degree)`` rows, the form a ``transfer`` reads.
+
+        Splits the interval at every out-edge lifespan boundary and reports
         the number of live out-edges per segment — what PageRank needs to
         divide its rank share correctly as the topology evolves.  Segments
         with zero live edges are included (degree 0), and neighbouring
         segments of equal degree stay split at the boundary between them.
-
         Answered from the vertex's degree timeline — its sorted out-edge
         lifespan boundaries with the running degree between them — built
         on first use and sliced by bisection.  The list is the caller's.
@@ -126,22 +132,20 @@ class VertexContext:
         if timeline is None:
             timeline = self._degree_timeline = self._build_degree_timeline()
         bounds, degrees = timeline
-        start, end = interval.start, interval.end
         # The cuts are the bounds strictly inside the interval;
         # ``degrees[i]`` is the degree just before ``bounds[i]``, so the
         # segment ending at ``bounds[i]`` — or at ``end``, for ``i == last``
         # — has degree ``degrees[i]``.
         first = bisect_right(bounds, start)
         last = bisect_left(bounds, end)
-        make = Interval._unchecked  # start < cuts < end, ascending
-        segments = []
+        rows = []
         lo = start
         for idx in range(first, last):
             hi = bounds[idx]
-            segments.append((make(lo, hi), degrees[idx]))
+            rows.append((lo, hi, degrees[idx]))
             lo = hi
-        segments.append((make(lo, end), degrees[last]))
-        return segments
+        rows.append((lo, end, degrees[last]))
+        return rows
 
     def _build_degree_timeline(self) -> tuple[list[int], list[int]]:
         """``(bounds, degrees)``: the distinct out-edge lifespan boundaries

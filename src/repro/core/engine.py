@@ -9,7 +9,7 @@ Execution alternates computation and communication phases over supersteps:
    vertex's partitioned states; ``compute`` is invoked once per warped
    triple.  State updates are recorded, and the pre-scatter time-join maps
    each updated sub-interval onto the property-constant pieces of each
-   out-edge, invoking ``scatter`` once per overlap.
+   out-edge, invoking ``scatter`` (or its row form ``transfer``) once per overlap.
 3. Messages are delivered at the global barrier; vertices implicitly vote to
    halt and are reactivated only by messages.  The run stops when no
    messages are in flight (or after ``fixed_supersteps`` for algorithms like
@@ -35,6 +35,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Optional
 
 from repro.runtime.cluster import SimulatedCluster
@@ -43,9 +44,9 @@ from repro.runtime.partitioner import build_partitioner, partitioner_fingerprint
 
 from .combiner import coalesce_messages
 from .config import EngineConfig
-from .context import EdgeContext, MasterContext, VertexContext
+from .context import MasterContext, VertexContext
 from .interval import FOREVER, Interval, coalesce
-from .messages import IntervalMessage, Row
+from .messages import Row
 from .program import IntervalProgram
 from .state import PartitionedState
 from .warp import warp_rows
@@ -138,6 +139,11 @@ class VertexProcessor:
         self.suppression_expansion_cap = suppression_expansion_cap
         self.tracer = tracer
         self.superstep = 0
+        # Per overlap, the first class in the MRO defining transfer or scatter wins.
+        owner = next((k for k in type(program).__mro__
+                      if "transfer" in vars(k) or "scatter" in vars(k)), object)
+        self.transfer = (program.transfer if "transfer" in vars(owner)
+                         else partial(IntervalProgram.transfer, program))
         #: Measured wall-clock the current superstep spent inside
         #: :meth:`scatter_updates`; the driving executor resets it per
         #: superstep and folds it into that step's ``worker_span``.
@@ -374,17 +380,17 @@ class VertexProcessor:
             self.scatter_wall += time.perf_counter() - t_scatter
 
     def _scatter_windows(self, ctx, updated, out_edges, metrics, send_batch) -> float:
-        """The pre-scatter time-join and ``scatter`` dispatch, as one loop.
+        """The pre-scatter time-join and ``transfer`` dispatch, as one loop.
 
         Per (updated window, out-edge) the state's slices and the edge's
         property-constant pieces are both partitioned covers of the
         overlap, so pairing them is a linear walk: one bisection into
         ``PieceIndex.cuts``, then a cursor that only moves forward.  Each
-        pairing builds the one ``Interval`` and ``EdgeContext`` its
-        ``scatter`` call is handed; what the call returns becomes rows.
+        pairing is one call of the resolved ``transfer`` with ints and the
+        piece's dict; each row it returns is checked and goes to the outbox.
         """
         program = self.program
-        scatter = program.scatter
+        transfer = self.transfer
         tracer = self.tracer
         superstep = self.superstep
         per_call = self.model.per_scatter_call_s
@@ -428,34 +434,26 @@ class VertexProcessor:
                             i += 1
                         else:
                             cut = hi
-                        common = mk_interval(lo, cut)
                         if tracer is not None:
-                            tracer.on_scatter(superstep, vid, edge.eid, common, s_val)
+                            tracer.on_scatter(superstep, vid, edge.eid, mk_interval(lo, cut), s_val)
                         # What the call returns is the program's too: a bad
-                        # item is its error, at this vertex and interval.
+                        # row is its error, at this vertex and interval.
                         try:
-                            result = scatter(
-                                ctx, EdgeContext(edge, common, piece), common, s_val
-                            )
-                            if result is not None:
-                                for item in result:
-                                    if type(item) is tuple:
-                                        interval, value = item
-                                    elif item is None:
-                                        continue
-                                    elif isinstance(item, IntervalMessage):
-                                        interval = item.interval
-                                        value = item.value
-                                    else:
-                                        interval, value = item
+                            rows = transfer(ctx, edge, lo, cut, s_val, piece)
+                            if rows is not None:
+                                for row in (rows,) if type(rows) is tuple else rows:
+                                    if (type(row) is not tuple or len(row) != 3
+                                            or type(row[0]) is not int or type(row[1]) is not int
+                                            or not 0 <= row[0] < row[1]):
+                                        raise _bad_row(row)
                                     if sink is None:
                                         sink = outbox[dst] = []
-                                    sink.append((interval.start, interval.end, value))
+                                    sink.append(row)
                         except IcmProgramError:
                             raise
                         except Exception as exc:
                             raise IcmProgramError(
-                                "scatter", vid, superstep, common, exc
+                                "scatter", vid, superstep, mk_interval(lo, cut), exc
                             ) from exc
                         calls += 1
                         cost += per_call
@@ -488,6 +486,14 @@ class VertexProcessor:
                 span = mk_interval(min(m[0] for m in msgs), max(m[1] for m in msgs))
                 raise IcmProgramError("scatter", vid, superstep, span, exc) from exc
         return cost
+
+
+def _bad_row(row) -> Exception:
+    """The error for a row that is not ``(start, end, value)``, int ``0 <= start < end``."""
+    shaped = type(row) is tuple and len(row) == 3 and type(row[0]) is type(row[1]) is int
+    return (ValueError if shaped else TypeError)(
+        f"transfer row {row!r} is not (start, end, value) with int 0 <= start < end"
+    )
 
 
 class IntervalCentricEngine:

@@ -9,7 +9,9 @@ Users subclass :class:`IntervalProgram` and provide:
   of message values;
 * ``scatter(ctx, edge, interval, state)`` — called once per
   ``(updated state ∩ edge property piece)`` sub-interval, returning interval
-  messages for the edge's sink (or ``None`` to forward the state verbatim).
+  messages for the edge's sink (or ``None`` to forward the state verbatim);
+* or ``transfer(ctx, edge, start, end, state, piece)`` instead — the same
+  call in row form, with ``(start, end, value)`` rows back.
 
 Because warp guarantees the alignment, compute logic is near-identical to a
 non-temporal vertex-centric program (compare Alg. 1 with Pregel SSSP).
@@ -22,7 +24,7 @@ from typing import Any, Callable, Iterable, Optional, Union
 
 from .combiner import MessageCombiner
 from .interval import Interval
-from .messages import IntervalMessage
+from .messages import IntervalMessage, Row
 
 #: What ``scatter`` may return per invocation: nothing (no message), or any
 #: mix of :class:`IntervalMessage` and ``(Interval, value)`` pairs.
@@ -80,10 +82,38 @@ class IntervalProgram(ABC):
     ) -> ScatterResult:
         """Produce messages for one updated-state × edge-piece overlap.
 
-        The default forwards the updated state over the same interval,
-        matching the paper's "if scatter itself is not provided" rule.
+        The default boxes the rows of a subclass's :meth:`transfer`; without
+        one it forwards the updated state over the same interval, matching
+        the paper's "if scatter itself is not provided" rule.
         """
-        return [(interval, state)]
+        if type(self).transfer is IntervalProgram.transfer:
+            return [(interval, state)]
+        rows = self.transfer(ctx, edge.edge, interval.start, interval.end, state, edge.values)
+        if rows is None:
+            return None
+        return [(Interval(s, e), v) for s, e, v in ([rows] if type(rows) is tuple else rows)]
+
+    def transfer(self, ctx: "VertexContext", edge, start: int, end: int,
+                 state: Any, piece: dict[str, Any]) -> Optional[Union[Row, list[Row]]]:
+        """:meth:`scatter` in row form for the overlap ``[start, end)`` with
+        the graph edge ``edge``'s property dict ``piece``: ``None``, one
+        ``(start, end, value)`` row or a list of rows — what ``scatter``
+        returns there, in order.
+
+        The engine calls the method of the first class in the program's MRO
+        defining either; this default boxes the overlap for ``scatter``.
+        """
+        interval = Interval._unchecked(start, end)
+        rows = []
+        for item in self.scatter(ctx, EdgeContext(edge, interval, piece), interval, state) or ():
+            if type(item) is not tuple:
+                if item is None:
+                    continue
+                if isinstance(item, IntervalMessage):
+                    item = (item.interval, item.value)
+            span, value = item
+            rows.append((span.start, span.end, value))
+        return rows
 
     def aggregators(self) -> dict[str, Callable[[Any, Any], Any]]:
         """Named global reduce functions (Giraph aggregator analogue)."""

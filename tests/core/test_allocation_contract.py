@@ -1,11 +1,13 @@
 """The allocation contract of the engine's message path.
 
-Between ``scatter``'s return value and ``compute``'s group a message is a
+Between what ``transfer`` returns and ``compute``'s group a message is a
 plain ``(start, end, value)`` row: the engine boxes nothing it does not hand
-to the program.  Counting wrappers hold that as numbers — the same ones
+to the program, and a program that declares ``transfer`` is handed no box.
+Counting wrappers hold that as numbers — the same ones
 ``scripts/profile_engine.py`` prints — on a run whose edges have several
 property pieces each, with a selective combiner (SSSP: domination, real
-warps) and an aggregating one (PR: dense traffic, suppressed warps).  The
+warps) and an aggregating one (PR: dense traffic, suppressed warps), and
+with SSSP's ``scatter`` oracle, which runs through the adapter.  The
 degenerate cases have their own numbers: a vertex with one update sorts
 nothing, re-arming the context is not a method call, and the message-less
 walk of superstep 1 boxes partitions without re-validating them.
@@ -14,6 +16,7 @@ walk of superstep 1 boxes partitions without re-validating them.
 import pytest
 
 from repro.algorithms import run_algorithm
+from repro.algorithms.td import sssp as sssp_module
 from repro.algorithms.td.sssp import TemporalSSSP
 from repro.algorithms.ti.pagerank import TemporalPageRank
 from repro.core import combiner as combiner_module
@@ -26,6 +29,7 @@ from repro.core.interval import FOREVER, Interval
 from repro.core.messages import IntervalMessage
 from repro.runtime.cluster import SimulatedCluster
 
+from ..algorithms._scatter_oracles import ScatterSSSP
 from ..algorithms.conftest import random_temporal_graph
 
 
@@ -143,16 +147,29 @@ def counts(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("algorithm", ["SSSP", "PR"])
+#: case → (the algorithm run, the program class it runs as).  SSSP and PR
+#: declare ``transfer``; the third case is SSSP's ``scatter`` oracle, which
+#: runs through the ``IntervalProgram.transfer`` adapter.
+CASES = {
+    "SSSP": ("SSSP", TemporalSSSP),
+    "PR": ("PR", TemporalPageRank),
+    "SSSP-scatter": ("SSSP", ScatterSSSP),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_the_engine_boxes_only_what_it_hands_the_program(
-    algorithm, counts, monkeypatch
+    case, counts, monkeypatch
 ):
-    program_class = {"SSSP": TemporalSSSP, "PR": TemporalPageRank}[algorithm]
-    for callback in ("init", "compute", "scatter"):
-        monkeypatch.setattr(
-            program_class, callback,
-            _flagging(counts, "in_program", getattr(program_class, callback)),
-        )
+    algorithm, program_class = CASES[case]
+    if program_class is ScatterSSSP:
+        monkeypatch.setattr(sssp_module, "TemporalSSSP", ScatterSSSP)
+    for callback in ("init", "compute", "scatter", "transfer"):
+        if callback in ("init", "compute") or callback in vars(program_class):
+            monkeypatch.setattr(
+                program_class, callback,
+                _flagging(counts, "in_program", getattr(program_class, callback)),
+            )
     graph = random_temporal_graph(seed=3, n_vertices=12, n_edges=40)
     assert any(len(e.properties.boundaries()) > 2 for e in graph.edges()), (
         "no multi-piece edge; the case tests nothing"
@@ -167,11 +184,16 @@ def test_the_engine_boxes_only_what_it_hands_the_program(
     if algorithm == "SSSP":
         assert metrics.warp_calls > 0 and metrics.combiner_reductions > 0
 
-    # Both programs return (Interval, value) pairs: no message is ever boxed.
+    # No program returns IntervalMessages: no message is ever boxed.
     assert counts.messages_boxed == 0
-    # One Interval per scatter call — the one the call is handed — and
-    # nothing else on the scatter side (slices, pieces, pairing, rows).
-    assert 0 < counts.scatter_side_intervals <= metrics.scatter_calls
+    if "scatter" in vars(program_class):
+        # The adapter boxes one Interval per call — the one ``scatter`` is
+        # handed — and nothing else on the scatter side builds one.
+        assert 0 < counts.scatter_side_intervals <= metrics.scatter_calls
+    else:
+        # A declared ``transfer`` is handed ints and returns rows: the
+        # scatter side (slices, pieces, pairing, rows) builds no Interval.
+        assert counts.scatter_side_intervals == 0
     # Dominance, identical-interval folding and coalescing compare ints.
     assert counts.combiner_relations == 0
     # A vertex with one update has nothing to sort or merge: the updates

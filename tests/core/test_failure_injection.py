@@ -139,6 +139,86 @@ class TestScatterOutputFailures:
             assert err.value.__cause__ is err.value.original
 
 
+class _TransferBase(Base):
+    """``Base`` with its edge transfer declared in row form."""
+
+    scatter = IntervalProgram.scatter  # drop Base's, so ``transfer`` wins
+
+    def transfer(self, ctx, edge, start, end, state, piece):
+        return (start, end, state)
+
+
+class _TransferRaises(_TransferBase):
+    def transfer(self, ctx, edge, start, end, state, piece):
+        raise RuntimeError("bad transfer")
+
+
+class _TransferTwoTuple(_TransferBase):
+    def transfer(self, ctx, edge, start, end, state, piece):
+        return (start, state)
+
+
+class _TransferListRow(_TransferBase):
+    def transfer(self, ctx, edge, start, end, state, piece):
+        return [[start, end, state]]
+
+
+class _TransferFloatBound(_TransferBase):
+    def transfer(self, ctx, edge, start, end, state, piece):
+        return (start + 0.5, end, state)
+
+
+class _TransferEmptyRow(_TransferBase):
+    def transfer(self, ctx, edge, start, end, state, piece):
+        return [(start, end, state), (end, end, state)]
+
+
+class _TransferNegativeStart(_TransferBase):
+    def transfer(self, ctx, edge, start, end, state, piece):
+        return (start - 1, end, state)
+
+
+class _TransferSetsState(_TransferBase):
+    def transfer(self, ctx, edge, start, end, state, piece):
+        ctx.set_state(Interval(start, end), state + 1)
+        return (start, end, state)
+
+
+#: Each bad ``transfer`` and the exception it first trips.
+BAD_TRANSFER = {
+    "raises": (_TransferRaises, RuntimeError),
+    "not-a-3-tuple": (_TransferTwoTuple, TypeError),
+    "row-not-a-tuple": (_TransferListRow, TypeError),
+    "non-int-bound": (_TransferFloatBound, TypeError),
+    "empty-interval": (_TransferEmptyRow, ValueError),
+    "negative-start": (_TransferNegativeStart, ValueError),
+    "sets-state": (_TransferSetsState, RuntimeError),
+}
+
+
+class TestTransferFailures:
+    """A ``transfer`` is held to what ``scatter`` is: a raise, a malformed
+    row (not a 3-tuple, a non-int bound, not ``0 <= start < end``) or a
+    state update is an ``IcmProgramError`` of the scatter phase at the
+    overlap ``[start, end)`` — in-process and across the worker pipe."""
+
+    def test_the_well_formed_base_runs(self):
+        result = api.run(tiny_graph(), _TransferBase(), options=EXECUTORS["serial"])
+        assert result.metrics.scatter_calls == result.metrics.messages_sent == 1
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("case", BAD_TRANSFER)
+    def test_bad_transfer_is_a_program_error_with_context(self, case, executor):
+        program, cause = BAD_TRANSFER[case]
+        with pytest.raises(IcmProgramError) as err:
+            api.run(tiny_graph(), program(), options=EXECUTORS[executor])
+        assert err.value.phase == "scatter"
+        assert err.value.vertex == "a"
+        assert err.value.superstep == 1
+        assert err.value.interval == Interval(0, 10)
+        assert isinstance(err.value.original, cause)
+
+
 class TestMessagingEdgeCases:
     def test_direct_send_to_unknown_vertex_is_dropped(self):
         """Messages to ids outside the graph are silently discarded at the
