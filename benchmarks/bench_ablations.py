@@ -19,8 +19,9 @@ from harness import (
 from repro import api
 from repro.algorithms.runners import default_source
 from repro.algorithms.td.sssp import TemporalSSSP
-from repro.algorithms.ti.bfs import SnapshotBFS, TemporalBFS
+from repro.algorithms.ti.bfs import TemporalBFS
 from repro.baselines.chlonos import run_chlonos
+from repro.baselines.ti.bfs import SnapshotBFS
 from repro.core.engine import IntervalCentricEngine
 from repro.runtime.cluster import SimulatedCluster
 from repro.runtime.partitioner import RangePartitioner

@@ -17,7 +17,11 @@ from harness import format_table, once, save_result
 
 from repro.algorithms.td import eat, fast, lcc, ld, reach, sssp, tc, tmst
 from repro.algorithms.ti import bfs, pagerank, scc, wcc
+from repro.baselines.td import eat as b_eat, fast as b_fast, lcc as b_lcc, ld as b_ld
+from repro.baselines.td import reach as b_reach, sssp as b_sssp, tc as b_tc, tmst as b_tmst
 from repro.baselines.tgb import ChainForwardingProgram
+from repro.baselines.ti import bfs as b_bfs, pagerank as b_pagerank, scc as b_scc
+from repro.baselines.ti import wcc as b_wcc
 
 
 def count_loc(cls) -> int:
@@ -43,19 +47,19 @@ def count_loc(cls) -> int:
 
 
 PROGRAMS = {
-    "BFS": {"GRAPHITE": bfs.TemporalBFS, "MSB": bfs.SnapshotBFS},
-    "WCC": {"GRAPHITE": wcc.TemporalWCC, "MSB": wcc.SnapshotWCC},
-    "SCC": {"GRAPHITE": scc.MinLabelPass, "MSB": scc.SnapshotMinLabelPass},
-    "PR": {"GRAPHITE": pagerank.TemporalPageRank, "MSB": pagerank.SnapshotPageRank},
-    "SSSP": {"GRAPHITE": sssp.TemporalSSSP, "TGB": sssp.TgbSSSP, "GoFFish": sssp.GoffishSSSP},
-    "EAT": {"GRAPHITE": eat.TemporalEAT, "TGB": eat.TgbEAT, "GoFFish": eat.GoffishEAT},
-    "FAST": {"GRAPHITE": fast.TemporalFAST, "TGB": fast.TgbFAST, "GoFFish": fast.GoffishFAST},
-    "LD": {"GRAPHITE": ld.TemporalLD, "TGB": ld.TgbLD, "GoFFish": ld.GoffishLD},
-    "TMST": {"GRAPHITE": tmst.TemporalTMST, "TGB": tmst.TgbTMST, "GoFFish": tmst.GoffishTMST},
-    "RH": {"GRAPHITE": reach.TemporalReachability, "TGB": reach.TgbReachability,
-           "GoFFish": reach.GoffishReachability},
-    "LCC": {"GRAPHITE": lcc.TemporalLCC, "TGB": lcc.SnapshotLCC, "GoFFish": lcc.GoffishLCC},
-    "TC": {"GRAPHITE": tc.TemporalTC, "TGB": tc.SnapshotTC, "GoFFish": tc.GoffishTC},
+    "BFS": {"GRAPHITE": bfs.TemporalBFS, "MSB": b_bfs.SnapshotBFS},
+    "WCC": {"GRAPHITE": wcc.TemporalWCC, "MSB": b_wcc.SnapshotWCC},
+    "SCC": {"GRAPHITE": scc.MinLabelPass, "MSB": b_scc.SnapshotMinLabelPass},
+    "PR": {"GRAPHITE": pagerank.TemporalPageRank, "MSB": b_pagerank.SnapshotPageRank},
+    "SSSP": {"GRAPHITE": sssp.TemporalSSSP, "TGB": b_sssp.TgbSSSP, "GoFFish": b_sssp.GoffishSSSP},
+    "EAT": {"GRAPHITE": eat.TemporalEAT, "TGB": b_eat.TgbEAT, "GoFFish": b_eat.GoffishEAT},
+    "FAST": {"GRAPHITE": fast.TemporalFAST, "TGB": b_fast.TgbFAST, "GoFFish": b_fast.GoffishFAST},
+    "LD": {"GRAPHITE": ld.TemporalLD, "TGB": b_ld.TgbLD, "GoFFish": b_ld.GoffishLD},
+    "TMST": {"GRAPHITE": tmst.TemporalTMST, "TGB": b_tmst.TgbTMST, "GoFFish": b_tmst.GoffishTMST},
+    "RH": {"GRAPHITE": reach.TemporalReachability, "TGB": b_reach.TgbReachability,
+           "GoFFish": b_reach.GoffishReachability},
+    "LCC": {"GRAPHITE": lcc.TemporalLCC, "TGB": b_lcc.SnapshotLCC, "GoFFish": b_lcc.GoffishLCC},
+    "TC": {"GRAPHITE": tc.TemporalTC, "TGB": b_tc.SnapshotTC, "GoFFish": b_tc.GoffishTC},
 }
 
 

@@ -2,16 +2,24 @@
 """Time one cold batch job stage by stage — the cold-path sibling of
 profile_engine.py / profile_load.py.
 
-Writes ``--dataset/--scale`` as a text file and a compact v2 file, then per
+Writes ``--dataset/--scale`` as a text file and a compact v3 file, then per
 ``--store`` runs the ``batch_*`` job in a fresh interpreter (best of
 ``--repeat``) and prints: interpreter start; the job's four imports with the
 ``repro.*`` / total module counts they add to what start-up loaded; load;
 ``default_source``; the first SSSP against the second (the difference is
 first touch: the piece index and the modules a run imports when it
-starts); the first-touch index build over *every* edge of a freshly loaded
-graph in µs/edge, on its own line; and the top-N imports by own time from
-one ``-X importtime`` pass.
+starts); the lines of ``repro.*`` source each stage imported; the
+first-touch index build over *every* edge of a freshly loaded graph in
+µs/edge, on its own line; and the top-N imports by own time from one
+``-X importtime`` pass.
 The defaults are the ``batch_text`` / ``batch_compact`` file.
+
+What "own time" measures depends on the child's ``sys.dont_write_bytecode``
+(printed): with ``PYTHONDONTWRITEBYTECODE`` set, as the benchmark's children
+inherit it, no ``.pyc`` is written or trusted to be there, so every import
+compiles its module from source and its own time follows the module's
+length — hence the per-stage source line counts.  Without it, a warm
+``__pycache__`` makes an import an unmarshal.
 
 Find candidates with it; judge them with
 ``python3 benchmarks/e2e/run.py --workload batch_compact`` (and
@@ -51,17 +59,30 @@ _JOB = """
 import sys, time
 clock = time.perf_counter
 preloaded = set(sys.modules)
+
+def repro_lines():
+    lines = 0
+    for name, module in list(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            with open(module.__file__, "rb") as source:
+                lines += source.read().count(b"\\n")
+    return lines
+
 started = clock()
 """ + _IMPORTS + """
 stages = {"imports": clock() - started}
 added = set(sys.modules) - preloaded
 stages["repro_modules"] = sum(m == "repro" or m.startswith("repro.") for m in added)
 stages["modules"] = len(added)
+stages["dont_write_bytecode"] = sys.dont_write_bytecode
+lines = {"imports": repro_lines()}
 
 def timed(name, fn, *args):
+    before = repro_lines()
     t0 = clock()
     out = fn(*args)
     stages[name] = clock() - t0
+    lines[name] = repro_lines() - before
     return out
 
 path, out_csv = sys.argv[1:]
@@ -73,6 +94,7 @@ timed("export", export_states_csv, result, out_csv)
 fresh = api.load_graph(path)
 stages["edges"] = timed(
     "index_build", lambda: sum(len(fresh.piece_indexes(v)) for v in fresh.vertex_ids()))
+stages["lines"] = lines
 import json
 print(json.dumps(stages))
 """
@@ -102,7 +124,8 @@ def run_job(path: str, out_csv: str, repeat: int) -> dict:
             env=child_env(), check=True, capture_output=True, text=True,
         ).stdout
         for name, value in json.loads(out.splitlines()[-1]).items():
-            best[name] = min(best.get(name, value), value)
+            best[name] = value if isinstance(value, (bool, dict)) else min(
+                best.get(name, value), value)
     return best
 
 
@@ -149,7 +172,9 @@ def main(argv=None) -> int:
               f"(best of {args.repeat}, as every line below)")
         for store in (args.store,) if args.store else ("text", "compact"):
             s = run_job(files[store], os.path.join(tmp, "out.csv"), args.repeat)
-            print(f"\n== {store} ==")
+            print(f"\n== {store} == (child sys.dont_write_bytecode="
+                  f"{s['dont_write_bytecode']}: imports "
+                  f"{'compile from source' if s['dont_write_bytecode'] else 'may read __pycache__'})")
             print(f"imports: {1e3 * s['imports']:.1f} ms — add {s['repro_modules']} repro.* "
                   f"modules, {s['modules']} modules in all")
             print(f"load {1e3 * s['load']:.1f} ms, default_source "
@@ -158,6 +183,8 @@ def main(argv=None) -> int:
                   f"{1e3 * s['second_run']:.1f} ms (first touch "
                   f"{1e3 * (s['first_run'] - s['second_run']):.1f} ms), export "
                   f"{1e3 * s['export']:.1f} ms")
+            print("repro.* source lines imported per stage: " + ", ".join(
+                f"{stage} {n}" for stage, n in s["lines"].items()))
             print(f"first-touch index build: {s['edges']} edges in "
                   f"{1e3 * s['index_build']:.1f} ms = "
                   f"{1e6 * s['index_build'] / max(s['edges'], 1):.2f} us/edge")

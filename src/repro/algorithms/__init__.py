@@ -16,9 +16,9 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
+    ".defaults": ("default_source", "default_target"),
     ".runners": (
         "ALL_ALGORITHMS", "TD_ALGORITHMS", "TD_PLATFORMS", "TI_ALGORITHMS",
-        "TI_PLATFORMS", "RunOutcome", "default_source", "default_target",
-        "platforms_for", "run_algorithm",
+        "TI_PLATFORMS", "RunOutcome", "platforms_for", "run_algorithm",
     ),
 })

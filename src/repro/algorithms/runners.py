@@ -22,6 +22,8 @@ from repro.graph.model import TemporalGraph
 from repro.runtime.cluster import SimulatedCluster
 from repro.runtime.metrics import RunMetrics
 
+from .defaults import default_source, default_target
+
 TI_ALGORITHMS = ("BFS", "WCC", "SCC", "PR")
 TD_ALGORITHMS = ("SSSP", "EAT", "FAST", "LD", "TMST", "RH", "LCC", "TC")
 ALL_ALGORITHMS = TI_ALGORITHMS + TD_ALGORITHMS
@@ -29,9 +31,18 @@ ALL_ALGORITHMS = TI_ALGORITHMS + TD_ALGORITHMS
 TI_PLATFORMS = ("GRAPHITE", "MSB", "Chlonos")
 TD_PLATFORMS = ("GRAPHITE", "TGB", "GoFFish")
 
-#: TD algorithm → its module under ``repro.algorithms.td`` and the program
-#: class per platform, in ``TD_PLATFORMS`` order.  ``run_algorithm`` imports
-#: only the selected module.
+#: Algorithm → its module and what runs it per platform, in
+#: ``platforms_for`` order: the GRAPHITE program in
+#: ``repro.algorithms.{ti,td}.<module>``, the baseline platforms' in
+#: ``repro.baselines.{ti,td}.<module>`` (MSB and Chlonos share one
+#: per-snapshot user logic; SCC's are peeling drivers).  ``run_algorithm``
+#: imports only the module it runs, so a GRAPHITE run loads no baseline.
+_TI_PROGRAMS = {
+    "BFS": ("bfs", "TemporalBFS", "SnapshotBFS", "SnapshotBFS"),
+    "WCC": ("wcc", "TemporalWCC", "SnapshotWCC", "SnapshotWCC"),
+    "SCC": ("scc", "run_icm_scc", "run_snapshot_scc", "run_chlonos_scc"),
+    "PR": ("pagerank", "TemporalPageRank", "SnapshotPageRank", "SnapshotPageRank"),
+}
 _TD_PROGRAMS = {
     "SSSP": ("sssp", "TemporalSSSP", "TgbSSSP", "GoffishSSSP"),
     "EAT": ("eat", "TemporalEAT", "TgbEAT", "GoffishEAT"),
@@ -43,6 +54,20 @@ _TD_PROGRAMS = {
     "LCC": ("lcc", "TemporalLCC", "SnapshotLCC", "GoffishLCC"),
     "TC": ("tc", "TemporalTC", "SnapshotTC", "GoffishTC"),
 }
+
+
+def _program(algorithm: str, platform: str) -> Any:
+    """The program class (SCC: the driver function) that runs ``algorithm``
+    on ``platform``, imported from its own module only."""
+    if algorithm in _TI_PROGRAMS:
+        layer, (module, *names) = "ti", _TI_PROGRAMS[algorithm]
+    else:
+        layer, (module, *names) = "td", _TD_PROGRAMS[algorithm]
+    home = "repro.algorithms" if platform == "GRAPHITE" else "repro.baselines"
+    return getattr(
+        import_module(f"{home}.{layer}.{module}"),
+        names[platforms_for(algorithm).index(platform)],
+    )
 
 
 def platforms_for(algorithm: str) -> tuple[str, ...]:
@@ -58,16 +83,6 @@ class RunOutcome:
     platform: str
     metrics: RunMetrics
     result: Any
-
-
-def default_source(graph: TemporalGraph) -> Any:
-    """A deterministic interesting source: the max out-degree vertex."""
-    return max(graph.vertex_ids(), key=lambda vid: (graph.out_degree(vid), str(vid)))
-
-
-def default_target(graph: TemporalGraph) -> Any:
-    """A deterministic interesting target: the max in-degree vertex."""
-    return max(graph.vertex_ids(), key=lambda vid: (graph.in_degree(vid), str(vid)))
 
 
 def run_algorithm(
@@ -141,58 +156,45 @@ def run_algorithm(
         return RunOutcome(algorithm, platform, res.metrics, res)
 
     # --- TI ------------------------------------------------------------------
-    if algorithm == "BFS":
-        from .ti.bfs import SnapshotBFS, TemporalBFS
-
-        if source is None:
-            source = default_source(graph)
-        if platform == "GRAPHITE":
-            return icm(graph, TemporalBFS(source))
-        return per_snapshot(graph, lambda t: SnapshotBFS(source))
-
-    if algorithm == "WCC":
-        from .ti.wcc import SnapshotWCC, TemporalWCC, make_undirected
-
-        undirected = make_undirected(graph)
-        if platform == "GRAPHITE":
-            return icm(undirected, TemporalWCC())
-        return per_snapshot(undirected, lambda t: SnapshotWCC())
-
     if algorithm == "SCC":
-        from .ti.scc import run_chlonos_scc, run_icm_scc, run_snapshot_scc
-
+        run_scc = _program(algorithm, platform)
         if platform == "GRAPHITE":
-            res = run_icm_scc(
+            res = run_scc(
                 graph, cluster=cluster, graph_name=graph_name,
                 icm_options=icm_options, config=config, observe=observe,
             )
             return RunOutcome(algorithm, platform, res.metrics, res)
         if platform == "MSB":
-            values, metrics = run_snapshot_scc(
+            values, metrics = run_scc(
                 graph, horizon=horizon, cluster=cluster, graph_name=graph_name
             )
-            return RunOutcome(algorithm, platform, metrics, values)
-        values, metrics = run_chlonos_scc(
-            graph, batch_size=batch_size, horizon=horizon,
-            cluster=cluster, graph_name=graph_name,
-        )
+        else:
+            values, metrics = run_scc(
+                graph, batch_size=batch_size, horizon=horizon,
+                cluster=cluster, graph_name=graph_name,
+            )
         return RunOutcome(algorithm, platform, metrics, values)
 
-    if algorithm == "PR":
-        from .ti.pagerank import SnapshotPageRank, TemporalPageRank
+    if algorithm in TI_ALGORITHMS:
+        program_cls = _program(algorithm, platform)
+        if algorithm == "BFS":
+            if source is None:
+                source = default_source(graph)
+            args: tuple = (source,)
+        elif algorithm == "WCC":
+            from .ti.wcc import make_undirected
 
+            graph, args = make_undirected(graph), ()
+        else:  # PR: the ICM program reads the vertex-count timeline
+            args = (graph,) if platform == "GRAPHITE" else ()
         if platform == "GRAPHITE":
-            return icm(graph, TemporalPageRank(graph))
-        return per_snapshot(graph, lambda t: SnapshotPageRank())
+            return icm(graph, program_cls(*args))
+        return per_snapshot(graph, lambda t: program_cls(*args))
 
     # --- TD ------------------------------------------------------------------
-    module, *programs = _TD_PROGRAMS[algorithm]
-    program_cls = getattr(
-        import_module(f"{__package__}.td.{module}"),
-        programs[TD_PLATFORMS.index(platform)],
-    )
+    program_cls = _program(algorithm, platform)
     if algorithm in ("LCC", "TC"):
-        args: tuple = ()
+        args = ()
     elif algorithm == "LD":
         if target is None:
             target = default_target(graph)

@@ -14,7 +14,7 @@ of that view (multi-edges count, as everywhere else in the library).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro import api
 from repro.core.combiner import sum_combiner
@@ -23,8 +23,10 @@ from repro.core.engine import IcmResult
 from repro.core.interval import Interval
 from repro.core.program import IntervalProgram
 from repro.graph.model import TemporalGraph
-from repro.graph.snapshots import StaticGraph
 from repro.runtime.cluster import SimulatedCluster
+
+if TYPE_CHECKING:
+    from repro.graph.snapshots import StaticGraph
 
 #: Marker for intervals where the vertex has left the core.
 DEAD = "__dead__"

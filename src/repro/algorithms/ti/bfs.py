@@ -14,7 +14,6 @@ from typing import Any
 from repro.core.combiner import min_combiner
 from repro.core.interval import FOREVER, Interval
 from repro.core.program import IntervalProgram
-from repro.baselines.vcm import VcmContext, VertexProgram
 
 #: Distance sentinel for "not reachable".
 UNREACHED = FOREVER
@@ -48,27 +47,3 @@ class TemporalBFS(IntervalProgram):
         # TI semantics: the hop stays within each snapshot, so the message
         # interval is inherited from the (state ∩ edge) overlap.
         return (start, end, state + 1)
-
-
-class SnapshotBFS(VertexProgram):
-    """Per-snapshot vertex-centric BFS (the MSB / Chlonos user logic)."""
-
-    name = "BFS"
-
-    def __init__(self, source: Any):
-        self.source = source
-        self.combiner = min_combiner()
-
-    def init(self, ctx: VcmContext) -> None:
-        ctx.value = UNREACHED
-
-    def compute(self, ctx: VcmContext, messages: list[int]) -> None:
-        if ctx.superstep == 1:
-            if ctx.vertex_id == self.source:
-                ctx.value = 0
-                ctx.send_to_neighbors(1)
-            return
-        best = min(messages, default=UNREACHED)
-        if best < ctx.value:
-            ctx.value = best
-            ctx.send_to_neighbors(best + 1)

@@ -13,12 +13,9 @@ matches the per-snapshot baseline pointwise.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.combiner import sum_combiner
 from repro.core.interval import FOREVER, Interval
 from repro.core.program import IntervalProgram
-from repro.baselines.vcm import VcmContext, VertexProgram
 from repro.graph.model import TemporalGraph
 
 DAMPING = 0.85
@@ -80,28 +77,3 @@ class TemporalPageRank(IntervalProgram):
             for lo, hi, degree in ctx.out_degree_rows(start, end)
             if degree > 0
         ]
-
-
-class SnapshotPageRank(VertexProgram):
-    """Per-snapshot vertex-centric PageRank (MSB / Chlonos user logic)."""
-
-    name = "PR"
-
-    def __init__(self, supersteps: int = DEFAULT_SUPERSTEPS, damping: float = DAMPING):
-        self.fixed_supersteps = supersteps
-        self.damping = damping
-        self.combiner = sum_combiner()
-
-    def init(self, ctx: VcmContext) -> None:
-        ctx.value = 1.0 / ctx.num_vertices
-
-    def compute(self, ctx: VcmContext, messages: list[float]) -> None:
-        if ctx.superstep > 1:
-            total = sum(messages)
-            ctx.value = (1.0 - self.damping) / ctx.num_vertices + self.damping * total
-        if ctx.superstep < self.fixed_supersteps:
-            degree = ctx.out_degree()
-            if degree > 0:
-                share = ctx.value / degree
-                for edge in ctx.out_edges():
-                    ctx.send(edge.dst, share)

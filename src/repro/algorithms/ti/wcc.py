@@ -13,7 +13,6 @@ from typing import Any
 from repro.core.combiner import min_combiner
 from repro.core.interval import Interval
 from repro.core.program import IntervalProgram
-from repro.baselines.vcm import VcmContext, VertexProgram
 from repro.graph.model import TemporalEdge, TemporalGraph, TemporalVertex
 
 
@@ -62,24 +61,3 @@ class TemporalWCC(IntervalProgram):
     def transfer(self, ctx, edge, start: int, end: int, state: Any, piece):
         # Forward the updated label over the overlap (the default scatter).
         return (start, end, state)
-
-
-class SnapshotWCC(VertexProgram):
-    """Per-snapshot vertex-centric WCC; run on undirected snapshots."""
-
-    name = "WCC"
-
-    def __init__(self) -> None:
-        self.combiner = min_combiner()
-
-    def init(self, ctx: VcmContext) -> None:
-        ctx.value = ctx.vertex_id
-
-    def compute(self, ctx: VcmContext, messages: list[Any]) -> None:
-        if ctx.superstep == 1:
-            ctx.send_to_neighbors(ctx.value)
-            return
-        best = min(messages)
-        if best < ctx.value:
-            ctx.value = best
-            ctx.send_to_neighbors(best)

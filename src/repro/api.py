@@ -378,6 +378,11 @@ def load_graph(source, format: str = "auto", **options):
     The cyclic garbage collector is paused while the graph is built (and
     left as it was found): a load allocates nothing but long-lived, acyclic
     objects, which the collector would otherwise re-walk as they pile up.
+    A heap load then ends with ``gc.freeze()`` (after a ``gc.collect()``
+    before it, so no garbage is frozen along): its objects leave the
+    collector's generations, and no later collection — whichever phase the
+    collector is in when the run starts — walks them again.  Being
+    acyclic, a dropped graph is still freed by reference counting.
 
     Raises
     ------
@@ -397,10 +402,16 @@ def load_graph(source, format: str = "auto", **options):
         )
     fmt = _sniff_format(source) if format == "auto" else format
 
+    heap = fmt != "compact"
+    if heap:
+        gc.collect()
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _load_as(fmt, source, options)
+        graph = _load_as(fmt, source, options)
+        if heap:
+            gc.freeze()
+        return graph
     finally:
         if collecting:
             gc.enable()

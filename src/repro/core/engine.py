@@ -38,9 +38,10 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Optional
 
+from repro.errors import WorkerDiedError
 from repro.runtime.cluster import SimulatedCluster
-from repro.runtime.metrics import RunMetrics
-from repro.runtime.partitioner import build_partitioner, partitioner_fingerprint
+from repro.runtime.metrics import RecoveryMetrics, RunMetrics
+from repro.runtime.partitioner import build_partitioner
 
 from .combiner import coalesce_messages
 from .config import EngineConfig
@@ -653,15 +654,16 @@ class IntervalCentricEngine:
             may be resumed under the parallel executor and vice versa.
 
         When ``checkpoint_every`` is set, worker-process deaths
-        (:class:`~repro.runtime.faults.WorkerDiedError`) are absorbed by
-        rolling back to the latest checkpoint and replaying, up to
+        (:class:`~repro.errors.WorkerDiedError`) are absorbed by rolling
+        back to the latest checkpoint and replaying, up to
         ``max_restarts`` times; without checkpoints the whole run is
         replayed from superstep 1.  Durability costs are reported in
-        ``metrics.recovery``, never in the modeled quantities.
+        ``metrics.recovery``, never in the modeled quantities.  The code
+        for each of those — `repro.runtime.checkpoint`,
+        `repro.runtime.faults`, `repro.obs.events` — is loaded only by a
+        run that checkpoints or resumes, loses a worker, or is observed.
         """
         from repro.runtime.executor import resolve_executor
-        from repro.runtime.faults import UnrecoverableRunError, WorkerDiedError
-        from repro.runtime.metrics import RecoveryMetrics
 
         executor = resolve_executor(self.config)
         rescatter = rescatter or {}
@@ -669,181 +671,52 @@ class IntervalCentricEngine:
             raise ValueError("resume_from and warm_states are mutually exclusive")
 
         self._seq = {v.vid: i for i, v in enumerate(self.graph.vertices())}
+        durable = None
+        if self.checkpoint_every is not None or resume_from is not None:
+            from repro.runtime.checkpoint import RunCheckpoints
 
-        checkpointing = self.checkpoint_every is not None
-        ckpt_dir = self.checkpoint_dir
-        own_dir: Optional[str] = None
-        if checkpointing and ckpt_dir is None:
-            import tempfile
-
-            own_dir = ckpt_dir = tempfile.mkdtemp(prefix="repro-ckpt-")
-        config_hash = ""
-        if checkpointing or resume_from is not None:
-            # The durability stack (hashing, JSON manifests, shard files) is
-            # loaded by the runs that checkpoint or resume, not by every run.
-            import repro.runtime.checkpoint as durable
-
-            config_hash = durable.config_fingerprint(self)
-
-        current_partitioner = partitioner_fingerprint(self.cluster.partitioner)
-
-        def _load_validated(path) -> Any:
-            ckpt = durable.load_checkpoint(path, coalesce=self.coalesce_states)
-            # Checked before the opaque config hash: a partitioner swap is
-            # the one mismatch a user can read and act on directly, and a
-            # resume under a different vertex→worker map would silently
-            # scramble shard ownership.
-            if ckpt.partitioner and ckpt.partitioner != current_partitioner:
-                raise durable.CheckpointError(
-                    f"checkpoint {ckpt.path} was written under partitioner "
-                    f"{ckpt.partitioner} but this engine runs under "
-                    f"{current_partitioner}; refusing to resume across a "
-                    "different vertex-to-worker assignment"
-                )
-            if ckpt.exchange and ckpt.exchange != durable.EXCHANGE_FINGERPRINT:
-                raise durable.CheckpointError(
-                    f"checkpoint {ckpt.path} carries exchange data-plane "
-                    f"fingerprint {ckpt.exchange!r} but this build speaks "
-                    f"{durable.EXCHANGE_FINGERPRINT!r}; refusing to resume across "
-                    "incompatible routed-batch wire formats"
-                )
-            if ckpt.config_hash != config_hash:
-                raise durable.CheckpointError(
-                    f"checkpoint {ckpt.path} was written by a different "
-                    f"configuration (config hash {ckpt.config_hash[:12]}… vs "
-                    f"this engine's {config_hash[:12]}…); refusing to resume"
-                )
-            if set(ckpt.states) != set(self._seq):
-                raise durable.CheckpointError(
-                    f"checkpoint {ckpt.path} covers {len(ckpt.states)} vertices "
-                    f"but the graph has {len(self._seq)}"
-                )
-            return ckpt
-
-        resume_ckpt = _load_validated(resume_from) if resume_from is not None else None
-        if checkpointing and resume_from is None:
-            # A fresh checkpointed run owns its directory: stale steps from
-            # an earlier run (e.g. SCC's peeling sub-runs sharing one dir)
-            # must not be mistaken for this run's rollback points.
-            durable.clear_checkpoints(ckpt_dir)
-
-        # The event stream restarts its sequence for every run(); it keeps
-        # counting across recovery attempts, so a replayed superstep appears
-        # again in the trace (logically identical, new wall facts).
+            durable = RunCheckpoints(self, resume_from)
+        start = durable.resume if durable is not None else None
         # Placement quality is a pure function of graph + partitioner, so
         # one (memoized) pass serves the run_start event and the metric
         # gauges identically under both executors.
         self._partition_stats = self.cluster.partition_stats(self.graph)
-        events = None
+        # The event stream restarts its sequence for every run(); it keeps
+        # counting across recovery attempts, so a replayed superstep appears
+        # again in the trace (logically identical, new wall facts).
+        events = self._events = None
         if self._observers:
-            from repro.obs.events import EventStream
+            from repro.obs.events import RunEvents
 
-            events = EventStream(self._observers)
-        self._events = events
-        if events is not None:
-            events.emit(
-                "run_start",
-                data={
-                    "algorithm": self.program.name,
-                    "graph": self.graph_name,
-                    "platform": self.platform,
-                    "resumed_from": resume_ckpt.superstep if resume_ckpt else None,
-                    "partitioner": current_partitioner,
-                    "partition_edge_cut": self._partition_stats["edge_cut"],
-                    "worker_vertex_load": list(self._partition_stats["vertex_load"]),
-                    "worker_edge_load": list(self._partition_stats["edge_load"]),
-                },
-                wall={"executor": executor.name},
-            )
+            events = self._events = RunEvents(self._observers)
+            events.run_start(self, start.superstep if start else None, executor.name)
 
         recovery = RecoveryMetrics()
-        start_ckpt = resume_ckpt
         try:
             while True:
                 try:
                     result = self._run_attempt(
-                        executor,
-                        warm_states,
-                        rescatter,
-                        start_ckpt,
-                        ckpt_dir if checkpointing else None,
-                        config_hash,
-                        recovery,
+                        executor, warm_states, rescatter, start, durable, recovery
                     )
                     break
                 except WorkerDiedError as died:
                     executor.abort()
-                    recovery.restarts += 1
-                    if events is not None:
-                        events.emit(
-                            "worker_death",
-                            superstep=died.superstep,
-                            data={"worker": died.worker},
-                            wall={"exitcode": died.exitcode},
-                        )
-                    if recovery.restarts > self.max_restarts:
-                        raise UnrecoverableRunError(
-                            f"worker failure persisted after {self.max_restarts} "
-                            f"restart(s): {died}"
-                        ) from died
-                    t0 = time.perf_counter()
-                    latest = (
-                        durable.latest_checkpoint(ckpt_dir) if checkpointing else None
-                    )
-                    if latest is not None:
-                        start_ckpt = _load_validated(latest)
-                        rollback_to = start_ckpt.superstep
-                    else:
-                        # No checkpoint yet — replay the whole run (from the
-                        # resume point, when this run itself was a resume).
-                        start_ckpt = resume_ckpt
-                        rollback_to = resume_ckpt.superstep if resume_ckpt else 0
-                    replayed = max(0, died.superstep - rollback_to)
-                    recovery.replayed_supersteps += replayed
-                    recovery.recovery_seconds += time.perf_counter() - t0
-                    if events is not None:
-                        events.emit(
-                            "rollback",
-                            superstep=died.superstep,
-                            data={
-                                "to_superstep": rollback_to,
-                                "replayed_supersteps": replayed,
-                            },
-                        )
-        finally:
-            if own_dir is not None:
-                import shutil
+                    from repro.runtime.faults import recover
 
-                shutil.rmtree(own_dir, ignore_errors=True)
+                    start = recover(self, died, durable, recovery)
+        finally:
+            if durable is not None:
+                durable.close()
             if events is not None:
                 events.close()
         result.metrics.recovery = recovery
         if events is not None:
-            metrics = result.metrics
-            events.emit(
-                "run_end",
-                data={
-                    "supersteps": metrics.supersteps,
-                    "compute_calls": metrics.compute_calls,
-                    "scatter_calls": metrics.scatter_calls,
-                    "messages_sent": metrics.messages_sent,
-                    "message_bytes": metrics.message_bytes,
-                    "modeled_makespan_s": metrics.modeled_makespan,
-                },
-                wall={"makespan_s": metrics.makespan},
-            )
+            events.run_end(result.metrics)
             events.close()
         return result
 
     def _run_attempt(
-        self,
-        executor,
-        warm_states,
-        rescatter,
-        start_ckpt,
-        ckpt_dir,
-        config_hash: str,
-        recovery,
+        self, executor, warm_states, rescatter, start_ckpt, durable, recovery
     ) -> IcmResult:
         """One execution attempt: fresh, resumed, or a recovery replay."""
         if start_ckpt is None:
@@ -915,24 +788,11 @@ class IntervalCentricEngine:
                     break
 
                 if events is not None:
-                    before = (
-                        metrics.compute_calls,
-                        metrics.scatter_calls,
-                        metrics.warp_calls,
-                        metrics.warp_suppressed_vertices,
-                        metrics.combiner_reductions,
-                        metrics.messages_sent,
-                        metrics.message_bytes,
-                        metrics.local_messages,
-                        metrics.remote_messages,
-                        metrics.local_message_bytes,
-                        metrics.remote_message_bytes,
-                    )
-                    events.emit("superstep_start", superstep=self.superstep)
+                    events.superstep_start(self.superstep, metrics)
                 num_active = executor.run_superstep(self.superstep, metrics)
                 metrics.supersteps += 1
                 if events is not None:
-                    self._emit_superstep_events(metrics, before, num_active)
+                    events.superstep_end(self.superstep, metrics, num_active)
 
                 self._aggregates = self._reduce_aggregates()
                 master = MasterContext(self.superstep, dict(self._aggregates), num_active)
@@ -940,40 +800,8 @@ class IntervalCentricEngine:
                 self._aggregates.update(master._overrides)
                 if master._halt:
                     break
-                if (
-                    ckpt_dir is not None
-                    and self.superstep % self.checkpoint_every == 0
-                ):
-                    from repro.runtime.checkpoint import (
-                        EXCHANGE_FINGERPRINT,
-                        write_checkpoint,
-                    )
-
-                    info = write_checkpoint(
-                        ckpt_dir,
-                        superstep=self.superstep,
-                        snapshot=executor.snapshot(),
-                        aggregates=dict(self._aggregates),
-                        metrics=metrics,
-                        config_hash=config_hash,
-                        num_workers=self.cluster.num_workers,
-                        worker_of=self.cluster.worker_of,
-                        partitioner=partitioner_fingerprint(self.cluster.partitioner),
-                        exchange=EXCHANGE_FINGERPRINT,
-                    )
-                    recovery.checkpoints_written += 1
-                    recovery.checkpoint_bytes += info.bytes_written
-                    recovery.checkpoint_seconds += info.seconds
-                    if events is not None:
-                        events.emit(
-                            "checkpoint_write",
-                            superstep=self.superstep,
-                            wall={
-                                "path": str(info.path),
-                                "bytes": info.bytes_written,
-                                "seconds": info.seconds,
-                            },
-                        )
+                if durable is not None:
+                    durable.after_superstep(self.superstep, executor, metrics, recovery)
                 self.superstep += 1
 
             metrics.makespan += time.perf_counter() - t_run
@@ -984,84 +812,6 @@ class IntervalCentricEngine:
             raise
         return IcmResult(
             states=final_states, metrics=metrics, aggregates=dict(self._aggregates)
-        )
-
-    def _emit_superstep_events(self, metrics, before, num_active: int) -> None:
-        """Emit the phase events for the superstep that just ran.
-
-        Every ``data`` value is a metric delta or a modeled per-superstep
-        quantity — exactly the numbers the executor-equivalence tests pin
-        down — so the logical event sequence is identical under both
-        executors by construction.  Wall-clock facts go in ``wall``.
-        """
-        from repro.obs.events import WORKER_SPAN_PHASES
-
-        events = self._events
-        superstep = self.superstep
-        step = metrics.supersteps_detail[-1]
-        events.emit(
-            "compute_phase",
-            superstep=superstep,
-            data={
-                "compute_calls": metrics.compute_calls - before[0],
-                "warp_calls": metrics.warp_calls - before[2],
-                "warp_suppressed_vertices": metrics.warp_suppressed_vertices
-                - before[3],
-                "combiner_reductions": metrics.combiner_reductions - before[4],
-            },
-            wall={
-                "compute_s": step.compute_time,
-                "workers": len(step.worker_wall_times),
-            },
-        )
-        events.emit(
-            "scatter_phase",
-            superstep=superstep,
-            data={
-                "scatter_calls": metrics.scatter_calls - before[1],
-                "messages": metrics.messages_sent - before[5],
-                "message_bytes": metrics.message_bytes - before[6],
-            },
-        )
-        events.emit(
-            "barrier_exchange",
-            superstep=superstep,
-            data={
-                "local_messages": metrics.local_messages - before[7],
-                "remote_messages": metrics.remote_messages - before[8],
-                "local_bytes": metrics.local_message_bytes - before[9],
-                "remote_bytes": metrics.remote_message_bytes - before[10],
-            },
-            wall={
-                "exchange_s": step.exchange_time,
-                "exchange_bytes": step.exchange_bytes,
-                "exchange_raw_bytes": step.exchange_raw_bytes,
-            },
-        )
-        for worker, spans in enumerate(step.worker_spans):
-            events.emit(
-                "worker_span",
-                superstep=superstep,
-                data={
-                    "worker": worker,
-                    "phases": list(WORKER_SPAN_PHASES),
-                },
-                wall={
-                    **{f"{phase}_s": spans.get(phase, 0.0)
-                       for phase in WORKER_SPAN_PHASES},
-                    "total_s": sum(
-                        spans.get(phase, 0.0) for phase in WORKER_SPAN_PHASES
-                    ),
-                },
-            )
-        events.emit(
-            "superstep_end",
-            superstep=superstep,
-            data={
-                "active": num_active,
-                "modeled_compute_s": step.max_worker_compute_time,
-                "modeled_messaging_s": step.messaging_time,
-            },
         )
 
     # -- internals ---------------------------------------------------------

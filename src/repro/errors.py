@@ -2,8 +2,10 @@
 
 Every layer of the stack raises its own exception types — cluster
 lifecycle misuse, worker deaths, unrecoverable runs, serving-tier
-backpressure, and (new) graph-format problems.  This module re-exports
-them all so callers can catch one hierarchy::
+backpressure, and graph-format problems.  This module defines the ones
+every run may raise (a graph format, a worker death, an unrecoverable run —
+so the engine catches them without loading the runtime tier that raises
+them) and re-exports the rest, so callers can catch one hierarchy::
 
     from repro import errors
     try:
@@ -22,6 +24,8 @@ in the runtime or serving tiers.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from repro._lazy import lazy_exports
 
@@ -50,14 +54,45 @@ class GraphFormatError(ValueError):
     code = "graph_format"
 
 
+class WorkerDiedError(RuntimeError):
+    """A parallel worker process died (crash, kill, or silent nonzero exit).
+
+    Distinct from a user-program exception: those are pickled back over the
+    pipe and re-raised as themselves.  This error means the *process* is
+    gone and its partition state with it.
+    """
+
+    code = "worker_died"
+
+    def __init__(self, worker: int, superstep: int, exitcode: Optional[int] = None,
+                 detail: str = ""):
+        suffix = f" (exit code {exitcode})" if exitcode is not None else ""
+        extra = f": {detail}" if detail else ""
+        super().__init__(
+            f"parallel worker {worker} died at superstep {superstep}{suffix}{extra}"
+        )
+        self.worker = worker
+        self.superstep = superstep
+        self.exitcode = exitcode
+
+    def __reduce__(self):
+        return (WorkerDiedError, (self.worker, self.superstep, self.exitcode))
+
+
+class UnrecoverableRunError(RuntimeError):
+    """Worker failure that recovery could not (or was not allowed to) absorb."""
+
+    code = "unrecoverable_run"
+
+
 #: Stable string code → where the exception class lives.  The serving
 #: daemon transports the subset of these raised during query handling;
 #: ``error_code`` reads the same attribute off any caught exception.
 ERROR_CODES = {
     "graph_format": ("repro.errors", "GraphFormatError"),
     "cluster_lifecycle": ("repro.runtime.cluster", "ClusterLifecycleError"),
-    "worker_died": ("repro.runtime.faults", "WorkerDiedError"),
-    "unrecoverable_run": ("repro.runtime.faults", "UnrecoverableRunError"),
+    "worker_died": ("repro.errors", "WorkerDiedError"),
+    "unrecoverable_run": ("repro.errors", "UnrecoverableRunError"),
     "serve_error": ("repro.serve.errors", "ServeError"),
     "queue_full": ("repro.serve.errors", "QueueFullError"),
     "timeout": ("repro.serve.errors", "QueryTimeoutError"),

@@ -188,6 +188,24 @@ class GraphWindow:
             if e is not None:
                 yield e
 
+    def edge_records(self) -> Iterator[tuple[Any, Any, int, int]]:
+        """``(src_vid, dst_vid, start, end)`` per edge alive in the window,
+        its bounds clipped — what :meth:`edges` hands out, read off the
+        resident graph's own records with no edge object or stand-in."""
+        w_start, w_end = self.interval.start, self.interval.end
+        records = getattr(self.base, "edge_records", None)
+        if records is not None:
+            records = records()
+        else:
+            records = (
+                (e.src, e.dst, e.lifespan.start, e.lifespan.end)
+                for e in self.base.edges()
+            )
+        for src, dst, start, end in records:
+            if start < w_end and end > w_start:
+                yield (src, dst, start if start > w_start else w_start,
+                       end if end < w_end else w_end)
+
     @property
     def num_edges(self) -> int:
         window = self.interval

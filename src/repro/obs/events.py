@@ -208,6 +208,132 @@ class EventStream:
                 close()
 
 
+class RunEvents(EventStream):
+    """One engine run's stream, in the engine's vocabulary.
+
+    `IntervalCentricEngine.run` builds one only when the run is observed
+    (an unobserved run never imports this module).  Every ``data`` value is
+    a metric delta or a modeled per-superstep quantity — exactly the
+    numbers the executor-equivalence tests pin down — so the logical event
+    sequence is identical under both executors by construction.  Wall-clock
+    facts go in ``wall``.
+    """
+
+    #: The counters whose per-superstep deltas the phase events report.
+    PHASE_COUNTERS = (
+        "compute_calls", "scatter_calls", "warp_calls",
+        "warp_suppressed_vertices", "combiner_reductions", "messages_sent",
+        "message_bytes", "local_messages", "remote_messages",
+        "local_message_bytes", "remote_message_bytes",
+    )
+
+    def run_start(self, engine, resumed_from: Optional[int], executor: str) -> None:
+        from repro.runtime.partitioner import partitioner_fingerprint
+
+        stats = engine._partition_stats
+        self.emit(
+            "run_start",
+            data={
+                "algorithm": engine.program.name,
+                "graph": engine.graph_name,
+                "platform": engine.platform,
+                "resumed_from": resumed_from,
+                "partitioner": partitioner_fingerprint(engine.cluster.partitioner),
+                "partition_edge_cut": stats["edge_cut"],
+                "worker_vertex_load": list(stats["vertex_load"]),
+                "worker_edge_load": list(stats["edge_load"]),
+            },
+            wall={"executor": executor},
+        )
+
+    def superstep_start(self, superstep: int, metrics) -> None:
+        self._before = {name: getattr(metrics, name) for name in self.PHASE_COUNTERS}
+        self.emit("superstep_start", superstep=superstep)
+
+    def superstep_end(self, superstep: int, metrics, num_active: int) -> None:
+        """The phase events of the superstep that just ran."""
+        before = self._before
+
+        def delta(name: str) -> Any:
+            return getattr(metrics, name) - before[name]
+
+        step = metrics.supersteps_detail[-1]
+        self.emit(
+            "compute_phase",
+            superstep=superstep,
+            data={
+                "compute_calls": delta("compute_calls"),
+                "warp_calls": delta("warp_calls"),
+                "warp_suppressed_vertices": delta("warp_suppressed_vertices"),
+                "combiner_reductions": delta("combiner_reductions"),
+            },
+            wall={
+                "compute_s": step.compute_time,
+                "workers": len(step.worker_wall_times),
+            },
+        )
+        self.emit(
+            "scatter_phase",
+            superstep=superstep,
+            data={
+                "scatter_calls": delta("scatter_calls"),
+                "messages": delta("messages_sent"),
+                "message_bytes": delta("message_bytes"),
+            },
+        )
+        self.emit(
+            "barrier_exchange",
+            superstep=superstep,
+            data={
+                "local_messages": delta("local_messages"),
+                "remote_messages": delta("remote_messages"),
+                "local_bytes": delta("local_message_bytes"),
+                "remote_bytes": delta("remote_message_bytes"),
+            },
+            wall={
+                "exchange_s": step.exchange_time,
+                "exchange_bytes": step.exchange_bytes,
+                "exchange_raw_bytes": step.exchange_raw_bytes,
+            },
+        )
+        for worker, spans in enumerate(step.worker_spans):
+            self.emit(
+                "worker_span",
+                superstep=superstep,
+                data={"worker": worker, "phases": list(WORKER_SPAN_PHASES)},
+                wall={
+                    **{f"{phase}_s": spans.get(phase, 0.0)
+                       for phase in WORKER_SPAN_PHASES},
+                    "total_s": sum(
+                        spans.get(phase, 0.0) for phase in WORKER_SPAN_PHASES
+                    ),
+                },
+            )
+        self.emit(
+            "superstep_end",
+            superstep=superstep,
+            data={
+                "active": num_active,
+                "modeled_compute_s": step.max_worker_compute_time,
+                "modeled_messaging_s": step.messaging_time,
+            },
+        )
+
+    def run_end(self, metrics) -> None:
+        self.emit(
+            "run_end",
+            data={
+                "supersteps": metrics.supersteps,
+                "compute_calls": metrics.compute_calls,
+                "scatter_calls": metrics.scatter_calls,
+                "messages_sent": metrics.messages_sent,
+                "message_bytes": metrics.message_bytes,
+                "modeled_makespan_s": metrics.modeled_makespan,
+            },
+            wall={"makespan_s": metrics.makespan},
+        )
+
+
 def encode_event(record: Dict[str, Any]) -> str:
     """One compact JSON line (no trailing newline) for a record."""
     return json.dumps(record, separators=(",", ":"), sort_keys=True)

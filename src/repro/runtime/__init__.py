@@ -52,9 +52,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "encode_interval", "encode_message", "encode_payload", "encode_varint",
         "encoded_message_size", "interval_size", "payload_size", "varint_size",
     ),
-    ".faults": (
-        "FaultAction", "FaultPlan", "UnrecoverableRunError", "WorkerDiedError",
-    ),
+    ".faults": ("FaultAction", "FaultPlan"),
     ".metrics": (
         "ComputeModel", "NetworkModel", "RecoveryMetrics", "RunMetrics",
         "SuperstepMetrics",
@@ -64,4 +62,5 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "IntervalGreedyPartitioner", "Partitioner", "RangePartitioner",
         "build_partitioner", "partitioner_fingerprint",
     ),
+    "repro.errors": ("UnrecoverableRunError", "WorkerDiedError"),
 })

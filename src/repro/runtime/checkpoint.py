@@ -598,3 +598,109 @@ def load_checkpoint(
         partitioner=manifest.get("partitioner", ""),
         exchange=manifest.get("exchange", ""),
     )
+
+
+# -- one engine run's durability -----------------------------------------------
+
+
+class RunCheckpoints:
+    """What `IntervalCentricEngine.run` needs of this module, built only by
+    a run that checkpoints or resumes: the config fingerprint, the validated
+    checkpoint it resumes from (``resume``), the barrier writes, the
+    rollback point after a worker death, and the directory it owns."""
+
+    def __init__(self, engine, resume_from=None):
+        self.engine = engine
+        self.every = engine.checkpoint_every
+        self.config_hash = config_fingerprint(engine)
+        self.resume = self.load(resume_from) if resume_from is not None else None
+        self.dir = engine.checkpoint_dir
+        self._own_dir: Optional[str] = None
+        if self.every is not None:
+            if self.dir is None:
+                import tempfile
+
+                self._own_dir = self.dir = tempfile.mkdtemp(prefix="repro-ckpt-")
+            elif resume_from is None:
+                # A fresh checkpointed run owns its directory: stale steps
+                # from an earlier run (e.g. SCC's peeling sub-runs sharing
+                # one dir) must not be mistaken for this run's rollback points.
+                clear_checkpoints(self.dir)
+
+    def load(self, path) -> LoadedCheckpoint:
+        engine = self.engine
+        ckpt = load_checkpoint(path, coalesce=engine.coalesce_states)
+        current = partitioner_fingerprint(engine.cluster.partitioner)
+        # Checked before the opaque config hash: a partitioner swap is the
+        # one mismatch a user can read and act on directly, and a resume
+        # under a different vertex→worker map would silently scramble shard
+        # ownership.
+        if ckpt.partitioner and ckpt.partitioner != current:
+            raise CheckpointError(
+                f"checkpoint {ckpt.path} was written under partitioner "
+                f"{ckpt.partitioner} but this engine runs under {current}; "
+                "refusing to resume across a different vertex-to-worker "
+                "assignment"
+            )
+        if ckpt.exchange and ckpt.exchange != EXCHANGE_FINGERPRINT:
+            raise CheckpointError(
+                f"checkpoint {ckpt.path} carries exchange data-plane "
+                f"fingerprint {ckpt.exchange!r} but this build speaks "
+                f"{EXCHANGE_FINGERPRINT!r}; refusing to resume across "
+                "incompatible routed-batch wire formats"
+            )
+        if ckpt.config_hash != self.config_hash:
+            raise CheckpointError(
+                f"checkpoint {ckpt.path} was written by a different "
+                f"configuration (config hash {ckpt.config_hash[:12]}… vs "
+                f"this engine's {self.config_hash[:12]}…); refusing to resume"
+            )
+        if set(ckpt.states) != set(engine._seq):
+            raise CheckpointError(
+                f"checkpoint {ckpt.path} covers {len(ckpt.states)} vertices "
+                f"but the graph has {len(engine._seq)}"
+            )
+        return ckpt
+
+    def rollback_point(self) -> Optional[LoadedCheckpoint]:
+        """Where a replay after a worker death starts: the newest checkpoint
+        this run wrote, else the one it resumed from (``None``: superstep 1)."""
+        latest = latest_checkpoint(self.dir) if self.every is not None else None
+        return self.load(latest) if latest is not None else self.resume
+
+    def after_superstep(self, superstep: int, executor, metrics, recovery) -> None:
+        """Write the barrier's checkpoint when ``superstep`` is due one."""
+        if self.every is None or superstep % self.every:
+            return
+        engine = self.engine
+        cluster = engine.cluster
+        info = write_checkpoint(
+            self.dir,
+            superstep=superstep,
+            snapshot=executor.snapshot(),
+            aggregates=dict(engine._aggregates),
+            metrics=metrics,
+            config_hash=self.config_hash,
+            num_workers=cluster.num_workers,
+            worker_of=cluster.worker_of,
+            partitioner=partitioner_fingerprint(cluster.partitioner),
+            exchange=EXCHANGE_FINGERPRINT,
+        )
+        recovery.checkpoints_written += 1
+        recovery.checkpoint_bytes += info.bytes_written
+        recovery.checkpoint_seconds += info.seconds
+        if engine._events is not None:
+            engine._events.emit(
+                "checkpoint_write",
+                superstep=superstep,
+                wall={
+                    "path": str(info.path),
+                    "bytes": info.bytes_written,
+                    "seconds": info.seconds,
+                },
+            )
+
+    def close(self) -> None:
+        """Remove the temporary directory the run made for itself."""
+        if self._own_dir is not None:
+            shutil.rmtree(self._own_dir, ignore_errors=True)

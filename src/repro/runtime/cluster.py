@@ -16,7 +16,7 @@ from typing import Any, Callable, Optional
 from repro.core.messages import IntervalMessage
 from .encoding import encoded_message_size
 from .metrics import ComputeModel, NetworkModel, RunMetrics, SuperstepMetrics
-from .partitioner import HashPartitioner
+from .partitioner import HashPartitioner, _edge_records
 
 
 class ClusterLifecycleError(RuntimeError):
@@ -117,9 +117,9 @@ class SimulatedCluster:
             vertex_load[self.worker_of(vid)] += 1
         edge_load = [0] * self.num_workers
         total = cut = 0
-        for e in graph.edges():
+        for src, dst, _, _ in _edge_records(graph):  # no edge object built
             total += 1
-            src_w, dst_w = self.worker_of(e.src), self.worker_of(e.dst)
+            src_w, dst_w = self.worker_of(src), self.worker_of(dst)
             edge_load[src_w] += 1
             if src_w != dst_w:
                 cut += 1

@@ -6,11 +6,12 @@ superstep to an executor.  There is exactly one superstep loop,
 construction, the per-vertex walk, message routing and the measured phase
 spans — one barrier fold, :func:`_fold_reports`, and one executor,
 :class:`ParallelExecutor`.  A P-process run (``--processes P``) hosts
-runtime 0 in the master and forks P−1 workers, each owning a fixed subset
-of the shards (shared-nothing — no state is shared after fork).  The
-serial executor is its P = 1 case, as on Giraph, where a single-machine
-run is a cluster of one: nothing is forked, no message is ever encoded or
-exchanged, and the wire phases of its one ``worker_span`` are exactly 0.
+runtime 0 in the master and forks P−1 workers (`repro.runtime.workers`),
+each owning a fixed subset of the shards (shared-nothing — no state is
+shared after fork).  The serial executor is its P = 1 case, as on Giraph,
+where a single-machine run is a cluster of one: nothing is forked, no
+message is ever encoded or exchanged, and the wire phases of its one
+``worker_span`` are exactly 0.
 
 Cross-process messages travel at the BSP barrier as varint-encoded routed
 batches (`repro.runtime.encoding`); messages between shards of the same
@@ -49,7 +50,6 @@ so an 8-worker simulation keeps its metrics identical whether it runs on
 from __future__ import annotations
 
 import os
-import signal
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
@@ -67,15 +67,16 @@ from .encoding import (
     encoded_batch_size,
     routed_entries_size,
 )
-from .faults import FaultPlan, WorkerDiedError, kill_process
 from .metrics import RunMetrics
 
 if TYPE_CHECKING:
     from .checkpoint import ExecutorSnapshot
+    from .faults import FaultPlan
 
-# ``multiprocessing``, ``pickle``, ``threading``, ``traceback`` and the
-# checkpoint module are imported by the code that forks, ships or snapshots
-# — a serial, uncheckpointed run loads none of them.
+# The worker host (`repro.runtime.workers`, with ``multiprocessing`` and
+# ``pickle``), the fault plans and the checkpoint module are imported by the
+# code that forks, kills or snapshots — a serial, uncheckpointed run loads
+# none of them.
 
 #: Counters each worker runtime accumulates locally and the barrier folds —
 #: the registry's ``worker_field`` slice, in declaration order
@@ -111,6 +112,8 @@ def resolve_executor(config: EngineConfig):
     elif kind == "parallel":
         plan = spec.fault_plan
         if isinstance(plan, str):
+            from .faults import FaultPlan
+
             plan = FaultPlan.parse(plan)
         executor = ParallelExecutor(
             processes=spec.processes, fault_plan=plan, exchange=config.exchange
@@ -514,7 +517,9 @@ class _WorkerRuntime:
             if die_in_exchange:
                 # The mid-exchange kill: die with the outbound batches
                 # encoded but the report never sent.
-                os.kill(os.getpid(), signal.SIGKILL)
+                from .faults import kill_process
+
+                kill_process(os.getpid())
             wire_s += encode_s
 
         return {
@@ -559,74 +564,23 @@ class _WorkerRuntime:
         return list(self._pending)
 
 
-# -- worker processes ---------------------------------------------------------
-
-
-def _worker_main(payload: _ShardPayload, conn) -> None:
-    import pickle
-    import traceback
-
-    # Drop the master's pipe ends inherited over fork: with them open here
-    # a command pipe never reaches EOF, and a worker whose master was
-    # killed would block in ``recv`` for ever.
-    for other in payload.close_conns or ():
-        other.close()
-    try:
-        runtime = _WorkerRuntime(payload)
-    except BaseException:
-        conn.send(("error", traceback.format_exc(), None))
-        return
-    while True:
-        t_wait = time.perf_counter()
-        try:
-            cmd = conn.recv()
-        except EOFError:
-            break
-        # Idle time blocked on the master's next command — the barrier
-        # wait preceding whatever superstep this command starts.
-        wait = time.perf_counter() - t_wait
-        op = cmd[0]
-        if op == "stop":
-            break
-        try:
-            if op == "step":
-                runtime.barrier_wait = wait
-                result = runtime.step(*cmd[1:])
-            elif op == "collect":
-                result = runtime.collect()
-            elif op == "snapshot":
-                result = {
-                    "states": runtime.collect(),
-                    "pending": encode_routed_batch(runtime.pending_entries()),
-                }
-            else:
-                raise RuntimeError(f"unknown worker command {op!r}")
-        except BaseException as exc:
-            try:
-                pickle.dumps(exc)
-            except Exception:
-                exc = None
-            conn.send(("error", traceback.format_exc(), exc))
-        else:
-            conn.send(("ok", result))
-    conn.close()
-
-
 class ParallelExecutor:
     """Shared-nothing execution of the superstep loop: the master is
     process 0.
 
     ``start`` forks processes 1 … P−1 — long-lived workers holding their
-    partitions' contexts — and then builds runtime 0 in the master
-    (forking first, so no child inherits runtime 0's contexts).  Each
-    superstep sends the step commands (aggregates and routed batches out),
-    runs runtime 0's step in-process while the workers run theirs, and
-    receives the other reports over the pipes.  The reports stay in
-    process order; the batches that rode them are routed on, and
-    :func:`_fold_reports` folds them into the cluster's accounting at the
-    barrier, so the modeled metrics do not depend on the process count.
-    With P = 1 nothing is forked — the serial executor is this class at
-    ``processes=1`` (``name`` is what the config asked for).
+    partitions' contexts, hosted by a
+    :class:`~repro.runtime.workers.WorkerHost` — and then builds runtime 0
+    in the master (forking first, so no child inherits runtime 0's
+    contexts).  Each superstep sends the step commands (aggregates and
+    routed batches out), runs runtime 0's step in-process while the
+    workers run theirs, and receives the other reports over the pipes.  The
+    reports stay in process order; the batches that rode them are routed
+    on, and :func:`_fold_reports` folds them into the cluster's accounting
+    at the barrier, so the modeled metrics do not depend on the process
+    count.  With P = 1 there is no host and nothing is forked — the serial
+    executor is this class at ``processes=1`` (``name`` is what the config
+    asked for).
     """
 
     def __init__(
@@ -646,12 +600,9 @@ class ParallelExecutor:
         self.fault_plan = fault_plan
         self.exchange = exchange or ExchangeConfig()
         self._runtime: Optional[_WorkerRuntime] = None
-        #: Forked processes 1 … P−1 and the master's pipe ends to them:
-        #: ``_procs[p - 1]`` is process ``p``.
-        self._procs: list = []
-        self._conns: list = []
+        #: Processes 1 … P−1 (`repro.runtime.workers`); ``None`` at P = 1.
+        self._host = None
         self._pending_total = 0
-        self._last_superstep = 0
 
     def start(self, engine, states, fresh, rescatter, warm: bool) -> None:
         # Reusable lifecycle: one executor instance may host many runs
@@ -660,28 +611,31 @@ class ParallelExecutor:
         # clear them), but a run torn down mid-flight — e.g. a query
         # cancelled at its deadline between ``abort`` and re-entry — must
         # not leak its workers into the next run.
-        if self._procs or self._runtime is not None:
+        if self._host is not None or self._runtime is not None:
             self.abort()
         cluster = engine.cluster
         n_shards = cluster.num_workers
         procs = self.processes or _default_process_count()
         procs = max(1, min(procs, n_shards))
-        self._nprocs = procs
         self._engine = engine
         shard_to_proc = [s % procs for s in range(n_shards)]
         self._shard_to_proc = shard_to_proc
-        self._last_superstep = 0
-        self._inbound: list[list] = [[] for _ in range(procs)]
         self._pending_total = 0
         per_states = [states]
         if procs > 1:
+            from .workers import WorkerHost
+
             # ``fresh`` and ``rescatter`` go to every runtime whole: a
             # runtime only ever looks its own vertices up in them.
             worker_of = cluster.partitioner.worker_of
             per_states = [{} for _ in range(procs)]
             for vid, state in states.items():
                 per_states[shard_to_proc[worker_of(vid)]][vid] = state
-            self._fork(engine, shard_to_proc, per_states, fresh, rescatter, warm)
+            self._host = WorkerHost(self.fault_plan)
+            self._host.fork(
+                engine, shard_to_proc, per_states, fresh, rescatter, warm,
+                combine=self.exchange.combine,
+            )
         self._runtime = _WorkerRuntime(
             _ShardPayload.of(
                 engine, shard_to_proc, 0, per_states[0], fresh, rescatter, warm,
@@ -690,210 +644,68 @@ class ParallelExecutor:
             tracer=engine.tracer,
         )
 
-    def _fork(self, engine, shard_to_proc, per_states, fresh, rescatter, warm):
-        """Start processes 1 … P−1, each with its share of the states.
-
-        fork inherits the graph/program/states copy-on-write — no pickling
-        of the (potentially large) payload; spawn platforms pickle it.
-        """
-        import multiprocessing as mp
-
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else None)
-        fork = ctx.get_start_method() == "fork"
-        if not fork:
-            # Spawn pickles the payload per worker.  A compact graph can
-            # dodge the copy entirely: migrate its buffer into shared
-            # memory so the pickle carries only the segment name and every
-            # worker attaches to the same physical pages.  (File-mapped
-            # compact graphs already pickle as their path; heap graphs
-            # have no zero-copy form and are pickled as before.)
-            share = getattr(engine.graph, "ensure_shared", None)
-            if share is not None:
-                share()
-        else:
-            # Complete the graph's piece index before forking: the workers
-            # inherit it copy-on-write instead of each rebuilding its share
-            # per run (mapped usrn(4.0), 9 024 edges: 30 ms; 120 ms on ITGR v2).
-            for share in per_states[1:]:
-                for vid in share:
-                    engine.graph.piece_indexes(vid)
-        for p in range(1, len(per_states)):
-            parent_conn, child_conn = ctx.Pipe()
-            payload = _ShardPayload.of(
-                engine, shard_to_proc, p,
-                per_states[p], fresh, rescatter, warm,
-                combine=self.exchange.combine,
-                # A forked child holds a copy of every master end open at
-                # fork time: the earlier workers' and its own.
-                close_conns=[*self._conns, parent_conn] if fork else None,
-            )
-            proc = ctx.Process(target=_worker_main, args=(payload, child_conn), daemon=True)
-            proc.start()
-            child_conn.close()
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
-
     def has_pending(self) -> bool:
         return self._pending_total > 0
 
-    def _worker_died(self, p: int, detail: str = "") -> WorkerDiedError:
-        proc = self._procs[p - 1]
-        proc.join(timeout=10)
-        return WorkerDiedError(
-            worker=p,
-            superstep=self._last_superstep,
-            exitcode=proc.exitcode,
-            detail=detail,
-        )
-
-    def _send(self, p: int, cmd: tuple) -> None:
-        """Send ``cmd`` to forked process ``p``."""
-        try:
-            self._conns[p - 1].send(cmd)
-        except (BrokenPipeError, OSError) as exc:
-            raise self._worker_died(p, detail=str(exc)) from None
-
-    def _recv_all(self) -> list:
-        replies = []
-        for p, conn in enumerate(self._conns, 1):
-            try:
-                reply = conn.recv()
-            except EOFError:
-                # The pipe closed without a reply: the worker *process* is
-                # gone (crash / SIGKILL / oom).  Recoverable via checkpoint
-                # rollback — unlike the user-program errors below, which
-                # would fail identically on every replay.
-                raise self._worker_died(p) from None
-            if reply[0] == "error":
-                _, tb, exc = reply
-                if exc is not None:
-                    raise exc
-                raise RuntimeError(f"parallel worker {p} failed:\n{tb}")
-            replies.append(reply[1])
-        return replies
-
     def run_superstep(self, superstep: int, metrics: RunMetrics) -> int:
         engine = self._engine
-        self._last_superstep = superstep
-        exchange_victims: set[int] = set()
-        if self.fault_plan is not None and self._procs:
-            # Plans index the forked processes: ``kill:W@S`` targets
-            # process ``1 + W % (P−1)``.
-            forked = len(self._procs)
-            for victim in self.fault_plan.victims(superstep, forked):
-                # A real, uncatchable death — the master must discover it
-                # through the broken pipe exactly as it would a crash.
-                proc = self._procs[victim]
-                if proc.pid is not None and proc.is_alive():
-                    kill_process(proc.pid)
-                    proc.join(timeout=10)
-            # Exchange-phase kills are shipped with the step command: the
-            # worker SIGKILLs *itself* mid-exchange, with its batches
-            # encoded and its report unsent.  Marked fired here, at ship
-            # time, because the victim never reports back.
-            exchange_victims = {
-                1 + v
-                for v in self.fault_plan.victims(superstep, forked, phase="exchange")
-            }
         engine.cluster.begin_superstep(superstep)
-
-        aggregates = engine._aggregates
-        inbound = self._inbound
-        self._inbound = [[] for _ in range(self._nprocs)]
-        t0 = time.perf_counter()
-        for p in range(1, self._nprocs):
-            self._send(
-                p, ("step", superstep, aggregates, inbound[p], p in exchange_victims)
-            )
-        reports = [self._runtime.step(superstep, aggregates, inbound[0])]
-        if self._conns:
-            reports += self._recv_all()
-            compute_wall = time.perf_counter() - t0
-            # The batches rode the reports; route them on.
-            for rep in reports:
-                for dest, buf in rep["out"].items():
-                    self._inbound[dest].append(buf)
-        else:
+        if self._host is None:
             # A cluster of one: the superstep *is* the vertex walk.
+            reports = [self._runtime.step(superstep, engine._aggregates, ())]
             compute_wall = reports[0]["wall"]
+        else:
+            reports, compute_wall = self._host.step(
+                self._runtime, superstep, engine._aggregates
+            )
         active, self._pending_total = _fold_reports(
             engine, metrics, reports, compute_wall
         )
         return active
 
     def collect_states(self) -> dict[Any, Any]:
-        for p in range(1, self._nprocs):
-            self._send(p, ("collect",))
-        states = self._runtime.collect()
-        if not self._conns:
-            return states  # one runtime holds every vertex in seq order
-        for share in self._recv_all():
-            states.update(share)
-        return {vid: states[vid] for vid in self._engine._seq}
+        if self._host is None:
+            return self._runtime.collect()  # every vertex, in seq order
+        return self._host.collect(self._runtime, self._engine._seq)
 
     def snapshot(self) -> ExecutorSnapshot:
-        """Barrier-time snapshot across all processes.
-
-        Each runtime contributes its states and the messages parked with it
-        for the next superstep — its worker-local pending list (runtime 0's
-        in-process, the others' encoded); the master adds the
-        cross-process batches still sitting in ``_inbound`` (decoded
-        non-destructively — the live bytes stay put for the next
-        superstep).  Entries are merged with one stable sort by sender
-        sequence, recreating the serial delivery order, so the snapshot is
-        executor-neutral.
-        """
+        """Barrier-time snapshot: every state and every message awaiting the
+        next superstep, in delivery order — executor-neutral."""
+        if self._host is not None:
+            return self._host.snapshot(self._runtime, self._engine._seq)
         from .checkpoint import ExecutorSnapshot
 
-        for p in range(1, self._nprocs):
-            self._send(p, ("snapshot",))
-        states = self._runtime.collect()
-        pending = self._runtime.pending_entries()
-        for rep in self._recv_all():
-            states.update(rep["states"])
-            pending.extend(decode_routed_batch(rep["pending"]))
-        for batches in self._inbound:
-            for buf in batches:
-                pending.extend(decode_routed_batch(buf))
-        pending.sort(key=lambda e: e[0])  # stable: per-sender order kept
-        if self._conns:
-            states = {vid: states[vid] for vid in self._engine._seq}
-        return ExecutorSnapshot(states=states, pending=pending)
+        # One runtime's pending list is already in delivery order (see step).
+        return ExecutorSnapshot(
+            states=self._runtime.collect(), pending=self._runtime.pending_entries()
+        )
 
     def restore_pending(self, entries) -> None:
-        """Hand a checkpoint's pending messages (already in delivery order)
-        back: runtime 0's share as its pending list, the others' as one
-        re-encoded inbound batch per process.  Combined 5-tuple entries
-        pass through intact, so the first resumed superstep charges the
-        receiver pass for the folded-away raw messages exactly as the
-        original run would have."""
-        per_proc: dict[int, list] = {}
-        worker_of = self._engine.cluster.partitioner.worker_of
-        for entry in entries:
-            proc = self._shard_to_proc[worker_of(entry[1])]
-            per_proc.setdefault(proc, []).append(entry)
-        self._runtime._pending = per_proc.pop(0, [])
-        for p, ents in per_proc.items():
-            self._inbound[p].append(encode_routed_batch(ents))
+        """Hand a checkpoint's pending messages (in delivery order) back to
+        the runtimes whose shards own their destinations."""
+        if self._host is None:
+            self._runtime._pending = list(entries)
+        else:
+            worker_of = self._engine.cluster.partitioner.worker_of
+            proc_of = self._shard_to_proc
+            self._host.restore(
+                self._runtime, entries, lambda vid: proc_of[worker_of(vid)]
+            )
         self._pending_total = len(entries)
 
-    def _release(self) -> None:
-        """Drop the run's runtime 0.  The contexts point back at the
-        runtime: cutting the cycle frees the run's edge indexes and inboxes
-        now rather than at some later garbage collection."""
+    def _release(self):
+        """Drop the run's runtime 0 and return its host.  The contexts point
+        back at the runtime: cutting the cycle frees the run's edge indexes
+        and inboxes now rather than at some later garbage collection."""
         runtime, self._runtime = self._runtime, None
         if runtime is not None:
             runtime.contexts.clear()
+        host, self._host = self._host, None
+        return host
 
     def close(self) -> None:
-        """Shut workers down, **propagating** any death instead of hiding it.
-
-        Every process is still joined and every pipe closed before the
-        error surfaces — cleanup is unconditional — but a worker that
-        exited nonzero (or never acknowledged the stop) raises
-        :class:`WorkerDiedError` naming the worker and its last superstep,
-        instead of the old silent terminate-and-move-on.
+        """Shut workers down, **propagating** any death instead of hiding it
+        (:meth:`WorkerHost.close <repro.runtime.workers.WorkerHost.close>`).
 
         Idempotent: a second ``close()`` (or one after ``abort()``) finds
         no runtime and no processes and returns immediately, so a
@@ -901,55 +713,12 @@ class ParallelExecutor:
         across queries — can close defensively without tracking whether
         the last run already did.
         """
-        self._release()
-        failure: Optional[WorkerDiedError] = None
-        for conn in self._conns:
-            try:
-                conn.send(("stop",))
-            except Exception:
-                pass  # already dead; the exit code check below reports it
-        for p, proc in enumerate(self._procs, 1):
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - crash cleanup
-                proc.terminate()
-                proc.join(timeout=10)
-            if proc.exitcode not in (0, None) and failure is None:
-                failure = WorkerDiedError(
-                    worker=p,
-                    superstep=self._last_superstep,
-                    exitcode=proc.exitcode,
-                )
-        for conn in self._conns:
-            try:
-                conn.close()
-            except Exception:
-                pass
-        self._procs = []
-        self._conns = []
-        if failure is not None:
-            raise failure
+        host = self._release()
+        if host is not None:
+            host.close()
 
     def abort(self) -> None:
         """Best-effort teardown for error paths — never raises, never hangs."""
-        self._release()
-        for proc in self._procs:
-            try:
-                if proc.is_alive():
-                    proc.terminate()
-            except Exception:
-                pass
-        for proc in self._procs:
-            try:
-                proc.join(timeout=10)
-                if proc.is_alive():  # pragma: no cover - hard kill fallback
-                    proc.kill()
-                    proc.join(timeout=10)
-            except Exception:
-                pass
-        for conn in self._conns:
-            try:
-                conn.close()
-            except Exception:
-                pass
-        self._procs = []
-        self._conns = []
+        host = self._release()
+        if host is not None:
+            host.abort()

@@ -11,15 +11,19 @@ A :class:`FaultPlan` is a list of "kill worker *w* at superstep *s*"
 actions.  The master is process 0 and a P-process run forks processes
 1 … P−1; action *w* targets forked process ``1 + w % (P−1)``, so the
 master itself is never a victim and with P = 1 a plan does nothing.  The
-:class:`~repro.runtime.executor.ParallelExecutor` consults the plan at the
-top of every superstep and delivers a real ``SIGKILL`` to the victim — not
+parallel executor's worker host (:class:`~repro.runtime.workers.WorkerHost`)
+consults the plan at the top of every superstep and delivers a real
+``SIGKILL`` to the victim — not
 an exception, not a mock: the process dies mid-run and the master
 discovers it through the broken pipe, exactly as it would a genuine crash.
 Each action fires at most once so that the replay after recovery does not
-re-kill the respawned worker.
+re-kill the respawned worker.  The other side is :func:`recover`:
+`IntervalCentricEngine.run` hands it each death, and it counts and
+reports the death and picks the checkpoint the replay starts from.  This
+module is loaded only by a run with a fault plan or a dead worker.
 
-Failure taxonomy
-----------------
+Failure taxonomy (defined in `repro.errors`, importable from here)
+-------------------------------------------------------------------
 ``WorkerDiedError``
     A worker *process* vanished (nonzero exit / killed / pipe EOF).  Raised
     by the executor with the process number (1 … P−1), last superstep and
@@ -42,46 +46,18 @@ from __future__ import annotations
 import os
 import random
 import signal
+import time
 from dataclasses import dataclass, field
-from typing import Optional
+
+from repro.errors import UnrecoverableRunError, WorkerDiedError
 
 __all__ = [
     "FaultAction",
     "FaultPlan",
     "UnrecoverableRunError",
     "WorkerDiedError",
+    "recover",
 ]
-
-
-class WorkerDiedError(RuntimeError):
-    """A parallel worker process died (crash, kill, or silent nonzero exit).
-
-    Distinct from a user-program exception: those are pickled back over the
-    pipe and re-raised as themselves.  This error means the *process* is
-    gone and its partition state with it.
-    """
-
-    code = "worker_died"  # stable string code (see repro.errors)
-
-    def __init__(self, worker: int, superstep: int, exitcode: Optional[int] = None,
-                 detail: str = ""):
-        suffix = f" (exit code {exitcode})" if exitcode is not None else ""
-        extra = f": {detail}" if detail else ""
-        super().__init__(
-            f"parallel worker {worker} died at superstep {superstep}{suffix}{extra}"
-        )
-        self.worker = worker
-        self.superstep = superstep
-        self.exitcode = exitcode
-
-    def __reduce__(self):
-        return (WorkerDiedError, (self.worker, self.superstep, self.exitcode))
-
-
-class UnrecoverableRunError(RuntimeError):
-    """Worker failure that recovery could not (or was not allowed to) absorb."""
-
-    code = "unrecoverable_run"  # stable string code (see repro.errors)
 
 
 @dataclass
@@ -210,3 +186,39 @@ class FaultPlan:
 def kill_process(pid: int) -> None:
     """Deliver an uncatchable SIGKILL — the injected fault is a real death."""
     os.kill(pid, signal.SIGKILL)
+
+
+def recover(engine, died: WorkerDiedError, durable, recovery):
+    """Absorb one worker death of ``engine``'s run: count and report it,
+    then return the checkpoint the replay starts from (``None``: superstep 1,
+    or the checkpoint the run resumed from — ``durable`` is the run's
+    `repro.runtime.checkpoint.RunCheckpoints`, ``None`` when it neither
+    checkpoints nor resumes).  Raises :class:`UnrecoverableRunError` once
+    ``max_restarts`` replays are spent."""
+    events = engine._events
+    recovery.restarts += 1
+    if events is not None:
+        events.emit(
+            "worker_death",
+            superstep=died.superstep,
+            data={"worker": died.worker},
+            wall={"exitcode": died.exitcode},
+        )
+    if recovery.restarts > engine.max_restarts:
+        raise UnrecoverableRunError(
+            f"worker failure persisted after {engine.max_restarts} "
+            f"restart(s): {died}"
+        ) from died
+    t0 = time.perf_counter()
+    start = durable.rollback_point() if durable is not None else None
+    rollback_to = start.superstep if start is not None else 0
+    replayed = max(0, died.superstep - rollback_to)
+    recovery.replayed_supersteps += replayed
+    recovery.recovery_seconds += time.perf_counter() - t0
+    if events is not None:
+        events.emit(
+            "rollback",
+            superstep=died.superstep,
+            data={"to_superstep": rollback_to, "replayed_supersteps": replayed},
+        )
+    return start

@@ -1,0 +1,308 @@
+"""The worker host: processes 1 … P−1 of a P-process run, seen from the master.
+
+:class:`~repro.runtime.executor.ParallelExecutor` composes a
+:class:`WorkerHost` only when a run forks (P ≥ 2); a serial run never
+imports this module, ``multiprocessing`` or ``pickle``.  Everything that
+touches another process lives here: the fork, the worker's command loop
+(:func:`_worker_main`), the pipes, the injected kills, the cross-process
+collect / snapshot / restore and the teardown.  Runtime 0 stays in the
+master and is handed in by the executor.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Any, Optional
+
+from repro.errors import WorkerDiedError
+
+from .encoding import decode_routed_batch, encode_routed_batch
+from .executor import _ShardPayload, _WorkerRuntime
+
+
+def _worker_main(payload: _ShardPayload, conn) -> None:
+    import pickle
+    import traceback
+
+    # Drop the master's pipe ends inherited over fork: with them open here
+    # a command pipe never reaches EOF, and a worker whose master was
+    # killed would block in ``recv`` for ever.
+    for other in payload.close_conns or ():
+        other.close()
+    try:
+        runtime = _WorkerRuntime(payload)
+    except BaseException:
+        conn.send(("error", traceback.format_exc(), None))
+        return
+    while True:
+        t_wait = time.perf_counter()
+        try:
+            cmd = conn.recv()
+        except EOFError:
+            break
+        # Idle time blocked on the master's next command — the barrier
+        # wait preceding whatever superstep this command starts.
+        wait = time.perf_counter() - t_wait
+        op = cmd[0]
+        if op == "stop":
+            break
+        try:
+            if op == "step":
+                runtime.barrier_wait = wait
+                result = runtime.step(*cmd[1:])
+            elif op == "collect":
+                result = runtime.collect()
+            elif op == "snapshot":
+                result = {
+                    "states": runtime.collect(),
+                    "pending": encode_routed_batch(runtime.pending_entries()),
+                }
+            else:
+                raise RuntimeError(f"unknown worker command {op!r}")
+        except BaseException as exc:
+            try:
+                pickle.dumps(exc)
+            except Exception:
+                exc = None
+            conn.send(("error", traceback.format_exc(), exc))
+        else:
+            conn.send(("ok", result))
+    conn.close()
+
+
+class WorkerHost:
+    """Forked processes 1 … P−1 and the master's pipe ends to them
+    (``procs[p - 1]`` is process ``p``), plus the routed batches waiting
+    for each process's next step (``inbound[p]``; runtime 0's included).
+
+    ``fault_plan`` (`repro.runtime.faults`) schedules real SIGKILLs of
+    forked processes; runtime 0 is the master itself and is never a victim.
+    """
+
+    def __init__(self, fault_plan=None):
+        self.fault_plan = fault_plan
+        self.procs: list = []
+        self.conns: list = []
+        self.inbound: list[list] = []
+        self.last_superstep = 0
+
+    def fork(self, engine, shard_to_proc, per_states, fresh, rescatter, warm,
+             combine: bool) -> None:
+        """Start processes 1 … P−1, each with its share of the states.
+
+        fork inherits the graph/program/states copy-on-write — no pickling
+        of the (potentially large) payload; spawn platforms pickle it.
+        """
+        import multiprocessing as mp
+
+        self.inbound = [[] for _ in per_states]
+        methods = mp.get_all_start_methods()
+        ctx = mp.get_context("fork" if "fork" in methods else None)
+        fork = ctx.get_start_method() == "fork"
+        if not fork:
+            # Spawn pickles the payload per worker.  A compact graph can
+            # dodge the copy entirely: migrate its buffer into shared
+            # memory so the pickle carries only the segment name and every
+            # worker attaches to the same physical pages.  (File-mapped
+            # compact graphs already pickle as their path; heap graphs
+            # have no zero-copy form and are pickled as before.)
+            share = getattr(engine.graph, "ensure_shared", None)
+            if share is not None:
+                share()
+        else:
+            # Complete the graph's piece index before forking: the workers
+            # inherit it copy-on-write instead of each rebuilding its share
+            # per run (mapped usrn(4.0), 9 024 edges: 30 ms; 120 ms on ITGR v2).
+            for share in per_states[1:]:
+                for vid in share:
+                    engine.graph.piece_indexes(vid)
+        for p in range(1, len(per_states)):
+            parent_conn, child_conn = ctx.Pipe()
+            payload = _ShardPayload.of(
+                engine, shard_to_proc, p,
+                per_states[p], fresh, rescatter, warm,
+                combine=combine,
+                # A forked child holds a copy of every master end open at
+                # fork time: the earlier workers' and its own.
+                close_conns=[*self.conns, parent_conn] if fork else None,
+            )
+            proc = ctx.Process(target=_worker_main, args=(payload, child_conn), daemon=True)
+            proc.start()
+            child_conn.close()
+            self.procs.append(proc)
+            self.conns.append(parent_conn)
+
+    def _died(self, p: int, detail: str = "") -> WorkerDiedError:
+        proc = self.procs[p - 1]
+        proc.join(timeout=10)
+        return WorkerDiedError(
+            worker=p, superstep=self.last_superstep, exitcode=proc.exitcode,
+            detail=detail,
+        )
+
+    def _send(self, p: int, cmd: tuple) -> None:
+        """Send ``cmd`` to forked process ``p``."""
+        try:
+            self.conns[p - 1].send(cmd)
+        except (BrokenPipeError, OSError) as exc:
+            raise self._died(p, detail=str(exc)) from None
+
+    def _recv_all(self) -> list:
+        replies = []
+        for p, conn in enumerate(self.conns, 1):
+            try:
+                reply = conn.recv()
+            except EOFError:
+                # The pipe closed without a reply: the worker *process* is
+                # gone (crash / SIGKILL / oom).  Recoverable via checkpoint
+                # rollback — unlike the user-program errors below, which
+                # would fail identically on every replay.
+                raise self._died(p) from None
+            if reply[0] == "error":
+                _, tb, exc = reply
+                if exc is not None:
+                    raise exc
+                raise RuntimeError(f"parallel worker {p} failed:\n{tb}")
+            replies.append(reply[1])
+        return replies
+
+    def _kill_victims(self, superstep: int) -> set[int]:
+        """Deliver the plan's top-of-superstep kills; return the processes
+        that must kill themselves mid-exchange."""
+        forked = len(self.procs)
+        for victim in self.fault_plan.victims(superstep, forked):
+            # A real, uncatchable death — the master must discover it
+            # through the broken pipe exactly as it would a crash.
+            proc = self.procs[victim]
+            if proc.pid is not None and proc.is_alive():
+                from .faults import kill_process
+
+                kill_process(proc.pid)
+                proc.join(timeout=10)
+        # Exchange-phase kills are shipped with the step command: the
+        # worker SIGKILLs *itself* mid-exchange, with its batches encoded
+        # and its report unsent.  Marked fired here, at ship time, because
+        # the victim never reports back.
+        return {
+            1 + v for v in self.fault_plan.victims(superstep, forked, phase="exchange")
+        }
+
+    def step(self, runtime0, superstep: int, aggregates) -> tuple[list, float]:
+        """One superstep on every process: the step commands out (with the
+        batches routed to each), runtime 0's step in the master meanwhile,
+        the reports back in process order and their batches routed on.
+        Returns the reports and the superstep's compute wall time."""
+        self.last_superstep = superstep
+        victims = self._kill_victims(superstep) if self.fault_plan else set()
+        inbound = self.inbound
+        self.inbound = [[] for _ in inbound]
+        t0 = time.perf_counter()
+        for p in range(1, len(inbound)):
+            self._send(p, ("step", superstep, aggregates, inbound[p], p in victims))
+        reports = [runtime0.step(superstep, aggregates, inbound[0])]
+        reports += self._recv_all()
+        compute_wall = time.perf_counter() - t0
+        for rep in reports:
+            for dest, buf in rep["out"].items():
+                self.inbound[dest].append(buf)
+        return reports, compute_wall
+
+    def collect(self, runtime0, seq) -> dict[Any, Any]:
+        for p in range(1, len(self.inbound)):
+            self._send(p, ("collect",))
+        states = runtime0.collect()
+        for share in self._recv_all():
+            states.update(share)
+        return {vid: states[vid] for vid in seq}
+
+    def snapshot(self, runtime0, seq):
+        """Barrier-time snapshot across all processes.
+
+        Each runtime contributes its states and the messages parked with it
+        for the next superstep — its worker-local pending list (runtime 0's
+        in-process, the others' encoded); the cross-process batches still
+        waiting in ``inbound`` are decoded non-destructively (the live
+        bytes stay put for the next superstep).  Entries are merged with
+        one stable sort by sender sequence, recreating the serial delivery
+        order, so the snapshot is executor-neutral.
+        """
+        from .checkpoint import ExecutorSnapshot
+
+        for p in range(1, len(self.inbound)):
+            self._send(p, ("snapshot",))
+        states = runtime0.collect()
+        pending = runtime0.pending_entries()
+        for rep in self._recv_all():
+            states.update(rep["states"])
+            pending.extend(decode_routed_batch(rep["pending"]))
+        for batches in self.inbound:
+            for buf in batches:
+                pending.extend(decode_routed_batch(buf))
+        pending.sort(key=lambda e: e[0])  # stable: per-sender order kept
+        return ExecutorSnapshot(
+            states={vid: states[vid] for vid in seq}, pending=pending
+        )
+
+    def restore(self, runtime0, entries, proc_of) -> None:
+        """Hand a checkpoint's pending messages (already in delivery order)
+        back: runtime 0's share as its pending list, the others' as one
+        re-encoded inbound batch per process.  Combined 5-tuple entries
+        pass through intact, so the first resumed superstep charges the
+        receiver pass for the folded-away raw messages exactly as the
+        original run would have."""
+        per_proc: dict[int, list] = {}
+        for entry in entries:
+            per_proc.setdefault(proc_of(entry[1]), []).append(entry)
+        runtime0._pending = per_proc.pop(0, [])
+        for p, ents in per_proc.items():
+            self.inbound[p].append(encode_routed_batch(ents))
+
+    def close(self) -> None:
+        """Stop and join every process, then raise :class:`WorkerDiedError`
+        for the first that exited nonzero (or never acknowledged the stop)
+        — cleanup is unconditional, the death is not hidden."""
+        failure: Optional[WorkerDiedError] = None
+        for conn in self.conns:
+            try:
+                conn.send(("stop",))
+            except Exception:
+                pass  # already dead; the exit code check below reports it
+        for p, proc in enumerate(self.procs, 1):
+            proc.join(timeout=10)
+            if proc.is_alive():  # pragma: no cover - crash cleanup
+                proc.terminate()
+                proc.join(timeout=10)
+            if proc.exitcode not in (0, None) and failure is None:
+                failure = WorkerDiedError(
+                    worker=p, superstep=self.last_superstep, exitcode=proc.exitcode,
+                )
+        self._close_conns()
+        if failure is not None:
+            raise failure
+
+    def abort(self) -> None:
+        """Best-effort teardown for error paths — never raises, never hangs."""
+        for proc in self.procs:
+            try:
+                if proc.is_alive():
+                    proc.terminate()
+            except Exception:
+                pass
+        for proc in self.procs:
+            try:
+                proc.join(timeout=10)
+                if proc.is_alive():  # pragma: no cover - hard kill fallback
+                    proc.kill()
+                    proc.join(timeout=10)
+            except Exception:
+                pass
+        self._close_conns()
+
+    def _close_conns(self) -> None:
+        for conn in self.conns:
+            try:
+                conn.close()
+            except Exception:
+                pass
+        self.procs = []
+        self.conns = []

@@ -9,9 +9,11 @@ every ``t`` is the ground truth for all three platforms.
 import pytest
 
 from repro.algorithms.reference import snapshot_lcc, snapshot_tc
-from repro.algorithms.td.lcc import GoffishLCC, SnapshotLCC, TemporalLCC, lcc_value
-from repro.algorithms.td.tc import GoffishTC, SnapshotTC, TemporalTC, global_triangles, tc_count
+from repro.algorithms.td.lcc import TemporalLCC, lcc_value
+from repro.algorithms.td.tc import TemporalTC, global_triangles, tc_count
 from repro.baselines.goffish import GoffishEngine
+from repro.baselines.td.lcc import GoffishLCC, SnapshotLCC
+from repro.baselines.td.tc import GoffishTC, SnapshotTC
 from repro.baselines.tgb import run_tgb
 from repro.core.engine import IntervalCentricEngine
 from repro.graph.builder import TemporalGraphBuilder

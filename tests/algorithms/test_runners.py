@@ -138,3 +138,43 @@ class TestParameterPlumbing:
         assert outcome.metrics.platform == "TGB"
         assert outcome.metrics.graph == "transit"
         assert outcome.algorithm == "RH"
+
+
+_GRAPHITE_ONLY = """
+import json, sys
+from repro.algorithms import ALL_ALGORITHMS, run_algorithm
+from repro.datasets import transit_graph
+for algorithm in ALL_ALGORITHMS:
+    run_algorithm(algorithm, "GRAPHITE", transit_graph())
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+class TestPlatformLayering:
+    """The baseline platforms are a layer the ICM path never loads: a
+    GRAPHITE program's module holds no baseline variant, and each variant
+    the runner resolves is the one its package's lazy name gives."""
+
+    def test_graphite_runs_load_no_baseline(self):
+        import json
+
+        from .._fresh_interpreter import run_fresh
+
+        modules = json.loads(run_fresh(_GRAPHITE_ONLY).splitlines()[-1])
+        layered = ("repro.baselines", "repro.graph.transform", "repro.graph.snapshots")
+        loaded = [m for m in modules if m.startswith(layered)]
+        assert not loaded, f"GRAPHITE runs imported {loaded}"
+
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+    def test_resolved_programs_are_the_lazy_names(self, algorithm):
+        import importlib
+
+        from repro.algorithms import runners
+
+        layer = "ti" if algorithm in TI_ALGORITHMS else "td"
+        package = importlib.import_module(f"repro.algorithms.{layer}")
+        for platform in platforms_for(algorithm):
+            program = runners._program(algorithm, platform)
+            assert getattr(package, program.__name__) is program
+            home = "repro.algorithms" if platform == "GRAPHITE" else "repro.baselines"
+            assert program.__module__.startswith(f"{home}.{layer}."), program

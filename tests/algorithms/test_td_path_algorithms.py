@@ -11,30 +11,19 @@ from repro.algorithms.reference import (
     temporal_reach_grid,
     temporal_sssp_grid,
 )
-from repro.algorithms.td.eat import GoffishEAT, TemporalEAT, TgbEAT, earliest_arrival
-from repro.algorithms.td.fast import (
-    GoffishFAST,
-    TemporalFAST,
-    TgbFAST,
-    fastest_duration,
-    tgb_fastest_duration,
-)
-from repro.algorithms.td.ld import (
-    GoffishLD,
-    TemporalLD,
-    TgbLD,
-    latest_departure,
-    tgb_latest_departure,
-)
-from repro.algorithms.td.reach import (
-    GoffishReachability,
-    TemporalReachability,
-    TgbReachability,
-    is_reachable,
-)
-from repro.algorithms.td.sssp import INFINITY, GoffishSSSP, TemporalSSSP, TgbSSSP
-from repro.algorithms.td.tmst import GoffishTMST, TemporalTMST, TgbTMST, tmst_tree
+from repro.algorithms.td.eat import TemporalEAT, earliest_arrival
+from repro.algorithms.td.fast import TemporalFAST, fastest_duration
+from repro.algorithms.td.ld import TemporalLD, latest_departure
+from repro.algorithms.td.reach import TemporalReachability, is_reachable
+from repro.algorithms.td.sssp import INFINITY, TemporalSSSP
+from repro.algorithms.td.tmst import TemporalTMST, tmst_tree
 from repro.baselines.goffish import GoffishEngine
+from repro.baselines.td.eat import GoffishEAT, TgbEAT
+from repro.baselines.td.fast import GoffishFAST, TgbFAST, tgb_fastest_duration
+from repro.baselines.td.ld import GoffishLD, TgbLD, tgb_latest_departure
+from repro.baselines.td.reach import GoffishReachability, TgbReachability
+from repro.baselines.td.sssp import GoffishSSSP, TgbSSSP
+from repro.baselines.td.tmst import GoffishTMST, TgbTMST
 from repro.baselines.tgb import run_tgb
 from repro.core.engine import IntervalCentricEngine
 from repro.graph.transform import build_transformed_graph

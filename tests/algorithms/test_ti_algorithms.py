@@ -13,12 +13,16 @@ from repro.algorithms.reference import (
     snapshot_scc,
     snapshot_wcc,
 )
-from repro.algorithms.ti.bfs import SnapshotBFS, TemporalBFS, UNREACHED
-from repro.algorithms.ti.pagerank import SnapshotPageRank, TemporalPageRank
-from repro.algorithms.ti.scc import run_chlonos_scc, run_icm_scc, run_snapshot_scc
-from repro.algorithms.ti.wcc import SnapshotWCC, TemporalWCC, make_undirected
+from repro.algorithms.ti.bfs import TemporalBFS, UNREACHED
+from repro.algorithms.ti.pagerank import TemporalPageRank
+from repro.algorithms.ti.scc import run_icm_scc
+from repro.algorithms.ti.wcc import TemporalWCC, make_undirected
 from repro.baselines.chlonos import run_chlonos
 from repro.baselines.msb import run_msb
+from repro.baselines.ti.bfs import SnapshotBFS
+from repro.baselines.ti.pagerank import SnapshotPageRank
+from repro.baselines.ti.scc import run_chlonos_scc, run_snapshot_scc
+from repro.baselines.ti.wcc import SnapshotWCC
 from repro.core.engine import IntervalCentricEngine
 from repro.graph.snapshots import snapshot_at
 

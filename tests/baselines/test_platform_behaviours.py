@@ -3,12 +3,14 @@ the properties the paper attributes to each (Sec. VII-A3, VII-B)."""
 
 import pytest
 
-from repro.algorithms.td.sssp import GoffishSSSP, TemporalSSSP, TgbSSSP
-from repro.algorithms.ti.bfs import SnapshotBFS, TemporalBFS
+from repro.algorithms.td.sssp import TemporalSSSP
+from repro.algorithms.ti.bfs import TemporalBFS
 from repro.baselines.chlonos import run_chlonos
 from repro.baselines.goffish import GoffishEngine
 from repro.baselines.msb import run_msb
+from repro.baselines.td.sssp import GoffishSSSP, TgbSSSP
 from repro.baselines.tgb import run_tgb
+from repro.baselines.ti.bfs import SnapshotBFS
 from repro.core.engine import IntervalCentricEngine
 from repro.datasets import gplus, twitter
 from repro.datasets.transit import transit_graph

@@ -127,7 +127,7 @@ class TestEngineVsTransformedCounts:
     def test_icm_needs_far_fewer_calls_than_transformed(self):
         """The intro's headline: the interval-centric run touches far fewer
         (vertex, interval) units than VCM on the transformed graph."""
-        from repro.algorithms.td.sssp import TgbSSSP
+        from repro.baselines.td.sssp import TgbSSSP
         from repro.baselines.tgb import run_tgb
 
         graph = transit_graph()

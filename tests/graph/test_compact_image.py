@@ -40,7 +40,8 @@ from repro.core.interval import FOREVER
 from repro.datasets import SURROGATES, load_surrogate, transit_graph
 from repro.errors import GraphFormatError
 from repro.graph import TemporalGraphBuilder
-from repro.graph.compact import CompactGraph, _derive_piece_rows
+from repro.graph.compact import CompactGraph
+from repro.graph.compact_writer import _derive_piece_rows
 from repro.runtime.checkpoint import graph_fingerprint
 
 from ._reference_impls import sections_of, v2_image

@@ -9,8 +9,9 @@ import pytest
 from repro import api
 from repro.algorithms import run_algorithm
 from repro.algorithms.td.sssp import TemporalSSSP
-from repro.algorithms.ti.bfs import SnapshotBFS, TemporalBFS
+from repro.algorithms.ti.bfs import TemporalBFS
 from repro.baselines.msb import run_msb
+from repro.baselines.ti.bfs import SnapshotBFS
 from repro.core.engine import IntervalCentricEngine
 from repro.datasets import gplus, twitter, usrn
 from repro.graph.stats import dataset_stats, memory_footprint

@@ -263,8 +263,8 @@ class _KillAfterCollect(ParallelExecutor):
 
     def collect_states(self):
         states = super().collect_states()
-        kill_process(self._procs[0].pid)
-        self._procs[0].join(timeout=10)
+        kill_process(self._host.procs[0].pid)
+        self._host.procs[0].join(timeout=10)
         return states
 
 

@@ -186,6 +186,31 @@ class TestPartitionObservability:
         assert engine._partition_stats is engine.graph._placement[key]
         assert engine._partition_stats is first
 
+    def test_partition_stats_agree_on_heap_image_and_window(self, tmp_path):
+        """The statistics stream edge records, not edge objects: a heap
+        graph, its mapped image and a window over either give one dict, and
+        a bounded window gives what its materialised slice does."""
+        from repro.datasets import twitter
+        from repro.query.slice import temporal_slice
+
+        heap = twitter(0.3)
+        path = tmp_path / "graph.itgr"
+        CompactGraph.from_temporal(heap).dump(path)
+        image = api.load_graph(str(path))
+        cluster = SimulatedCluster(4)
+        stats = _walked(cluster, heap)
+        for graph in (heap, image, heap.window(0), image.window(0)):
+            assert cluster.partition_stats(graph) == stats
+        span = Interval(3, 11)
+        sliced = cluster.partition_stats(temporal_slice(heap, span))
+        for graph in (heap, image):
+            window = graph.window(span.start, span.end)
+            assert cluster.partition_stats(window) == sliced
+            assert list(window.edge_records()) == [
+                (e.src, e.dst, e.lifespan.start, e.lifespan.end)
+                for e in window.edges()
+            ]
+
     def test_placement_memo_is_dropped_when_the_graph_grows(self):
         builder = TemporalGraphBuilder()
         builder.add_vertices(["a", "b", "c"], 0, 10)

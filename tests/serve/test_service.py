@@ -573,14 +573,16 @@ class TestExecutorLifecycleReuse:
         import multiprocessing as mp
 
         from repro.runtime.executor import ParallelExecutor
+        from repro.runtime.workers import WorkerHost
 
         executor = ParallelExecutor(processes=2)
         stale = mp.get_context("fork").Process(target=time.sleep,
                                                args=(60,), daemon=True)
         stale.start()
         parent_conn, child_conn = mp.Pipe()
-        executor._procs.append(stale)
-        executor._conns.append(parent_conn)
+        executor._host = WorkerHost()
+        executor._host.procs.append(stale)
+        executor._host.conns.append(parent_conn)
         result = api.run(transit_graph(), TemporalSSSP("A"),
                          cluster=SimulatedCluster(WORKERS),
                          graph_name="transit",

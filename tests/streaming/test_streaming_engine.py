@@ -11,7 +11,8 @@ import pytest
 
 from repro.algorithms.td.eat import TemporalEAT
 from repro.algorithms.td.sssp import TemporalSSSP
-from repro.algorithms.ti.pagerank import SnapshotPageRank, TemporalPageRank
+from repro.algorithms.ti.pagerank import TemporalPageRank
+from repro.baselines.ti.pagerank import SnapshotPageRank
 from repro.core.engine import IntervalCentricEngine
 from repro.core.state import states_equal_pointwise
 from repro.graph.builder import TemporalGraphBuilder

@@ -1,16 +1,20 @@
-"""The cold path's import budget, as a module set (not a timing).
+"""The cold path's import budget, as a module set and a source size (not a
+timing).
 
 A batch job — the benchmark's ``job.py``: four imports, load a file, one
 serial SSSP, export CSV — must pay only for what it runs.  A fresh
-interpreter performs exactly that over a text file and a compact v2 file
+interpreter performs exactly that over a text file and a compact v3 file
 and reports ``sys.modules``: the multiprocessing, checkpoint, baseline-
-platform, serving, query, streaming, dataset, exporter and tracer stacks
-are absent, the ``repro.*`` module count stays under a ceiling, and no
-thread was started.  A new eager import at package level — or a heavy
-stack reached from a module top instead of from the code that needs it —
-fails here before it shows in ``batch_compact``.  The same program run
-parallel and checkpointed must load those stacks and return the same
-states.
+platform, worker-host, fault, image-writer, serving, query, streaming,
+dataset, exporter and tracer stacks are absent, the ``repro.*`` modules
+stay under a count and their source under a line budget, and no thread
+was started.  The benchmark's children run with ``PYTHONDONTWRITEBYTECODE``
+set, so every line a job imports is compiled on every run: the line budget
+is the compile cost a cold job pays.  A new eager import at package level —
+or a heavy stack reached from a module top instead of from the code that
+needs it — fails here before it shows in ``batch_compact``.  The same
+program run parallel, with a fault plan and checkpointed must load those
+stacks and return the same states.
 """
 
 import json
@@ -29,8 +33,12 @@ ABSENT_FROM_A_SERIAL_JOB = [
     "tempfile",
     "shutil",
     "repro.runtime.checkpoint",
-    "repro.baselines.chlonos",
-    "repro.baselines.msb",
+    "repro.runtime.faults",
+    "repro.runtime.workers",
+    "repro.baselines",
+    "repro.graph.transform",
+    "repro.graph.snapshots",
+    "repro.graph.compact_writer",
     "repro.serve",
     "repro.query",
     "repro.streaming",
@@ -39,8 +47,13 @@ ABSENT_FROM_A_SERIAL_JOB = [
     "repro.core.tracing",
 ]
 
-#: ``repro.*`` modules a serial job may load (66 with eager packages, 39 now).
-REPRO_MODULE_CEILING = 45
+#: ``repro.*`` modules a serial job may load: the 32 it loads, plus 3.
+REPRO_MODULE_CEILING = 35
+
+#: Lines of ``repro.*`` source a serial job may compile (10 432 before the
+#: baseline variants, the image writer, the worker host and run supervision
+#: left the serial path; 8 198 after).
+REPRO_LINE_BUDGET = 8_400
 
 _JOB = """
 import sys
@@ -54,6 +67,8 @@ mode, out_csv, *graph_files = sys.argv[1:]
 options = {
     "serial": {"executor": "serial"},
     "parallel": {"executor": "parallel", "executor_processes": 2},
+    "faults": {"executor": "parallel", "executor_processes": 2,
+               "fault_plan": "kill:0@2"},
     "checkpoint": {"executor": "serial", "checkpoint_every": 2},
 }[mode]
 states = []
@@ -64,13 +79,20 @@ for graph_file in graph_files:
     states.append(sorted((str(vid), repr(list(state)))
                          for vid, state in result.states.items()))
     checkpoints = result.metrics.recovery.checkpoints_written
+    restarts = result.metrics.recovery.restarts
 modules = sorted(sys.modules)
+lines = 0
+for name in modules:
+    if name == "repro" or name.startswith("repro."):
+        with open(sys.modules[name].__file__, "rb") as source:
+            lines += source.read().count(b"\\n")
 
 import json
 import threading
 
 print(json.dumps({"modules": modules, "threads": threading.active_count(),
-                  "states": states, "checkpoints": checkpoints}))
+                  "states": states, "checkpoints": checkpoints,
+                  "restarts": restarts, "lines": lines}))
 """
 
 
@@ -103,7 +125,10 @@ def test_serial_job_loads_only_what_it_runs(serial_job):
     ]
     assert not loaded, f"a serial batch job imported {loaded}"
     ours = sorted(m for m in modules if m == "repro" or m.startswith("repro."))
+    print(f"a serial job loads {len(ours)} repro modules, "
+          f"{serial_job['lines']} lines of source")
     assert len(ours) <= REPRO_MODULE_CEILING, ours
+    assert serial_job["lines"] <= REPRO_LINE_BUDGET, ours
     # Importing and running started no thread.
     assert serial_job["threads"] == 1
     text_states, compact_states = serial_job["states"]
@@ -112,8 +137,13 @@ def test_serial_job_loads_only_what_it_runs(serial_job):
 
 def test_parallel_and_checkpointed_jobs_load_their_stacks(graph_files, serial_job):
     parallel = _run_job("parallel", graph_files)
-    assert "multiprocessing" in parallel["modules"]
+    assert {"multiprocessing", "repro.runtime.workers"} <= set(parallel["modules"])
     assert parallel["states"] == serial_job["states"]
+
+    faulted = _run_job("faults", graph_files)
+    assert faulted["restarts"] == 1
+    assert {"repro.runtime.workers", "repro.runtime.faults"} <= set(faulted["modules"])
+    assert faulted["states"] == serial_job["states"]
 
     checkpointed = _run_job("checkpoint", graph_files)
     assert checkpointed["checkpoints"] > 0
