@@ -16,11 +16,20 @@ served interval query runs on.  The defaults are the ``pr_dense`` workload of
 ``benchmarks/e2e``; ``td_frontier`` is the second usage line, a sliced
 ``serve_miss`` the third.
 
+``--processes P`` (P ≥ 2) runs every pass on P processes and, for the
+warm-up pass and one more unprofiled pass, prints per run whether its worker
+group was forked or reused, the wall time of the group's fork (or of its
+reuse: ``acquire``), of the final collect and of the close, and the minor
+page faults the run cost the master (``getrusage``), each live worker
+(``/proc/<pid>/stat`` field 10) and the workers that exited during it
+(``RUSAGE_CHILDREN``) — the copy-on-write bill of a fork, as numbers.  ``td_frontier_2p`` is the fourth usage line.
+
 Usage::
 
     python scripts/profile_engine.py --algorithm PR --dataset mag --scale 0.3 [--top 25]
     python scripts/profile_engine.py --algorithm BFS,SSSP,EAT,RH,FAST,TMST,LD --dataset usrn --scale 2.0
     python scripts/profile_engine.py --algorithm BFS,SSSP,EAT,RH --dataset twitter --scale 2.0 --window 3 11
+    python scripts/profile_engine.py --algorithm BFS,SSSP,EAT,RH,FAST,TMST,LD --dataset usrn --scale 2.0 --processes 2
 """
 
 from __future__ import annotations
@@ -55,6 +64,78 @@ def _calls(stats: pstats.Stats, fn) -> int:
     return entry[1] if entry else 0
 
 
+def _minor_faults(pid: int) -> int:
+    """Field 10 (``minflt``) of ``/proc/<pid>/stat``; 0 once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[7])
+    except OSError:
+        return 0
+
+
+def _instrument() -> list:
+    """Time the worker host's acquire / fork / collect / close into the
+    returned list's last dict, which the caller replaces per run (summed
+    when one run takes several groups)."""
+    from repro.runtime.workers import WorkerHost
+
+    rows: list = [{}]
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                row = rows[-1]
+                row[name] = row.get(name, 0.0) + time.perf_counter() - started
+        return wrapper
+
+    WorkerHost.acquire = classmethod(timed("acquire", WorkerHost.acquire.__func__))
+    WorkerHost.fork = timed("fork", WorkerHost.fork)
+    WorkerHost.collect = timed("collect", WorkerHost.collect)
+    WorkerHost.close = timed("close", WorkerHost.close)
+    return rows
+
+
+def _mechanism_pass(algorithms, run_one, label: str, rows: list) -> None:
+    """One pass, one line per run: forked or reused, the host's wall times
+    and the minor faults of the master and of every live worker."""
+    import multiprocessing as mp
+    import resource
+
+    forks = master_total = worker_total = 0
+    for algorithm in algorithms:
+        row = rows[-1] = {}
+        before = {p.pid: _minor_faults(p.pid) for p in mp.active_children()}
+        master = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        reaped = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        run_one(algorithm)
+        master = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - master
+        reaped = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - reaped
+        workers = {
+            p.pid: _minor_faults(p.pid) - before.get(p.pid, 0)
+            for p in mp.active_children()
+        }
+        forks += "fork" in row
+        master_total += master
+        worker_total += sum(workers.values()) + reaped
+        times = ", ".join(
+            f"{name} {1e3 * row[name]:.2f} ms"
+            for name in ("acquire", "fork", "collect", "close") if name in row
+        )
+        print(
+            f"[{label}] {algorithm}: {'forked' if 'fork' in row else 'reused'} "
+            f"group; {times}; minor faults: master {master}, live workers "
+            + (", ".join(f"{pid}: {n}" for pid, n in sorted(workers.items())) or "none")
+            + f", workers that exited {reaped}"
+        )
+    print(
+        f"[{label}] pass: {forks} forks, minor faults master {master_total}, "
+        f"workers {worker_total}"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--algorithm", default="PR")
@@ -64,6 +145,9 @@ def main(argv=None) -> int:
     parser.add_argument("--window", nargs=2, type=int, default=None,
                         metavar=("START", "END"),
                         help="run over graph.window(START, END)")
+    parser.add_argument("--processes", type=int, default=1,
+                        help="run on P processes and print each run's worker "
+                             "group mechanism (P >= 2)")
     args = parser.parse_args(argv)
 
     algorithms = args.algorithm.split(",")
@@ -84,10 +168,23 @@ def main(argv=None) -> int:
         graph = graph.window(*args.window)
         where += f" during {graph.interval}"
 
-    def run():
-        return [run_algorithm(a, "GRAPHITE", graph) for a in algorithms]
+    options = {}
+    if args.processes > 1:
+        options = {"executor": "parallel", "executor_processes": args.processes}
 
-    run()  # warm-up: imports, lazy module state, allocator
+    def run_one(algorithm):
+        return run_algorithm(algorithm, "GRAPHITE", graph, icm_options=options)
+
+    def run():
+        return [run_one(a) for a in algorithms]
+
+    if args.processes > 1:
+        # The warm-up forks each graph's group; the next pass shows reuse.
+        rows = _instrument()
+        _mechanism_pass(algorithms, run_one, "warm-up", rows)
+        _mechanism_pass(algorithms, run_one, "steady", rows)
+    else:
+        run()  # warm-up: imports, lazy module state, allocator
     profile = cProfile.Profile()
     messages = scatter_calls = 0
     for outcome in profile.runcall(run):

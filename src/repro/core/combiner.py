@@ -16,6 +16,7 @@ provides one.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable
 
 from .messages import Row, row_interval
@@ -127,12 +128,16 @@ def max_combiner() -> MessageCombiner:
 
 def sum_combiner() -> MessageCombiner:
     """Sum payloads — PageRank rank mass (must keep every message)."""
-    return MessageCombiner(lambda a, b: a + b, "sum", selective=False)
+    return MessageCombiner(operator.add, "sum", selective=False)
+
+
+def _or(a: Any, b: Any) -> Any:
+    return a or b
 
 
 def or_combiner() -> MessageCombiner:
     """Boolean OR — reachability flags."""
-    return MessageCombiner(lambda a, b: a or b, "or", selective=True)
+    return MessageCombiner(_or, "or", selective=True)
 
 
 def tuple_min_combiner() -> MessageCombiner:

@@ -744,15 +744,12 @@ class IntervalCentricEngine:
         states: dict[Any, PartitionedState] = {}
         fresh: set[Any] = set()
         if start_ckpt is None:
+            flags = (self.coalesce_states, self.prepartition_by_vertex_properties)
             for v in self.graph.vertices():
                 if warm_states is not None and v.vid in warm_states:
                     state = warm_states[v.vid].copy()
                 else:
-                    state = PartitionedState(
-                        v.lifespan, None, coalesce=self.coalesce_states
-                    )
-                    if self.prepartition_by_vertex_properties:
-                        state.presplit(v.properties.boundaries())
+                    state = fresh_state(v, *flags)
                     fresh.add(v.vid)
                 states[v.vid] = state
             warm = warm_states is not None
@@ -820,6 +817,15 @@ class IntervalCentricEngine:
         reduced = dict(self._next_aggregates)
         self._next_aggregates = {}
         return reduced
+
+
+def fresh_state(vertex, coalesce: bool, presplit: bool) -> PartitionedState:
+    """A vertex's state before ``init`` — what a cold run starts from, built
+    by the master or, for its own vertices, by a resident worker."""
+    state = PartitionedState(vertex.lifespan, None, coalesce=coalesce)
+    if presplit:
+        state.presplit(vertex.properties.boundaries())
+    return state
 
 
 def _complement(lifespan: Interval, covered: list[Interval]) -> list[Interval]:

@@ -217,6 +217,10 @@ class CompactGraph:
     :class:`CompactEdge` views.
     """
 
+    #: The image is read-only: a compact graph never changes (compare
+    #: :attr:`TemporalGraph.generation <repro.graph.model.TemporalGraph.generation>`).
+    generation = 0
+
     def __init__(self, buffer, *, verify: bool = False, _keepalive=None):
         self._keepalive = _keepalive  # open file/mmap/shm backing `buffer`
         self._shm = None

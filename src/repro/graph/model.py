@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Optional
 
 from repro.core.interval import FOREVER, Interval
+from . import properties
 from .properties import PieceIndex, PropertySet
 
 VertexId = Any
@@ -121,6 +122,8 @@ class TemporalGraph:
         self._values: dict = {}
         self._horizon: Optional[int] = None
         self._placement: dict = {}
+        #: The ``reversed()`` memo: ``(generation, graph, its generation)``.
+        self._reversed: Optional[tuple] = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -197,6 +200,15 @@ class TemporalGraph:
             self._horizon = horizon
         return horizon if horizon > 0 else default
 
+    @property
+    def generation(self) -> tuple[int, int, int]:
+        """Changes whenever this graph may have: a vertex or an edge added
+        to it (none is ever removed, so the counts only grow), or a property
+        added to any set in the process.  What was derived from an equal
+        generation (the ``reversed()`` memo, a resident worker group's copy
+        of the graph) is still exact."""
+        return (len(self._vertices), len(self._edges), properties.ADDS)
+
     def piece_indexes(self, vid: VertexId) -> list[tuple[TemporalEdge, PieceIndex]]:
         """``(edge, piece index)`` per out-edge of ``vid`` — what scatter
         walks.  Indexes are built on first touch and stay on the property
@@ -231,7 +243,16 @@ class TemporalGraph:
         """A copy with every edge direction flipped (shares property sets).
 
         Used by reverse-traversing algorithms such as Latest Departure.
+        Memoised: the same object comes back while neither graph's
+        :attr:`generation` has moved since it was built.
         """
+        memo = self._reversed
+        if (
+            memo is not None
+            and memo[0] == self.generation
+            and memo[1].generation == memo[2]
+        ):
+            return memo[1]
         rev = TemporalGraph()
         rev._values = self._values
         for v in self._vertices.values():
@@ -242,6 +263,7 @@ class TemporalGraph:
             re = TemporalEdge(e.eid, e.dst, e.src, e.lifespan)
             re.properties = e.properties
             rev._add_edge(re)
+        self._reversed = (self.generation, rev, rev.generation)
         return rev
 
     def window(self, start: int, end: int = FOREVER) -> "GraphWindow":
@@ -253,7 +275,7 @@ class TemporalGraph:
         return GraphWindow(self, Interval(start, end))
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "_values": {}}
+        return {**self.__dict__, "_values": {}, "_reversed": None}
 
     def validate(self) -> None:
         """Check constraints 2 and 3 (``_add_vertex`` / ``_add_edge`` refuse

@@ -177,6 +177,14 @@ def intern_values(pool: dict, labels: tuple, vals: tuple) -> dict[str, Any]:
         return values
 
 
+#: Every :meth:`PropertySet.add` in the process.  A set does not know the
+#: graph it belongs to (``reversed()`` shares sets between two), so
+#: :attr:`TemporalGraph.generation <repro.graph.model.TemporalGraph.generation>`
+#: reads this count beside its own.  (A module global: bumping a class
+#: attribute would invalidate the type's attribute caches on every add.)
+ADDS = 0
+
+
 class PropertySet:
     """Label → timeline mapping attached to a vertex or an edge."""
 
@@ -192,6 +200,8 @@ class PropertySet:
             timeline = self._timelines[label] = PropertyTimeline()
         timeline.add(interval, value)
         self._index = None
+        global ADDS
+        ADDS += 1
 
     def piece_index(self, pool: Optional[dict] = None) -> PieceIndex:
         """This set's :class:`PieceIndex`, built on first use and kept until

@@ -47,6 +47,7 @@ import re
 import shutil
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -573,7 +574,7 @@ def load_checkpoint(
             ) from exc
         states.update(shard_states)
         pending.extend(shard_pending)
-    pending.sort(key=lambda e: e[0])  # stable: per-shard order preserved
+    pending.sort(key=itemgetter(0))  # stable: per-shard order preserved
 
     agg_meta = manifest.get("aggregates", {})
     aggregates: dict[str, Any] = {}

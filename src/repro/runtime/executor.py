@@ -6,9 +6,10 @@ superstep to an executor.  There is exactly one superstep loop,
 construction, the per-vertex walk, message routing and the measured phase
 spans — one barrier fold, :func:`_fold_reports`, and one executor,
 :class:`ParallelExecutor`.  A P-process run (``--processes P``) hosts
-runtime 0 in the master and forks P−1 workers (`repro.runtime.workers`),
-each owning a fixed subset of the shards (shared-nothing — no state is
-shared after fork).  The serial executor is its P = 1 case, as on Giraph,
+runtime 0 in the master and P−1 forked workers (`repro.runtime.workers`,
+kept for the next run on the graph), each owning a fixed subset of the
+shards (shared-nothing — no state is shared after fork).  The serial
+executor is its P = 1 case, as on Giraph,
 where a single-machine run is a cluster of one: nothing is forked, no
 message is ever encoded or exchanged, and the wire phases of its one
 ``worker_span`` are exactly 0.
@@ -52,6 +53,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.config import EngineConfig, ExchangeConfig
@@ -164,7 +166,7 @@ def _fold_reports(engine, metrics: RunMetrics, reports, compute_wall: float):
 
     # Replay aggregate contributions in canonical fold order: by
     # contributing vertex, then call order within the vertex.
-    contribs.sort(key=lambda c: (c[0], c[1]))
+    contribs.sort(key=itemgetter(0, 1))
     for _seq, _idx, name, value in contribs:
         engine.contribute_aggregate(name, value)
 
@@ -198,7 +200,8 @@ class _ShardPayload:
 
     Handed over in-process for runtime 0; shipped at fork time to the
     others (copy-on-write under the fork start method, pickled under
-    spawn), after which nothing here is shared with the master.
+    spawn), after which nothing here is shared with the master; pickled
+    for a run on a resident worker group (`repro.runtime.workers`).
     """
 
     graph: Any
@@ -218,10 +221,8 @@ class _ShardPayload:
     #: Sender-side combining enabled (``ExchangeConfig.combine``) — still
     #: gated per program on a selective combiner at runtime.
     combine: bool = True
-    #: The master's pipe ends a forked worker inherited — its own among
-    #: them — closed at worker startup, so the master's death surfaces in
-    #: the worker as EOF on its command pipe.
-    close_conns: Any = None
+    #: :func:`~repro.core.engine.fresh_state`'s flags: ``states`` is None.
+    derive: Optional[tuple] = None
 
     @classmethod
     def of(
@@ -440,7 +441,7 @@ class _WorkerRuntime:
                 # sender sequence (per-sender order is already correct
                 # within each source list).
                 merged = [e for part in parts for e in part]
-                merged.sort(key=lambda e: e[0])
+                merged.sort(key=itemgetter(0))
                 parts = [merged]
             wire_s = time.perf_counter() - t_wire
         entries: list[tuple] = parts[0] if parts else []
@@ -568,11 +569,10 @@ class ParallelExecutor:
     """Shared-nothing execution of the superstep loop: the master is
     process 0.
 
-    ``start`` forks processes 1 … P−1 — long-lived workers holding their
-    partitions' contexts, hosted by a
-    :class:`~repro.runtime.workers.WorkerHost` — and then builds runtime 0
-    in the master (forking first, so no child inherits runtime 0's
-    contexts).  Each superstep sends the step commands (aggregates and
+    ``start`` takes processes 1 … P−1 — a
+    :class:`~repro.runtime.workers.WorkerHost`, idle since an earlier run
+    on the unchanged graph or forked now — and then builds runtime 0 in the
+    master (forking first, so no child inherits runtime 0's contexts).  Each superstep sends the step commands (aggregates and
     routed batches out), runs runtime 0's step in-process while the
     workers run theirs, and receives the other reports over the pipes.  The
     reports stay in process order; the batches that rode them are routed
@@ -607,10 +607,11 @@ class ParallelExecutor:
     def start(self, engine, states, fresh, rescatter, warm: bool) -> None:
         # Reusable lifecycle: one executor instance may host many runs
         # (the serving tier keeps a warm executor resident per lane).  A
-        # normal run leaves no processes behind (``close``/``abort`` both
-        # clear them), but a run torn down mid-flight — e.g. a query
-        # cancelled at its deadline between ``abort`` and re-entry — must
-        # not leak its workers into the next run.
+        # normal run leaves its worker group idle (at most two idle groups,
+        # reaped at eviction, graph death or exit: `repro.runtime.workers`),
+        # but a run torn down mid-flight — e.g. a query cancelled at its
+        # deadline between ``abort`` and re-entry — must not leak its
+        # workers into the next run.
         if self._host is not None or self._runtime is not None:
             self.abort()
         cluster = engine.cluster
@@ -631,10 +632,9 @@ class ParallelExecutor:
             per_states = [{} for _ in range(procs)]
             for vid, state in states.items():
                 per_states[shard_to_proc[worker_of(vid)]][vid] = state
-            self._host = WorkerHost(self.fault_plan)
-            self._host.fork(
+            self._host = WorkerHost.acquire(
                 engine, shard_to_proc, per_states, fresh, rescatter, warm,
-                combine=self.exchange.combine,
+                combine=self.exchange.combine, fault_plan=self.fault_plan,
             )
         self._runtime = _WorkerRuntime(
             _ShardPayload.of(

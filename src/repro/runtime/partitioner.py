@@ -251,10 +251,6 @@ class GreedyEdgeCutPartitioner(_AssignmentPartitioner):
             assignment[vid] = best_worker
             loads[best_worker] += 1
 
-    def _edge_weight(self, edge) -> float:
-        """The neighbour-affinity weight one edge contributes (LDG: 1)."""
-        return self._record_weight(edge.lifespan.start, edge.lifespan.end)
-
     def _record_weight(self, start: int, end: int) -> float:
         """Weight from lifespan bounds alone — the streaming-sweep form."""
         return 1.0

@@ -1,34 +1,83 @@
 """The worker host: processes 1 … P−1 of a P-process run, seen from the master.
 
 :class:`~repro.runtime.executor.ParallelExecutor` composes a
-:class:`WorkerHost` only when a run forks (P ≥ 2); a serial run never
+:class:`WorkerHost` only when a run has P ≥ 2; a serial run never
 imports this module, ``multiprocessing`` or ``pickle``.  Everything that
 touches another process lives here: the fork, the worker's command loop
 (:func:`_worker_main`), the pipes, the injected kills, the cross-process
 collect / snapshot / restore and the teardown.  Runtime 0 stays in the
 master and is handed in by the executor.
+
+A host is a *worker group* and outlives its run: the next run with the
+same P on the same graph, unchanged since the fork (its ``generation``),
+sends the idle workers a ``begin`` — no fork, no join, no page copied on
+write again.  At most two groups stay idle (LD runs on the reversed graph),
+stopped at LRU eviction and by a ``weakref.finalize`` on their graph (at
+its death or at exit); none is kept after a worker death or an abort.
 """
 
 from __future__ import annotations
 
+import io
+import multiprocessing as mp
+import multiprocessing.util  # noqa: F401 - its exit hook runs after the finalizers
+import os
+import pickle
+import stat
+import threading
 import time
+import traceback
+import weakref
+from collections import OrderedDict
+from operator import itemgetter
 from typing import Any, Optional
 
+from repro.core.engine import fresh_state
 from repro.errors import WorkerDiedError
 
 from .encoding import decode_routed_batch, encode_routed_batch
 from .executor import _ShardPayload, _WorkerRuntime
 
+#: Idle groups by (graph id, P, start method), least recently used first.
+_IDLE: "OrderedDict[tuple, WorkerHost]" = OrderedDict()
+_MAX_IDLE = 2  # LD runs on the reversed graph: a pass alternates two graphs
+_LOCK = threading.Lock()
+
+
+def _begin(blob: bytes, resident: dict) -> _WorkerRuntime:
+    """A resident worker's next runtime; it builds a cold run's states."""
+    unpickler = pickle.Unpickler(io.BytesIO(blob))
+    unpickler.persistent_load = resident.__getitem__
+    payload = unpickler.load()
+    if payload.states is None:
+        owner, procs = payload.partitioner.worker_of, payload.shard_to_proc
+        payload.states = {
+            v.vid: fresh_state(v, *payload.derive)
+            for v in resident["graph"].vertices()
+            if procs[owner(v.vid)] == payload.proc_index
+        }
+    return _WorkerRuntime(payload)
+
+
+def _drop_inherited_sockets(keep: int) -> None:
+    """Point every socket a fork inherited, but ``keep``, at ``/dev/null``:
+    else a command pipe sees no EOF when the master dies, nor a peer when
+    the master closes a connection.  ``dup2`` keeps each number taken."""
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for fd in map(int, os.listdir("/dev/fd")):
+        try:
+            if fd > 2 and fd not in (keep, devnull) and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(devnull, fd)
+        except OSError:  # the listing's own descriptor, gone by now
+            pass
+    os.close(devnull)
+
 
 def _worker_main(payload: _ShardPayload, conn) -> None:
-    import pickle
-    import traceback
-
-    # Drop the master's pipe ends inherited over fork: with them open here
-    # a command pipe never reaches EOF, and a worker whose master was
-    # killed would block in ``recv`` for ever.
-    for other in payload.close_conns or ():
-        other.close()
+    """The run its fork carried (a runtime that cannot be built ends the
+    worker), then ``begin`` … ``end`` per later run until ``stop`` or EOF."""
+    _drop_inherited_sockets(conn.fileno())
+    resident = {"graph": payload.graph, "seq": payload.seq}
     try:
         runtime = _WorkerRuntime(payload)
     except BaseException:
@@ -47,11 +96,16 @@ def _worker_main(payload: _ShardPayload, conn) -> None:
         if op == "stop":
             break
         try:
-            if op == "step":
+            if op == "begin":
+                runtime = None
+                runtime, result = _begin(cmd[1], resident), None
+            elif op == "step":
                 runtime.barrier_wait = wait
                 result = runtime.step(*cmd[1:])
-            elif op == "collect":
+            elif op == "end":
                 result = runtime.collect()
+                runtime.contexts.clear()
+                runtime = None
             elif op == "snapshot":
                 result = {
                     "states": runtime.collect(),
@@ -70,10 +124,19 @@ def _worker_main(payload: _ShardPayload, conn) -> None:
     conn.close()
 
 
+def _reap(key) -> None:
+    """A graph died or the interpreter exits: stop its idle group, lock-free."""
+    host = _IDLE.pop(key, None)
+    if host is not None:
+        host.stop(quiet=True)
+
+
 class WorkerHost:
-    """Forked processes 1 … P−1 and the master's pipe ends to them
-    (``procs[p - 1]`` is process ``p``), plus the routed batches waiting
-    for each process's next step (``inbound[p]``; runtime 0's included).
+    """A worker group: forked processes 1 … P−1 and the master's pipe ends
+    to them (``procs[p - 1]`` is process ``p``), plus the routed batches
+    waiting for each process's next step (``inbound[p]``; runtime 0's
+    included).  :meth:`acquire` hands one to a run; :meth:`close` parks it
+    idle or stops it.
 
     ``fault_plan`` (`repro.runtime.faults`) schedules real SIGKILLs of
     forked processes; runtime 0 is the master itself and is never a victim.
@@ -85,52 +148,116 @@ class WorkerHost:
         self.conns: list = []
         self.inbound: list[list] = []
         self.last_superstep = 0
+        #: Key and graph generation at fork (no key: no generation, no park).
+        self._key: Optional[tuple] = None
+        self._generation: Any = None
+        self._finalizer: Optional[weakref.finalize] = None
+
+    @classmethod
+    def acquire(cls, engine, shard_to_proc, per_states, fresh, rescatter, warm,
+                *, combine: bool, fault_plan=None) -> "WorkerHost":
+        """The idle group this graph's last run left, if it still fits and the
+        run pickles, else a new fork (a dead graph's id leaves ``_IDLE``)."""
+        graph = engine.graph
+        ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
+        generation = getattr(graph, "generation", None)
+        key = generation is not None and (id(graph), len(per_states), ctx.get_start_method())
+        with _LOCK:
+            host = _IDLE.pop(key, None)
+        if host is not None:
+            if host._generation != generation or not all(p.is_alive() for p in host.procs):
+                host.stop(quiet=True)
+            elif host._begin(engine, shard_to_proc, per_states, fresh,
+                             rescatter, warm, combine):
+                host.fault_plan = fault_plan
+                return host
+        host = cls(fault_plan)
+        host.fork(engine, shard_to_proc, per_states, fresh, rescatter, warm,
+                  combine, ctx)
+        if key:
+            host._key, host._generation = key, generation
+            host._finalizer = weakref.finalize(graph, _reap, key)
+        return host
 
     def fork(self, engine, shard_to_proc, per_states, fresh, rescatter, warm,
-             combine: bool) -> None:
+             combine: bool, ctx) -> None:
         """Start processes 1 … P−1, each with its share of the states.
 
         fork inherits the graph/program/states copy-on-write — no pickling
         of the (potentially large) payload; spawn platforms pickle it.
         """
-        import multiprocessing as mp
-
         self.inbound = [[] for _ in per_states]
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else None)
-        fork = ctx.get_start_method() == "fork"
-        if not fork:
-            # Spawn pickles the payload per worker.  A compact graph can
-            # dodge the copy entirely: migrate its buffer into shared
-            # memory so the pickle carries only the segment name and every
-            # worker attaches to the same physical pages.  (File-mapped
-            # compact graphs already pickle as their path; heap graphs
-            # have no zero-copy form and are pickled as before.)
+        if ctx.get_start_method() != "fork":
+            # Spawn pickles the payload per worker.  A compact graph moves
+            # its buffer into shared memory first, so the pickle carries the
+            # segment name (a mapped one pickles as its path; a heap graph
+            # is copied).
             share = getattr(engine.graph, "ensure_shared", None)
             if share is not None:
                 share()
         else:
             # Complete the graph's piece index before forking: the workers
             # inherit it copy-on-write instead of each rebuilding its share
-            # per run (mapped usrn(4.0), 9 024 edges: 30 ms; 120 ms on ITGR v2).
+            # (mapped usrn(4.0), 9 024 edges: 30 ms; 120 ms on ITGR v2).
             for share in per_states[1:]:
                 for vid in share:
                     engine.graph.piece_indexes(vid)
         for p in range(1, len(per_states)):
             parent_conn, child_conn = ctx.Pipe()
-            payload = _ShardPayload.of(
-                engine, shard_to_proc, p,
-                per_states[p], fresh, rescatter, warm,
-                combine=combine,
-                # A forked child holds a copy of every master end open at
-                # fork time: the earlier workers' and its own.
-                close_conns=[*self.conns, parent_conn] if fork else None,
-            )
+            payload = _ShardPayload.of(engine, shard_to_proc, p, per_states[p],
+                                       fresh, rescatter, warm, combine=combine)
             proc = ctx.Process(target=_worker_main, args=(payload, child_conn), daemon=True)
             proc.start()
             child_conn.close()
             self.procs.append(proc)
             self.conns.append(parent_conn)
+
+    def _begin(self, engine, shard_to_proc, per_states, fresh, rescatter, warm,
+               combine: bool) -> bool:
+        """Ship each worker what it cannot derive: not a cold run's states,
+        the graph or ``seq`` (persistent ids for its copies, wherever they are
+        referenced).  ``False`` (parked or aborted) if it fails to pickle or
+        a worker to load it (a class defined after the fork)."""
+        fresh_run = not warm and len(fresh) == sum(map(len, per_states))
+        if not warm:
+            fresh, rescatter = set(), {}
+        ids = {id(engine.graph): "graph", id(engine._seq): "seq"}
+        derive = (engine.coalesce_states, engine.prepartition_by_vertex_properties)
+        blobs = []
+        try:
+            for p in range(1, len(per_states)):
+                buf = io.BytesIO()
+                pickler = pickle.Pickler(buf, pickle.HIGHEST_PROTOCOL)
+                pickler.persistent_id = lambda obj: ids.get(id(obj))
+                pickler.dump(_ShardPayload.of(
+                    engine, shard_to_proc, p, None if fresh_run else per_states[p],
+                    fresh, rescatter, warm, combine=combine,
+                    derive=derive if fresh_run else None,
+                ))
+                blobs.append(buf.getvalue())
+        except Exception:  # the run does not pickle: the group stays idle
+            self._park()
+            return False
+        try:
+            for p, blob in enumerate(blobs, 1):
+                self._send(p, ("begin", blob))
+            self._recv_all()
+        except Exception:  # a worker is gone, or cannot load the payload
+            self.abort()
+            return False
+        self.inbound = [[] for _ in per_states]
+        return True
+
+    def _park(self) -> None:
+        """Idle until its graph's next run, evicting an older group of the
+        same key and the least recently used beyond two."""
+        with _LOCK:
+            evicted = [_IDLE.pop(self._key)] if self._key in _IDLE else []
+            _IDLE[self._key] = self
+            while len(_IDLE) > _MAX_IDLE:
+                evicted.append(_IDLE.popitem(last=False)[1])
+        for host in evicted:
+            host.stop(quiet=True)
 
     def _died(self, p: int, detail: str = "") -> WorkerDiedError:
         proc = self.procs[p - 1]
@@ -208,8 +335,10 @@ class WorkerHost:
         return reports, compute_wall
 
     def collect(self, runtime0, seq) -> dict[Any, Any]:
+        """The final states — the ``end`` handshake: each worker replies
+        with its share and drops its runtime, ready for a ``begin``."""
         for p in range(1, len(self.inbound)):
-            self._send(p, ("collect",))
+            self._send(p, ("end",))
         states = runtime0.collect()
         for share in self._recv_all():
             states.update(share)
@@ -238,7 +367,7 @@ class WorkerHost:
         for batches in self.inbound:
             for buf in batches:
                 pending.extend(decode_routed_batch(buf))
-        pending.sort(key=lambda e: e[0])  # stable: per-sender order kept
+        pending.sort(key=itemgetter(0))  # stable: per-sender order kept
         return ExecutorSnapshot(
             states={vid: states[vid] for vid in seq}, pending=pending
         )
@@ -258,9 +387,18 @@ class WorkerHost:
             self.inbound[p].append(encode_routed_batch(ents))
 
     def close(self) -> None:
+        """After the ``end`` handshake (:meth:`collect`): park the group if
+        every worker is still alive, otherwise :meth:`stop` it."""
+        if self._key is not None and all(proc.is_alive() for proc in self.procs):
+            self._park()
+        else:
+            self.stop()
+
+    def stop(self, quiet: bool = False) -> None:
         """Stop and join every process, then raise :class:`WorkerDiedError`
         for the first that exited nonzero (or never acknowledged the stop)
-        — cleanup is unconditional, the death is not hidden."""
+        — cleanup is unconditional, the death is not hidden — unless
+        ``quiet``: a group no run owns (an idle death raises nowhere)."""
         failure: Optional[WorkerDiedError] = None
         for conn in self.conns:
             try:
@@ -277,7 +415,7 @@ class WorkerHost:
                     worker=p, superstep=self.last_superstep, exitcode=proc.exitcode,
                 )
         self._close_conns()
-        if failure is not None:
+        if failure is not None and not quiet:
             raise failure
 
     def abort(self) -> None:
@@ -299,6 +437,8 @@ class WorkerHost:
         self._close_conns()
 
     def _close_conns(self) -> None:
+        if self._finalizer is not None:
+            self._finalizer.detach()
         for conn in self.conns:
             try:
                 conn.close()

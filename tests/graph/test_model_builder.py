@@ -123,6 +123,47 @@ class TestGraphAccessors:
         assert edge.lifespan == Interval(3, 7)
         assert edge.properties.value_at("w", 4) == 5
 
+    def test_generation_moves_with_every_mutation(self):
+        from repro.graph.model import TemporalEdge, TemporalVertex
+
+        g = small_graph()
+        seen = [g.generation]
+        g._add_vertex(TemporalVertex("C", Interval(0, 10)))
+        seen.append(g.generation)
+        g._add_edge(TemporalEdge("e2", "B", "C", Interval(4, 6)))
+        seen.append(g.generation)
+        g.edge("e2").properties.add("w", Interval(4, 6), 1)
+        seen.append(g.generation)
+        assert len(set(seen)) == 4
+        g.reversed()  # building a derived graph changes nothing here
+        assert g.generation == seen[-1]
+
+    def test_reversed_is_memoised_per_generation(self):
+        from repro.graph.model import TemporalEdge
+
+        g = small_graph()
+        rev = g.reversed()
+        assert g.reversed() is rev
+        g._add_edge(TemporalEdge("e2", "B", "A", Interval(3, 5)))
+        fresh = g.reversed()
+        assert fresh is not rev
+        assert [(e.eid, e.src, e.dst) for e in fresh.edges()] == [
+            ("e1", "B", "A"), ("e2", "A", "B"),
+        ]
+        assert g.reversed() is fresh
+        g.edge("e1").properties.add("v", Interval(3, 7), 2)  # shared with rev
+        assert g.reversed() is not fresh
+
+    def test_mutating_the_reversed_graph_does_not_corrupt_the_memo(self):
+        from repro.graph.model import TemporalEdge
+
+        g = small_graph()
+        rev = g.reversed()
+        rev._add_edge(TemporalEdge("stray", "A", "B", Interval(3, 4)))
+        again = g.reversed()
+        assert again is not rev
+        assert [(e.eid, e.src, e.dst) for e in again.edges()] == [("e1", "B", "A")]
+
     def test_model_refuses_a_repeated_id(self):
         # Not only the builder: every constructor goes through these two.
         g = small_graph()

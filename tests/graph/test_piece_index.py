@@ -357,8 +357,11 @@ def test_resident_index_size_on_usrn():
     assert resident / pieces <= 48
     assert resident / graph.num_vertices <= 1024
     # Nothing else on the graph grew: no per-vertex or per-edge side table
-    # (``_placement`` holds one small dict per partitioner a run used).
+    # (``_placement`` holds one small dict per partitioner a run used,
+    # ``_reversed`` the reversed() memo).
     assert set(vars(graph)) == {
         "_vertices", "_edges", "_out", "_in", "_values", "_horizon", "_placement",
+        "_reversed",
     }
     assert graph._placement == {}
+    assert graph._reversed is None

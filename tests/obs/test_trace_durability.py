@@ -5,8 +5,8 @@
 SIGKILLing a live parallel run mid-superstep must still leave a trace
 that post-mortem tooling (`repro report`, `scripts/diff_traces.py`) can
 load.  Mid-file corruption stays a hard error.  And the run's worker
-processes do not outlive it: a worker sees EOF on its command pipe once
-the master is gone, and exits.
+processes do not outlive their master, mid-run or idle between runs: a
+worker sees EOF on its command pipe once the master is gone, and exits.
 """
 
 import os
@@ -135,6 +135,52 @@ def test_workers_exit_when_their_master_is_sigkilled(tmp_path):
     finally:
         proc.kill()
         proc.wait()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+# One 2-process run; its worker stays resident, idle, for the graph's next
+# run while the master sleeps.
+IDLE_CHILD = """
+import sys, time
+sys.path.insert(0, {src!r})
+from repro.algorithms import run_algorithm
+from repro.datasets import transit_graph
+graph = transit_graph()
+run_algorithm("BFS", "GRAPHITE", graph, icm_options={{
+    "executor": "parallel", "executor_processes": 2}})
+print("idle", flush=True)
+time.sleep(120)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_an_idle_resident_worker_exits_when_its_master_is_sigkilled():
+    proc = subprocess.Popen(
+        [sys.executable, "-c", IDLE_CHILD.format(src=SRC)],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    workers = []
+    try:
+        assert proc.stdout.readline().strip() == "idle"
+        for entry in os.listdir("/proc"):
+            if entry.isdigit():
+                stat = _stat(int(entry))
+                if stat is not None and stat[1] == proc.pid:
+                    workers.append(int(entry))
+        assert len(workers) == 1, f"expected 1 idle worker, found {workers}"
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and any(map(_alive, workers)):
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if _alive(pid)]
+        assert not survivors, f"workers {survivors} outlived their master by 5 s"
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
         for pid in workers:
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)
