@@ -5,10 +5,10 @@ The observability contract says serial and parallel executions of the
 same run emit identical *logical* event sequences — type, superstep and
 ``data`` payload (which for ``barrier_exchange`` includes the
 local/remote message *and byte* split) — differing only in ``wall``
-facts (durations, paths, executor names).  CI records one algorithm
-under both executors with ``repro run --trace-out`` and feeds the files
-here; exit 1 means the executors disagreed about what logically
-happened.
+facts (durations, paths, executor names).  ``tests/test_cli.py`` records
+one algorithm under both executors with ``repro run --trace-out`` and
+feeds the files here; exit 1 means the executors disagreed about what
+logically happened.
 
 On top of the logical diff, the ``barrier_exchange`` wall facts carry
 the data plane's real wire accounting: ``exchange_bytes`` (bytes

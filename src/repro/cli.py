@@ -47,7 +47,7 @@ def add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--executor", choices=("serial", "parallel"),
                         default=None,
                         help="execution backend for GRAPHITE runs "
-                             "(default: REPRO_EXECUTOR env var or serial)")
+                             "(default: serial)")
     parser.add_argument("--processes", type=int, default=None,
                         help="worker processes for --executor parallel "
                              "(default: one per available core)")
@@ -55,7 +55,7 @@ def add_engine_flags(parser: argparse.ArgumentParser) -> None:
                         choices=("hash", "range", "greedy", "interval_greedy"),
                         default=None,
                         help="vertex-to-worker placement for GRAPHITE runs "
-                             "(default: REPRO_PARTITIONER env var or hash)")
+                             "(default: hash)")
 
 
 def engine_options(args: argparse.Namespace) -> dict:

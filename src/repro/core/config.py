@@ -11,29 +11,23 @@ Environment resolution lives in exactly one documented place,
 :meth:`EngineConfig.from_env`:
 
 ============================  =================================================
-``REPRO_EXECUTOR``            ``serial`` | ``parallel`` → ``executor.kind``
-``REPRO_EXECUTOR_PROCESSES``  positive int → ``executor.processes``
-``REPRO_FAULT_PLAN``          ``kill:W@S`` / ``seed:N`` → ``executor.fault_plan``
 ``REPRO_CHECKPOINT_EVERY``    non-negative int → ``checkpoint.every`` (0 = off)
 ``REPRO_CHECKPOINT_DIR``      path → ``checkpoint.dir``
-``REPRO_PARTITIONER``         ``hash`` | ``range`` | ``greedy`` |
-                              ``interval_greedy`` → ``partitioning.kind``
 ``REPRO_SERVE_CONCURRENCY``   positive int → ``serve.max_concurrency``
 ``REPRO_SERVE_QUEUE_DEPTH``   non-negative int → ``serve.max_queue_depth``
 ``REPRO_SERVE_CACHE_BYTES``   non-negative int → ``serve.cache_bytes``
 ``REPRO_SERVE_TIMEOUT_S``     positive float → ``serve.default_timeout_s``
 ============================  =================================================
 
-Every variable is validated eagerly — a typo fails loudly, naming the
-variable, instead of silently running the wrong configuration.  A config
-built by plain ``EngineConfig(...)`` is hermetic: nothing downstream of it
-(`repro.runtime.executor.resolve_executor` takes the config and nothing
-else) reads these variables, so ``executor.kind=None`` is the serial
-executor whatever ``REPRO_EXECUTOR`` says.  The environment is consulted
-only when no config is given (``config=None`` → ``from_env()``).
-No variable picks the graph store: an engine runs on the graph it is
-given, and `repro.api.load_graph` returns the compact store for an ITGR
-v2/v3 image and the heap store for everything else.
+Each variable configures a deployment — where checkpoints go and how
+often, how large a serving daemon is — and is validated eagerly: a typo
+fails loudly, naming the variable, instead of silently running the wrong
+configuration.  A config built by plain ``EngineConfig(...)`` is hermetic:
+nothing downstream of it reads these variables, and the environment is
+consulted only when no config is given (``config=None`` → ``from_env()``).
+No variable picks the executor, the fault plan, the partitioner or the
+graph store: those are options of a job (``with_options``, the CLI
+flags), and an engine runs on the graph it is given.
 
 Observability settings (``observability``) never influence the computation
 and are deliberately excluded from the checkpoint config fingerprint
@@ -113,12 +107,6 @@ class ExecutorConfig:
     kind: Any = None
     processes: Optional[int] = None
     fault_plan: Any = None
-    #: True when :meth:`EngineConfig.from_env` filled ``kind`` from
-    #: ``REPRO_EXECUTOR`` rather than an explicit caller choice — an
-    #: env-forced parallel executor yields to an in-process tracer
-    #: instead of erroring (sweep-wide defaults must not break traced
-    #: tests), while an explicitly requested one still errors.
-    kind_from_env: bool = False
 
     def __post_init__(self):
         if isinstance(self.kind, str) and self.kind not in ("serial", "parallel"):
@@ -160,12 +148,6 @@ class PartitioningConfig:
     kind: Optional[str] = None
     seed: int = 0
     capacity_slack: float = 1.1
-    #: True when :meth:`EngineConfig.from_env` filled ``kind`` from
-    #: ``REPRO_PARTITIONER`` rather than an explicit caller choice — an
-    #: env-forced kind yields to a partitioner the caller installed on the
-    #: cluster directly (sweep-wide defaults must not override explicit
-    #: placements), while an explicitly configured one wins.
-    kind_from_env: bool = False
 
     def __post_init__(self):
         if self.kind is not None and self.kind not in _PARTITIONER_KINDS:
@@ -338,43 +320,6 @@ def _env_float(
     return value
 
 
-def _env_executor_kind(env: Mapping[str, str]) -> Optional[str]:
-    raw = env.get("REPRO_EXECUTOR")
-    if not raw:
-        return None
-    if raw not in ("serial", "parallel"):
-        raise ValueError(
-            f"unknown executor in REPRO_EXECUTOR={raw!r} "
-            "(expected 'serial' or 'parallel')"
-        )
-    return raw
-
-
-def _env_partitioner_kind(env: Mapping[str, str]) -> Optional[str]:
-    raw = env.get("REPRO_PARTITIONER")
-    if not raw:
-        return None
-    if raw not in _PARTITIONER_KINDS:
-        raise ValueError(
-            f"unknown partitioner in REPRO_PARTITIONER={raw!r} "
-            f"(expected one of {', '.join(_PARTITIONER_KINDS)})"
-        )
-    return raw
-
-
-def _env_fault_plan(env: Mapping[str, str]) -> Optional[str]:
-    raw = env.get("REPRO_FAULT_PLAN")
-    if not raw:
-        return None
-    from repro.runtime.faults import FaultPlan
-
-    try:
-        FaultPlan.parse(raw)  # eager validation only; parsed fresh per run
-    except ValueError as exc:
-        raise ValueError(f"invalid REPRO_FAULT_PLAN: {exc}") from None
-    return raw
-
-
 def _serve_queue_depth_env(env: Mapping[str, str]) -> int:
     value = _env_int(env, "REPRO_SERVE_QUEUE_DEPTH", minimum=0)
     return ServeConfig.max_queue_depth if value is None else value
@@ -440,19 +385,7 @@ class EngineConfig:
         """
         if env is None:
             env = os.environ
-        kind = _env_executor_kind(env)
-        partitioner_kind = _env_partitioner_kind(env)
         return cls(
-            executor=ExecutorConfig(
-                kind=kind,
-                processes=_env_int(env, "REPRO_EXECUTOR_PROCESSES", minimum=1),
-                fault_plan=_env_fault_plan(env),
-                kind_from_env=kind is not None,
-            ),
-            partitioning=PartitioningConfig(
-                kind=partitioner_kind,
-                kind_from_env=partitioner_kind is not None,
-            ),
             checkpoint=CheckpointConfig(
                 every=_env_int(env, "REPRO_CHECKPOINT_EVERY", minimum=0),
                 dir=env.get("REPRO_CHECKPOINT_DIR") or None,
@@ -490,9 +423,6 @@ class EngineConfig:
                 group_overrides.setdefault(group, {})[fld] = value
         replacements: dict[str, Any] = dict(top_overrides)
         for group, fields in group_overrides.items():
-            if group in ("executor", "partitioning") and "kind" in fields:
-                # An explicit kind choice is never env-sourced.
-                fields.setdefault("kind_from_env", False)
             replacements[group] = dataclasses.replace(
                 getattr(self, group), **fields
             )

@@ -513,7 +513,7 @@ class IntervalCentricEngine:
         knob — warp/combiner optimisations, state handling, executor
         selection, checkpointing, observability.  ``None`` uses
         :meth:`EngineConfig.from_env` (defaults plus the documented
-        ``REPRO_*`` environment variables).  Prefer building engines
+        checkpoint and serve environment variables).  Prefer building engines
         through `repro.api`, whose ``options`` dict takes the flat option
         names (``enable_warp_combiner``, ``executor``, …).
 
@@ -538,14 +538,8 @@ class IntervalCentricEngine:
         self.program = program
         self.cluster = cluster or SimulatedCluster()
         partitioning = config.partitioning
-        if partitioning.kind is not None and not (
-            partitioning.kind_from_env
-            and getattr(self.cluster, "partitioner_explicit", False)
-        ):
-            # A configured kind replaces the cluster's partitioner — except
-            # when the kind came from REPRO_PARTITIONER and the caller
-            # installed one on the cluster explicitly (a sweep-wide env
-            # default must not override an explicit placement).
+        if partitioning.kind is not None:
+            # A configured kind replaces the cluster's partitioner.
             self.cluster.partitioner = build_partitioner(
                 partitioning.kind,
                 self.cluster.num_workers,

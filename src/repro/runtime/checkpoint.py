@@ -121,14 +121,16 @@ class CheckpointError(RuntimeError):
 
 @dataclass
 class ExecutorSnapshot:
-    """Everything an executor owns at a barrier, in executor-neutral form.
+    """Everything an executor owns at a barrier: portable, not byte-equal.
 
     ``pending`` entries are ``(sender_seq, dst_vid, message)`` triples in
     delivery order — the same entries the parallel wire format routes — or
     ``(seq, dst, message, count, charge)`` 5-tuples where sender-side
-    combining folded ``count`` raw messages into one; either executor
-    charges the folded-away messages on the first resumed superstep, so a
-    snapshot taken under one executor resumes under the other.
+    combining folded ``count`` raw messages into one.  Only a run of two or
+    more processes combines, so its snapshot of a superstep differs from a
+    serial run's; either executor charges the folded-away messages on the
+    first resumed superstep, so a snapshot taken under one executor resumes
+    under the other bit-identically.
     """
 
     states: dict[Any, PartitionedState]

@@ -67,10 +67,6 @@ class SimulatedCluster:
     ):
         self.num_workers = num_workers
         self.partitioner = partitioner or HashPartitioner(num_workers)
-        #: Whether the caller placed the partitioner explicitly.  An
-        #: env-sourced ``REPRO_PARTITIONER`` yields to an explicit choice;
-        #: an explicit ``PartitioningConfig(kind=...)`` does not.
-        self.partitioner_explicit = partitioner is not None
         self.network = network or NetworkModel()
         self.compute_model = compute_model or ComputeModel()
         self.varint_encoding = varint_encoding

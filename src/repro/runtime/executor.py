@@ -96,19 +96,12 @@ def resolve_executor(config: EngineConfig):
     process count, fault plan — a spec string is parsed into a fresh
     :class:`~repro.runtime.faults.FaultPlan` per call, so one frozen config
     can arm many runs — and exchange settings from the same config.
-    Nothing here reads the environment: :meth:`EngineConfig.from_env` is
-    the only reader.
-
-    Tracing is in-process only.  A parallel kind that came from
-    ``REPRO_EXECUTOR`` (``kind_from_env``) yields to a configured
-    ``ExecutionTracer`` so traced runs keep working under sweep-wide
-    defaults; one asked for explicitly raises.
+    Nothing here reads the environment.  Tracing is in-process only, so
+    an ``ExecutionTracer`` with any executor but the serial one raises.
     """
     spec = config.executor
     tracer = config.observability.tracer
     kind = spec.kind
-    if tracer is not None and spec.kind_from_env:
-        kind = "serial"
     if kind is None or kind == "serial":
         executor = ParallelExecutor(processes=1, name="serial")
     elif kind == "parallel":
@@ -670,7 +663,8 @@ class ParallelExecutor:
 
     def snapshot(self) -> ExecutorSnapshot:
         """Barrier-time snapshot: every state and every message awaiting the
-        next superstep, in delivery order — executor-neutral."""
+        next superstep, in delivery order — portable to any process count,
+        though not byte-equal across them (see `ExecutorSnapshot`)."""
         if self._host is not None:
             return self._host.snapshot(self._runtime, self._engine._seq)
         from .checkpoint import ExecutorSnapshot

@@ -116,7 +116,7 @@ class FaultPlan:
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
-        """Parse the ``REPRO_FAULT_PLAN`` environment syntax.
+        """Parse a fault-plan spec (the ``fault_plan`` engine option).
 
         ``"kill:1@3"`` kills forked process ``1 + 1 % (P−1)`` at superstep 3
         (comma-separate for several), ``"kill:1@3:exchange"`` kills it mid

@@ -8,7 +8,7 @@ an interval-weighted variant) pursue the locality lever the paper's future
 work calls out.
 
 Selection is config-driven: ``EngineConfig(partitioning=...)`` /
-``repro run --partitioner`` / ``REPRO_PARTITIONER`` pick a kind from
+``repro run --partitioner`` pick a kind from
 :data:`PARTITIONER_KINDS` and :func:`build_partitioner` constructs it for
 the engine's graph.  Every partitioner exposes a :meth:`Partitioner.fingerprint`
 — a stable string covering the *actual* vertex→worker assignment — which
@@ -341,8 +341,7 @@ def build_partitioner(
     capacity_slack: float = 1.1,
 ) -> Partitioner:
     """Construct the partitioner ``kind`` for ``graph`` — the one factory
-    behind ``EngineConfig.partitioning``, ``--partitioner`` and
-    ``REPRO_PARTITIONER``."""
+    behind ``EngineConfig.partitioning`` and ``--partitioner``."""
     if kind == "hash":
         return HashPartitioner(num_workers, seed)
     if kind == "range":

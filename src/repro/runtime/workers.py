@@ -353,7 +353,9 @@ class WorkerHost:
         waiting in ``inbound`` are decoded non-destructively (the live
         bytes stay put for the next superstep).  Entries are merged with
         one stable sort by sender sequence, recreating the serial delivery
-        order, so the snapshot is executor-neutral.
+        order, so the snapshot resumes under any process count.  Entries
+        that sender-side combining folded stay folded, so it is not
+        byte-equal to a serial run's (see `ExecutorSnapshot`).
         """
         from .checkpoint import ExecutorSnapshot
 

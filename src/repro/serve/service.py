@@ -237,7 +237,6 @@ class GraphService:
                     seed=cfg.partitioning.seed,
                     capacity_slack=cfg.partitioning.capacity_slack,
                 )
-                cluster.partitioner_explicit = True
             executor = resolve_executor(cfg)
             lane_config = dataclasses.replace(
                 cfg,

@@ -2,8 +2,8 @@
 
 What a process *loads* (``sys.modules``, threads started) can only be
 asserted where nothing has been imported yet.  The child sees no
-``REPRO_*`` variable — like the benchmark's children — so a CI leg's
-``REPRO_EXECUTOR=parallel`` cannot decide what it imports.
+``REPRO_*`` variable — like the benchmark's children — so a checkpoint or
+serve setting in the caller's environment cannot decide what it imports.
 
 The child starts with ``-S`` (no ``site``).  Site start-up runs every
 ``.pth`` file in site-packages before the program's first line, and such a

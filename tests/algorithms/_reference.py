@@ -1,4 +1,4 @@
-"""Brute-force reference implementations used by the test-suite.
+"""Brute-force reference implementations the test-suite checks against.
 
 These are deliberately *independent* of the ICM engine, the warp operator,
 and the transformed-graph machinery: snapshot algorithms work on adjacency

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.algorithms.reference import temporal_eat
+from ._reference import temporal_eat
 from repro.algorithms.td.closeness import most_central, temporal_closeness
 from repro.datasets import transit_graph
 
 
 class TestTransitCloseness:
+    @pytest.mark.usefixtures("executor")
     def test_matches_manual_computation(self):
         g = transit_graph()
         closeness, metrics = temporal_closeness(g, sources=["A"])
@@ -16,6 +17,7 @@ class TestTransitCloseness:
         assert closeness["A"] == pytest.approx(expected)
         assert metrics.compute_calls > 0
 
+    @pytest.mark.usefixtures("executor")
     def test_all_sources_default(self):
         g = transit_graph()
         closeness, _ = temporal_closeness(g)
@@ -25,6 +27,7 @@ class TestTransitCloseness:
         # A reaches the most vertices earliest.
         assert most_central(closeness, 1)[0][0] == "A"
 
+    @pytest.mark.usefixtures("executor")
     def test_consistent_with_reference_eat(self, ):
         g = transit_graph()
         closeness, _ = temporal_closeness(g, sources=["B"])

@@ -6,7 +6,7 @@ the ones the two engine workloads of ``benchmarks/e2e`` run (BFS, SSSP, EAT,
 RH, FAST, TMST, LD on ``td_frontier``; PR on ``pr_dense``), WCC, SCC's
 peeling passes and the two non-combinable ones (LCC, TC: whole message
 groups reach ``compute``) — each against its dense reference in
-``repro.algorithms.reference``, on generated graphs whose
+``tests.algorithms._reference``, on generated graphs whose
 vertex lifespans vary and whose ``travel-cost`` and ``travel-time`` both
 change mid-edge — so edges have several property pieces, states fragment,
 and messages land partly outside their receiver's lifespan.  Each property
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.algorithms.reference import (
+from ._reference import (
     snapshot_bfs,
     snapshot_lcc,
     snapshot_pagerank,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algorithms.reference import temporal_sssp_grid
+from ._reference import temporal_sssp_grid
 from repro.algorithms.td.journeys import (
     TemporalSSSPJourneys,
     journey_cost,
@@ -20,6 +20,7 @@ def transit():
     return graph, result
 
 
+@pytest.mark.usefixtures("executor")
 class TestCostsUnchanged:
     def test_costs_match_plain_sssp(self, transit, graph, horizon):
         """Carrying provenance must not change the optimal costs — checked
@@ -66,6 +67,7 @@ class TestTransitItineraries:
         assert reconstruct_journey(result, graph, "A", "A", at=5) == []
 
 
+@pytest.mark.usefixtures("executor")
 class TestJourneyValidity:
     def test_random_graph_journeys_are_time_respecting(self, graph, horizon):
         """Every reconstructed journey must be temporally consistent and

@@ -27,6 +27,7 @@ def triangle_with_tail():
 
 
 class TestSmallCases:
+    @pytest.mark.usefixtures("executor")
     def test_triangle_is_2core_while_intact(self):
         result = run_temporal_kcore(triangle_with_tail(), k=2)
         for t in range(6):
@@ -36,16 +37,19 @@ class TestSmallCases:
             for vid in "abc":
                 assert result.value_at(vid, t) == DEAD, (vid, t)
 
+    @pytest.mark.usefixtures("executor")
     def test_pendant_never_in_2core(self):
         result = run_temporal_kcore(triangle_with_tail(), k=2)
         for t in range(8):
             assert result.value_at("d", t) == DEAD
 
+    @pytest.mark.usefixtures("executor")
     def test_1core_follows_any_edge(self):
         result = run_temporal_kcore(triangle_with_tail(), k=1)
         assert in_core(result.value_at("d", 3))
         assert result.value_at("d", 0) == DEAD  # c-d edge starts at 2
 
+    @pytest.mark.usefixtures("executor")
     def test_cascading_removal(self):
         """A chain: removing the end cascades through the whole chain."""
         b = TemporalGraphBuilder()
@@ -63,6 +67,7 @@ class TestSmallCases:
             TemporalKCore(0)
 
 
+@pytest.mark.usefixtures("executor")
 class TestAgainstReference:
     def test_matches_per_snapshot_peeling(self, graph, horizon):
         result = run_temporal_kcore(graph, k=2)

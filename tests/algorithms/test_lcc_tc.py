@@ -8,7 +8,7 @@ every ``t`` is the ground truth for all three platforms.
 
 import pytest
 
-from repro.algorithms.reference import snapshot_lcc, snapshot_tc
+from ._reference import snapshot_lcc, snapshot_tc
 from repro.algorithms.td.lcc import TemporalLCC, lcc_value
 from repro.algorithms.td.tc import TemporalTC, global_triangles, tc_count
 from repro.baselines.goffish import GoffishEngine
@@ -35,6 +35,7 @@ def triangle_graph():
 
 
 class TestTriangleGraphTC:
+    @pytest.mark.usefixtures("executor")
     def test_icm_counts_concurrent_triangle_only(self):
         g = triangle_graph()
         result = IntervalCentricEngine(g, TemporalTC()).run()
@@ -44,6 +45,7 @@ class TestTriangleGraphTC:
             total = global_triangles(result.states, t)
             assert total == (1 if 2 <= t < 4 else 0), t
 
+    @pytest.mark.usefixtures("executor")
     def test_icm_matches_reference_pointwise(self, graph, horizon):
         result = IntervalCentricEngine(graph, TemporalTC()).run()
         for t in range(horizon):
@@ -70,6 +72,7 @@ class TestTriangleGraphTC:
 
 
 class TestLCC:
+    @pytest.mark.usefixtures("executor")
     def test_triangle_graph_lcc(self):
         g = triangle_graph()
         result = IntervalCentricEngine(g, TemporalLCC()).run()
@@ -83,6 +86,7 @@ class TestLCC:
                     expected[vid]
                 ), (vid, t)
 
+    @pytest.mark.usefixtures("executor")
     def test_icm_matches_reference_pointwise(self, graph, horizon):
         result = IntervalCentricEngine(graph, TemporalLCC()).run()
         for t in range(horizon):

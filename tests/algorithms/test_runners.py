@@ -32,6 +32,7 @@ class TestDefaults:
         assert default_source(g) == default_source(g) == "z"
 
 
+@pytest.mark.usefixtures("executor")
 class TestDefaultsResolvedWhereConsumed:
     """Each default walks the whole adjacency (a view per edge on a compact
     graph), so ``run_algorithm`` resolves one only in the branch that
@@ -99,6 +100,7 @@ class TestMatrixShape:
 
 
 class TestParameterPlumbing:
+    @pytest.mark.usefixtures("executor")
     def test_explicit_source_used(self):
         g = transit_graph()
         outcome = run_algorithm("SSSP", "GRAPHITE", g, source="B")
@@ -108,6 +110,7 @@ class TestParameterPlumbing:
         assert outcome.result.value_at("E", 9) < INFINITY
         assert outcome.result.value_at("D", 9) >= INFINITY
 
+    @pytest.mark.usefixtures("executor")
     def test_icm_options_forwarded(self):
         g = transit_graph()
         baseline = run_algorithm("SSSP", "GRAPHITE", g)
@@ -122,6 +125,7 @@ class TestParameterPlumbing:
             assert (baseline.result.value_at(vid, 9)
                     == no_combiner.result.value_at(vid, 9))
 
+    @pytest.mark.usefixtures("executor")
     def test_deadline_for_ld(self):
         g = transit_graph()
         tight = run_algorithm("LD", "GRAPHITE", g, target="E", deadline=6)

@@ -3,7 +3,7 @@ against dense dynamic-programming references, on all three platforms."""
 
 import pytest
 
-from repro.algorithms.reference import (
+from ._reference import (
     INF,
     temporal_eat,
     temporal_fast,
@@ -33,6 +33,7 @@ TARGET = "v1"
 
 
 class TestSSSP:
+    @pytest.mark.usefixtures("executor")
     def test_icm_matches_grid_pointwise(self, graph, horizon):
         result = IntervalCentricEngine(graph, TemporalSSSP(SOURCE)).run()
         grid = temporal_sssp_grid(graph, SOURCE, horizon=horizon)
@@ -57,6 +58,7 @@ class TestSSSP:
 
 
 class TestEAT:
+    @pytest.mark.usefixtures("executor")
     def test_icm_matches_reference(self, graph, horizon):
         result = IntervalCentricEngine(graph, TemporalEAT(SOURCE)).run()
         expected = temporal_eat(graph, SOURCE, horizon=horizon)
@@ -91,12 +93,14 @@ class TestEAT:
 
 
 class TestReachability:
+    @pytest.mark.usefixtures("executor")
     def test_icm_matches_reference(self, graph, horizon):
         result = IntervalCentricEngine(graph, TemporalReachability(SOURCE)).run()
         grid = temporal_reach_grid(graph, SOURCE, horizon=horizon)
         for vid, row in grid.items():
             assert is_reachable(result.states[vid]) == any(row), vid
 
+    @pytest.mark.usefixtures("executor")
     def test_icm_pointwise(self, graph, horizon):
         result = IntervalCentricEngine(graph, TemporalReachability(SOURCE)).run()
         grid = temporal_reach_grid(graph, SOURCE, horizon=horizon)
@@ -119,6 +123,7 @@ class TestReachability:
 
 
 class TestFAST:
+    @pytest.mark.usefixtures("executor")
     def test_icm_matches_reference(self, graph, horizon):
         result = IntervalCentricEngine(graph, TemporalFAST(SOURCE, horizon=horizon)).run()
         expected = temporal_fast(graph, SOURCE, horizon=horizon)
@@ -146,6 +151,7 @@ class TestFAST:
 
 
 class TestLD:
+    @pytest.mark.usefixtures("executor")
     def test_icm_matches_reference(self, graph, horizon):
         deadline = horizon - 1
         result = IntervalCentricEngine(
@@ -184,6 +190,7 @@ class TestLD:
 
 
 class TestTMST:
+    @pytest.mark.usefixtures("executor")
     def test_icm_arrivals_match_eat(self, graph, horizon):
         result = IntervalCentricEngine(graph, TemporalTMST(SOURCE)).run()
         expected = temporal_eat(graph, SOURCE, horizon=horizon)
@@ -196,6 +203,7 @@ class TestTMST:
             else:
                 assert tree[vid][0] == arrival, vid
 
+    @pytest.mark.usefixtures("executor")
     def test_icm_tree_edges_are_valid(self, graph, horizon):
         """Each tree edge must correspond to a real, temporally valid hop."""
         result = IntervalCentricEngine(graph, TemporalTMST(SOURCE)).run()

@@ -7,7 +7,7 @@ with the brute-force per-snapshot reference at every time-point — the
 
 import pytest
 
-from repro.algorithms.reference import (
+from ._reference import (
     snapshot_bfs,
     snapshot_pagerank,
     snapshot_scc,
@@ -30,6 +30,7 @@ SOURCE = "v0"
 
 
 class TestBFS:
+    @pytest.mark.usefixtures("executor")
     def test_icm_matches_reference_pointwise(self, graph, horizon):
         result = IntervalCentricEngine(graph, TemporalBFS(SOURCE)).run()
         for t in range(horizon):
@@ -58,6 +59,7 @@ class TestBFS:
 
 
 class TestWCC:
+    @pytest.mark.usefixtures("executor")
     def test_icm_matches_reference_pointwise(self, graph, horizon):
         undirected = make_undirected(graph)
         result = IntervalCentricEngine(undirected, TemporalWCC()).run()
@@ -83,6 +85,7 @@ class TestWCC:
 
 
 class TestPageRank:
+    @pytest.mark.usefixtures("executor")
     def test_icm_matches_reference_pointwise(self, graph, horizon):
         result = IntervalCentricEngine(graph, TemporalPageRank(graph)).run()
         for t in range(horizon):
@@ -105,6 +108,7 @@ class TestPageRank:
             for vid, rank in expected.items():
                 assert res.values[t][vid] == pytest.approx(rank)
 
+    @pytest.mark.usefixtures("executor")
     def test_ranks_are_probabilities_when_no_danglers(self):
         """On a cycle (no dangling mass), ranks sum to 1 per snapshot."""
         from repro.graph.builder import TemporalGraphBuilder
@@ -122,6 +126,7 @@ class TestPageRank:
 
 
 class TestSCC:
+    @pytest.mark.usefixtures("executor")
     def test_icm_matches_reference_pointwise(self, graph, horizon):
         res = run_icm_scc(graph)
         for t in range(horizon):

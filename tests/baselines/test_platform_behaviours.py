@@ -62,6 +62,7 @@ class TestTgbBookkeeping:
 
 
 class TestGoffishBehaviour:
+    @pytest.mark.usefixtures("executor")
     def test_no_sharing_across_snapshots(self):
         """GoFFish re-activates vertices every snapshot (explicit state
         passing), so compute calls exceed GRAPHITE's."""
@@ -97,10 +98,11 @@ class TestMsbAccounting:
         assert res.metrics.supersteps >= g.time_horizon()
 
 
+@pytest.mark.usefixtures("executor")
 class TestIcmVsBaselinesOnTransit:
     def test_sssp_pointwise_equivalence_all_platforms(self):
         """Sec. VII-B1: all platforms produce conceptually equal outcomes."""
-        from repro.algorithms.reference import temporal_sssp_grid
+        from ..algorithms._reference import temporal_sssp_grid
 
         g = transit_graph()
         horizon = g.time_horizon()

@@ -55,6 +55,7 @@ class Flood(IntervalProgram):
         return [(interval, state + 1)]
 
 
+@pytest.mark.usefixtures("executor")
 class TestBasicLoop:
     def test_flood_on_line(self):
         result = IntervalCentricEngine(line_graph(), Flood()).run()
@@ -112,6 +113,7 @@ class TestAggregatorsAndMaster:
         assert observed[2] == 1
         assert observed[3] == 1
 
+    @pytest.mark.usefixtures("executor")
     def test_unregistered_aggregator_raises_with_context(self):
         from repro.core.engine import IcmProgramError
 
@@ -125,6 +127,7 @@ class TestAggregatorsAndMaster:
         assert err.value.phase == "compute"
         assert err.value.superstep == 1
 
+    @pytest.mark.usefixtures("executor")
     def test_master_halt_stops_early(self):
         class Halter(Flood):
             def master_compute(self, master):
@@ -176,6 +179,7 @@ class TestDirectMessaging:
         assert result.metrics.messages_sent == 1
 
 
+@pytest.mark.usefixtures("executor")
 class TestStateUpdateGuards:
     def test_compute_cannot_update_outside_active_interval(self):
         class Escaper(Flood):

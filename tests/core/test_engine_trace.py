@@ -123,6 +123,7 @@ class TestPaperTrace:
         assert result.value_at("C", 9) == 3
 
 
+@pytest.mark.usefixtures("executor")
 class TestEngineVsTransformedCounts:
     def test_icm_needs_far_fewer_calls_than_transformed(self):
         """The intro's headline: the interval-centric run touches far fewer
@@ -137,6 +138,7 @@ class TestEngineVsTransformedCounts:
         assert icm.metrics.messages_sent < tgb.metrics.total_messages
 
 
+@pytest.mark.usefixtures("executor")
 class TestCombinerEquivalence:
     def test_warp_combiner_does_not_change_results(self):
         graph = transit_graph()

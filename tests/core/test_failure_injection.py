@@ -33,6 +33,7 @@ class Base(IntervalProgram):
         return [(interval, state)]
 
 
+@pytest.mark.usefixtures("executor")
 class TestComputeFailures:
     def test_exception_carries_vertex_and_superstep(self):
         class Boom(Base):
@@ -59,6 +60,7 @@ class TestComputeFailures:
         assert not isinstance(err.value.original, IcmProgramError)
 
 
+@pytest.mark.usefixtures("executor")
 class TestScatterFailures:
     def test_scatter_exception_wrapped(self):
         class Boom(Base):
@@ -219,6 +221,7 @@ class TestTransferFailures:
         assert isinstance(err.value.original, cause)
 
 
+@pytest.mark.usefixtures("executor")
 class TestMessagingEdgeCases:
     def test_direct_send_to_unknown_vertex_is_dropped(self):
         """Messages to ids outside the graph are silently discarded at the

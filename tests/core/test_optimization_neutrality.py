@@ -6,6 +6,7 @@ graphs with each optimisation toggled and require pointwise-identical
 final states, plus direct properties of the message-set transformations.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +57,7 @@ OPTION_SETS = [
 ]
 
 
+@pytest.mark.usefixtures("executor")
 @given(temporal_graph(), st.sampled_from(range(len(OPTION_SETS))))
 @settings(max_examples=120, deadline=None)
 def test_sssp_invariant_under_optimisations(graph, option_idx):
@@ -66,6 +68,7 @@ def test_sssp_invariant_under_optimisations(graph, option_idx):
             vid, OPTION_SETS[option_idx])
 
 
+@pytest.mark.usefixtures("executor")
 @given(temporal_graph(), st.sampled_from(range(len(OPTION_SETS))))
 @settings(max_examples=80, deadline=None)
 def test_eat_invariant_under_optimisations(graph, option_idx):
@@ -75,6 +78,7 @@ def test_eat_invariant_under_optimisations(graph, option_idx):
         assert states_equal_pointwise(baseline[vid], variant[vid]), vid
 
 
+@pytest.mark.usefixtures("executor")
 @given(temporal_graph(), st.sampled_from(range(len(OPTION_SETS))))
 @settings(max_examples=60, deadline=None)
 def test_rh_invariant_under_optimisations(graph, option_idx):
@@ -88,6 +92,7 @@ def test_rh_invariant_under_optimisations(graph, option_idx):
         assert states_equal_pointwise(baseline[vid], variant[vid]), vid
 
 
+@pytest.mark.usefixtures("executor")
 @given(temporal_graph(), st.sampled_from(range(len(OPTION_SETS))))
 @settings(max_examples=60, deadline=None)
 def test_tmst_invariant_under_optimisations(graph, option_idx):

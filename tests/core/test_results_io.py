@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from repro.algorithms.td.sssp import TemporalSSSP
 from repro.core.engine import IntervalCentricEngine
 from repro.core.results_io import (
@@ -13,6 +15,8 @@ from repro.core.results_io import (
     states_document,
 )
 from repro.datasets import transit_graph
+
+pytestmark = pytest.mark.usefixtures("executor")
 
 
 def sssp_result():

@@ -1,5 +1,7 @@
 """Tests for the execution tracer."""
 
+import pytest
+
 from repro import api
 from repro.algorithms.td.sssp import TemporalSSSP
 from repro.core.engine import IntervalCentricEngine
@@ -69,6 +71,7 @@ class TestRendering:
         # Messages addressed *to* E still show.
         assert "-> 'E'" in text
 
+    @pytest.mark.usefixtures("executor")
     def test_no_tracer_is_default(self):
         engine = IntervalCentricEngine(transit_graph(), TemporalSSSP("A"))
         assert engine.tracer is None

@@ -10,6 +10,8 @@ from repro.core.interval import Interval
 from repro.core.state import states_equal_pointwise
 from repro.graph.builder import TemporalGraphBuilder
 
+pytestmark = pytest.mark.usefixtures("executor")
+
 
 def chain(n=4, horizon=10, costs=None):
     b = TemporalGraphBuilder()

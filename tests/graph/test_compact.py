@@ -262,6 +262,7 @@ class TestSharing:
 # -- engine bit-identity (one probe; test_executor_equivalence runs the matrix) -
 
 
+@pytest.mark.usefixtures("executor")
 def test_engine_results_identical_across_stores(stores):
     from repro import api
     from repro.algorithms.td.sssp import TemporalSSSP

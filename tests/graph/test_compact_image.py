@@ -94,6 +94,7 @@ def _pieces(index, span):
 # -- equality ------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("executor")
 @pytest.mark.parametrize("name", GRAPHS)
 def test_v2_bind_and_mapped_v3_hold_the_heap_index(name, tmp_path, stores):
     heap = GRAPHS[name]
@@ -139,6 +140,7 @@ def _shards(graph, directory) -> dict:
     return {str(p.relative_to(directory)): p.read_bytes() for p in directory.rglob("*.bin")}
 
 
+@pytest.mark.usefixtures("executor")
 @pytest.mark.parametrize("case", (3, 4))
 def test_checkpoint_shards_are_equal_on_every_store(case, tmp_path, stores):
     seed, heap = make_case(case)
@@ -354,6 +356,7 @@ def _mutant(rng: random.Random, valid: bytes):
     return how, at, valid[:at] + valid[src:src + n] + tail
 
 
+@pytest.mark.usefixtures("executor")
 def test_mutated_images_are_refused_or_answer():
     """Byte flips, truncations and splices of a small v3 image.  With
     ``verify=True`` every one is a ``GraphFormatError``.  Without it, load +

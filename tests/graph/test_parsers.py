@@ -57,6 +57,7 @@ class TestSnapEdgelist:
         with pytest.raises(ValueError, match="expected"):
             load_snap_edgelist(io.StringIO("alice bob\n"))
 
+    @pytest.mark.usefixtures("executor")
     def test_parsed_graph_runs_icm(self):
         from repro.algorithms.td.reach import TemporalReachability, is_reachable
         from repro.core.engine import IntervalCentricEngine

@@ -14,6 +14,7 @@ benchmark's RSS bound is 7 %, and a layout of per-piece objects breaks it).
 import pickle
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -243,6 +244,7 @@ def _states(result):
 
 
 class TestLifetime:
+    @pytest.mark.usefixtures("executor")
     def test_index_survives_runs_and_is_shared_with_reversed(self, stores):
         for store, put in stores:
             graph = put(transit_graph())
@@ -255,6 +257,7 @@ class TestLifetime:
                     e.piece_index() is tables[e.eid] for e in graph.reversed().edges()
                 )
 
+    @pytest.mark.usefixtures("executor")
     def test_reversed_answers_equal_a_freshly_built_reversed_graph(self, stores):
         for store, put in stores:
             graph = put(transit_graph())
@@ -265,6 +268,7 @@ class TestLifetime:
             assert shared.metrics.total_messages == fresh.metrics.total_messages
             assert shared.metrics.scatter_calls == fresh.metrics.scatter_calls
 
+    @pytest.mark.usefixtures("executor")
     def test_property_added_to_an_attached_edge_is_seen_by_the_next_run(self, stores):
         def two_vertex_graph(cost_pieces):
             builder = TemporalGraphBuilder()
@@ -285,6 +289,7 @@ class TestLifetime:
             assert _states(second) == _states(fresh), store
             assert _states(second) != _states(first), store
 
+    @pytest.mark.usefixtures("executor")
     def test_streaming_appends_reach_the_next_compute(self):
         stream = StreamingIntervalEngine(TemporalSSSP("a"))
         stream.add_vertex("a", 0, 10)
@@ -317,6 +322,7 @@ class TestLifetime:
         graph._add_vertex(builder.build().vertex("late"))
         assert graph.time_horizon() == horizon + 7
 
+    @pytest.mark.usefixtures("executor")
     def test_pickle_does_not_grow_after_a_run(self, stores):
         graph = usrn(0.5)
         graph.time_horizon()  # the memoized int does travel; the tables do not

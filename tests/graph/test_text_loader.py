@@ -185,6 +185,7 @@ def sssp(graph):
 # -- the oracle ------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("executor")
 @pytest.mark.parametrize("case", range(CASES))
 def test_bulk_loader_equals_reference_loader(case):
     seed, graph = make_case(case)

@@ -16,6 +16,7 @@ GRAPH = reddit(scale=0.25)
 GRAPH_NAME = "reddit-small"
 
 
+@pytest.mark.usefixtures("executor")
 @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
 def test_every_platform_runs(algorithm):
     for platform in platforms_for(algorithm):
@@ -43,6 +44,7 @@ def test_platform_matrix_matches_paper():
             run_algorithm(algorithm, "MSB", GRAPH)
 
 
+@pytest.mark.usefixtures("executor")
 class TestCrossPlatformEquivalence:
     """Sample result agreement through the runner layer (the per-algorithm
     suites verify against references exhaustively; here we pin the runner's

@@ -17,6 +17,7 @@ from repro.datasets import gplus, twitter, usrn
 from repro.graph.stats import dataset_stats, memory_footprint
 
 
+@pytest.mark.usefixtures("executor")
 class TestLongLifespanAdvantage:
     """Sec. VII-B3: ICM out-performs for graphs with longer lifespans."""
 
@@ -44,6 +45,7 @@ class TestLongLifespanAdvantage:
         assert tgb.metrics.system_messages > 0
 
 
+@pytest.mark.usefixtures("executor")
 class TestUnitLifespanWorstCase:
     """Sec. VII-B5: no sharing is possible on unit-lifespan graphs, and all
     platforms degenerate to per-snapshot behaviour (Sec. VII-B1)."""
@@ -72,6 +74,7 @@ class TestUnitLifespanWorstCase:
         assert result.metrics.warp_suppressed_vertices > 0
 
 
+@pytest.mark.usefixtures("executor")
 class TestStaticTopology:
     """Sec. VII-B6: USRN has a fixed topology; ICM's interval run matches
     single-snapshot work for TI algorithms without manual hints."""
@@ -112,6 +115,7 @@ class TestMemoryFootprint:
         assert sizes["transformed"] < 4 * sizes["interval"]
 
 
+@pytest.mark.usefixtures("executor")
 class TestCombinerAndSuppressionKnobs:
     """Fig. 6b/6c: the engineering optimisations help where the paper says."""
 
@@ -142,7 +146,7 @@ class TestCombinerAndSuppressionKnobs:
     def test_suppression_correct_for_combiner_less_lcc(self):
         """The time-point path must also be exact for multi-tag message
         groups (LCC has no combiner to hide behind)."""
-        from repro.algorithms.reference import snapshot_lcc
+        from ..algorithms._reference import snapshot_lcc
         from repro.algorithms.td.lcc import TemporalLCC, lcc_value
         from repro.graph.snapshots import snapshot_at
 

@@ -184,6 +184,7 @@ def test_renderers_accept_real_traces(traces):
     assert len(timeline.splitlines()) == 1 + supersteps  # header + one row/step
 
 
+@pytest.mark.usefixtures("executor")
 def test_compare_trace_attributes_every_platform(tmp_path):
     """`api.compare(..., observe=path)` writes one shared trace in which
     every run — GRAPHITE's native events and the synthesized baseline

@@ -1,5 +1,7 @@
 """Tests for durable top-k queries."""
 
+import pytest
+
 from repro.core.interval import Interval
 from repro.query import Timeline, durable_top_k
 
@@ -77,6 +79,7 @@ def test_intervals_coalesce():
     assert ranked[0] == ("a", 6, [iv(0, 6)])
 
 
+@pytest.mark.usefixtures("executor")
 def test_with_pagerank_states():
     """End-to-end: most durably top-ranked vertex of a temporal PR run."""
     from repro.algorithms.ti.pagerank import TemporalPageRank

@@ -49,6 +49,7 @@ class TestTransitJourneys:
                                       max_legs=4, max_results=1))
         assert len(journeys) == 1
 
+    @pytest.mark.usefixtures("executor")
     def test_consistency_with_reachability(self):
         """A journey exists iff RH says the target is reachable (within the
         enumerator's hop bound on this small graph)."""
@@ -61,6 +62,7 @@ class TestTransitJourneys:
             journeys = find_journeys(g, "A", vid, window=Interval(0, 12), max_legs=5)
             assert bool(journeys) == is_reachable(result.states[vid]), vid
 
+    @pytest.mark.usefixtures("executor")
     def test_cheapest_enumerated_matches_sssp(self):
         """The cheapest enumerated journey to E costs what SSSP reports."""
         from repro.algorithms.td.sssp import TemporalSSSP

@@ -171,6 +171,7 @@ class TestResultAnalytics:
         g = transit_graph()
         return IntervalCentricEngine(g, TemporalSSSP("A")).run()
 
+    @pytest.mark.usefixtures("executor")
     def test_state_timeline(self, sssp):
         tl = state_timeline(sssp, "B")
         assert tl.value_at(4) == 4
@@ -186,6 +187,7 @@ class TestResultAnalytics:
         assert cheapest[1] == ("D", 2)
         assert cheapest[2][1] == 3  # B or C, both cost 3 at t=9
 
+    @pytest.mark.usefixtures("executor")
     def test_total_over_time_counts_reachable(self):
         g = transit_graph()
         result = IntervalCentricEngine(g, TemporalSSSP("A")).run()
@@ -196,6 +198,7 @@ class TestResultAnalytics:
         assert reachable.value_at(5) == 4   # A, B, C, D
         assert reachable.value_at(9) == 5   # + E
 
+    @pytest.mark.usefixtures("executor")
     def test_pagerank_mass_over_time(self):
         from repro.graph.builder import TemporalGraphBuilder
 

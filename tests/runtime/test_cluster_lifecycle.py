@@ -84,6 +84,7 @@ class TestModelNetworkDisabled:
         assert metrics.message_bytes == 0
         assert step.bytes == 0
 
+    @pytest.mark.usefixtures("executor")
     def test_engine_runs_with_network_disabled(self):
         from repro import api
         from repro.algorithms.ti.bfs import TemporalBFS

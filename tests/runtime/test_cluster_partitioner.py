@@ -4,8 +4,7 @@ import pytest
 
 from repro import api
 from repro.algorithms.td.sssp import TemporalSSSP
-from repro.core.config import _PARTITIONER_KINDS, EngineConfig
-from repro.core.engine import IntervalCentricEngine
+from repro.core.config import _PARTITIONER_KINDS
 from repro.core.interval import Interval
 from repro.core.messages import message
 from repro.datasets import transit_graph
@@ -100,26 +99,6 @@ class TestPartitionerSelection:
         )
         assert engine.cluster.partitioner.kind == "greedy"
 
-    def test_explicit_cluster_partitioner_beats_env_kind(self):
-        # REPRO_PARTITIONER is a sweep-wide default; a partitioner the
-        # caller installed on the cluster must survive it.
-        g = transit_graph()
-        mine = RangePartitioner(4, g.vertex_ids())
-        config = EngineConfig.from_env({"REPRO_PARTITIONER": "greedy"})
-        engine = IntervalCentricEngine(
-            g, TemporalSSSP("A"),
-            cluster=SimulatedCluster(4, partitioner=mine), config=config,
-        )
-        assert engine.cluster.partitioner is mine
-
-    def test_env_kind_applies_to_default_cluster(self):
-        config = EngineConfig.from_env({"REPRO_PARTITIONER": "range"})
-        engine = IntervalCentricEngine(
-            transit_graph(), TemporalSSSP("A"),
-            cluster=SimulatedCluster(4), config=config,
-        )
-        assert engine.cluster.partitioner.kind == "range"
-
     def test_explicit_config_kind_beats_cluster_partitioner(self):
         g = transit_graph()
         engine = api.build_engine(
@@ -156,6 +135,7 @@ class TestPartitionObservability:
         assert stats["edge_cut"] == 0.0
         assert stats["imbalance"] == 1.0
 
+    @pytest.mark.usefixtures("executor")
     @pytest.mark.parametrize("store", ["heap", "compact"])
     def test_placement_statistics_are_memoized_on_the_resident_graph(self, store):
         """Placement quality is a pure function of (graph, partitioner): the
@@ -175,8 +155,7 @@ class TestPartitionObservability:
         wide = SimulatedCluster(6, partitioner=HashPartitioner(4))
         assert len(wide.partition_stats(g)["vertex_load"]) == 6
         assert SimulatedCluster(4).partition_stats(g) is first
-        # An engine run goes through the memo (an explicit kind, so that no
-        # REPRO_PARTITIONER sweep can swap the placement under the test).
+        # An engine run goes through the memo.
         engine = api.build_engine(
             g, TemporalSSSP("A"), cluster=SimulatedCluster(4),
             options={"partitioner": "hash", "checkpoint_every": 0},
@@ -242,6 +221,7 @@ class TestPartitionObservability:
         assert foreign.partition_stats(g) is not foreign.partition_stats(g)
         assert len(g._placement) == 1
 
+    @pytest.mark.usefixtures("executor")
     def test_run_reports_partition_metrics_and_events(self):
         events = InMemoryEvents()
         result = api.run(
@@ -263,6 +243,7 @@ class TestPartitionObservability:
         assert start["partition_edge_cut"] == metrics.partition_edge_cut
 
 
+@pytest.mark.usefixtures("executor")
 class TestCheckpointPartitionerGuard:
     def test_resume_under_different_partitioner_refused(self, tmp_path):
         g = transit_graph()

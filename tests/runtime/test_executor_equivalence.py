@@ -4,10 +4,10 @@ The determinism contract (``repro.runtime.executor``): both executors walk
 active vertices in canonical graph order, receivers restore serial delivery
 order by sender sequence, aggregates fold in (vertex, call) order, and
 per-shard modeled compute sums in the same order serial would use.  These
-tests hold the contract across the whole algorithm matrix.
+tests hold the contract across the whole algorithm matrix, on every graph
+store, under every partitioner, with and without injected worker deaths.
 """
 
-import os
 import sys
 
 import pytest
@@ -64,6 +64,26 @@ _graph = transit_graph
 IMAGES = ("heap", "frozen", "mapped")
 on_every_image = pytest.mark.parametrize("graph_image", IMAGES, indirect=True)
 
+#: The placement axis: every partitioner kind shards the graph in turn.
+#: The default kind keeps its value out of the test id.
+on_every_partitioner = pytest.mark.parametrize(
+    "partitioner",
+    [
+        pytest.param(kind, id=pytest.HIDDEN_PARAM if kind == "hash" else kind)
+        for kind in PARTITIONER_KINDS
+    ],
+)
+
+#: The fault axis: no fault, or a seeded plan that SIGKILLs a worker
+#: process, with a checkpoint every two supersteps, so recovery rolls back
+#: and replays.  Both sides take the same options; a plan kills nothing at
+#: one process.
+CHAOS = {"fault_plan": "seed:2", "checkpoint_every": 2}
+with_and_without_faults = pytest.mark.parametrize(
+    "faults",
+    [pytest.param({}, id=pytest.HIDDEN_PARAM), pytest.param(CHAOS, id="chaos")],
+)
+
 
 @pytest.fixture
 def graph_image(request, tmp_path, monkeypatch):
@@ -79,33 +99,37 @@ def graph_image(request, tmp_path, monkeypatch):
 
 
 def _run(algorithm, observe=None, **icm_options):
-    # The serial reference is pinned explicitly so the comparison stays
-    # meaningful under REPRO_EXECUTOR=parallel test sweeps.
     return run_algorithm(
         algorithm, "GRAPHITE", _graph(),
         cluster=SimulatedCluster(5), graph_name="transit",
-        icm_options=icm_options or {"executor": "serial"},
+        icm_options={"executor": "serial", **icm_options},
         observe=observe,
     )
 
 
 @on_every_image
 @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
-def test_parallel_matches_serial(algorithm, graph_image):
+@on_every_partitioner
+@with_and_without_faults
+def test_parallel_matches_serial(algorithm, graph_image, partitioner, faults):
+    options = {"partitioner": partitioner, **faults}
     serial_events, parallel_events = InMemoryEvents(), InMemoryEvents()
-    serial = _run(algorithm, observe=serial_events)
-    parallel = _run(algorithm, observe=parallel_events, **PARALLEL)
+    serial = _run(algorithm, observe=serial_events, **options)
+    parallel = _run(algorithm, observe=parallel_events, **options, **PARALLEL)
 
     assert _partitions(serial.result) == _partitions(parallel.result)
     if hasattr(serial.result, "aggregates"):
         assert serial.result.aggregates == parallel.result.aggregates
-    for fld in EXACT_FIELDS:
+    for fld in EXACT_FIELDS + ("local_message_bytes", "remote_message_bytes"):
         assert getattr(serial.metrics, fld) == getattr(parallel.metrics, fld), fld
+    assert serial.metrics.partition_edge_cut == parallel.metrics.partition_edge_cut
     # Same logical event stream from both executors — wall-clock facts
-    # excluded by logical().  Fault-plan sweeps replay supersteps on the
+    # excluded by logical().  A fault plan replays supersteps on the
     # parallel side only, so the sequence check is skipped there.
     assert serial_events.records, "runs must emit events when observed"
-    if not os.environ.get("REPRO_FAULT_PLAN"):
+    if faults:
+        assert parallel.metrics.recovery.restarts >= 1, "the plan must fire"
+    else:
         assert serial_events.logical() == parallel_events.logical()
 
 
@@ -121,7 +145,7 @@ def test_parallel_matches_serial_under_every_partitioner(
     graph — including the greedy ones, whose shard sizes are deliberately
     uneven — and all must agree on the byte-level locality split.
     """
-    serial = _run(algorithm, executor="serial", partitioner=partitioner)
+    serial = _run(algorithm, partitioner=partitioner)
     parallel = _run(algorithm, partitioner=partitioner, **PARALLEL)
 
     assert _partitions(serial.result) == _partitions(parallel.result)
@@ -130,15 +154,20 @@ def test_parallel_matches_serial_under_every_partitioner(
     assert serial.metrics.partition_edge_cut == parallel.metrics.partition_edge_cut
 
 
-def test_combining_off_still_bit_identical():
-    serial = _run("SSSP")
-    plain = _run("SSSP", exchange_combine=False, **PARALLEL)
+@on_every_partitioner
+@with_and_without_faults
+def test_combining_off_still_bit_identical(partitioner, faults):
+    options = {"partitioner": partitioner, **faults}
+    serial = _run("SSSP", **options)
+    plain = _run("SSSP", exchange_combine=False, **options, **PARALLEL)
     assert _partitions(serial.result) == _partitions(plain.result)
     for fld in EXACT_FIELDS + ("local_message_bytes", "remote_message_bytes"):
         assert getattr(serial.metrics, fld) == getattr(plain.metrics, fld), fld
 
 
-def test_combining_cuts_wire_bytes():
+@on_every_partitioner
+@with_and_without_faults
+def test_combining_cuts_wire_bytes(partitioner, faults):
     """The same run ships fewer real bytes with sender-side combining than
     without, and ``exchange_raw_bytes`` (what an uncombined wire would
     carry) is invariant.  The transit graph is too sparse for two
@@ -152,7 +181,10 @@ def test_combining_cuts_wire_bytes():
         return run_algorithm(
             "BFS", "GRAPHITE", graph,
             cluster=SimulatedCluster(8), graph_name="twitter",
-            icm_options={**PARALLEL, "exchange_combine": combine},
+            icm_options={
+                **PARALLEL, "exchange_combine": combine,
+                "partitioner": partitioner, **faults,
+            },
         )
 
     combined = _go(True)
@@ -166,14 +198,19 @@ def _config(**options):
 
 
 @on_every_image
-def test_executor_recorded_in_metrics(graph_image):
-    assert _run("BFS").metrics.executor == "serial"
-    assert _run("BFS", **PARALLEL).metrics.executor == "parallel"
+@on_every_partitioner
+@with_and_without_faults
+def test_executor_recorded_in_metrics(graph_image, partitioner, faults):
+    options = {"partitioner": partitioner, **faults}
+    assert _run("BFS", **options).metrics.executor == "serial"
+    assert _run("BFS", **options, **PARALLEL).metrics.executor == "parallel"
 
 
 @on_every_image
-def test_parallel_worker_wall_times_per_process(graph_image):
-    metrics = _run("SSSP", **PARALLEL).metrics
+@on_every_partitioner
+@with_and_without_faults
+def test_parallel_worker_wall_times_per_process(graph_image, partitioner, faults):
+    metrics = _run("SSSP", partitioner=partitioner, **faults, **PARALLEL).metrics
     for step in metrics.supersteps_detail:
         assert len(step.worker_wall_times) == 2
 
@@ -205,34 +242,10 @@ def test_resolve_executor_takes_everything_from_the_config():
     assert executor.exchange == ExchangeConfig(combine=False)
 
 
-_EXECUTOR_ENV = {
-    "REPRO_EXECUTOR": "parallel",
-    "REPRO_EXECUTOR_PROCESSES": "2",
-    "REPRO_FAULT_PLAN": "kill:0@2",
-}
-
-
-def test_resolve_executor_env(monkeypatch):
-    """The three variables reach the executor through ``from_env`` alone."""
-    for name, value in _EXECUTOR_ENV.items():
-        monkeypatch.setenv(name, value)
-    executor = resolve_executor(EngineConfig.from_env())
-    assert isinstance(executor, ParallelExecutor)
-    assert executor.processes == 2
-    assert executor.fault_plan.pending() == 1
-
-
-def test_env_typo_names_the_variable():
-    with pytest.raises(ValueError, match="REPRO_EXECUTOR='threads'"):
-        EngineConfig.from_env({"REPRO_EXECUTOR": "threads"})
-
-
 @on_every_image
-def test_plain_config_is_hermetic(monkeypatch, graph_image):
+def test_plain_config_is_hermetic(graph_image):
     """Regression: with ``executor.kind=None`` the executor used to be
     resolved from the environment at run time, whatever config was given."""
-    for name, value in _EXECUTOR_ENV.items():
-        monkeypatch.setenv(name, value)
     graph, program = _graph(), TemporalBFS("A")
     executor = resolve_executor(EngineConfig())
     assert executor.name == "serial"
@@ -242,26 +255,10 @@ def test_plain_config_is_hermetic(monkeypatch, graph_image):
     assert hermetic.metrics.exchange_bytes == 0
     assert hermetic.metrics.recovery.restarts == 0
 
-    # No config at all means from_env(): the variables are honoured, the
-    # scheduled kill fires and is recovered from.
-    from_env = api.run(graph, program)
-    assert from_env.metrics.executor == "parallel"
-    assert from_env.metrics.recovery.restarts == 1
-    assert _partitions(from_env) == _partitions(hermetic)
-
 
 def test_tracer_rejects_parallel_executor():
     with pytest.raises(ValueError, match="serial"):
         resolve_executor(_config(executor="parallel", tracer=ExecutionTracer()))
-
-
-def test_tracer_overrides_env_forced_parallel():
-    # REPRO_EXECUTOR=parallel is a sweep-wide default, not an explicit ask:
-    # traced runs fall back to serial instead of failing.
-    config = EngineConfig.from_env({"REPRO_EXECUTOR": "parallel"}).with_options(
-        tracer=ExecutionTracer()
-    )
-    assert resolve_executor(config).name == "serial"
 
 
 class _Exploding(IntervalProgram):
@@ -282,9 +279,12 @@ class _Exploding(IntervalProgram):
 
 
 @on_every_image
-def test_worker_error_surfaces_as_program_error(graph_image):
+@on_every_partitioner
+@with_and_without_faults
+def test_worker_error_surfaces_as_program_error(graph_image, partitioner, faults):
     engine = api.build_engine(
-        _graph(), _Exploding(), cluster=SimulatedCluster(5), options=PARALLEL,
+        _graph(), _Exploding(), cluster=SimulatedCluster(5),
+        options={**PARALLEL, "partitioner": partitioner, **faults},
     )
     with pytest.raises(IcmProgramError, match="compute"):
         engine.run()

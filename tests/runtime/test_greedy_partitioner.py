@@ -48,6 +48,7 @@ class TestGreedyPartitioner:
         with pytest.raises(ValueError):
             GreedyEdgeCutPartitioner(0, usrn(scale=0.4))
 
+    @pytest.mark.usefixtures("executor")
     def test_usable_by_engine(self):
         from repro.algorithms.td.sssp import TemporalSSSP
         from repro.core.engine import IntervalCentricEngine

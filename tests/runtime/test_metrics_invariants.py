@@ -5,6 +5,8 @@ import pytest
 from repro.algorithms import ALL_ALGORITHMS, platforms_for, run_algorithm
 from repro.datasets import reddit
 
+pytestmark = pytest.mark.usefixtures("executor")
+
 GRAPH = reddit(scale=0.25)
 
 

@@ -22,6 +22,8 @@ from repro.serve.client import QueryClient
 from repro.serve.daemon import ServeDaemon
 from repro.serve.wire import EOF, MAX_FRAME_BYTES, encode_varint, read_frame
 
+pytestmark = pytest.mark.usefixtures("executor")
+
 
 @pytest.fixture
 def daemon(tmp_path):

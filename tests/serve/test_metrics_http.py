@@ -15,6 +15,8 @@ from repro import api
 from repro.datasets import transit_graph
 from repro.serve.metrics_http import MetricsEndpoint, render_scrape
 
+pytestmark = pytest.mark.usefixtures("executor")
+
 
 @pytest.fixture
 def service():

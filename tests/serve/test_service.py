@@ -66,6 +66,7 @@ def make_service(**options):
                      options=options)
 
 
+@pytest.mark.usefixtures("executor")
 class TestServingEquivalence:
     @pytest.mark.parametrize("executor", ["serial", "parallel"])
     @pytest.mark.parametrize("algorithm", ["BFS", "SSSP", "PR"])
@@ -131,6 +132,7 @@ class TestServingEquivalence:
         assert a.payload == b.payload
 
 
+@pytest.mark.usefixtures("executor")
 class TestWindowedQueries:
     """A bounded interval is answered on a zero-copy window view of the one
     resident graph; ``temporal_slice`` is only the oracle here."""
@@ -280,6 +282,7 @@ class TestWindowedQueries:
             assert service.query("BFS", interval=(5, 9)).doc["vertices"]
 
 
+@pytest.mark.usefixtures("executor")
 class TestCacheKeys:
     def test_key_carries_graph_and_config_fingerprints(self):
         with make_service() as service:
@@ -325,6 +328,7 @@ class TestCacheKeys:
             assert not again.cache_hit
 
 
+@pytest.mark.usefixtures("executor")
 class TestBackpressure:
     def test_queue_full_rejection_is_typed_and_counted(self):
         with make_service(serve_max_concurrency=1,
@@ -392,6 +396,7 @@ class TestBackpressure:
             assert service.metrics.queue_depth == 0
 
 
+@pytest.mark.usefixtures("executor")
 class TestDeadlines:
     @pytest.mark.parametrize("executor", ["serial", "parallel"])
     def test_timeout_cancels_and_lane_recovers_bit_identical(self, executor):
@@ -434,6 +439,7 @@ class TestDeadlines:
                 service.query("BFS", options={"timeout_s": 0})
 
 
+@pytest.mark.usefixtures("executor")
 class TestBadQueries:
     def test_unknown_algorithm(self):
         with make_service() as service:
@@ -484,6 +490,7 @@ class TestBadQueries:
         service.close()  # idempotent
 
 
+@pytest.mark.usefixtures("executor")
 class TestObservability:
     def test_query_lifecycle_events_are_emitted_and_schema_valid(self):
         events = InMemoryEvents()
@@ -566,6 +573,7 @@ class TestExecutorLifecycleReuse:
         executor.close()
         executor.close()  # idempotent: second close finds no processes
 
+    @pytest.mark.usefixtures("executor")
     def test_start_clears_a_stale_aborted_run(self):
         """A lane whose previous run was torn down without reaching
         ``abort`` must not leak its workers into the next run: ``start``
@@ -605,6 +613,7 @@ class TestExecutorLifecycleReuse:
             assert a.payload == b.payload
 
 
+    @pytest.mark.usefixtures("executor")
     def test_parallel_lanes_answer_concurrent_queries_like_serial(self):
         """Two lanes under ``executor=parallel``: each lane's thread hosts
         runtime 0 of its query in the daemon (the master is process 0)
@@ -632,6 +641,7 @@ class TestExecutorLifecycleReuse:
                     for algorithm in ("BFS", "SSSP", "PR")}
         assert got == [expected[algorithm] for algorithm, _ in queries]
 
+@pytest.mark.usefixtures("executor")
 class TestSubmitRequests:
     def test_submit_takes_a_request_object(self):
         with make_service() as service:

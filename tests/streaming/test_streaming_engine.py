@@ -33,6 +33,7 @@ class TestBasics:
         with pytest.raises(ValueError, match="incremental_safe"):
             StreamingIntervalEngine(TemporalPageRank(g))
 
+    @pytest.mark.usefixtures("executor")
     def test_first_compute_is_full_run(self):
         stream = StreamingIntervalEngine(TemporalSSSP("a"))
         stream.add_vertex("a", 0, HORIZON)
@@ -64,11 +65,13 @@ class TestBasics:
         with pytest.raises(ValueError, match="partitioner kind"):
             StreamingIntervalEngine(TemporalSSSP("a"), partitioner="metis")
 
+    @pytest.mark.usefixtures("executor")
     def test_valid_engine_options_accepted(self):
         stream = StreamingIntervalEngine(TemporalSSSP("a"), checkpoint_every=0)
         stream.add_vertex("a", 0, HORIZON)
         assert stream.compute().value_at("a", 1) == 0
 
+    @pytest.mark.usefixtures("executor")
     def test_pending_updates_counter(self):
         stream = StreamingIntervalEngine(TemporalSSSP("a"))
         stream.add_vertex("a", 0, HORIZON)
@@ -80,6 +83,7 @@ class TestBasics:
         assert stream.pending_updates == 0
 
 
+@pytest.mark.usefixtures("executor")
 class TestIncrementalEquivalence:
     def _stream_vs_scratch(self, seed, program_factory, checkpoints=4):
         """Random append stream; after each checkpoint compare with a

@@ -13,7 +13,12 @@ import pytest
 
 from repro import api
 from repro.algorithms.td.sssp import TemporalSSSP
-from repro.core.config import EngineConfig, ObservabilityConfig, WarpConfig
+from repro.core.config import (
+    EngineConfig,
+    ObservabilityConfig,
+    ServeConfig,
+    WarpConfig,
+)
 from repro.core.engine import IntervalCentricEngine
 from repro.datasets import transit_graph
 from repro.obs.observers import InMemoryEvents
@@ -121,6 +126,7 @@ def _partitions(result):
     return {vid: list(state) for vid, state in result.states.items()}
 
 
+@pytest.mark.usefixtures("executor")
 def test_run_and_build_engine_agree():
     result = api.run(transit_graph(), TemporalSSSP("A"))
     engine = api.build_engine(transit_graph(), TemporalSSSP("A"))
@@ -154,48 +160,48 @@ def test_with_options_rejects_unknown_names():
 
 def test_from_env_reads_all_knobs():
     env = {
-        "REPRO_EXECUTOR": "parallel",
-        "REPRO_EXECUTOR_PROCESSES": "3",
         "REPRO_CHECKPOINT_EVERY": "2",
         "REPRO_CHECKPOINT_DIR": "/tmp/ckpt",
+        "REPRO_SERVE_CONCURRENCY": "3",
+        "REPRO_SERVE_QUEUE_DEPTH": "0",
+        "REPRO_SERVE_CACHE_BYTES": "0",
+        "REPRO_SERVE_TIMEOUT_S": "2.5",
+        # Retired: read by nothing, so set or unset alike.
+        "REPRO_EXECUTOR": "parallel",
         "REPRO_FAULT_PLAN": "seed:7",
-        "REPRO_PARTITIONER": "interval_greedy",
+        "REPRO_PARTITIONER": "greedy",
     }
     config = EngineConfig.from_env(env)
-    assert config.executor.kind == "parallel"
-    assert config.executor.kind_from_env is True
-    assert config.executor.processes == 3
-    assert config.executor.fault_plan == "seed:7"
     assert config.checkpoint.every == 2
     assert config.checkpoint.dir == "/tmp/ckpt"
-    assert config.partitioning.kind == "interval_greedy"
-    assert config.partitioning.kind_from_env is True
+    assert config.serve == ServeConfig(
+        max_concurrency=3, max_queue_depth=0, cache_bytes=0,
+        default_timeout_s=2.5,
+    )
+    # The executor, its fault plan and the partitioner are options of a
+    # job, never of the environment.
+    assert config.executor == EngineConfig().executor
+    assert config.partitioning == EngineConfig().partitioning
 
 
 def test_from_env_validates_eagerly():
-    with pytest.raises(ValueError, match="REPRO_EXECUTOR_PROCESSES='x'"):
-        EngineConfig.from_env({"REPRO_EXECUTOR_PROCESSES": "x"})
-    with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
-        EngineConfig.from_env({"REPRO_EXECUTOR": "threads"})
-    with pytest.raises(ValueError, match="fault plan|REPRO_FAULT_PLAN"):
-        EngineConfig.from_env({"REPRO_FAULT_PLAN": "nonsense"})
-    with pytest.raises(ValueError, match="REPRO_PARTITIONER='metis'"):
-        EngineConfig.from_env({"REPRO_PARTITIONER": "metis"})
+    with pytest.raises(ValueError, match="REPRO_CHECKPOINT_EVERY='x'"):
+        EngineConfig.from_env({"REPRO_CHECKPOINT_EVERY": "x"})
+    with pytest.raises(ValueError, match="REPRO_SERVE_CONCURRENCY='0'"):
+        EngineConfig.from_env({"REPRO_SERVE_CONCURRENCY": "0"})
+    with pytest.raises(ValueError, match="REPRO_SERVE_QUEUE_DEPTH='-1'"):
+        EngineConfig.from_env({"REPRO_SERVE_QUEUE_DEPTH": "-1"})
+    with pytest.raises(ValueError, match="REPRO_SERVE_CACHE_BYTES='lots'"):
+        EngineConfig.from_env({"REPRO_SERVE_CACHE_BYTES": "lots"})
+    with pytest.raises(ValueError, match="REPRO_SERVE_TIMEOUT_S='0'"):
+        EngineConfig.from_env({"REPRO_SERVE_TIMEOUT_S": "0"})
 
 
-def test_explicit_executor_clears_env_provenance():
-    config = EngineConfig.from_env({"REPRO_EXECUTOR": "parallel"})
-    assert config.executor.kind_from_env is True
-    overridden = config.with_options(executor="parallel")
-    assert overridden.executor.kind_from_env is False
-
-
-def test_explicit_partitioner_clears_env_provenance():
-    config = EngineConfig.from_env({"REPRO_PARTITIONER": "greedy"})
-    assert config.partitioning.kind_from_env is True
-    overridden = config.with_options(partitioner="greedy")
-    assert overridden.partitioning.kind_from_env is False
-    assert overridden.partitioning.kind == "greedy"
+def test_executor_fixture_sets_the_default_executor(executor):
+    """The suite's shared ``executor`` fixture reaches an engine built with
+    no config; under ``-m matrix`` that is the parallel executor."""
+    result = api.run(transit_graph(), TemporalSSSP("A"))
+    assert result.metrics.executor == executor
 
 
 def test_partitioner_options_map_to_config():
@@ -244,6 +250,7 @@ def test_fingerprint_tracks_modeled_options():
 # -- observe coercion ----------------------------------------------------------
 
 
+@pytest.mark.usefixtures("executor")
 def test_observe_accepts_path_observer_and_iterable(tmp_path):
     trace = tmp_path / "run.trace"
     events = InMemoryEvents()

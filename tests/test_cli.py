@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import DATASET_CHOICES, build_parser, engine_options, main
 
 from ._fresh_interpreter import run_fresh
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestEachCommandImportsWhatItRuns:
@@ -33,6 +40,7 @@ class TestEachCommandImportsWhatItRuns:
 
 
 class TestRun:
+    @pytest.mark.usefixtures("executor")
     def test_run_default(self, capsys):
         assert main(["run", "SSSP", "--dataset", "transit", "--scale", "0.3"]) == 0
         out = capsys.readouterr().out
@@ -51,6 +59,7 @@ class TestRun:
                   "--scale", "0.3"])
 
 
+@pytest.mark.usefixtures("executor")
 class TestCompare:
     def test_compare_td(self, capsys):
         assert main(["compare", "EAT", "--dataset", "reddit", "--scale", "0.25"]) == 0
@@ -137,21 +146,26 @@ class TestEngineFlagConsolidation:
         assert options["checkpoint_dir"] == "/tmp/ckpt"
 
 
+def _serve(sock, executor):
+    """A ``repro serve`` daemon subprocess over the transit graph."""
+    flags = ["--executor", executor]
+    if executor == "parallel":
+        flags += ["--processes", "2"]
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--socket", sock,
+         "--dataset", "transit", "--workers", "4", *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+    )
+
+
 class TestServeAndQuery:
-    def test_serve_and_query_session(self, tmp_path, capsys):
+    def test_serve_and_query_session(self, tmp_path, capsys, executor):
         """A real daemon subprocess session: serve, query cold/warm,
         stats, shutdown."""
         import json
-        import subprocess
-        import sys
-        import time
 
         sock = str(tmp_path / "cli.sock")
-        daemon = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--socket", sock,
-             "--dataset", "transit", "--workers", "4"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        )
+        daemon = _serve(sock, executor)
         try:
             assert main(["query", "SSSP", "--socket", sock,
                          "--source", "A"]) == 0
@@ -171,17 +185,11 @@ class TestServeAndQuery:
                 daemon.wait()
         assert daemon.returncode == 0
 
-    def test_query_json_output(self, tmp_path, capsys):
+    def test_query_json_output(self, tmp_path, capsys, executor):
         import json
-        import subprocess
-        import sys
 
         sock = str(tmp_path / "cli2.sock")
-        daemon = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--socket", sock,
-             "--dataset", "transit", "--workers", "4"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        )
+        daemon = _serve(sock, executor)
         try:
             assert main(["query", "BFS", "--socket", sock, "--source", "A",
                          "--interval", "0", "3", "--json"]) == 0
@@ -202,17 +210,10 @@ class TestServeAndQuery:
         out = capsys.readouterr().out
         assert "query failed" in out
 
-    def test_query_needs_algorithm_or_action(self, tmp_path, capsys):
+    def test_query_needs_algorithm_or_action(self, tmp_path, capsys, executor):
         """An algorithm-less query against a live daemon is usage error 2."""
-        import subprocess
-        import sys
-
         sock = str(tmp_path / "cli3.sock")
-        daemon = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--socket", sock,
-             "--dataset", "transit", "--workers", "4"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        )
+        daemon = _serve(sock, executor)
         try:
             assert main(["query", "--socket", sock]) == 2
             assert main(["query", "--socket", sock, "--shutdown"]) == 0
@@ -237,3 +238,37 @@ class TestTrace:
         out = capsys.readouterr().out
         assert "compute 'E'" in out
         assert "compute 'B'" not in out
+
+
+def _run_traced(trace, *flags):
+    assert main(["run", "BFS", "--dataset", "transit", *flags,
+                 "--trace-out", str(trace)]) == 0
+
+
+class TestTraceFiles:
+    """Traces written by ``repro run --trace-out``, read by the trace tools."""
+
+    def test_serial_and_parallel_traces_are_logically_identical(self, tmp_path, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "diff_traces", ROOT / "scripts" / "diff_traces.py"
+        )
+        diff_traces = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(diff_traces)
+        serial, parallel = tmp_path / "serial.trace", tmp_path / "parallel.trace"
+        _run_traced(serial, "--executor", "serial")
+        _run_traced(parallel, "--executor", "parallel", "--processes", "2")
+        capsys.readouterr()
+        assert diff_traces.main(["diff_traces.py", str(serial), str(parallel)]) == 0
+        assert "traces logically identical" in capsys.readouterr().out
+
+    def test_report_workers_has_one_row_per_worker(self, tmp_path, capsys):
+        trace = tmp_path / "4proc.trace"
+        _run_traced(trace, "--executor", "parallel", "--processes", "4")
+        capsys.readouterr()
+        assert main(["report", str(trace), "--workers"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split()[0] == "worker"
+        workers = [line.split()[0] for line in lines[2:6]]
+        assert workers == ["0", "1", "2", "3"]
+        assert lines[6].split()[0] == "max/mean"
+        assert "4 worker(s)" in lines[7]

@@ -10,7 +10,8 @@ CONTRIBUTING.md and docs/*.md:
   docs/*.md imports as a module or resolves as an attribute of one;
 * every ``REPRO_*`` name in code (backticks or a fenced block) is read by
   the code: a quoted literal in a module under ``src/``, ``scripts/`` or
-  ``benchmarks/`` (the harness's own knobs live there);
+  ``benchmarks/`` (the harness's own knobs live there), and ``src/`` reads
+  exactly the deployment variables of ``SRC_ENV_NAMES``;
 * every ``--flag`` of a ``repro <command> ...`` line in code is an option
   of that command in `repro.cli`'s parser.
 """
@@ -57,9 +58,24 @@ def code_of(doc: Path) -> list[str]:
     return lines
 
 
-def _read_env_names() -> set:
+#: The environment variables the package reads, each of which configures a
+#: deployment: where checkpoints go and how often, how large a serving
+#: daemon is.  A variable that would only steer tests is a test parameter
+#: instead; adding a name here is a deliberate change of the package's
+#: surface.
+SRC_ENV_NAMES = {
+    "REPRO_CHECKPOINT_EVERY",
+    "REPRO_CHECKPOINT_DIR",
+    "REPRO_SERVE_CONCURRENCY",
+    "REPRO_SERVE_QUEUE_DEPTH",
+    "REPRO_SERVE_CACHE_BYTES",
+    "REPRO_SERVE_TIMEOUT_S",
+}
+
+
+def _read_env_names(tops=("src", "scripts", "benchmarks")) -> set:
     names = set()
-    for top in ("src", "scripts", "benchmarks"):
+    for top in tops:
         for path in (ROOT / top).rglob("*.py"):
             if "e2e" in path.relative_to(ROOT).parts:
                 continue  # the benchmark's own tree is checked by the benchmark
@@ -168,6 +184,10 @@ def test_environment_variables_in_docs_are_read(doc):
     named = {name for line in code_of(doc) for name in ENV_NAME.findall(line)}
     stale = sorted(named - _read_env_names())
     assert not stale, f"{_rel(doc)} names variables nothing reads: {stale}"
+
+
+def test_src_reads_only_deployment_variables():
+    assert _read_env_names(("src",)) == SRC_ENV_NAMES
 
 
 @pytest.mark.parametrize("doc", DOCS, ids=_rel)

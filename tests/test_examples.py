@@ -9,6 +9,7 @@ import pytest
 EXAMPLES = sorted((Path(__file__).parent.parent / "examples").glob("*.py"))
 
 
+@pytest.mark.usefixtures("executor")
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
 def test_example_runs(path, capsys):
     spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)

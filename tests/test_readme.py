@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import pytest
+
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
 
@@ -14,6 +16,7 @@ def test_readme_has_python_examples():
     assert python_blocks(), "README lost its code examples"
 
 
+@pytest.mark.usefixtures("executor")
 def test_readme_python_blocks_execute():
     for i, block in enumerate(python_blocks()):
         namespace: dict = {}
@@ -23,6 +26,7 @@ def test_readme_python_blocks_execute():
             raise AssertionError(f"README block {i} failed: {exc}\n{block}") from exc
 
 
+@pytest.mark.usefixtures("executor")
 def test_readme_quickstart_claims_hold():
     """The quickstart block ends by printing B's three partitions."""
     block = python_blocks()[0]
