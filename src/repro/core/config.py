@@ -7,6 +7,17 @@ durability, and observability — and is **frozen**: a config can be shared
 between engines (SCC's peeling loop, the streaming engine's refreshes)
 without one run mutating another's settings.
 
+An option has two spellings, both in one table (``_OPTION_MAP``): the flat
+name that ``options`` dicts and CLI flags use, and its config field.
+Nothing copies a field onto the engine: the superstep loop, the worker
+runtimes (each :class:`~repro.core.engine.VertexProcessor` takes the
+:class:`WarpConfig`), checkpointing and recovery read ``engine.config``.
+Values no caller varied are constants where they are used: the
+warp-suppression expansion cap
+(``repro.core.engine.SUPPRESSION_EXPANSION_CAP``), the partitioner seed and
+greedy balance budget (``build_partitioner``'s defaults), and the network
+cost model, which every run applies.
+
 Environment resolution lives in exactly one documented place,
 :meth:`EngineConfig.from_env`:
 
@@ -77,9 +88,6 @@ class WarpConfig:
     enable_suppression: bool = True
     #: Minimum unit-length message fraction that triggers suppression.
     suppression_threshold: float = 0.70
-    #: Cap on time-point expansion (× live messages) before suppression
-    #: is abandoned for that vertex.
-    suppression_expansion_cap: int = 4
 
 
 @dataclass(frozen=True)
@@ -89,7 +97,8 @@ class StateConfig:
     #: Merge adjacent equal-valued state partitions after updates.
     coalesce: bool = True
     #: Pre-split states on static vertex-property boundaries (paper
-    #: footnote 2: the *interval property vertex* computing unit).
+    #: footnote 2: the *interval property vertex* computing unit).  Off by
+    #: default: properties are optional and coalescing undoes unused splits.
     prepartition_by_properties: bool = False
 
 
@@ -139,26 +148,18 @@ class PartitioningConfig:
 
     ``kind=None`` keeps whatever partitioner the cluster already carries
     (the historical CRC32 hash partitioner by default); naming a kind makes
-    the engine build that partitioner for its graph at construction time.
-    ``seed`` perturbs hash/greedy placement deterministically and
-    ``capacity_slack`` is the LDG balance budget (≥ 1.0; 1.1 follows
-    Stanton & Kliot).
+    the engine build that partitioner for its graph at construction time,
+    with the factory's defaults (seed 0; the greedy kinds' LDG balance
+    budget of 1.1, after Stanton & Kliot).
     """
 
     kind: Optional[str] = None
-    seed: int = 0
-    capacity_slack: float = 1.1
 
     def __post_init__(self):
         if self.kind is not None and self.kind not in _PARTITIONER_KINDS:
             raise ValueError(
                 f"partitioner kind {self.kind!r} unknown "
                 f"(expected one of {', '.join(_PARTITIONER_KINDS)})"
-            )
-        if self.capacity_slack < 1.0:
-            raise ValueError(
-                f"partitioner capacity_slack must be >= 1.0, "
-                f"got {self.capacity_slack!r}"
             )
 
 
@@ -338,7 +339,6 @@ _OPTION_MAP: dict[str, tuple[Optional[str], str]] = {
     "enable_dominated_elimination": ("warp", "enable_dominated_elimination"),
     "enable_warp_suppression": ("warp", "enable_suppression"),
     "warp_suppression_threshold": ("warp", "suppression_threshold"),
-    "suppression_expansion_cap": ("warp", "suppression_expansion_cap"),
     "coalesce_states": ("state", "coalesce"),
     "prepartition_by_vertex_properties": ("state", "prepartition_by_properties"),
     "executor": ("executor", "kind"),
@@ -346,8 +346,6 @@ _OPTION_MAP: dict[str, tuple[Optional[str], str]] = {
     "fault_plan": ("executor", "fault_plan"),
     "exchange_combine": ("exchange", "combine"),
     "partitioner": ("partitioning", "kind"),
-    "partitioner_seed": ("partitioning", "seed"),
-    "partitioner_slack": ("partitioning", "capacity_slack"),
     "checkpoint_every": ("checkpoint", "every"),
     "checkpoint_dir": ("checkpoint", "dir"),
     "max_restarts": ("checkpoint", "max_restarts"),
@@ -427,20 +425,3 @@ class EngineConfig:
                 getattr(self, group), **fields
             )
         return dataclasses.replace(self, **replacements)
-
-    def describe(self) -> dict[str, Any]:
-        """A JSON-friendly view of the config (observers elided to names)."""
-        out = dataclasses.asdict(
-            dataclasses.replace(self, observability=ObservabilityConfig())
-        )
-        out["observability"] = {
-            "observers": [type(o).__name__ for o in self.observability.observers],
-            "trace_path": self.observability.trace_path,
-            "tracer": type(self.observability.tracer).__name__
-            if self.observability.tracer is not None
-            else None,
-        }
-        exec_kind = self.executor.kind
-        if exec_kind is not None and not isinstance(exec_kind, str):
-            out["executor"]["kind"] = type(exec_kind).__name__
-        return out

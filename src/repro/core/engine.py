@@ -44,13 +44,17 @@ from repro.runtime.metrics import RecoveryMetrics, RunMetrics
 from repro.runtime.partitioner import build_partitioner
 
 from .combiner import coalesce_messages
-from .config import EngineConfig
+from .config import EngineConfig, StateConfig, WarpConfig
 from .context import MasterContext, VertexContext
 from .interval import FOREVER, Interval, coalesce
 from .messages import Row
 from .program import IntervalProgram
 from .state import PartitionedState
 from .warp import warp_rows
+
+#: Cap on warp suppression's time-point expansion, in points per live
+#: message: past it the vertex keeps the warp path.
+SUPPRESSION_EXPANSION_CAP = 4
 
 
 class IcmProgramError(RuntimeError):
@@ -109,8 +113,7 @@ class VertexProcessor:
     sends) reach user code through the context's host object.  Every worker
     runtime (`repro.runtime.executor`) — runtime 0 in the master, and one
     per forked worker process when there are more — builds its own
-    processor from the same construction arguments
-    (:meth:`IntervalCentricEngine.processor_args`).
+    processor from the run's :class:`~repro.core.config.WarpConfig`.
 
     ``superstep`` is set by the driving executor before each superstep.
     """
@@ -120,24 +123,18 @@ class VertexProcessor:
         graph,
         program: IntervalProgram,
         compute_model,
-        *,
-        enable_warp_combiner: bool = True,
-        enable_receiver_combiner: bool = True,
-        enable_dominated_elimination: bool = True,
-        enable_warp_suppression: bool = True,
-        warp_suppression_threshold: float = 0.70,
-        suppression_expansion_cap: int = 4,
+        warp: WarpConfig = WarpConfig(),
         tracer=None,
     ):
         self.graph = graph
         self.program = program
         self.model = compute_model
-        self.enable_warp_combiner = enable_warp_combiner
-        self.enable_receiver_combiner = enable_receiver_combiner
-        self.enable_dominated_elimination = enable_dominated_elimination
-        self.enable_warp_suppression = enable_warp_suppression
-        self.warp_suppression_threshold = warp_suppression_threshold
-        self.suppression_expansion_cap = suppression_expansion_cap
+        # Bound once: the per-vertex paths read plain attributes.
+        self.enable_combiner = warp.enable_combiner
+        self.enable_receiver_combiner = warp.enable_receiver_combiner
+        self.enable_dominated_elimination = warp.enable_dominated_elimination
+        self.enable_suppression = warp.enable_suppression
+        self.suppression_threshold = warp.suppression_threshold
         self.tracer = tracer
         self.superstep = 0
         # Per overlap, the first class in the MRO defining transfer or scatter wins.
@@ -266,7 +263,7 @@ class VertexProcessor:
         else:
             metrics.warp_calls += 1
             cost += len(messages) * model.per_warp_item_s
-            combine = combiner if (combiner is not None and self.enable_warp_combiner) else None
+            combine = combiner if (combiner is not None and self.enable_combiner) else None
             # The sweep reads the state's columns in place; every triple
             # exists before the first compute call can repartition them.
             state = ctx.state
@@ -301,7 +298,7 @@ class VertexProcessor:
         once).  The saving is the warp's per-item merge cost.
         """
         model = self.model
-        combiner = self.program.combiner if self.enable_warp_combiner else None
+        combiner = self.program.combiner if self.enable_combiner else None
         cost = 0.0
         life_start = ctx.lifespan.start
         life_end = ctx.lifespan.end
@@ -330,7 +327,7 @@ class VertexProcessor:
         on either path, so letting it vote on the unit fraction or fill the
         expansion cap would flip vertices onto the wrong path for free.
         """
-        if not self.enable_warp_suppression or not messages:
+        if not self.enable_suppression or not messages:
             return False
         life_start = lifespan.start
         life_end = lifespan.end
@@ -349,10 +346,10 @@ class VertexProcessor:
                 units += 1
             clipped_lengths.append(end - start)
         live = len(clipped_lengths)
-        if not live or units / live < self.warp_suppression_threshold:
+        if not live or units / live < self.suppression_threshold:
             return False
         total_points = 0
-        cap = self.suppression_expansion_cap * live
+        cap = SUPPRESSION_EXPANSION_CAP * live
         for length in clipped_lengths:
             total_points += length
             if total_points > cap:
@@ -537,15 +534,10 @@ class IntervalCentricEngine:
         self.graph = graph
         self.program = program
         self.cluster = cluster or SimulatedCluster()
-        partitioning = config.partitioning
-        if partitioning.kind is not None:
+        if config.partitioning.kind is not None:
             # A configured kind replaces the cluster's partitioner.
             self.cluster.partitioner = build_partitioner(
-                partitioning.kind,
-                self.cluster.num_workers,
-                graph,
-                seed=partitioning.seed,
-                capacity_slack=partitioning.capacity_slack,
+                config.partitioning.kind, self.cluster.num_workers, graph
             )
         self.graph_name = graph_name
         #: The platform label stamped on ``run_start`` events and
@@ -554,27 +546,6 @@ class IntervalCentricEngine:
         #: comparison into one shared trace) override it so multi-platform
         #: traces stay attributable in ``repro report``/``diff_traces``.
         self.platform = platform
-        # Mirror attributes: the flat names the rest of the stack (and the
-        # checkpoint config fingerprint — its payload must stay byte-stable
-        # across this refactor) reads.
-        self.enable_warp_combiner = config.warp.enable_combiner
-        self.enable_receiver_combiner = config.warp.enable_receiver_combiner
-        self.enable_dominated_elimination = config.warp.enable_dominated_elimination
-        self.enable_warp_suppression = config.warp.enable_suppression
-        self.warp_suppression_threshold = config.warp.suppression_threshold
-        self.suppression_expansion_cap = config.warp.suppression_expansion_cap
-        self.coalesce_states = config.state.coalesce
-        #: Paper footnote 2: states may be pre-partitioned on the
-        #: sub-intervals of the vertex's static properties, making the
-        #: computing unit an *interval property vertex*.  Off by default
-        #: (properties are optional and coalescing undoes unused splits).
-        self.prepartition_by_vertex_properties = config.state.prepartition_by_properties
-        self.max_supersteps = config.max_supersteps
-        #: Optional ExecutionTracer recording compute/scatter/send events.
-        self.tracer = config.observability.tracer
-        self.checkpoint_every = config.checkpoint.every or None  # 0 disables
-        self.checkpoint_dir = config.checkpoint.dir
-        self.max_restarts = config.checkpoint.max_restarts
 
         self.superstep = 0
         self._aggregates: dict[str, Any] = {}
@@ -587,23 +558,16 @@ class IntervalCentricEngine:
 
             self._observers.append(JsonlTraceWriter(config.observability.trace_path))
         #: The run's `repro.obs.events.EventStream`; ``None`` when unobserved.
+        #: Built per run(), it keeps counting across recovery attempts, so a
+        #: replayed superstep appears again (logically identical, new wall facts).
         self._events = None
+        #: Placement quality, a pure function of graph + partitioner: one
+        #: memoised pass per run() serves the run_start event and the metric
+        #: gauges identically under both executors.
+        self._partition_stats: dict[str, float] = {}
         #: vid → canonical global vertex order (graph enumeration order);
         #: worker runtimes process actives and merge messages in this order.
         self._seq: dict[Any, int] = {}
-
-    def processor_args(self) -> dict[str, Any]:
-        """Construction kwargs of this run's :class:`VertexProcessor`s —
-        what every worker runtime builds its own from (the tracer is
-        passed separately: it cannot cross process boundaries)."""
-        return dict(
-            enable_warp_combiner=self.enable_warp_combiner,
-            enable_receiver_combiner=self.enable_receiver_combiner,
-            enable_dominated_elimination=self.enable_dominated_elimination,
-            enable_warp_suppression=self.enable_warp_suppression,
-            warp_suppression_threshold=self.warp_suppression_threshold,
-            suppression_expansion_cap=self.suppression_expansion_cap,
-        )
 
     # -- aggregators (contributions replayed by the barrier fold) --------------
 
@@ -660,31 +624,23 @@ class IntervalCentricEngine:
         from repro.runtime.executor import resolve_executor
 
         executor = resolve_executor(self.config)
-        rescatter = rescatter or {}
         if resume_from is not None and warm_states is not None:
             raise ValueError("resume_from and warm_states are mutually exclusive")
 
         self._seq = {v.vid: i for i, v in enumerate(self.graph.vertices())}
-        durable = None
-        if self.checkpoint_every is not None or resume_from is not None:
+        durable = start = None
+        if self.config.checkpoint.every or resume_from is not None:
             from repro.runtime.checkpoint import RunCheckpoints
 
             durable = RunCheckpoints(self, resume_from)
-        start = durable.resume if durable is not None else None
-        # Placement quality is a pure function of graph + partitioner, so
-        # one (memoized) pass serves the run_start event and the metric
-        # gauges identically under both executors.
+            start = durable.resume
         self._partition_stats = self.cluster.partition_stats(self.graph)
-        # The event stream restarts its sequence for every run(); it keeps
-        # counting across recovery attempts, so a replayed superstep appears
-        # again in the trace (logically identical, new wall facts).
         events = self._events = None
         if self._observers:
             from repro.obs.events import RunEvents
 
             events = self._events = RunEvents(self._observers)
             events.run_start(self, start.superstep if start else None, executor.name)
-
         recovery = RecoveryMetrics()
         try:
             while True:
@@ -694,85 +650,65 @@ class IntervalCentricEngine:
                     )
                     break
                 except WorkerDiedError as died:
-                    executor.abort()
                     from repro.runtime.faults import recover
 
                     start = recover(self, died, durable, recovery)
-        finally:
-            if durable is not None:
-                durable.close()
             if events is not None:
-                events.close()
-        result.metrics.recovery = recovery
-        if events is not None:
-            events.run_end(result.metrics)
-            events.close()
+                events.run_end(result.metrics)
+        finally:
+            for closing in (durable, events):
+                if closing is not None:
+                    closing.close()
         return result
 
     def _run_attempt(
         self, executor, warm_states, rescatter, start_ckpt, durable, recovery
     ) -> IcmResult:
         """One execution attempt: fresh, resumed, or a recovery replay."""
+        metrics = RunMetrics(
+            platform=self.platform,
+            algorithm=self.program.name,
+            graph=self.graph_name,
+            executor=executor.name,
+        )
         if start_ckpt is None:
-            metrics = RunMetrics(
-                platform=self.platform,
-                algorithm=self.program.name,
-                graph=self.graph_name,
-                executor=executor.name,
-            )
+            # Only a warm start's copies are built here: every worker runtime
+            # derives its own vertices' missing states (`repro.runtime.executor`).
+            states = {} if warm_states is None else {
+                vid: warm_states[vid].copy() for vid in self._seq if vid in warm_states
+            }
+            self._aggregates = {}
+            self.superstep = 1
         else:
             from repro.runtime.checkpoint import restore_metrics
 
-            metrics = restore_metrics(start_ckpt.metrics, executor=executor.name)
-            metrics.platform = metrics.platform or self.platform
-            metrics.algorithm = metrics.algorithm or self.program.name
-            metrics.graph = metrics.graph or self.graph_name
-        stats = getattr(self, "_partition_stats", None)
-        if stats is not None:
-            metrics.partition_edge_cut = stats["edge_cut"]
-            metrics.partition_imbalance = stats["imbalance"]
-        self.cluster.reset()
-        self._next_aggregates = {}
-
-        t_load = time.perf_counter()
-        states: dict[Any, PartitionedState] = {}
-        fresh: set[Any] = set()
-        if start_ckpt is None:
-            flags = (self.coalesce_states, self.prepartition_by_vertex_properties)
-            for v in self.graph.vertices():
-                if warm_states is not None and v.vid in warm_states:
-                    state = warm_states[v.vid].copy()
-                else:
-                    state = fresh_state(v, *flags)
-                    fresh.add(v.vid)
-                states[v.vid] = state
-            warm = warm_states is not None
-            self._aggregates = {}
-            start_superstep = 1
-        else:
+            restore_metrics(start_ckpt.metrics, metrics)
             # Checkpointed states come back in graph enumeration order so
             # every downstream canonical-order walk matches a fresh start.
             states = {vid: start_ckpt.states[vid] for vid in self._seq}
-            warm = False
-            rescatter = {}
+            warm_states = None
             self._aggregates = dict(start_ckpt.aggregates)
-            start_superstep = start_ckpt.superstep + 1
-        if start_ckpt is None:
-            metrics.load_time = time.perf_counter() - t_load
-
+            self.superstep = start_ckpt.superstep + 1
+        metrics.recovery = recovery  # shared by every attempt of the run
+        metrics.partition_edge_cut = self._partition_stats["edge_cut"]
+        metrics.partition_imbalance = self._partition_stats["imbalance"]
+        self.cluster.reset()
+        self._next_aggregates = {}
+        warm = warm_states is not None
         fixed = self.program.fixed_supersteps
-        executor.start(self, states, fresh, rescatter, warm=warm)
+        limit = self.config.max_supersteps
+        events = self._events
         try:
-            if start_ckpt is not None:
+            t_load = time.perf_counter()
+            executor.start(self, states, (rescatter or {}) if warm else {}, warm=warm)
+            if start_ckpt is None:
+                metrics.load_time = time.perf_counter() - t_load
+            else:
                 executor.restore_pending(start_ckpt.pending)
             t_run = time.perf_counter()
-            events = self._events
-            self.superstep = start_superstep
             while True:
-                if self.superstep > self.max_supersteps:
-                    raise RuntimeError(
-                        f"{self.program.name} exceeded {self.max_supersteps} supersteps"
-                    )
+                if self.superstep > limit:
+                    raise RuntimeError(f"{self.program.name} exceeded {limit} supersteps")
                 if fixed is not None and self.superstep > fixed:
                     break
                 if fixed is None and self.superstep > 1 and not executor.has_pending():
@@ -813,11 +749,13 @@ class IntervalCentricEngine:
         return reduced
 
 
-def fresh_state(vertex, coalesce: bool, presplit: bool) -> PartitionedState:
+def fresh_state(vertex, config: StateConfig) -> PartitionedState:
     """A vertex's state before ``init`` — what a cold run starts from, built
-    by the master or, for its own vertices, by a resident worker."""
-    state = PartitionedState(vertex.lifespan, None, coalesce=coalesce)
-    if presplit:
+    by the worker runtime that owns the vertex.  Paper footnote 2: with
+    ``prepartition_by_properties`` the state is pre-split on the vertex's
+    static property boundaries (the *interval property vertex*)."""
+    state = PartitionedState(vertex.lifespan, None, coalesce=config.coalesce)
+    if config.prepartition_by_properties:
         state.presplit(vertex.properties.boundaries())
     return state
 

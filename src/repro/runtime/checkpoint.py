@@ -51,6 +51,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+from repro.core.engine import SUPPRESSION_EXPANSION_CAP
 from repro.core.messages import Row
 from repro.core.state import PartitionedState
 
@@ -85,6 +86,7 @@ __all__ = [
     "load_checkpoint",
     "metrics_snapshot",
     "restore_metrics",
+    "result_shape",
     "write_checkpoint",
 ]
 
@@ -312,14 +314,12 @@ def metrics_snapshot(metrics: RunMetrics) -> dict[str, Any]:
     return snap
 
 
-def restore_metrics(snap: dict[str, Any], *, executor: str) -> RunMetrics:
-    """Rebuild a :class:`RunMetrics` to continue accumulating from."""
-    metrics = RunMetrics(
-        platform=snap.get("platform", ""),
-        algorithm=snap.get("algorithm", ""),
-        graph=snap.get("graph", ""),
-        executor=executor,
-    )
+def restore_metrics(snap: dict[str, Any], metrics: RunMetrics) -> RunMetrics:
+    """Continue ``metrics`` — a resumed run's fresh, labelled record — from a
+    snapshot: its counters, sums and superstep details, and each label the
+    snapshot names (the executor stays the resuming run's)."""
+    for label in ("platform", "algorithm", "graph"):
+        setattr(metrics, label, snap.get(label) or getattr(metrics, label))
     for name in (*_METRIC_COUNTERS, *_METRIC_FLOATS):
         if name in snap:
             setattr(metrics, name, snap[name])
@@ -349,18 +349,50 @@ def graph_fingerprint(graph) -> str:
     return digest.hexdigest()
 
 
+def result_shape(cluster, config) -> dict[str, Any]:
+    """What decides a run's result beyond its program and graph: the
+    cluster's shape and cost models, the actual vertex→worker placement,
+    and the warp / state flags of ``config`` (an ``EngineConfig``).
+
+    The one list of these, shared by :func:`config_fingerprint` and the
+    serving tier's cache keys (`repro.serve.GraphService.config_fp`).  The
+    keys keep the flat spellings of the checkpoint format, and the two
+    settings every run fixes (the network model on, the expansion cap)
+    keep the values checkpoints were written with, so those stay valid.
+    """
+    warp, state = config.warp, config.state
+    return {
+        "num_workers": cluster.num_workers,
+        # The fingerprint covers the actual vertex→worker assignment;
+        # ``repr`` elided greedy's seed/slack and collided across
+        # placements that shard state differently.
+        "partitioner": partitioner_fingerprint(cluster.partitioner),
+        "varint_encoding": cluster.varint_encoding,
+        "model_network": True,
+        "network": dataclasses.asdict(cluster.network),
+        "compute_model": dataclasses.asdict(cluster.compute_model),
+        "enable_warp_combiner": warp.enable_combiner,
+        "enable_receiver_combiner": warp.enable_receiver_combiner,
+        "enable_dominated_elimination": warp.enable_dominated_elimination,
+        "enable_warp_suppression": warp.enable_suppression,
+        "warp_suppression_threshold": warp.suppression_threshold,
+        "suppression_expansion_cap": SUPPRESSION_EXPANSION_CAP,
+        "coalesce_states": state.coalesce,
+        "prepartition": state.prepartition_by_properties,
+    }
+
+
 def config_fingerprint(engine) -> str:
     """Hash of everything a resumed run must agree on with the writer.
 
     Covers the program identity, the graph structure (ids, lifespans, edge
-    topology), the simulated cluster shape and cost models, and every
-    engine flag that steers the deterministic execution.  The *executor*
-    and its process count are deliberately excluded — checkpoints are
-    executor-portable (a serial checkpoint resumes under the parallel
-    executor and vice versa).
+    topology) and :func:`result_shape` — the simulated cluster shape and
+    cost models, and every engine flag that steers the deterministic
+    execution.  The *executor* and its process count are deliberately
+    excluded — checkpoints are executor-portable (a serial checkpoint
+    resumes under the parallel executor and vice versa).
     """
     graph = engine.graph
-    cluster = engine.cluster
     payload = {
         "format": CHECKPOINT_FORMAT,
         "program": engine.program.name,
@@ -368,23 +400,7 @@ def config_fingerprint(engine) -> str:
         "graph_digest": graph_fingerprint(graph),
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
-        "num_workers": cluster.num_workers,
-        # The fingerprint covers the actual vertex→worker assignment;
-        # ``repr`` elided greedy's seed/slack and collided across
-        # placements that shard state differently.
-        "partitioner": partitioner_fingerprint(cluster.partitioner),
-        "varint_encoding": cluster.varint_encoding,
-        "model_network": cluster.model_network,
-        "network": dataclasses.asdict(cluster.network),
-        "compute_model": dataclasses.asdict(cluster.compute_model),
-        "enable_warp_combiner": engine.enable_warp_combiner,
-        "enable_receiver_combiner": engine.enable_receiver_combiner,
-        "enable_dominated_elimination": engine.enable_dominated_elimination,
-        "enable_warp_suppression": engine.enable_warp_suppression,
-        "warp_suppression_threshold": engine.warp_suppression_threshold,
-        "suppression_expansion_cap": engine.suppression_expansion_cap,
-        "coalesce_states": engine.coalesce_states,
-        "prepartition": engine.prepartition_by_vertex_properties,
+        **result_shape(engine.cluster, engine.config),
     }
     blob = json.dumps(payload, sort_keys=True, default=repr).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -614,10 +630,10 @@ class RunCheckpoints:
 
     def __init__(self, engine, resume_from=None):
         self.engine = engine
-        self.every = engine.checkpoint_every
+        self.every = engine.config.checkpoint.every or None  # 0 disables
         self.config_hash = config_fingerprint(engine)
         self.resume = self.load(resume_from) if resume_from is not None else None
-        self.dir = engine.checkpoint_dir
+        self.dir = engine.config.checkpoint.dir
         self._own_dir: Optional[str] = None
         if self.every is not None:
             if self.dir is None:
@@ -632,7 +648,7 @@ class RunCheckpoints:
 
     def load(self, path) -> LoadedCheckpoint:
         engine = self.engine
-        ckpt = load_checkpoint(path, coalesce=engine.coalesce_states)
+        ckpt = load_checkpoint(path, coalesce=engine.config.state.coalesce)
         current = partitioner_fingerprint(engine.cluster.partitioner)
         # Checked before the opaque config hash: a partitioner swap is the
         # one mismatch a user can read and act on directly, and a resume

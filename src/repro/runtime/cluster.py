@@ -48,11 +48,9 @@ class SimulatedCluster:
     varint_encoding:
         When false, messages are charged at the fixed-width two-longs
         layout — the ablation for the paper's 59–78% message-size claim.
-    model_network:
-        When false, the network cost model is disabled entirely: ``send``
-        skips per-message wire sizing (the hot-path cost nobody reads in
-        pure-compute experiments), and barriers charge neither transfer
-        time nor barrier latency.  Message *counts* are still kept.
+
+    Every run applies the network model: messages are sized on the wire,
+    and each barrier charges transfer time and barrier latency.
     """
 
     def __init__(
@@ -63,14 +61,12 @@ class SimulatedCluster:
         compute_model: Optional[ComputeModel] = None,
         *,
         varint_encoding: bool = True,
-        model_network: bool = True,
     ):
         self.num_workers = num_workers
         self.partitioner = partitioner or HashPartitioner(num_workers)
         self.network = network or NetworkModel()
         self.compute_model = compute_model or ComputeModel()
         self.varint_encoding = varint_encoding
-        self.model_network = model_network
         self._inboxes: dict[Any, list[IntervalMessage]] = {}
         self._pending: dict[Any, list[IntervalMessage]] = {}
         self._worker_compute: list[float] = [0.0] * num_workers
@@ -168,9 +164,7 @@ class SimulatedCluster:
             raise ClusterLifecycleError(
                 f"send({src_vid!r} -> {dst_vid!r}) outside an open superstep"
             )
-        if not self.model_network:
-            size = 0
-        elif size is None:
+        if size is None:
             size = encoded_message_size(msg, varint=self.varint_encoding)
         if system:
             metrics.system_messages += 1
@@ -233,12 +227,11 @@ class SimulatedCluster:
         metrics.system_messages += system
         metrics.local_messages += local
         metrics.remote_messages += remote
-        if self.model_network:
-            metrics.message_bytes += bytes_total
-            metrics.remote_message_bytes += bytes_remote
-            metrics.local_message_bytes += bytes_total - bytes_remote
-            step.bytes += bytes_remote
-            step.local_bytes += bytes_total - bytes_remote
+        metrics.message_bytes += bytes_total
+        metrics.remote_message_bytes += bytes_remote
+        metrics.local_message_bytes += bytes_total - bytes_remote
+        step.bytes += bytes_remote
+        step.local_bytes += bytes_total - bytes_remote
         step.messages += app + system
 
     def end_superstep(self, metrics: RunMetrics, messaging_time: float = 0.0) -> SuperstepMetrics:
@@ -247,12 +240,8 @@ class SimulatedCluster:
         if step is None:
             raise ClusterLifecycleError("end_superstep without begin_superstep")
         step.max_worker_compute_time = max(self._worker_compute, default=0.0)
-        if self.model_network:
-            transfer = self.network.transfer_time(step.bytes, step.messages, self.num_workers)
-            barrier = self.network.barrier_latency_s
-        else:
-            transfer = 0.0
-            barrier = 0.0
+        transfer = self.network.transfer_time(step.bytes, step.messages, self.num_workers)
+        barrier = self.network.barrier_latency_s
         step.messaging_time = messaging_time + transfer
         metrics.messaging_time += step.messaging_time
         metrics.modeled_makespan += (

@@ -52,13 +52,13 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.core.config import EngineConfig, ExchangeConfig
+from repro.core.config import EngineConfig, ExchangeConfig, StateConfig, WarpConfig
 from repro.core.context import VertexContext
-from repro.core.engine import VertexProcessor
+from repro.core.engine import VertexProcessor, fresh_state
 from repro.core.interval import Interval
 from repro.core.messages import Row
 from repro.obs.registry import RUN_METRICS
@@ -195,6 +195,8 @@ class _ShardPayload:
     others (copy-on-write under the fork start method, pickled under
     spawn), after which nothing here is shared with the master; pickled
     for a run on a resident worker group (`repro.runtime.workers`).
+    ``states`` holds only what the runtime cannot derive — a warm start's
+    copies or a checkpoint's states; a cold run ships none.
     """
 
     graph: Any
@@ -205,21 +207,18 @@ class _ShardPayload:
     shard_to_proc: list[int]
     proc_index: int
     states: dict[Any, Any]
-    fresh: set
     rescatter: dict[Any, list[Interval]]
     warm: bool
-    model_network: bool
     varint: bool
-    processor_args: dict[str, Any] = field(default_factory=dict)
+    warp: WarpConfig
+    state: StateConfig
     #: Sender-side combining enabled (``ExchangeConfig.combine``) — still
     #: gated per program on a selective combiner at runtime.
     combine: bool = True
-    #: :func:`~repro.core.engine.fresh_state`'s flags: ``states`` is None.
-    derive: Optional[tuple] = None
 
     @classmethod
     def of(
-        cls, engine, shard_to_proc, proc_index, states, fresh, rescatter, warm,
+        cls, engine, shard_to_proc, proc_index, states, rescatter, warm,
         **exchange: Any,
     ) -> "_ShardPayload":
         """The payload for process ``proc_index`` of ``engine``'s run."""
@@ -233,12 +232,11 @@ class _ShardPayload:
             shard_to_proc=shard_to_proc,
             proc_index=proc_index,
             states=states,
-            fresh=fresh,
             rescatter=rescatter,
             warm=warm,
-            model_network=cluster.model_network,
             varint=cluster.varint_encoding,
-            processor_args=engine.processor_args(),
+            warp=engine.config.warp,
+            state=engine.config.state,
             **exchange,
         )
 
@@ -261,27 +259,34 @@ class _WorkerRuntime:
         self.shard_to_proc = payload.shard_to_proc
         self.proc_index = payload.proc_index
         self.warm = payload.warm
-        self.fresh = payload.fresh
         self.rescatter_windows = payload.rescatter
-        self.model_network = payload.model_network
         self.varint = payload.varint
         self.fixed = payload.program.fixed_supersteps
         self.processor = VertexProcessor(
-            payload.graph,
-            payload.program,
-            payload.compute_model,
+            payload.graph, payload.program, payload.compute_model, payload.warp,
             tracer=tracer,
-            **payload.processor_args,
         )
         self.tracer = tracer
         self._aggregator_names = set(payload.program.aggregators())
         self.superstep = 0
         self._aggregates: dict[str, Any] = {}
-        self.vids = list(payload.states)  # canonical (seq) order
-        self.contexts = {
-            vid: VertexContext(payload.graph.vertex(vid), state, self)
-            for vid, state in payload.states.items()
-        }
+        # This runtime's vertices in canonical (seq) order, each with the
+        # state it was handed or, failing that, one it derives (``fresh``:
+        # those run ``init`` in a warm start's superstep 1).
+        states = payload.states
+        worker_of = payload.partitioner.worker_of
+        self.fresh: set = set()
+        self.contexts: dict[Any, VertexContext] = {}
+        for v in payload.graph.vertices():
+            vid = v.vid
+            if self.shard_to_proc[worker_of(vid)] != self.proc_index:
+                continue
+            state = states.get(vid)
+            if state is None:
+                state = fresh_state(v, payload.state)
+                self.fresh.add(vid)
+            self.contexts[vid] = VertexContext(v, state, self)
+        self.vids = list(self.contexts)
         #: Messages routed to this process, awaiting next superstep.
         self._pending: list[tuple] = []
         self._cur_seq = 0
@@ -300,7 +305,7 @@ class _WorkerRuntime:
                 payload.combine
                 and combiner is not None
                 and combiner.selective
-                and self.processor.enable_receiver_combiner
+                and payload.warp.enable_receiver_combiner
             )
             else None
         )
@@ -351,12 +356,10 @@ class _WorkerRuntime:
             self._local += len(msgs)
         else:
             self._remote += len(msgs)
-        size = None
-        if self.model_network:
-            size = encoded_batch_size(msgs, varint=self.varint)
-            self._bytes_total += size
-            if not local:
-                self._bytes_remote += size
+        size = encoded_batch_size(msgs, varint=self.varint)
+        self._bytes_total += size
+        if not local:
+            self._bytes_remote += size
         seq = self._cur_seq
         dest_proc = self.shard_to_proc[dst_shard]
         if dest_proc == self.proc_index:
@@ -597,7 +600,13 @@ class ParallelExecutor:
         self._host = None
         self._pending_total = 0
 
-    def start(self, engine, states, fresh, rescatter, warm: bool) -> None:
+    def start(self, engine, states, rescatter, warm: bool) -> None:
+        """Build runtime 0 and take processes 1 … P−1 for ``engine``'s run.
+
+        ``states`` holds only a warm start's copies or a checkpoint's
+        states (empty on a cold run), split here by owning process; every
+        runtime derives the states it is not handed.
+        """
         # Reusable lifecycle: one executor instance may host many runs
         # (the serving tier keeps a warm executor resident per lane).  A
         # normal run leaves its worker group idle (at most two idle groups,
@@ -619,22 +628,22 @@ class ParallelExecutor:
         if procs > 1:
             from .workers import WorkerHost
 
-            # ``fresh`` and ``rescatter`` go to every runtime whole: a
-            # runtime only ever looks its own vertices up in them.
+            # ``rescatter`` goes to every runtime whole: a runtime only ever
+            # looks its own vertices up in it.
             worker_of = cluster.partitioner.worker_of
             per_states = [{} for _ in range(procs)]
             for vid, state in states.items():
                 per_states[shard_to_proc[worker_of(vid)]][vid] = state
             self._host = WorkerHost.acquire(
-                engine, shard_to_proc, per_states, fresh, rescatter, warm,
+                engine, shard_to_proc, per_states, rescatter, warm,
                 combine=self.exchange.combine, fault_plan=self.fault_plan,
             )
         self._runtime = _WorkerRuntime(
             _ShardPayload.of(
-                engine, shard_to_proc, 0, per_states[0], fresh, rescatter, warm,
+                engine, shard_to_proc, 0, per_states[0], rescatter, warm,
                 combine=self.exchange.combine,
             ),
-            tracer=engine.tracer,
+            tracer=engine.config.observability.tracer,
         )
 
     def has_pending(self) -> bool:

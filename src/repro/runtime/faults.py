@@ -204,9 +204,10 @@ def recover(engine, died: WorkerDiedError, durable, recovery):
             data={"worker": died.worker},
             wall={"exitcode": died.exitcode},
         )
-    if recovery.restarts > engine.max_restarts:
+    limit = engine.config.checkpoint.max_restarts
+    if recovery.restarts > limit:
         raise UnrecoverableRunError(
-            f"worker failure persisted after {engine.max_restarts} "
+            f"worker failure persisted after {limit} "
             f"restart(s): {died}"
         ) from died
     t0 = time.perf_counter()

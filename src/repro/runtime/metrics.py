@@ -22,6 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.obs.registry import RECOVERY_METRICS, RUN_METRICS
+
+
+def _merge_fields(into, other, registry) -> None:
+    """Fold ``other``'s registry fields into ``into``: the larger value of a
+    ``gauge`` (a high-water mark), the sum of anything else."""
+    for spec in registry:
+        mine, theirs = getattr(into, spec.name), getattr(other, spec.name)
+        setattr(into, spec.name, max(mine, theirs) if spec.kind == "gauge" else mine + theirs)
+
 
 @dataclass
 class SuperstepMetrics:
@@ -81,12 +91,7 @@ class RecoveryMetrics:
     recovery_seconds: float = 0.0
 
     def merge(self, other: "RecoveryMetrics") -> None:
-        self.checkpoints_written += other.checkpoints_written
-        self.checkpoint_bytes += other.checkpoint_bytes
-        self.checkpoint_seconds += other.checkpoint_seconds
-        self.restarts += other.restarts
-        self.replayed_supersteps += other.replayed_supersteps
-        self.recovery_seconds += other.recovery_seconds
+        _merge_fields(self, other, RECOVERY_METRICS)
 
 
 @dataclass
@@ -151,40 +156,7 @@ class RunMetrics:
     def merge(self, other: "RunMetrics") -> None:
         """Accumulate another run (e.g. one snapshot of a multi-snapshot
         execution) into this one."""
-        self.compute_calls += other.compute_calls
-        self.scatter_calls += other.scatter_calls
-        self.messages_sent += other.messages_sent
-        self.message_bytes += other.message_bytes
-        self.local_messages += other.local_messages
-        self.remote_messages += other.remote_messages
-        self.local_message_bytes += other.local_message_bytes
-        self.remote_message_bytes += other.remote_message_bytes
-        self.system_messages += other.system_messages
-        self.supersteps += other.supersteps
-        self.warp_calls += other.warp_calls
-        self.warp_suppressed_vertices += other.warp_suppressed_vertices
-        self.combiner_reductions += other.combiner_reductions
-        self.shared_messages += other.shared_messages
-        self.compute_plus_time += other.compute_plus_time
-        self.modeled_compute_time += other.modeled_compute_time
-        self.worker_wall_time += other.worker_wall_time
-        self.exchange_time += other.exchange_time
-        self.exchange_bytes += other.exchange_bytes
-        self.exchange_raw_bytes += other.exchange_raw_bytes
-        self.messaging_time += other.messaging_time
-        self.barrier_time += other.barrier_time
-        self.load_time += other.load_time
-        self.makespan += other.makespan
-        self.modeled_makespan += other.modeled_makespan
-        self.peak_inflight_messages = max(
-            self.peak_inflight_messages, other.peak_inflight_messages
-        )
-        self.partition_edge_cut = max(
-            self.partition_edge_cut, other.partition_edge_cut
-        )
-        self.partition_imbalance = max(
-            self.partition_imbalance, other.partition_imbalance
-        )
+        _merge_fields(self, other, RUN_METRICS)
         self.supersteps_detail.extend(other.supersteps_detail)
         self.recovery.merge(other.recovery)
 

@@ -32,7 +32,6 @@ from collections import OrderedDict
 from operator import itemgetter
 from typing import Any, Optional
 
-from repro.core.engine import fresh_state
 from repro.errors import WorkerDiedError
 
 from .encoding import decode_routed_batch, encode_routed_batch
@@ -45,18 +44,10 @@ _LOCK = threading.Lock()
 
 
 def _begin(blob: bytes, resident: dict) -> _WorkerRuntime:
-    """A resident worker's next runtime; it builds a cold run's states."""
+    """A resident worker's next runtime, from a ``begin`` command's payload."""
     unpickler = pickle.Unpickler(io.BytesIO(blob))
     unpickler.persistent_load = resident.__getitem__
-    payload = unpickler.load()
-    if payload.states is None:
-        owner, procs = payload.partitioner.worker_of, payload.shard_to_proc
-        payload.states = {
-            v.vid: fresh_state(v, *payload.derive)
-            for v in resident["graph"].vertices()
-            if procs[owner(v.vid)] == payload.proc_index
-        }
-    return _WorkerRuntime(payload)
+    return _WorkerRuntime(unpickler.load())
 
 
 def _drop_inherited_sockets(keep: int) -> None:
@@ -154,7 +145,7 @@ class WorkerHost:
         self._finalizer: Optional[weakref.finalize] = None
 
     @classmethod
-    def acquire(cls, engine, shard_to_proc, per_states, fresh, rescatter, warm,
+    def acquire(cls, engine, shard_to_proc, per_states, rescatter, warm,
                 *, combine: bool, fault_plan=None) -> "WorkerHost":
         """The idle group this graph's last run left, if it still fits and the
         run pickles, else a new fork (a dead graph's id leaves ``_IDLE``)."""
@@ -167,21 +158,20 @@ class WorkerHost:
         if host is not None:
             if host._generation != generation or not all(p.is_alive() for p in host.procs):
                 host.stop(quiet=True)
-            elif host._begin(engine, shard_to_proc, per_states, fresh,
-                             rescatter, warm, combine):
+            elif host._begin(engine, shard_to_proc, per_states, rescatter, warm, combine):
                 host.fault_plan = fault_plan
                 return host
         host = cls(fault_plan)
-        host.fork(engine, shard_to_proc, per_states, fresh, rescatter, warm,
-                  combine, ctx)
+        host.fork(engine, shard_to_proc, per_states, rescatter, warm, combine, ctx)
         if key:
             host._key, host._generation = key, generation
             host._finalizer = weakref.finalize(graph, _reap, key)
         return host
 
-    def fork(self, engine, shard_to_proc, per_states, fresh, rescatter, warm,
+    def fork(self, engine, shard_to_proc, per_states, rescatter, warm,
              combine: bool, ctx) -> None:
-        """Start processes 1 … P−1, each with its share of the states.
+        """Start processes 1 … P−1, each with its share of the states
+        handed over (a cold run's: none — each derives its own).
 
         fork inherits the graph/program/states copy-on-write — no pickling
         of the (potentially large) payload; spawn platforms pickle it.
@@ -199,30 +189,28 @@ class WorkerHost:
             # Complete the graph's piece index before forking: the workers
             # inherit it copy-on-write instead of each rebuilding its share
             # (mapped usrn(4.0), 9 024 edges: 30 ms; 120 ms on ITGR v2).
-            for share in per_states[1:]:
-                for vid in share:
+            worker_of = engine.cluster.partitioner.worker_of
+            for vid in engine._seq:
+                if shard_to_proc[worker_of(vid)]:
                     engine.graph.piece_indexes(vid)
         for p in range(1, len(per_states)):
             parent_conn, child_conn = ctx.Pipe()
             payload = _ShardPayload.of(engine, shard_to_proc, p, per_states[p],
-                                       fresh, rescatter, warm, combine=combine)
+                                       rescatter, warm, combine=combine)
             proc = ctx.Process(target=_worker_main, args=(payload, child_conn), daemon=True)
             proc.start()
             child_conn.close()
             self.procs.append(proc)
             self.conns.append(parent_conn)
 
-    def _begin(self, engine, shard_to_proc, per_states, fresh, rescatter, warm,
+    def _begin(self, engine, shard_to_proc, per_states, rescatter, warm,
                combine: bool) -> bool:
-        """Ship each worker what it cannot derive: not a cold run's states,
-        the graph or ``seq`` (persistent ids for its copies, wherever they are
-        referenced).  ``False`` (parked or aborted) if it fails to pickle or
-        a worker to load it (a class defined after the fork)."""
-        fresh_run = not warm and len(fresh) == sum(map(len, per_states))
-        if not warm:
-            fresh, rescatter = set(), {}
+        """Ship each worker what it cannot derive: its share of the states
+        handed over, not the graph or ``seq`` (persistent ids for its copies,
+        wherever they are referenced).  ``False`` (parked or aborted) if it
+        fails to pickle or a worker to load it (a class defined after the
+        fork)."""
         ids = {id(engine.graph): "graph", id(engine._seq): "seq"}
-        derive = (engine.coalesce_states, engine.prepartition_by_vertex_properties)
         blobs = []
         try:
             for p in range(1, len(per_states)):
@@ -230,9 +218,8 @@ class WorkerHost:
                 pickler = pickle.Pickler(buf, pickle.HIGHEST_PROTOCOL)
                 pickler.persistent_id = lambda obj: ids.get(id(obj))
                 pickler.dump(_ShardPayload.of(
-                    engine, shard_to_proc, p, None if fresh_run else per_states[p],
-                    fresh, rescatter, warm, combine=combine,
-                    derive=derive if fresh_run else None,
+                    engine, shard_to_proc, p, per_states[p], rescatter, warm,
+                    combine=combine,
                 ))
                 blobs.append(buf.getvalue())
         except Exception:  # the run does not pickle: the group stays idle

@@ -54,10 +54,10 @@ from repro.core.results_io import states_document
 from repro.obs.events import EventStream
 from repro.obs.observers import JsonlTraceWriter
 from repro.obs.registry import Histogram
-from repro.runtime.checkpoint import graph_fingerprint
+from repro.runtime.checkpoint import graph_fingerprint, result_shape
 from repro.runtime.cluster import SimulatedCluster
 from repro.runtime.executor import resolve_executor
-from repro.runtime.partitioner import build_partitioner, partitioner_fingerprint
+from repro.runtime.partitioner import build_partitioner
 
 from .cache import ResultCache
 from .errors import BadQueryError, QueryTimeoutError, QueueFullError, ServeError
@@ -231,11 +231,7 @@ class GraphService:
             cluster = SimulatedCluster(workers)
             if cfg.partitioning.kind is not None:
                 cluster.partitioner = build_partitioner(
-                    cfg.partitioning.kind,
-                    cluster.num_workers,
-                    graph,
-                    seed=cfg.partitioning.seed,
-                    capacity_slack=cfg.partitioning.capacity_slack,
+                    cfg.partitioning.kind, cluster.num_workers, graph
                 )
             executor = resolve_executor(cfg)
             lane_config = dataclasses.replace(
@@ -326,24 +322,17 @@ class GraphService:
     @property
     def config_fp(self) -> str:
         """Fingerprint of everything deterministic about how this service
-        executes queries: cluster shape and cost models, the actual
-        vertex→worker placement, and the warp/state flags.  The executor
+        executes queries: `repro.runtime.checkpoint.result_shape` (cluster
+        shape and cost models, the actual vertex→worker placement, the
+        warp/state flags) plus the superstep cap.  The executor
         is excluded for the same reason checkpoints are
         executor-portable — serial and parallel answers are
         bit-identical, so they may share cache entries.
         """
         if self._config_fp is None:
             cfg = self._base_config
-            cluster = self._lanes[0].cluster
             payload = {
-                "num_workers": cluster.num_workers,
-                "partitioner": partitioner_fingerprint(cluster.partitioner),
-                "varint_encoding": cluster.varint_encoding,
-                "model_network": cluster.model_network,
-                "network": dataclasses.asdict(cluster.network),
-                "compute_model": dataclasses.asdict(cluster.compute_model),
-                "warp": dataclasses.asdict(cfg.warp),
-                "state": dataclasses.asdict(cfg.state),
+                **result_shape(self._lanes[0].cluster, cfg),
                 "max_supersteps": cfg.max_supersteps,
             }
             blob = json.dumps(payload, sort_keys=True, default=repr).encode()

@@ -620,10 +620,10 @@ def reference_should_suppress_warp(
     lifespan: Interval,
     *,
     threshold: float,
-    expansion_cap: int,
 ) -> bool:
     """``VertexProcessor.should_suppress_warp`` (suppression enabled) on
-    message objects, clipping with ``Interval.intersect``."""
+    message objects, clipping with ``Interval.intersect``; the expansion
+    cap is 4 points per live message."""
     if not messages:
         return False
     units = 0
@@ -642,7 +642,7 @@ def reference_should_suppress_warp(
     if not live or units / live < threshold:
         return False
     total_points = 0
-    cap = expansion_cap * live
+    cap = 4 * live
     for length in clipped_lengths:
         total_points += length
         if total_points > cap:

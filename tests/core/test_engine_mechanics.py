@@ -285,7 +285,7 @@ class TestSuppressionHeuristics:
         engine = api.build_engine(line_graph(), Flood(), options=kw)
         return VertexProcessor(
             engine.graph, engine.program, engine.cluster.compute_model,
-            **engine.processor_args(),
+            engine.config.warp,
         )
 
     def test_threshold_respected(self):
@@ -310,9 +310,9 @@ class TestSuppressionHeuristics:
         assert engine.should_suppress_warp(rows_of(msgs), Interval(0, 10))
 
     def test_expansion_cap(self):
-        engine = self.make_engine(suppression_expansion_cap=2)
+        engine = self.make_engine()
         msgs = [message(t, t + 1, t) for t in range(8)] + [message(0, 40, 1)]
-        # 8 units + one 40-long: expansion 48 > 2 * 9 → refuse.
+        # 8 units + one 40-long: expansion 48 > 4 * 9 → refuse.
         assert not engine.should_suppress_warp(rows_of(msgs), self.SPAN)
 
     def test_disabled(self):

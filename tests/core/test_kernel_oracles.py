@@ -24,6 +24,7 @@ from repro.core.combiner import (
     sum_combiner,
     tuple_min_combiner,
 )
+from repro.core.config import WarpConfig
 from repro.core.context import VertexContext
 from repro.core.engine import VertexProcessor
 from repro.core.interval import FOREVER, Interval, coalesce
@@ -475,21 +476,17 @@ class TestMessageRowOracles:
         message_lists(_INTS, max_size=12),
         st.tuples(st.integers(0, 14), st.one_of(st.none(), st.integers(1, 14))),
         st.sampled_from([0.0, 0.5, 0.7, 1.0]),
-        st.integers(1, 6),
     )
     @settings(max_examples=600, deadline=None)
-    def test_should_suppress_warp(self, msgs, span, threshold, cap):
+    def test_should_suppress_warp(self, msgs, span, threshold):
         """Messages partly or wholly outside the lifespan, bounded and
         unbounded lifespans, every threshold edge."""
         start, length = span
         lifespan = Interval(start, FOREVER if length is None else start + length)
         processor = VertexProcessor(
-            None, None, None,
-            warp_suppression_threshold=threshold, suppression_expansion_cap=cap,
+            None, None, None, WarpConfig(suppression_threshold=threshold)
         )
-        want = reference_should_suppress_warp(
-            msgs, lifespan, threshold=threshold, expansion_cap=cap
-        )
+        want = reference_should_suppress_warp(msgs, lifespan, threshold=threshold)
         assert processor.should_suppress_warp(rows_of(msgs), lifespan) is want
 
 

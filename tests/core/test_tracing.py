@@ -74,5 +74,5 @@ class TestRendering:
     @pytest.mark.usefixtures("executor")
     def test_no_tracer_is_default(self):
         engine = IntervalCentricEngine(transit_graph(), TemporalSSSP("A"))
-        assert engine.tracer is None
+        assert engine.config.observability.tracer is None
         engine.run()  # runs fine without hooks

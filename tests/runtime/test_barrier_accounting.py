@@ -14,7 +14,6 @@ from repro.core.combiner import min_combiner
 from repro.core.engine import IntervalCentricEngine
 from repro.core.messages import message
 from repro.core.program import IntervalProgram
-from repro.core.state import PartitionedState
 from repro.core.tracing import ExecutionTracer
 from repro.datasets import transit_graph
 from repro.graph.builder import TemporalGraphBuilder
@@ -177,14 +176,10 @@ def _burst_step(batched: bool, fold: bool, traced: bool):
     graph = b.build()
     engine = IntervalCentricEngine(graph, _Burst(batched), cluster=_cluster())
     engine._seq = {v.vid: i for i, v in enumerate(graph.vertices())}
-    states = {
-        v.vid: PartitionedState(v.lifespan, None)
-        for v in graph.vertices() if v.vid != _FAR
-    }
     tracer = ExecutionTracer() if traced else None
+    # A cold run: the runtime derives its own vertices' states (not _FAR's).
     runtime = _WorkerRuntime(
-        _ShardPayload.of(engine, _SHARD_TO_PROC, 0, states, set(states), {},
-                         False, combine=fold),
+        _ShardPayload.of(engine, _SHARD_TO_PROC, 0, {}, {}, False, combine=fold),
         tracer=tracer,
     )
     return runtime, runtime.step(1, {}, ()), tracer

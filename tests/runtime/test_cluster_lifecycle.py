@@ -1,4 +1,4 @@
-"""Superstep lifecycle guards and the ``model_network=False`` fast path."""
+"""Superstep lifecycle guards."""
 
 import pytest
 
@@ -48,62 +48,3 @@ class TestLifecycleGuards:
 
     def test_is_a_runtime_error(self):
         assert issubclass(ClusterLifecycleError, RuntimeError)
-
-
-class TestModelNetworkDisabled:
-    def test_counts_kept_but_no_bytes(self):
-        cluster = SimulatedCluster(2, model_network=False)
-        metrics = RunMetrics()
-        cluster.begin_superstep(1)
-        cluster.send("a", "b", message(0, 1, 5), metrics)
-        cluster.send("a", "a", message(0, 1, 6), metrics)
-        step = cluster.end_superstep(metrics)
-        assert metrics.messages_sent == 2
-        assert metrics.local_messages + metrics.remote_messages == 2
-        assert metrics.message_bytes == 0
-        assert step.bytes == 0
-
-    def test_no_transfer_or_barrier_charges(self):
-        cluster = SimulatedCluster(2, model_network=False)
-        metrics = RunMetrics()
-        cluster.begin_superstep(1)
-        cluster.send("a", "b", message(0, 1, 5), metrics)
-        step = cluster.end_superstep(metrics)
-        assert step.messaging_time == 0.0
-        assert metrics.barrier_time == 0.0
-        assert metrics.modeled_makespan == step.max_worker_compute_time
-
-    def test_record_traffic_respects_flag(self):
-        cluster = SimulatedCluster(2, model_network=False)
-        metrics = RunMetrics()
-        cluster.begin_superstep(1)
-        cluster.record_traffic(metrics, app=3, local=1, remote=2,
-                               bytes_total=100, bytes_remote=60)
-        step = cluster.end_superstep(metrics)
-        assert metrics.messages_sent == 3
-        assert metrics.message_bytes == 0
-        assert step.bytes == 0
-
-    @pytest.mark.usefixtures("executor")
-    def test_engine_runs_with_network_disabled(self):
-        from repro import api
-        from repro.algorithms.ti.bfs import TemporalBFS
-        from repro.datasets import transit_graph
-
-        graph = transit_graph()
-        source = graph.vertex_ids()[0]
-
-        def run(**options):
-            return api.run(
-                graph, TemporalBFS(source),
-                cluster=SimulatedCluster(4, model_network=False), options=options,
-            )
-
-        serial = run()
-        parallel = run(executor="parallel", executor_processes=2)
-        assert serial.metrics.message_bytes == 0
-        assert parallel.metrics.message_bytes == 0
-        assert serial.metrics.barrier_time == 0.0
-        assert {v: list(s) for v, s in serial.states.items()} == \
-               {v: list(s) for v, s in parallel.states.items()}
-        assert serial.metrics.modeled_makespan == parallel.metrics.modeled_makespan

@@ -112,6 +112,10 @@ def _run(algorithm, observe=None, **icm_options):
 @on_every_partitioner
 @with_and_without_faults
 def test_parallel_matches_serial(algorithm, graph_image, partitioner, faults):
+    """Placement moves messages between workers, never changes results:
+    the executors stay bit-identical whichever partitioner shards the graph
+    — the greedy ones' shard sizes are deliberately uneven — and agree on
+    the byte-level locality split."""
     options = {"partitioner": partitioner, **faults}
     serial_events, parallel_events = InMemoryEvents(), InMemoryEvents()
     serial = _run(algorithm, observe=serial_events, **options)
@@ -131,27 +135,6 @@ def test_parallel_matches_serial(algorithm, graph_image, partitioner, faults):
         assert parallel.metrics.recovery.restarts >= 1, "the plan must fire"
     else:
         assert serial_events.logical() == parallel_events.logical()
-
-
-@on_every_image
-@pytest.mark.parametrize("algorithm", ("BFS", "SSSP", "PR"))
-@pytest.mark.parametrize("partitioner", PARTITIONER_KINDS)
-def test_parallel_matches_serial_under_every_partitioner(
-    algorithm, partitioner, graph_image
-):
-    """Placement moves messages between workers, never changes results.
-
-    The executors must stay bit-identical whichever partitioner shards the
-    graph — including the greedy ones, whose shard sizes are deliberately
-    uneven — and all must agree on the byte-level locality split.
-    """
-    serial = _run(algorithm, partitioner=partitioner)
-    parallel = _run(algorithm, partitioner=partitioner, **PARALLEL)
-
-    assert _partitions(serial.result) == _partitions(parallel.result)
-    for fld in EXACT_FIELDS + ("local_message_bytes", "remote_message_bytes"):
-        assert getattr(serial.metrics, fld) == getattr(parallel.metrics, fld), fld
-    assert serial.metrics.partition_edge_cut == parallel.metrics.partition_edge_cut
 
 
 @on_every_partitioner

@@ -57,3 +57,42 @@ def test_wall_clock_fields_populated():
     assert metrics.makespan > 0
     assert metrics.compute_plus_time > 0
     assert metrics.load_time >= 0
+
+
+def test_merge_folds_every_registry_field():
+    """``merge`` walks the metric registries: a gauge keeps the larger
+    value, everything else adds; the superstep details and the recovery
+    metrics ride along."""
+    from repro.obs.registry import RECOVERY_METRICS, RUN_METRICS
+    from repro.runtime.metrics import RecoveryMetrics, RunMetrics, SuperstepMetrics
+
+    def filled(registry, cls, base, **extra):
+        obj = cls(**extra)
+        for i, spec in enumerate(registry):
+            value = base + 2 * i
+            setattr(obj, spec.name, value if spec.value == "int" else value + 0.5)
+        return obj
+
+    ours = filled(RUN_METRICS, RunMetrics, 1)
+    theirs = filled(RUN_METRICS, RunMetrics, 100)
+    # A gauge's larger value on the left as well as on the right.
+    ours.partition_imbalance = 1000.5
+    ours.supersteps_detail.append(SuperstepMetrics(superstep=1))
+    theirs.supersteps_detail.append(SuperstepMetrics(superstep=2))
+    ours.recovery = filled(RECOVERY_METRICS, RecoveryMetrics, 3)
+    theirs.recovery = filled(RECOVERY_METRICS, RecoveryMetrics, 300)
+    before = {spec.name: getattr(ours, spec.name) for spec in RUN_METRICS}
+    recovery_before = {s.name: getattr(ours.recovery, s.name) for s in RECOVERY_METRICS}
+
+    ours.merge(theirs)
+
+    assert {spec.kind for spec in RUN_METRICS} >= {"counter", "gauge", "time"}
+    for spec in RUN_METRICS:
+        mine, other = before[spec.name], getattr(theirs, spec.name)
+        want = max(mine, other) if spec.kind == "gauge" else mine + other
+        assert getattr(ours, spec.name) == want, spec.name
+    assert ours.partition_imbalance == 1000.5
+    assert [s.superstep for s in ours.supersteps_detail] == [1, 2]
+    for spec in RECOVERY_METRICS:
+        want = recovery_before[spec.name] + getattr(theirs.recovery, spec.name)
+        assert getattr(ours.recovery, spec.name) == want, spec.name

@@ -90,13 +90,13 @@ class _Workers(RunObserver):
             self.pids = _live_children()
 
 
-def _run(graph, program, options):
+def _run(graph, program, options, **run_args):
     """``(result, workers, forked)``: the children alive at the run's first
     superstep, and those of them the run itself started."""
     before = _live_children()
     workers = _Workers()
     result = api.run(graph, program, cluster=SimulatedCluster(4),
-                     options=options, observe=workers)
+                     options=options, observe=workers, **run_args)
     return result, workers.pids, workers.pids - before
 
 
@@ -276,6 +276,48 @@ def test_a_kill_on_a_reused_group_recovers():
     after, workers, _ = _run(graph, TemporalSSSP("A"), P2)
     assert _facts(after) == _facts(serial)
     assert not forked & workers, "the killed group was kept"
+
+
+def test_a_cold_run_hands_its_runtimes_no_state(monkeypatch):
+    """Every runtime builds its own vertices' states: the master hands the
+    executor none on a cold run, and only its copies on a warm one."""
+    handed = []
+    start = ParallelExecutor.start
+
+    def spy(self, engine, states, rescatter, warm):
+        handed.append(len(states))
+        return start(self, engine, states, rescatter, warm)
+
+    monkeypatch.setattr(ParallelExecutor, "start", spy)
+    graph = transit_graph()
+    cold, _, _ = _run(graph, TemporalSSSP("A"), SERIAL)
+    _run(graph, TemporalSSSP("A"), P2)
+    warm = {vid: cold.states[vid] for vid in ("A", "B")}
+    _run(graph, TemporalSSSP("A"), P2, warm_states=warm)
+    assert handed == [0, 0, 2]
+
+
+def test_a_warm_start_and_a_resume_on_a_reused_group_equal_serial(tmp_path):
+    """A reused group's runtimes derive what they are not handed — the
+    vertices a warm start lacks — and take a checkpoint's states whole."""
+    graph = load_surrogate("usrn", 0.3)
+    source = default_source(graph)
+    cold, _, _ = _run(graph, TemporalSSSP(source), SERIAL)
+    _, _, forked = _run(graph, TemporalSSSP(source), P2)
+    warm = {vid: cold.states[vid] for vid in list(cold.states)[::2]}
+    again = {vid: [graph.vertex(vid).lifespan] for vid in list(warm)[:3]}
+    args = {"warm_states": warm, "rescatter": again}
+    serial, _, _ = _run(graph, TemporalSSSP(source), SERIAL, **args)
+    reused, workers, new = _run(graph, TemporalSSSP(source), P2, **args)
+    assert forked <= workers and not new, "the warm run forked again"
+    assert _facts(reused) == _facts(serial)
+
+    ckpt = {"checkpoint_every": 1, "checkpoint_dir": str(tmp_path)}
+    _run(graph, TemporalSSSP(source), {**SERIAL, **ckpt})
+    resumed, workers, new = _run(graph, TemporalSSSP(source), P2,
+                                 resume_from=str(tmp_path / "step-000002"))
+    assert forked <= workers and not new, "the resumed run forked again"
+    assert _facts(resumed) == _facts(cold)
 
 
 # The child does two 2-process runs on one graph, prints the pids of its

@@ -155,6 +155,52 @@ def test_with_options_rejects_unknown_names():
         EngineConfig().with_options(warp_speed=9)
 
 
+#: Every option an engine takes, by its flat name.  Adding, renaming or
+#: removing a knob is a change to this set and to the groups below.
+OPTION_NAMES = {
+    "enable_warp_combiner", "enable_receiver_combiner",
+    "enable_dominated_elimination", "enable_warp_suppression",
+    "warp_suppression_threshold", "coalesce_states",
+    "prepartition_by_vertex_properties", "executor", "executor_processes",
+    "fault_plan", "exchange_combine", "partitioner", "checkpoint_every",
+    "checkpoint_dir", "max_restarts", "serve_max_concurrency",
+    "serve_queue_depth", "serve_cache_bytes", "serve_timeout_s", "tracer",
+    "trace_path", "max_supersteps",
+}
+
+#: Each config group's fields, in declaration order.
+CONFIG_FIELDS = {
+    "warp": ("enable_combiner", "enable_receiver_combiner",
+             "enable_dominated_elimination", "enable_suppression",
+             "suppression_threshold"),
+    "state": ("coalesce", "prepartition_by_properties"),
+    "executor": ("kind", "processes", "fault_plan"),
+    "exchange": ("combine",),
+    "partitioning": ("kind",),
+    "checkpoint": ("every", "dir", "max_restarts"),
+    "serve": ("max_concurrency", "max_queue_depth", "cache_bytes",
+              "default_timeout_s"),
+    "observability": ("observers", "trace_path", "tracer"),
+}
+
+
+def test_option_surface_is_pinned():
+    """The flat names, the config groups and the fields they map onto: one
+    table, and every option reaches a field."""
+    from repro.core.config import _OPTION_MAP
+
+    assert set(_OPTION_MAP) == OPTION_NAMES
+    assert len(_OPTION_MAP) == 22
+    groups = {f.name: f for f in dataclasses.fields(EngineConfig)}
+    assert set(groups) == {*CONFIG_FIELDS, "max_supersteps"}
+    for group, names in CONFIG_FIELDS.items():
+        fields = dataclasses.fields(groups[group].default_factory())
+        assert tuple(f.name for f in fields) == names, group
+    for name, (group, fld) in _OPTION_MAP.items():
+        owner = EngineConfig() if group is None else getattr(EngineConfig(), group)
+        assert hasattr(owner, fld), name
+
+
 # -- environment resolution ----------------------------------------------------
 
 
@@ -205,14 +251,12 @@ def test_executor_fixture_sets_the_default_executor(executor):
 
 
 def test_partitioner_options_map_to_config():
-    config = EngineConfig().with_options(
-        partitioner="range", partitioner_seed=3, partitioner_slack=1.25
-    )
+    config = EngineConfig().with_options(partitioner="range")
     assert config.partitioning.kind == "range"
-    assert config.partitioning.seed == 3
-    assert config.partitioning.capacity_slack == 1.25
-    with pytest.raises(ValueError, match="capacity_slack"):
-        EngineConfig().with_options(partitioner_slack=0.5)
+    # The seed and the greedy balance budget are the factory's defaults.
+    for retired in ("partitioner_seed", "partitioner_slack"):
+        with pytest.raises(TypeError, match=retired):
+            EngineConfig().with_options(**{retired: 1})
 
 
 # -- observability vs checkpoint fingerprint -----------------------------------
@@ -239,6 +283,15 @@ def test_fingerprint_stable_across_legacy_and_config_spellings():
     )
     modern = _engine(config=EngineConfig(warp=WarpConfig(enable_suppression=False)))
     assert config_fingerprint(flat) == config_fingerprint(modern)
+
+
+def test_fingerprint_of_the_default_config_is_pinned():
+    """A checkpoint written before stays resumable: the default SSSP run's
+    config fingerprint on ``transit`` is the one checkpoints carry."""
+    engine = api.build_engine(transit_graph(), TemporalSSSP("A"), config=EngineConfig())
+    assert config_fingerprint(engine) == (
+        "1a1b7d90f0148d8395f99e50a80ce1f8763c947891b7b120c78c8f5cdb9206f1"
+    )
 
 
 def test_fingerprint_tracks_modeled_options():
