@@ -11,8 +11,8 @@ feeds the files here; exit 1 means the executors disagreed about what
 logically happened.
 
 On top of the logical diff, the ``barrier_exchange`` wall facts carry
-the data plane's real wire accounting: ``exchange_bytes`` (bytes
-actually shipped, post sender-side combining) and
+the data plane's wire accounting: ``exchange_bytes`` (the routed-batch
+format size of the entries shipped, post sender-side combining) and
 ``exchange_raw_bytes`` (what an uncombined wire would have carried).
 Both totals are printed per trace, and when *both* traces moved real
 wire traffic (e.g. two parallel runs, one with sender-side combining

@@ -229,6 +229,7 @@ class CompactGraph:
         self._file = None
         self._path: Optional[str] = None
         self._views: list = []
+        self._reversed: Optional[CompactGraph] = None
         try:
             self._bind(buffer, verify)
         except BaseException:
@@ -656,8 +657,16 @@ class CompactGraph:
                     )
 
     def reversed(self) -> "CompactGraph":
-        """A compact copy with every edge direction flipped."""
-        return CompactGraph.from_temporal(self.to_temporal().reversed())
+        """A compact copy with every edge direction flipped.
+
+        Memoised: a compact graph never changes, so every call returns the
+        same object — and a P ≥ 2 run on it finds the worker group an
+        earlier run forked for it.  The memo keeps that one private
+        reversed image alive for as long as this graph lives.
+        """
+        if self._reversed is None:
+            self._reversed = CompactGraph.from_temporal(self.to_temporal().reversed())
+        return self._reversed
 
     def window(self, start: int, end: int = FOREVER) -> "GraphWindow":
         """This graph during ``[start, end)``: a zero-copy, read-only view

@@ -180,7 +180,8 @@ RUN_METRICS = MetricRegistry(
         MetricSpec("peak_inflight_messages", "int", "gauge", "messages",
                    "largest single-superstep message volume"),
         MetricSpec("exchange_bytes", "int", "counter", "bytes",
-                   "real bytes shipped between worker processes",
+                   "format-2 size of the entries shipped, counted at "
+                   "send time; the pipe carries them pickled",
                    modeled=False),
         MetricSpec("exchange_raw_bytes", "int", "counter", "bytes",
                    "bytes the exchange would have shipped without "

@@ -186,8 +186,8 @@ def encode_shard(
     (tagged payload), lifespan (interval header), partition count, the
     interior+final end boundaries as varints, and the partition values as
     tagged payloads; the pending messages follow as one routed batch
-    (:func:`repro.runtime.encoding.encode_routed_batch` — the same bytes
-    that cross worker pipes at a live barrier).
+    (:func:`repro.runtime.encoding.encode_routed_batch`; a live barrier
+    ships the same entries pickled, and sizes them in this format).
     """
     out = bytearray(_SHARD_MAGIC)
     out += encode_varint(CHECKPOINT_FORMAT)

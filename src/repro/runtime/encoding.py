@@ -329,14 +329,16 @@ def encoded_batch_size(messages, *, varint: bool = True) -> int:
     return total
 
 
-# -- routed batches (parallel barrier exchange) -------------------------------
+# -- routed batches (checkpoint pending messages) -----------------------------
 #
-# The parallel executor moves cross-process messages as one buffer per
-# (source process, destination process) pair.  Each entry carries the
-# sending vertex's global sequence number so the receiver can restore the
-# exact serial delivery order (stable sort by ``seq``), the destination
-# vertex id (any payload-encodable value), and the message itself as a
-# ``(start, end, value)`` row — the engine's one internal message shape.
+# A routed batch is a list of messages awaiting delivery.  Each entry
+# carries the sending vertex's global sequence number so the receiver can
+# restore the exact serial delivery order (stable sort by ``seq``), the
+# destination vertex id (any payload-encodable value), and the message
+# itself as a ``(start, end, value)`` row — the engine's one internal
+# message shape.  A checkpoint shard's pending section is the format's only
+# user; the live barrier ships the same entries pickled and reports their
+# size in this format as ``exchange_bytes``.
 #
 # Wire format 2 prefixes the buffer with a format byte and gives every
 # entry a trailing varint *raw message count*.  A count above 1 marks a
@@ -438,8 +440,9 @@ def routed_entries_size(seq: int, dst: Any, messages, body: Optional[int] = None
 
     The executor accumulates this per cross-process batch to report what
     the exchange would have shipped without sender-side combining
-    (``exchange_raw_bytes``).  ``body`` is ``encoded_batch_size(messages)``
-    when the caller has already sized the batch.
+    (``exchange_raw_bytes``), and counts ``exchange_bytes`` from it.
+    ``body`` is ``encoded_batch_size(messages)`` when the caller has
+    already sized the batch.
     """
     if body is None:
         body = encoded_batch_size(messages)

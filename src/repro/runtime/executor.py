@@ -11,14 +11,17 @@ kept for the next run on the graph), each owning a fixed subset of the
 shards (shared-nothing — no state is shared after fork).  The serial
 executor is its P = 1 case, as on Giraph,
 where a single-machine run is a cluster of one: nothing is forked, no
-message is ever encoded or exchanged, and the wire phases of its one
+message is ever serialized or exchanged, and the wire phases of its one
 ``worker_span`` are exactly 0.
 
-Cross-process messages travel at the BSP barrier as varint-encoded routed
-batches (`repro.runtime.encoding`); messages between shards of the same
-process never leave it.  The batches travel in a star: a forked worker's
-ride its step report to the master, which redistributes them with the
-next step command; runtime 0's are handed over in-process.
+Cross-process messages travel at the BSP barrier as routed batches, one
+pickled list of entries per destination process; ``exchange_bytes`` is what
+they would occupy in the varint routed-batch format of
+`repro.runtime.encoding` (paper §VI), counted as they are sent.  Messages
+between shards of the same process never leave it.  The batches travel in
+a star: a forked worker's ride its step report to the master, which
+redistributes them with the next step command; runtime 0's are handed over
+in-process.
 
 Cross-process batches are **combined at the sender** when the program's
 combiner is selective (min/max/or — order-insensitive folds): messages to
@@ -64,10 +67,10 @@ from repro.core.messages import Row
 from repro.obs.registry import RUN_METRICS
 
 from .encoding import (
-    decode_routed_batch,
-    encode_routed_batch,
     encoded_batch_size,
+    payload_size,
     routed_entries_size,
+    varint_size,
 )
 from .metrics import RunMetrics
 
@@ -75,10 +78,11 @@ if TYPE_CHECKING:
     from .checkpoint import ExecutorSnapshot
     from .faults import FaultPlan
 
-# The worker host (`repro.runtime.workers`, with ``multiprocessing`` and
-# ``pickle``), the fault plans and the checkpoint module are imported by the
-# code that forks, kills or snapshots — a serial, uncheckpointed run loads
-# none of them.
+# The worker host (`repro.runtime.workers`, with ``multiprocessing``), the
+# fault plans, the checkpoint module and ``pickle`` (the barrier's
+# serializer) are imported by the code that forks, kills, snapshots or
+# crosses a process boundary — a serial, uncheckpointed run loads none of
+# them.
 
 #: Counters each worker runtime accumulates locally and the barrier folds —
 #: the registry's ``worker_field`` slice, in declaration order
@@ -365,12 +369,14 @@ class _WorkerRuntime:
         if dest_proc == self.proc_index:
             self._pending.extend([(seq, dst, msg) for msg in msgs])
             return
-        # Crossing a process boundary: account the raw wire footprint (the
-        # wire is always varint), then pre-fold into open combined entries
-        # when the combiner allows it.
-        self._raw_wire += routed_entries_size(
-            seq, dst, msgs, size if self.varint else None
-        )
+        # Crossing a process boundary: account the raw footprint in the
+        # varint routed-batch format (whatever ``varint`` models), then
+        # pre-fold into open combined entries when the combiner allows it.
+        # ``_wire`` keeps the format-2 size of what will ship, entry by
+        # entry, as the entries change.
+        raw = routed_entries_size(seq, dst, msgs, size if self.varint else None)
+        self._raw_wire += raw
+        self._wire += raw
         out = self._out.get(dest_proc)
         if out is None:
             out = self._out[dest_proc] = []
@@ -395,12 +401,14 @@ class _WorkerRuntime:
             prev = out[pos]
             count = prev[3] + 1 if len(prev) > 3 else 2
             start, end, value = prev[2]
-            out[pos] = (
-                prev[0],
-                dst,
-                (start, end, fold(value, msg[2])),
-                count,
-                count * self._scan_s,
+            folded = fold(value, msg[2])
+            out[pos] = (prev[0], dst, (start, end, folded), count, count * self._scan_s)
+            # The message's own entry leaves the batch; the entry it joined
+            # grows by its count varint, its charge (once) and its value.
+            self._wire += (
+                varint_size(count) - varint_size(count - 1) + (8 if count == 2 else 0)
+                + payload_size(folded) - payload_size(value)
+                - routed_entries_size(seq, dst, (msg,))
             )
 
     # -- superstep ------------------------------------------------------------
@@ -427,9 +435,11 @@ class _WorkerRuntime:
         self._pending = []
         wire_s = 0.0
         if batches:
+            from pickle import loads  # P ≥ 2 only: a serial run never crosses
+
             t_wire = time.perf_counter()
             for buf in batches:
-                decoded = decode_routed_batch(buf)
+                decoded = loads(buf)
                 if decoded:
                     parts.append(decoded)
             if len(parts) > 1:
@@ -476,6 +486,7 @@ class _WorkerRuntime:
         self._bytes_total = 0
         self._bytes_remote = 0
         self._raw_wire = 0
+        self._wire = 0
         self._out: dict[int, list[tuple]] = {}
         self._out_index: dict[int, dict[tuple, int]] = {}
         self._contribs = []
@@ -503,17 +514,19 @@ class _WorkerRuntime:
         wall = time.perf_counter() - t0
 
         out: dict[int, bytes] = {}
-        exchange_bytes = 0
         encode_s = 0.0
         if self._out or die_in_exchange:
+            import pickle  # P ≥ 2 only, as above
+
             t_wire = time.perf_counter()
             for dest, out_entries in self._out.items():
-                out[dest] = encode_routed_batch(out_entries)
-                exchange_bytes += len(out[dest])
+                out[dest] = pickle.dumps(out_entries, pickle.HIGHEST_PROTOCOL)
+                # Each batch's format byte and entry-count varint.
+                self._wire += 1 + varint_size(len(out_entries))
             encode_s = time.perf_counter() - t_wire
             if die_in_exchange:
                 # The mid-exchange kill: die with the outbound batches
-                # encoded but the report never sent.
+                # serialized but the report never sent.
                 from .faults import kill_process
 
                 kill_process(os.getpid())
@@ -535,7 +548,7 @@ class _WorkerRuntime:
                 "exchange_wait": 0.0,
                 "barrier_wait": self.barrier_wait,
             },
-            "exchange_bytes": exchange_bytes,
+            "exchange_bytes": self._wire,
             "raw_wire": self._raw_wire,
             "counts": {f: getattr(counts, f) for f in _COUNT_FIELDS},
             # ``SimulatedCluster.record_traffic``'s keyword arguments.

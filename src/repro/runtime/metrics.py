@@ -60,7 +60,8 @@ class SuperstepMetrics:
     #: Measured wall-clock the barrier exchange spent moving messages
     #: between worker processes (0 for the serial executor).
     exchange_time: float = 0.0
-    #: Real bytes crossing process boundaries at the barrier (0 serial).
+    #: Format-2 size of the entries shipped between processes, counted at
+    #: send time; the pipe carries them pickled (0 serial).
     exchange_bytes: int = 0
     #: Bytes the same exchange would have shipped without sender-side
     #: combining (0 serial; equals ``exchange_bytes`` when nothing folded).
@@ -134,7 +135,8 @@ class RunMetrics:
     worker_wall_time: float = 0.0
     #: Measured wall-time of the parallel barrier exchange (0 serial).
     exchange_time: float = 0.0
-    #: Real bytes shipped between worker processes (0 serial).
+    #: Format-2 size of the entries shipped between worker processes,
+    #: counted at send time; the pipe carries them pickled (0 serial).
     exchange_bytes: int = 0
     #: What the exchange would have shipped uncombined (0 serial).
     exchange_raw_bytes: int = 0

@@ -34,7 +34,6 @@ from typing import Any, Optional
 
 from repro.errors import WorkerDiedError
 
-from .encoding import decode_routed_batch, encode_routed_batch
 from .executor import _ShardPayload, _WorkerRuntime
 
 #: Idle groups by (graph id, P, start method), least recently used first.
@@ -100,7 +99,7 @@ def _worker_main(payload: _ShardPayload, conn) -> None:
             elif op == "snapshot":
                 result = {
                     "states": runtime.collect(),
-                    "pending": encode_routed_batch(runtime.pending_entries()),
+                    "pending": runtime.pending_entries(),
                 }
             else:
                 raise RuntimeError(f"unknown worker command {op!r}")
@@ -336,13 +335,13 @@ class WorkerHost:
 
         Each runtime contributes its states and the messages parked with it
         for the next superstep — its worker-local pending list (runtime 0's
-        in-process, the others' encoded); the cross-process batches still
-        waiting in ``inbound`` are decoded non-destructively (the live
-        bytes stay put for the next superstep).  Entries are merged with
-        one stable sort by sender sequence, recreating the serial delivery
-        order, so the snapshot resumes under any process count.  Entries
-        that sender-side combining folded stay folded, so it is not
-        byte-equal to a serial run's (see `ExecutorSnapshot`).
+        in-process, the others' in their replies); the cross-process
+        batches still waiting in ``inbound`` are unpickled non-destructively
+        (the live bytes stay put for the next superstep).  Entries are
+        merged with one stable sort by sender sequence, recreating the
+        serial delivery order, so the snapshot resumes under any process
+        count.  Entries that sender-side combining folded stay folded, so
+        it is not byte-equal to a serial run's (see `ExecutorSnapshot`).
         """
         from .checkpoint import ExecutorSnapshot
 
@@ -352,10 +351,10 @@ class WorkerHost:
         pending = runtime0.pending_entries()
         for rep in self._recv_all():
             states.update(rep["states"])
-            pending.extend(decode_routed_batch(rep["pending"]))
+            pending.extend(rep["pending"])
         for batches in self.inbound:
             for buf in batches:
-                pending.extend(decode_routed_batch(buf))
+                pending.extend(pickle.loads(buf))
         pending.sort(key=itemgetter(0))  # stable: per-sender order kept
         return ExecutorSnapshot(
             states={vid: states[vid] for vid in seq}, pending=pending
@@ -364,7 +363,7 @@ class WorkerHost:
     def restore(self, runtime0, entries, proc_of) -> None:
         """Hand a checkpoint's pending messages (already in delivery order)
         back: runtime 0's share as its pending list, the others' as one
-        re-encoded inbound batch per process.  Combined 5-tuple entries
+        pickled inbound batch per process.  Combined 5-tuple entries
         pass through intact, so the first resumed superstep charges the
         receiver pass for the folded-away raw messages exactly as the
         original run would have."""
@@ -373,7 +372,7 @@ class WorkerHost:
             per_proc.setdefault(proc_of(entry[1]), []).append(entry)
         runtime0._pending = per_proc.pop(0, [])
         for p, ents in per_proc.items():
-            self.inbound[p].append(encode_routed_batch(ents))
+            self.inbound[p].append(pickle.dumps(ents, pickle.HIGHEST_PROTOCOL))
 
     def close(self) -> None:
         """After the ``end`` handshake (:meth:`collect`): park the group if

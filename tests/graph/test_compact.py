@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.runners import run_algorithm
 from repro.core.interval import FOREVER, Interval
 from repro.datasets import transit_graph
 from repro.errors import GraphFormatError
@@ -170,6 +171,21 @@ class TestRoundTrip:
         graph = transit_graph()
         compact = CompactGraph.from_temporal(graph)
         assert_graphs_identical(graph.reversed(), compact.reversed())
+
+    def test_reversed_is_memoised(self):
+        compact = CompactGraph.from_temporal(transit_graph())
+        assert compact.reversed() is compact.reversed()
+        assert compact.window(0, 5).reversed().base is compact.reversed()
+
+    def test_ld_on_compact_equals_heap(self):
+        graph = transit_graph()
+        compact = CompactGraph.from_temporal(graph)
+        heap = run_algorithm("LD", "GRAPHITE", graph).result.states
+        for _ in range(2):  # the second run takes the memoised reversed image
+            states = run_algorithm("LD", "GRAPHITE", compact).result.states
+            assert {v: list(s) for v, s in states.items()} == {
+                v: list(s) for v, s in heap.items()
+            }
 
     def test_missing_lookups_raise_like_heap(self):
         compact = CompactGraph.from_temporal(transit_graph())

@@ -5,17 +5,20 @@ seed, so vertex→worker placement differs from every other test — and checks
 that the barrier folds per-worker quantities identically.
 """
 
+import pickle
+import random
+
 import pytest
 
 from repro import api
 from repro.algorithms.td.sssp import TemporalSSSP
-from repro.algorithms.runners import default_source
-from repro.core.combiner import min_combiner
+from repro.algorithms.runners import default_source, run_algorithm
+from repro.core.combiner import min_combiner, sum_combiner
 from repro.core.engine import IntervalCentricEngine
 from repro.core.messages import message
 from repro.core.program import IntervalProgram
 from repro.core.tracing import ExecutionTracer
-from repro.datasets import transit_graph
+from repro.datasets import load_surrogate, transit_graph
 from repro.graph.builder import TemporalGraphBuilder
 from repro.runtime.cluster import SimulatedCluster
 from repro.runtime.encoding import encode_routed_batch, encoded_message_size
@@ -105,7 +108,7 @@ def test_serial_has_single_wall_time_per_step(runs):
 def test_parallel_reports_real_exchange(runs):
     metrics = runs["parallel"].metrics
     # 2 processes over 3 shards: shard 2 shares a process with shard 0, so
-    # some remote-shard traffic crosses a real pipe and is varint-encoded.
+    # some remote-shard traffic crosses a real pipe.
     assert metrics.exchange_bytes > 0
     assert len(metrics.supersteps_detail[0].worker_wall_times) == 2
     assert metrics.worker_wall_time > 0
@@ -237,3 +240,143 @@ def test_send_batch_equals_batches_of_one(fold, traced):
         ]
         assert {e.superstep for e in tracer_b.sends} == {1}
         assert {e.src for e in tracer_b.sends} == {_SRC}
+
+
+# -- exchange_bytes is counted at send time -----------------------------------
+#
+# The barrier ships each destination's entries pickled, and
+# ``exchange_bytes`` is what those entries occupy in the routed-batch
+# format (`repro.runtime.encoding`, the checkpoint shards' pending
+# section), counted entry by entry as they are sent and folded.  Random
+# bursts pin that count to the codec: every case must report exactly the
+# encoded size of what it shipped.
+
+RANDOM_CASES = 60
+RANDOM_SEED = 0x5EED34
+
+#: Vertex ids of three kinds; 300 of them, so sender seqs pass 127.
+_MIXED_IDS = [
+    vid for i in range(100) for vid in (f"v{i}", 1000 + i * 37, (i, "t"))
+]
+
+
+class _RandomBurst(IntervalProgram):
+    """Superstep 1: each vertex in ``plan`` sends its ``(dst, rows)``
+    batches through the runtime's sink."""
+
+    name = "random-burst"
+
+    def __init__(self, combiner, plan):
+        self.combiner = combiner
+        self.plan = plan
+
+    def compute(self, ctx, interval, state, messages):
+        if ctx.superstep == 1:
+            for dst, rows in self.plan.get(ctx.vertex_id, ()):
+                ctx._engine.send_batch(ctx.vertex_id, dst, rows)
+
+    def scatter(self, ctx, edge, interval, state):
+        return None
+
+
+def _random_rows(rng, kind, hot):
+    """Rows of one batch: mostly fresh intervals, or — ``hot`` — repeats of
+    one interval, so a fold count passes 127."""
+    value = {
+        "int": lambda: rng.choice([0, 5, 127, 128, 300, 70_000]),
+        "float": lambda: rng.uniform(-1e6, 1e6),
+        "tuple": lambda: (rng.randrange(200), rng.choice([1.5, 2, 40_000])),
+    }[kind]
+    if hot:
+        return [(3, 9, value()) for _ in range(rng.randint(60, 140))]
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        start = rng.choice([0, 1, 126, 127, 128, 5_000])
+        end = start + rng.choice([1, 2, 200])
+        rows.append((start, end, value()))
+    return rows
+
+
+def _random_case(rng):
+    """One runtime's superstep 1 over a random plan; returns its report and
+    every cross-process ``(seq, dst, row)`` it sent."""
+    combiner = rng.choice([min_combiner, sum_combiner])()
+    fold = rng.random() < 0.7
+    varint = rng.random() < 0.7
+    # Sum adds numbers only; min also orders the tuple payloads FAST sends.
+    kind = rng.choice(["int", "float", "tuple"] if combiner.selective else ["int", "float"])
+    part = HashPartitioner(WORKERS, seed=SEED)
+    b = TemporalGraphBuilder()
+    for vid in _MIXED_IDS:
+        b.add_vertex(vid, 0, 10)
+    graph = b.build()
+    seq = {v.vid: i for i, v in enumerate(graph.vertices())}
+    senders = [v for v in _MIXED_IDS if _SHARD_TO_PROC[part.worker_of(v)] == 0]
+    plan: dict = {}
+    for _ in range(rng.randint(1, 12)):
+        src = rng.choice(senders)
+        rows = _random_rows(rng, kind, hot=rng.random() < 0.25)
+        plan.setdefault(src, []).append((rng.choice(_MIXED_IDS), rows))
+    cluster = SimulatedCluster(WORKERS, partitioner=part, varint_encoding=varint)
+    engine = IntervalCentricEngine(graph, _RandomBurst(combiner, plan), cluster=cluster)
+    engine._seq = seq
+    runtime = _WorkerRuntime(
+        _ShardPayload.of(engine, _SHARD_TO_PROC, 0, {}, {}, False, combine=fold)
+    )
+    crossing = [
+        (seq[src], dst, row)
+        for src, batches in plan.items()
+        for dst, rows in batches
+        if _SHARD_TO_PROC[part.worker_of(dst)] == 1
+        for row in rows
+    ]
+    return runtime.step(1, {}, ()), crossing
+
+
+def test_exchange_bytes_is_the_routed_codec_size_of_what_ships():
+    rng = random.Random(RANDOM_SEED)
+    folded = large_counts = high_seqs = 0
+    id_kinds = set()
+    for case in range(RANDOM_CASES):
+        case_seed = rng.randrange(2**32)
+        report, crossing = _random_case(random.Random(case_seed))
+        shipped = {d: pickle.loads(buf) for d, buf in report["out"].items()}
+        context = f"case {case} (random.Random({case_seed}))"
+        assert report["exchange_bytes"] == sum(
+            len(encode_routed_batch(entries)) for entries in shipped.values()
+        ), context
+        # The raw footprint: each crossing message as its own entry.
+        assert report["raw_wire"] == sum(
+            len(encode_routed_batch([e])) - 2 for e in crossing
+        ), context
+        counts = [e[3] for entries in shipped.values() for e in entries if len(e) > 3]
+        folded += bool(counts)
+        large_counts += any(c >= 128 for c in counts)
+        high_seqs += any(e[0] >= 128 for e in crossing)
+        id_kinds |= {type(e[1]) for e in crossing}
+    # The axes the cases were drawn for were all reached.
+    assert folded and large_counts and high_seqs
+    assert id_kinds == {str, int, tuple}
+
+
+#: ``(exchange_bytes, exchange_raw_bytes)`` per process count and program,
+#: recorded while the barrier still shipped codec-encoded batches: the
+#: seven TD programs on usrn(1.0) and PR on mag(0.1), default cluster.
+EXCHANGE_PINS = {
+    2: {"PR": (79532, 79479), "BFS": (4685, 5496), "EAT": (4416, 5050),
+        "FAST": (118375, 118299), "LD": (4685, 5496), "RH": (4147, 4604),
+        "SSSP": (12763, 13655), "TMST": (6366, 8277)},
+    3: {"PR": (102757, 102633), "BFS": (4629, 4890), "EAT": (4318, 4494),
+        "FAST": (105558, 105389), "LD": (4629, 4890), "RH": (4007, 4098),
+        "SSSP": (11886, 12162), "TMST": (6574, 7363)},
+}
+
+
+@pytest.mark.parametrize("processes", sorted(EXCHANGE_PINS))
+def test_exchange_bytes_equal_the_codec_era_values(processes):
+    graphs = {"usrn": load_surrogate("usrn", 1.0), "mag": load_surrogate("mag", 0.1)}
+    options = {"executor": "parallel", "executor_processes": processes}
+    for algorithm, pinned in EXCHANGE_PINS[processes].items():
+        graph = graphs["mag" if algorithm == "PR" else "usrn"]
+        metrics = run_algorithm(algorithm, "GRAPHITE", graph, icm_options=options).metrics
+        assert (metrics.exchange_bytes, metrics.exchange_raw_bytes) == pinned, algorithm

@@ -22,6 +22,7 @@ import pytest
 
 from repro import api
 from repro.algorithms.defaults import default_source, default_target
+from repro.algorithms.runners import run_algorithm
 from repro.algorithms.td.eat import TemporalEAT
 from repro.algorithms.td.fast import TemporalFAST
 from repro.algorithms.td.journeys import TemporalSSSPJourneys
@@ -41,6 +42,7 @@ from repro.core.interval import Interval
 from repro.core.state import PartitionedState
 from repro.datasets import load_surrogate, transit_graph
 from repro.graph.builder import TemporalGraphBuilder
+from repro.graph.compact import CompactGraph
 from repro.graph.model import TemporalEdge, TemporalVertex
 from repro.obs.observers import RunObserver
 from repro.runtime.cluster import SimulatedCluster
@@ -149,6 +151,23 @@ def test_a_second_run_reuses_the_group_and_equals_serial(name):
     assert not again, "the second run forked again"
     assert _facts(first) == _facts(serial)
     assert _facts(second) == _facts(serial)
+
+
+def test_ld_on_a_compact_graph_reuses_the_reversed_graphs_group():
+    # LD runs on ``graph.reversed()``; a compact graph memoises it, so the
+    # second run finds the group the first forked for the same object.
+    graph = CompactGraph.from_temporal(load_surrogate("usrn", 0.3))
+    runs = [
+        run_algorithm("LD", "GRAPHITE", graph, cluster=SimulatedCluster(4),
+                      icm_options=options)
+        for options in (SERIAL, P2)
+    ]
+    before = _live_children()
+    again = run_algorithm("LD", "GRAPHITE", graph, cluster=SimulatedCluster(4),
+                          icm_options=P2)
+    assert before and _live_children() == before, "the second run forked again"
+    assert _facts(runs[1].result) == _facts(runs[0].result)
+    assert _facts(again.result) == _facts(runs[0].result)
 
 
 def _partial_cost_graph():

@@ -4,11 +4,11 @@ timing).
 A batch job — the benchmark's ``job.py``: four imports, load a file, one
 serial SSSP, export CSV — must pay only for what it runs.  A fresh
 interpreter performs exactly that over a text file and a compact v3 file
-and reports ``sys.modules``: the multiprocessing, checkpoint, baseline-
-platform, worker-host, fault, image-writer, serving, query, streaming,
-dataset, exporter and tracer stacks are absent, the ``repro.*`` modules
-stay under a count and their source under a line budget, and no thread
-was started.  The benchmark's children run with ``PYTHONDONTWRITEBYTECODE``
+and reports ``sys.modules``: the multiprocessing, pickle, checkpoint,
+baseline-platform, worker-host, fault, image-writer, serving, query,
+streaming, dataset, exporter and tracer stacks are absent, the
+``repro.*`` modules stay under a count and their source under a line
+budget, and no thread was started.  The benchmark's children run with ``PYTHONDONTWRITEBYTECODE``
 set, so every line a job imports is compiled on every run: the line budget
 is the compile cost a cold job pays.  A new eager import at package level —
 or a heavy stack reached from a module top instead of from the code that
@@ -30,6 +30,7 @@ from ._fresh_interpreter import run_fresh
 #: What a serial, uncheckpointed, unobserved run on a loaded file leaves out.
 ABSENT_FROM_A_SERIAL_JOB = [
     "multiprocessing",
+    "pickle",
     "tempfile",
     "shutil",
     "repro.runtime.checkpoint",
@@ -137,7 +138,7 @@ def test_serial_job_loads_only_what_it_runs(serial_job):
 
 def test_parallel_and_checkpointed_jobs_load_their_stacks(graph_files, serial_job):
     parallel = _run_job("parallel", graph_files)
-    assert {"multiprocessing", "repro.runtime.workers"} <= set(parallel["modules"])
+    assert {"multiprocessing", "pickle", "repro.runtime.workers"} <= set(parallel["modules"])
     assert parallel["states"] == serial_job["states"]
 
     faulted = _run_job("faults", graph_files)
