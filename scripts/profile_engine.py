@@ -8,7 +8,12 @@ GRAPHITE platform; prints each run's counters, then ``calls per message``
 (profiled calls ÷ messages) and how many ``Interval``, ``IntervalMessage`` and
 ``EdgeContext`` objects were constructed per ``scatter`` call — the message
 path's allocation contract as numbers — and the top-N functions by own time
-and by cumulative time.  ``--algorithm`` takes a comma list.  The graph's
+and by cumulative time.  It also prints the pending entries the runs built
+per message (counted in the unprofiled warm-up pass, at P ≥ 2 in the
+master's runtime only): one per same-process batch, not one per message.
+``--max-calls-per-message`` and ``--max-intervals-per-scatter`` turn the
+printed figures into a gate: the script exits 1 when either is above its
+bound.  ``--algorithm`` takes a comma list.  The graph's
 piece index is built once per graph, so the warm-up would hide it: its
 one-time build is timed first and printed on its own line.  ``--window START
 END`` runs the same algorithms over ``graph.window(START, END)`` — what a
@@ -26,7 +31,8 @@ page faults the run cost the master (``getrusage``), each live worker
 
 Usage::
 
-    python scripts/profile_engine.py --algorithm PR --dataset mag --scale 0.3 [--top 25]
+    python scripts/profile_engine.py --algorithm PR --dataset mag --scale 0.3 [--top 25] \
+        [--max-calls-per-message 20.1 --max-intervals-per-scatter 0.71]
     python scripts/profile_engine.py --algorithm BFS,SSSP,EAT,RH,FAST,TMST,LD --dataset usrn --scale 2.0
     python scripts/profile_engine.py --algorithm BFS,SSSP,EAT,RH --dataset twitter --scale 2.0 --window 3 11
     python scripts/profile_engine.py --algorithm BFS,SSSP,EAT,RH,FAST,TMST,LD --dataset usrn --scale 2.0 --processes 2
@@ -62,6 +68,22 @@ def _calls(stats: pstats.Stats, fn) -> int:
     code = fn.__code__
     entry = stats.stats.get((code.co_filename, code.co_firstlineno, code.co_name))
     return entry[1] if entry else 0
+
+
+def _count_pending(counter: list):
+    """Add to ``counter[0]`` the pending entries each worker runtime of this
+    process holds as a superstep starts — what the superstep before built.
+    Returns the function that stops counting."""
+    from repro.runtime.executor import _WorkerRuntime
+
+    step = _WorkerRuntime.step
+
+    def counting_step(self, *args, **kwargs):
+        counter[0] += len(self._pending)
+        return step(self, *args, **kwargs)
+
+    _WorkerRuntime.step = counting_step
+    return lambda: setattr(_WorkerRuntime, "step", step)
 
 
 def _minor_faults(pid: int) -> int:
@@ -148,6 +170,11 @@ def main(argv=None) -> int:
     parser.add_argument("--processes", type=int, default=1,
                         help="run on P processes and print each run's worker "
                              "group mechanism (P >= 2)")
+    parser.add_argument("--max-calls-per-message", type=float, default=None,
+                        help="exit 1 if the printed calls per message exceed this")
+    parser.add_argument("--max-intervals-per-scatter", type=float, default=None,
+                        help="exit 1 if the printed Intervals constructed per "
+                             "scatter call exceed this")
     args = parser.parse_args(argv)
 
     algorithms = args.algorithm.split(",")
@@ -178,13 +205,17 @@ def main(argv=None) -> int:
     def run():
         return [run_one(a) for a in algorithms]
 
+    pending = [0]
+    stop_counting = _count_pending(pending)
     if args.processes > 1:
         # The warm-up forks each graph's group; the next pass shows reuse.
         rows = _instrument()
         _mechanism_pass(algorithms, run_one, "warm-up", rows)
+        stop_counting()
         _mechanism_pass(algorithms, run_one, "steady", rows)
     else:
         run()  # warm-up: imports, lazy module state, allocator
+        stop_counting()
     profile = cProfile.Profile()
     messages = scatter_calls = 0
     for outcome in profile.runcall(run):
@@ -198,20 +229,39 @@ def main(argv=None) -> int:
             f"{m.messages_sent} messages, {m.message_bytes} bytes"
         )
     stats = pstats.Stats(profile, stream=sys.stdout)
+    # The gates read the figures as printed.
+    calls_per_message = round(stats.total_calls / max(messages, 1), 1)
     print(
         f"calls per message: {stats.total_calls} profiled calls / "
-        f"{messages} messages = {stats.total_calls / max(messages, 1):.1f}"
+        f"{messages} messages = {calls_per_message:.1f}"
     )
-    built = ", ".join(
-        f"{name} {sum(_calls(stats, fn) for fn in fns) / max(scatter_calls, 1):.2f}"
+    print(
+        f"pending entries built per message: {pending[0]} entries / "
+        f"{messages} messages = {pending[0] / max(messages, 1):.2f}"
+    )
+    built = {
+        name: round(sum(_calls(stats, fn) for fn in fns) / max(scatter_calls, 1), 2)
         for name, fns in CONSTRUCTORS.items()
+    }
+    print(
+        f"constructed per scatter call ({scatter_calls} calls): "
+        + ", ".join(f"{name} {n:.2f}" for name, n in built.items())
     )
-    print(f"constructed per scatter call ({scatter_calls} calls): {built}")
+    failed = [
+        f"{label} {value} > {bound}"
+        for label, value, bound in (
+            ("calls per message", calls_per_message, args.max_calls_per_message),
+            ("Intervals per scatter call", built["Interval"], args.max_intervals_per_scatter),
+        )
+        if bound is not None and value > bound
+    ]
     stats.strip_dirs()
     for order in ("tottime", "cumulative"):
         print(f"\n== top {args.top} by {order} ==")
         stats.sort_stats(order).print_stats(args.top)
-    return 0
+    for line in failed:
+        print(f"FAIL: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -73,9 +73,10 @@ class VertexContext:
         self._updated: list[Interval] = []
         self._current_interval: Optional[Interval] = None
         self._phase = "idle"  # the processor stores "init" / "compute" / "scatter"
-        #: ``(bounds, degrees)`` of the out-degree timeline, built on the
-        #: first :meth:`out_degree_rows` call; dies with the context.
-        self._degree_timeline: Optional[tuple[list[int], list[int]]] = None
+        #: ``(bounds, degrees, memo)``: the out-degree timeline, built on the
+        #: first :meth:`out_degree_rows` call, and that method's answers per
+        #: ``(start, end)``; dies with the context.
+        self._degree_timeline: Optional[tuple[list[int], list[int], dict]] = None
 
     # -- static attributes ---------------------------------------------------
 
@@ -115,7 +116,7 @@ class VertexContext:
         make = Interval._unchecked  # start < cuts < end, ascending
         return [(make(s, e), d) for s, e, d in self.out_degree_rows(interval.start, interval.end)]
 
-    def out_degree_rows(self, start: int, end: int) -> list[tuple[int, int, int]]:
+    def out_degree_rows(self, start: int, end: int) -> tuple[tuple[int, int, int], ...]:
         """Piecewise-constant out-degree over ``[start, end)`` as
         ``(start, end, degree)`` rows, the form a ``transfer`` reads.
 
@@ -126,12 +127,17 @@ class VertexContext:
         segments of equal degree stay split at the boundary between them.
         Answered from the vertex's degree timeline — its sorted out-edge
         lifespan boundaries with the running degree between them — built
-        on first use and sliced by bisection.  The list is the caller's.
+        on first use and sliced by bisection.  The timeline never changes,
+        so the answer is memoised per ``(start, end)`` for the context's
+        life: the rows are shared between calls and read-only (a tuple).
         """
         timeline = self._degree_timeline
         if timeline is None:
             timeline = self._degree_timeline = self._build_degree_timeline()
-        bounds, degrees = timeline
+        bounds, degrees, memo = timeline
+        rows = memo.get((start, end))
+        if rows is not None:
+            return rows
         # The cuts are the bounds strictly inside the interval;
         # ``degrees[i]`` is the degree just before ``bounds[i]``, so the
         # segment ending at ``bounds[i]`` — or at ``end``, for ``i == last``
@@ -145,12 +151,14 @@ class VertexContext:
             rows.append((lo, hi, degrees[idx]))
             lo = hi
         rows.append((lo, end, degrees[last]))
+        rows = memo[start, end] = tuple(rows)
         return rows
 
-    def _build_degree_timeline(self) -> tuple[list[int], list[int]]:
-        """``(bounds, degrees)``: the distinct out-edge lifespan boundaries
-        in order, and the live out-degree just before each one, plus a final
-        entry (always 0) for the stretch after the last."""
+    def _build_degree_timeline(self) -> tuple[list[int], list[int], dict]:
+        """``(bounds, degrees, {})``: the distinct out-edge lifespan
+        boundaries in order, the live out-degree just before each one, plus
+        a final entry (always 0) for the stretch after the last, and an
+        empty memo."""
         deltas: dict[int, int] = {}
         for e in self.out_edges():
             span = e.lifespan
@@ -160,7 +168,7 @@ class VertexContext:
         degrees = [0]
         for b in bounds:
             degrees.append(degrees[-1] + deltas[b])
-        return bounds, degrees
+        return bounds, degrees, {}
 
     # -- dynamic state ---------------------------------------------------------
 

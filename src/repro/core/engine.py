@@ -36,6 +36,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import Any, Optional
 
 from repro.errors import WorkerDiedError
@@ -46,7 +47,7 @@ from repro.runtime.partitioner import build_partitioner
 from .combiner import coalesce_messages
 from .config import EngineConfig, StateConfig, WarpConfig
 from .context import MasterContext, VertexContext
-from .interval import FOREVER, Interval, coalesce
+from .interval import FOREVER, Interval
 from .messages import Row
 from .program import IntervalProgram
 from .state import PartitionedState
@@ -109,8 +110,9 @@ class VertexProcessor:
     time-join — happens here, with no reference back to the driver loop:
     outbound messages go through the ``send_batch(src, dst, msgs)`` sink
     passed per call — one call per (vertex, destination) with that pair's
-    messages in send order — and engine services (aggregators, direct
-    sends) reach user code through the context's host object.  Every worker
+    messages in send order, a list the sink may keep — and engine services
+    (aggregators, direct sends) reach user code through the context's host
+    object.  Every worker
     runtime (`repro.runtime.executor`) — runtime 0 in the master, and one
     per forked worker process when there are more — builds its own
     processor from the run's :class:`~repro.core.config.WarpConfig`.
@@ -248,18 +250,15 @@ class VertexProcessor:
             metrics.combiner_reductions += before - len(messages)
 
         # ``covered`` has one reader, the complement pass of fixed-superstep
-        # programs below; nobody else pays for it.
+        # programs below; nobody else pays for it.  It is ``(start, end)``
+        # pairs sorted in C: the complement clips and absorbs overlaps.
         fixed = program.fixed_supersteps is not None
         lifespan = ctx.lifespan
         if self.should_suppress_warp(messages, lifespan):
             metrics.warp_suppressed_vertices += 1
             cost += self._compute_time_point(ctx, messages, metrics)
             if fixed:
-                covered = coalesce(
-                    Interval._unchecked(start, end)  # rows hold start < end
-                    for start, end, _ in messages
-                    if start < lifespan.end and lifespan.start < end
-                )
+                covered = sorted(map(_row_bounds, messages))
         else:
             metrics.warp_calls += 1
             cost += len(messages) * model.per_warp_item_s
@@ -276,7 +275,7 @@ class VertexProcessor:
                 # the message group is what the warp combiner saves.
                 cost += model.per_compute_call_s + len(group) * model.per_message_scan_s
             if fixed:
-                covered = coalesce(iv for iv, _, _ in triples)
+                covered = sorted([(iv.start, iv.end) for iv, _, _ in triples])
 
         if fixed:
             # Complement intervals get an empty-message compute call so the
@@ -299,6 +298,7 @@ class VertexProcessor:
         """
         model = self.model
         combiner = self.program.combiner if self.enable_combiner else None
+        fold = None if combiner is None else combiner._fn
         cost = 0.0
         life_start = ctx.lifespan.start
         life_end = ctx.lifespan.end
@@ -310,10 +310,10 @@ class VertexProcessor:
         for t in sorted(buckets):
             group = buckets[t]
             cost += model.per_compute_call_s + len(group) * model.per_message_scan_s
-            if combiner is not None and len(group) > 1:
+            if fold is not None and len(group) > 1:
                 folded = group[0]
                 for item in group[1:]:
-                    folded = combiner(folded, item)
+                    folded = fold(folded, item)
                 group = [folded]
             interval = Interval.point(t)
             self._invoke_compute(ctx, interval, ctx.state.value_at(t), group, metrics)
@@ -760,17 +760,23 @@ def fresh_state(vertex, config: StateConfig) -> PartitionedState:
     return state
 
 
-def _complement(lifespan: Interval, covered: list[Interval]) -> list[Interval]:
-    """Sub-intervals of ``lifespan`` not covered by the sorted cover."""
+_row_bounds = itemgetter(0, 1)  # a row's ``(start, end)``, built in C
+
+
+def _complement(lifespan: Interval, covered: list[tuple[int, int]]) -> list[Interval]:
+    """Sub-intervals of ``lifespan`` not covered by ``covered``: ``(start,
+    end)`` pairs sorted by start, which may overlap, repeat or reach
+    outside the lifespan — the cursor clips and merges them as it walks."""
     gaps: list[Interval] = []
     cursor = lifespan.start
-    for iv in covered:
-        clipped = iv.intersect(lifespan)
-        if clipped is None:
-            continue
-        if clipped.start > cursor:
-            gaps.append(Interval(cursor, clipped.start))
-        cursor = max(cursor, clipped.end)
-    if cursor < lifespan.end:
-        gaps.append(Interval(cursor, lifespan.end))
+    life_end = lifespan.end
+    for start, end in covered:
+        if start > cursor:
+            if start >= life_end:
+                break  # sorted: nothing later reaches into the lifespan
+            gaps.append(Interval._unchecked(cursor, start))  # cursor < start
+        if end > cursor:
+            cursor = end
+    if cursor < life_end:
+        gaps.append(Interval._unchecked(cursor, life_end))
     return gaps

@@ -25,6 +25,7 @@ paper     method                 meaning
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 #: Sentinel for an open-ended interval.  Chosen large enough that no real
@@ -217,13 +218,18 @@ class Interval:
         return self.contains_point(t)
 
 
+_bounds = attrgetter("start", "end")
+
+
 def coalesce(intervals: Iterable[Interval]) -> list[Interval]:
     """Merge overlapping or adjacent intervals into a minimal sorted cover.
 
     >>> coalesce([Interval(4, 6), Interval(0, 2), Interval(2, 4)])
     [[0, 6)]
     """
-    ordered = sorted(intervals)
+    # The C key orders exactly as ``Interval.__lt__`` does, ties included
+    # (both sorts are stable), without a Python-level comparison per step.
+    ordered = sorted(intervals, key=_bounds)
     merged: list[Interval] = []
     for iv in ordered:
         if merged and iv.start <= merged[-1].end:

@@ -291,7 +291,9 @@ class _WorkerRuntime:
                 self.fresh.add(vid)
             self.contexts[vid] = VertexContext(v, state, self)
         self.vids = list(self.contexts)
-        #: Messages routed to this process, awaiting next superstep.
+        #: Messages routed to this process, awaiting next superstep: one
+        #: ``(seq, dst, rows)`` entry per local batch (``rows`` a list)
+        #: beside a checkpoint's per-message entries (see pending_entries).
         self._pending: list[tuple] = []
         self._cur_seq = 0
         self._contrib_idx = 0
@@ -324,7 +326,7 @@ class _WorkerRuntime:
     # -- engine protocol for VertexContext -----------------------------------
 
     def send_direct(self, src_vid: Any, dst_vid: Any, interval: Interval, value: Any) -> None:
-        self.send_batch(src_vid, dst_vid, ((interval.start, interval.end, value),))
+        self.send_batch(src_vid, dst_vid, [(interval.start, interval.end, value)])
 
     def contribute_aggregate(self, name: str, value: Any) -> None:
         if name not in self._aggregator_names:
@@ -344,7 +346,8 @@ class _WorkerRuntime:
         Routing (both shards, local or remote, destination process) and
         wire sizing happen once per batch; the counters are the same
         integer sums one call per message produced.  The tracer and the
-        sender-side fold still see every message, in order.
+        sender-side fold still see every message, in order.  A batch for
+        this process is one pending entry that keeps ``msgs`` (as a list).
         """
         tracer = self.tracer
         if tracer is not None:
@@ -367,7 +370,7 @@ class _WorkerRuntime:
         seq = self._cur_seq
         dest_proc = self.shard_to_proc[dst_shard]
         if dest_proc == self.proc_index:
-            self._pending.extend([(seq, dst, msg) for msg in msgs])
+            self._pending.append((seq, dst, msgs if type(msgs) is list else list(msgs)))
             return
         # Crossing a process boundary: account the raw footprint in the
         # varint routed-batch format (whatever ``varint`` models), then
@@ -430,7 +433,8 @@ class _WorkerRuntime:
         # order at their sender; batches preserve send order), so a single
         # non-empty source is *provably* already in delivery order and the
         # per-superstep sort can be skipped outright.  In-process only the
-        # first source exists, and ``wire_s`` stays exactly 0.
+        # first source exists, and ``wire_s`` stays exactly 0.  A batch
+        # entry's rows share its seq, so it sorts where they would.
         parts: list[list[tuple]] = [self._pending] if self._pending else []
         self._pending = []
         wire_s = 0.0
@@ -458,9 +462,13 @@ class _WorkerRuntime:
         extra_raw: dict[Any, int] = {}
         for e in entries:
             dst = e[1]
+            rows = e[2]
+            if type(rows) is list:  # a local batch: the inbox takes it whole
+                inboxes.setdefault(dst, []).extend(rows)
+                continue
             if len(e) > 3:
                 extra_raw[dst] = extra_raw.get(dst, 0) + e[3] - 1
-            inboxes.setdefault(dst, []).append(e[2])
+            inboxes.setdefault(dst, []).append(rows)
 
         if superstep == 1:
             if not self.warm:
@@ -568,10 +576,20 @@ class _WorkerRuntime:
         return {vid: ctx._state for vid, ctx in self.contexts.items()}
 
     def pending_entries(self) -> list[tuple]:
-        """Every message awaiting the next superstep here (read-only): the
-        worker-local pending list (cross-process batches sit at the master
-        and are snapshotted there)."""
-        return list(self._pending)
+        """Every message awaiting the next superstep here as per-message
+        ``(seq, dst, row, …)`` entries, in delivery order: the worker-local
+        pending list, batch entries expanded in place (cross-process batches
+        sit at the master and are snapshotted there).  The list is the
+        caller's."""
+        entries: list[tuple] = []
+        for e in self._pending:
+            rows = e[2]
+            if type(rows) is list:
+                seq, dst = e[0], e[1]
+                entries.extend([(seq, dst, row) for row in rows])
+            else:
+                entries.append(e)
+        return entries
 
 
 class ParallelExecutor:

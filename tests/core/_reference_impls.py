@@ -18,6 +18,10 @@ These are the straightforward implementations the optimised kernels in
 * ``reference_payload_size`` — the recursive payload sizer.
 * ``reference_out_degree_segments`` — the O(E·k) rescan of every out-edge
   per cut that ``VertexContext.out_degree_segments`` ran on every call.
+* ``reference_coalesce`` / ``reference_cover`` / ``reference_complement`` —
+  ``coalesce`` sorting through ``Interval.__lt__``, and the fixed-superstep
+  complement pass on ``Interval`` objects (one box per message, clipped by
+  ``intersect``) before it walked C-sorted ``(start, end)`` pairs.
 * ``reference_edge_pieces`` — the body ``TemporalEdge.pieces`` ran on every
   call (re-derive the property boundaries, one ``values_at`` per piece)
   before edges sliced the graph-resident ``PieceIndex``.
@@ -459,6 +463,44 @@ def reference_out_degree_segments(
         degree = sum(1 for e in edges if e.lifespan.contains_point(lo))
         segments.append((Interval(lo, hi), degree))
     return segments
+
+
+def reference_coalesce(intervals: Iterable[Interval]) -> list[Interval]:
+    """``coalesce`` as it was: ``sorted()`` through ``Interval.__lt__``."""
+    merged: list[Interval] = []
+    for iv in sorted(intervals):
+        if merged and iv.start <= merged[-1].end:
+            if iv.end > merged[-1].end:
+                merged[-1] = Interval(merged[-1].start, iv.end)
+        else:
+            merged.append(iv)
+    return merged
+
+
+def reference_cover(
+    lifespan: Interval, rows: Iterable[tuple[int, int, Any]]
+) -> list[Interval]:
+    """The suppressed path's cover as it was: the rows overlapping the
+    lifespan, boxed and coalesced."""
+    return reference_coalesce(
+        Interval(s, e) for s, e, _ in rows if s < lifespan.end and lifespan.start < e
+    )
+
+
+def reference_complement(lifespan: Interval, covered: list[Interval]) -> list[Interval]:
+    """``engine._complement`` as it was, over a coalesced ``Interval`` cover."""
+    gaps: list[Interval] = []
+    cursor = lifespan.start
+    for iv in covered:
+        clipped = iv.intersect(lifespan)
+        if clipped is None:
+            continue
+        if clipped.start > cursor:
+            gaps.append(Interval(cursor, clipped.start))
+        cursor = max(cursor, clipped.end)
+    if cursor < lifespan.end:
+        gaps.append(Interval(cursor, lifespan.end))
+    return gaps
 
 
 def reference_edge_pieces(edge: Any, window: Interval) -> list[tuple[Interval, dict]]:

@@ -398,18 +398,20 @@ class TestVertexPropertyPrepartitioning:
 
 
 class TestComplementHelper:
+    """The cover is ``(start, end)`` pairs sorted by start."""
+
     def test_gaps(self):
         lifespan = Interval(0, 10)
-        covered = [Interval(2, 4), Interval(6, 7)]
+        covered = [(2, 4), (6, 7)]
         assert _complement(lifespan, covered) == [
             Interval(0, 2), Interval(4, 6), Interval(7, 10),
         ]
 
     def test_full_cover(self):
-        assert _complement(Interval(0, 5), [Interval(0, 5)]) == []
+        assert _complement(Interval(0, 5), [(0, 5)]) == []
 
     def test_empty_cover(self):
         assert _complement(Interval(3, 8), []) == [Interval(3, 8)]
 
     def test_cover_exceeding_lifespan(self):
-        assert _complement(Interval(3, 8), [Interval(0, 5)]) == [Interval(5, 8)]
+        assert _complement(Interval(3, 8), [(0, 5)]) == [Interval(5, 8)]

@@ -194,11 +194,13 @@ def test_send_batch_equals_batches_of_one(fold, traced):
     batched, rep_b, tracer_b = _burst_step(True, fold, traced)
     single, rep_s, tracer_s = _burst_step(False, fold, traced)
 
-    # Same shard and other-shard-same-process stay in ``_pending``, the
-    # other process's go to ``_out`` — in send order, entry for entry.
-    assert batched._pending == single._pending
-    assert [e[1] for e in batched._pending] == [_SAME] * 5 + [_NEAR] * 5
-    assert [e[2] for e in batched._pending] == rows_of(_BURST_A + _BURST_A)
+    # Same shard and other-shard-same-process stay pending in this process,
+    # the other process's go to ``_out`` — in send order, entry for entry,
+    # as the delivery-order view that checkpoints and snapshots read.
+    pending = batched.pending_entries()
+    assert pending == single.pending_entries()
+    assert [e[1] for e in pending] == [_SAME] * 5 + [_NEAR] * 5
+    assert [e[2] for e in pending] == rows_of(_BURST_A + _BURST_A)
     assert batched._out == single._out
     assert list(batched._out) == [1]
     for key in ("traffic", "raw_wire", "out", "exchange_bytes"):
